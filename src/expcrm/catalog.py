@@ -75,17 +75,6 @@ def _fail(reason: str) -> ValidityResult:
     return ValidityResult(False, reason)
 
 
-def _resample_inside(draw, lo: float, hi: float):
-    """Redraw entries that landed on the boundary of an open interval."""
-    vals = np.asarray(draw(None), dtype=float)
-    for _ in range(100):
-        bad = ~((vals > lo) & (vals < hi))
-        if not bad.any():
-            return vals
-        vals[bad] = draw(int(bad.sum()))
-    raise RngFaultError("weight sampler kept hitting the domain boundary")
-
-
 class CatalogEntry:
     """One conjugate likelihood/prior pair with its closed forms.
 
@@ -215,8 +204,44 @@ class CatalogEntry:
             - self._log_B0(xi0_eff, lam_eff)
         )
 
-    def sample_weights(self, generator, xi, lam: float, size: int) -> np.ndarray:
+    # weights must fall in the open interval (0, _weight_hi)
+    _weight_hi: float = math.inf
+
+    def _draw_weights(self, generator, xi0: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """One weight per entry of the equal-length ``xi0``/``lam`` arrays.
+
+        A single broadcast generator call, which consumes the stream exactly
+        like one call per entry in order.  Draws may land on the boundary
+        of the weight domain.
+        """
         raise NotImplementedError
+
+    def sample_weights(self, generator, xi, lam, size: int, *, redraw: bool = True):
+        """``size`` draws of the weight law with hyperparameters (xi, lam).
+
+        ``xi`` is the one-dimensional xi of a single law, or an array of
+        xi values with one entry per draw; ``lam`` is a float or such an
+        array.  Draws that land on the boundary of the open weight domain
+        are redrawn with their own parameters until they fall inside.  With
+        ``redraw=False`` the draw is one generator call and the method
+        returns ``None`` when any entry hit the boundary, so that a caller
+        bound to another stream schedule can rewind the generator and draw
+        its own way.
+        """
+        xi0 = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else _xi0(xi)
+        xi0 = np.broadcast_to(xi0, size)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), size)
+        if not np.all(self._proper0(xi0, lam)):
+            raise DomainError("weight draws need proper (xi, lam)")
+        vals = self._draw_weights(generator, xi0, lam)
+        for _ in range(100):
+            bad = ~((vals > 0.0) & (vals < self._weight_hi))
+            if not bad.any():
+                return vals
+            if not redraw:
+                return None
+            vals[bad] = self._draw_weights(generator, xi0[bad], lam[bad])
+        raise RngFaultError("weight sampler kept hitting the domain boundary")
 
 
 _ENTRIES: dict[str, CatalogEntry] = {}
@@ -252,7 +277,7 @@ class PoissonGamma(CatalogEntry):
         return gammaln(xi0 + 1.0) - (xi0 + 1.0) * np.log(lam)
 
     def _proper0(self, xi0, lam):
-        return xi0 > -1.0 and lam > 0.0
+        return (xi0 > -1.0) & (lam > 0.0)
 
     def kernel_orders(self, xi, lam):
         if lam < 0.0:
@@ -319,14 +344,8 @@ class PoissonGamma(CatalogEntry):
         core = -np.expm1(-s * log_ratio)  # 1 - (a/b)^s, sign-safe for s < 0
         return (mass * math.exp(gammaln(s + 1.0)) / s) * np.exp(-s * np.log(a)) * core
 
-    def sample_weights(self, generator, xi, lam, size):
-        xi0 = _xi0(xi)
-        if not self._proper0(xi0, lam):
-            raise DomainError("weight draws need proper (xi, lam)")
-        return _resample_inside(
-            lambda n: generator.gamma(xi0 + 1.0, 1.0 / lam, size if n is None else n),
-            0.0, math.inf,
-        )
+    def _draw_weights(self, generator, xi0, lam):
+        return generator.gamma(xi0 + 1.0, 1.0 / lam)
 
     def describe(self):
         return {
@@ -389,7 +408,7 @@ class BernoulliBeta(CatalogEntry):
         return betaln(xi0 + 1.0, lam - xi0 + 1.0)
 
     def _proper0(self, xi0, lam):
-        return xi0 > -1.0 and lam - xi0 > -1.0
+        return (xi0 > -1.0) & (lam - xi0 > -1.0)
 
     def kernel_orders(self, xi, lam):
         return _xi0(xi), lam - _xi0(xi)
@@ -439,14 +458,10 @@ class BernoulliBeta(CatalogEntry):
         m = np.asarray(m, dtype=float)
         return mass * np.exp(betaln(xi0 + 2.0, lam - xi0 + m))
 
-    def sample_weights(self, generator, xi, lam, size):
-        xi0 = _xi0(xi)
-        if not self._proper0(xi0, lam):
-            raise DomainError("weight draws need proper (xi, lam)")
-        return _resample_inside(
-            lambda n: generator.beta(xi0 + 1.0, lam - xi0 + 1.0, size if n is None else n),
-            0.0, 1.0,
-        )
+    _weight_hi = 1.0
+
+    def _draw_weights(self, generator, xi0, lam):
+        return generator.beta(xi0 + 1.0, lam - xi0 + 1.0)
 
     def from_native(self, mass: float, alpha: float, theta_c: float, fixed=()) -> ExpCrmPrior:
         """Prior from native (mass, alpha, theta_c), kernel-level map.
@@ -532,7 +547,7 @@ class OddsBernoulliBetaPrime(CatalogEntry):
         return betaln(xi0 + 1.0, lam - xi0 - 1.0)
 
     def _proper0(self, xi0, lam):
-        return xi0 > -1.0 and lam - xi0 > 1.0
+        return (xi0 > -1.0) & (lam - xi0 > 1.0)
 
     def kernel_orders(self, xi, lam):
         return _xi0(xi), _xi0(xi) - lam
@@ -566,15 +581,11 @@ class OddsBernoulliBetaPrime(CatalogEntry):
         m = np.asarray(m, dtype=float)
         return mass * np.exp(betaln(xi0 + 2.0, lam + m - xi0 - 2.0))
 
-    def sample_weights(self, generator, xi, lam, size):
-        xi0 = _xi0(xi)
-        if not self._proper0(xi0, lam):
-            raise DomainError("weight draws need proper (xi, lam)")
-        y = _resample_inside(
-            lambda n: generator.beta(xi0 + 1.0, lam - xi0 - 1.0, size if n is None else n),
-            0.0, 1.0,
-        )
-        return y / (1.0 - y)
+    def _draw_weights(self, generator, xi0, lam):
+        # odds of a beta draw: y = 0 and y = 1 map to the boundary points 0 and inf
+        y = generator.beta(xi0 + 1.0, lam - xi0 - 1.0)
+        with np.errstate(divide="ignore"):
+            return y / (1.0 - y)
 
     def describe(self):
         return {
@@ -634,7 +645,7 @@ class NegativeBinomialBeta(CatalogEntry):
         return betaln(xi0 + 1.0, lam * self.r + 1.0)
 
     def _proper0(self, xi0, lam):
-        return xi0 > -1.0 and lam * self.r > -1.0
+        return (xi0 > -1.0) & (lam * self.r > -1.0)
 
     def kernel_orders(self, xi, lam):
         return _xi0(xi), lam * self.r
@@ -722,14 +733,10 @@ class NegativeBinomialBeta(CatalogEntry):
             )
         return mass * out
 
-    def sample_weights(self, generator, xi, lam, size):
-        xi0 = _xi0(xi)
-        if not self._proper0(xi0, lam):
-            raise DomainError("weight draws need proper (xi, lam)")
-        return _resample_inside(
-            lambda n: generator.beta(xi0 + 1.0, lam * self.r + 1.0, size if n is None else n),
-            0.0, 1.0,
-        )
+    _weight_hi = 1.0
+
+    def _draw_weights(self, generator, xi0, lam):
+        return generator.beta(xi0 + 1.0, lam * self.r + 1.0)
 
     def from_native(self, mass: float, alpha: float, theta_c: float, fixed=()) -> ExpCrmPrior:
         """Prior from native (mass, alpha, theta_c): xi = -alpha - 1,

@@ -32,6 +32,7 @@ mandatory column row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import multiprocessing
@@ -44,11 +45,11 @@ from .config import ModelConfig, model_config_from_dict, parse_model_config
 from .errors import ConfigError, ExpCrmError
 from .marginal import MarginalConfig, MarginalSampler
 from .measures import (
+    jsonl_line,
     observation_from_jsonable,
     observation_to_jsonable,
     read_jsonl,
     trait_to_jsonable,
-    write_jsonl,
 )
 from .posterior import posterior_update
 from .rng import RngState
@@ -149,7 +150,7 @@ def _cmd_posterior(args) -> int:
 # --- sample-prior ---------------------------------------------------------------
 
 # worker-pool state: each process builds its sampler once, then maps
-# replicate indices to records
+# replicate indices to finished JSONL text, which pickles cheaply
 _WORKER: dict = {}
 
 
@@ -159,12 +160,12 @@ def _init_prior_worker(cfg_dict: dict, m_max: int, x_max: int) -> None:
         cfg.build_prior(),
         SizeBiasedConfig(m_max=m_max, x_max=x_max, eps_tail=cfg.eps_tail),
     )
-    _WORKER["run"] = lambda seed, rep: _prior_record(sampler, seed, rep)
+    _WORKER["run"] = lambda seed, rep: _prior_line(sampler, seed, rep)
 
 
-def _prior_record(sampler: SizeBiasedSampler, seed: int, rep: int) -> dict:
+def _prior_line(sampler: SizeBiasedSampler, seed: int, rep: int) -> str:
     measure = sampler.draw(RngState(seed, stream=rep))
-    return {"rep": rep, **trait_to_jsonable(measure)}
+    return jsonl_line({"rep": rep, **trait_to_jsonable(measure)})
 
 
 def _init_marginal_worker(cfg_dict: dict, x_max: int, n_steps: int) -> None:
@@ -173,20 +174,21 @@ def _init_marginal_worker(cfg_dict: dict, x_max: int, n_steps: int) -> None:
         cfg.build_prior(), MarginalConfig(x_max=x_max, eps_tail=cfg.eps_tail)
     )
     fixed = {a.location.value for a in sampler.prior.fixed_atoms}
-    _WORKER["run"] = lambda seed, rep: _marginal_records(sampler, fixed, n_steps, seed, rep)
+    _WORKER["run"] = lambda seed, rep: _marginal_lines(sampler, fixed, n_steps, seed, rep)
 
 
-def _marginal_records(sampler, fixed_locs, n_steps, seed, rep):
+def _marginal_lines(sampler, fixed_locs, n_steps, seed, rep):
+    """One replicate's JSONL text and its per-step summary rows."""
     observations = sampler.sample(n_steps, RngState(seed, stream=rep))
-    records = []
+    lines = []
     summary = []
     seen = set(fixed_locs)
     for n, obs in enumerate(observations, start=1):
-        records.append({"rep": rep, "n": n, **observation_to_jsonable(obs)})
+        lines.append(jsonl_line({"rep": rep, "n": n, **observation_to_jsonable(obs)}))
         new = [a for a in obs.atoms if a.location.value not in seen]
         seen.update(a.location.value for a in obs.atoms)
         summary.append((rep, n, len(obs.atoms), len(new), obs.total_count()))
-    return records, summary
+    return "".join(lines), summary
 
 
 def _pool_worker(task):
@@ -194,15 +196,36 @@ def _pool_worker(task):
     return _WORKER["run"](seed, rep)
 
 
-def _fan_out(initializer, initargs, seed: int, reps: int) -> list:
-    """Replicate results in index order, fanned across processes when worth it."""
+def _fan_out(initializer, initargs, seed: int, reps: int):
+    """Replicate results in index order, yielded as they come; fanned across
+    processes when worth it."""
     tasks = [(seed, rep) for rep in range(reps)]
     workers = min(os.cpu_count() or 1, reps)
     if reps < _POOL_THRESHOLD or workers < 2:
         initializer(*initargs)
-        return [_pool_worker(t) for t in tasks]
+        yield from map(_pool_worker, tasks)
+        return
     with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
-        return list(pool.imap(_pool_worker, tasks, chunksize=max(1, reps // (4 * workers))))
+        yield from pool.imap(_pool_worker, tasks, chunksize=max(1, reps // (4 * workers)))
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Write ``path`` through a temporary file in the same directory.
+
+    The temporary file replaces ``path`` only when the block completes;
+    on any error it is deleted, so a failed run leaves no output that
+    looks complete (and an older file at ``path`` untouched).
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _cmd_sample_prior(args) -> int:
@@ -217,10 +240,11 @@ def _cmd_sample_prior(args) -> int:
     policy = {"rounds": rounds, "x_max": x_max, "eps_tail": cfg.eps_tail}
     header = _header("sample-prior", cfg, seed, policy, sampler.tail_certificate())
     header["reps"] = args.reps
-    records = _fan_out(
-        _init_prior_worker, (cfg.to_jsonable(), rounds, x_max), seed, args.reps
-    )
-    write_jsonl(args.out, [header, *records])
+    with _replacing(args.out) as out:
+        out.write(jsonl_line(header))
+        out.writelines(
+            _fan_out(_init_prior_worker, (cfg.to_jsonable(), rounds, x_max), seed, args.reps)
+        )
     return 0
 
 
@@ -238,18 +262,22 @@ def _cmd_sample_marginal(args) -> int:
     header = _header("sample-marginal", cfg, seed, policy, sampler.tail_certificate(args.n))
     header["reps"] = args.reps
     header["n"] = args.n
-    results = _fan_out(
-        _init_marginal_worker, (cfg.to_jsonable(), x_max, args.n), seed, args.reps
-    )
-    records = [rec for recs, _ in results for rec in recs]
-    write_jsonl(args.out, [header, *records])
-    if args.summary is not None:
-        with open(args.summary, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# " + json.dumps(header, separators=(",", ":")) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rep", "n", "atoms_total", "atoms_new", "sum_counts"])
-            for _, rows in results:
-                writer.writerows(rows)
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(_replacing(args.out))
+        out.write(jsonl_line(header))
+        summary = None
+        if args.summary is not None:
+            summary_fh = stack.enter_context(_replacing(args.summary))
+            summary_fh.write("# " + jsonl_line(header))
+            summary = csv.writer(summary_fh, lineterminator="\n")
+            summary.writerow(["rep", "n", "atoms_total", "atoms_new", "sum_counts"])
+        results = _fan_out(
+            _init_marginal_worker, (cfg.to_jsonable(), x_max, args.n), seed, args.reps
+        )
+        for lines, rows in results:
+            out.write(lines)
+            if summary is not None:
+                summary.writerows(rows)
     return 0
 
 

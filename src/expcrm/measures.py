@@ -14,6 +14,7 @@ can be diffed across runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -114,7 +115,27 @@ def _require_distinct(locations: Iterable[Location], what: str) -> None:
         raise DomainError(f"{what} must sit at pairwise distinct locations")
 
 
-@dataclass(frozen=True, slots=True)
+def _atom_columns(what: str, weights, locations) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 copies of one group's weights and locations, checked."""
+    out = []
+    for values in (weights, locations):
+        arr = np.asarray(values)
+        if arr.ndim != 1 or arr.dtype.kind not in "fiu":
+            raise DomainError(f"{what}: expected one-dimensional arrays of real numbers")
+        arr = arr.astype(float)
+        arr.flags.writeable = False
+        out.append(arr)
+    weights, locations = out
+    if weights.size != locations.size:
+        raise DomainError(f"{what}: {weights.size} weights but {locations.size} locations")
+    # min and max carry a NaN through, and a NaN fails every comparison
+    if weights.size and not (weights.min() > 0.0 and weights.max() < math.inf):
+        raise DomainError(f"{what}: weights must be positive and finite")
+    if locations.size and not (locations.min() >= 0.0 and locations.max() < 1.0):
+        raise DomainError(f"{what}: locations must lie in [0, 1)")
+    return weights, locations
+
+
 class TraitMeasure:
     """A finite discrete measure with positive real weights.
 
@@ -122,30 +143,110 @@ class TraitMeasure:
     because their weights follow different laws than ordinary atoms);
     ``ordinary_atoms`` come from the ordinary component. All locations,
     across both groups, are pairwise distinct.
+
+    The measure is stored as four read-only arrays (``fixed_weights``,
+    ``fixed_locations``, ``ordinary_weights``, ``ordinary_locations``),
+    validated once at construction; :class:`Atom` views are built only
+    when ``fixed_atoms``, ``ordinary_atoms`` or ``atoms`` is read.
+    Samplers build measures with :meth:`from_arrays`.
     """
 
-    fixed_atoms: tuple[Atom, ...]
-    ordinary_atoms: tuple[Atom, ...]
-    truncation: TruncationMeta = EXACT_FINITE
+    __slots__ = (
+        "fixed_weights",
+        "fixed_locations",
+        "ordinary_weights",
+        "ordinary_locations",
+        "truncation",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "fixed_atoms", tuple(self.fixed_atoms))
-        object.__setattr__(self, "ordinary_atoms", tuple(self.ordinary_atoms))
-        for a in self.fixed_atoms + self.ordinary_atoms:
+    def __init__(
+        self,
+        fixed_atoms: Sequence[Atom] = (),
+        ordinary_atoms: Sequence[Atom] = (),
+        truncation: TruncationMeta = EXACT_FINITE,
+    ):
+        fixed, ordinary = tuple(fixed_atoms), tuple(ordinary_atoms)
+        for a in fixed + ordinary:
             if not isinstance(a, Atom):
                 raise DomainError(f"atoms must be Atom instances, got {type(a).__name__}")
-        _require_distinct(
-            [a.location for a in self.fixed_atoms + self.ordinary_atoms], "trait measure atoms"
+        self._init(
+            [a.weight for a in fixed],
+            [a.location.value for a in fixed],
+            [a.weight for a in ordinary],
+            [a.location.value for a in ordinary],
+            truncation,
         )
-        if not isinstance(self.truncation, TruncationMeta):
+
+    @classmethod
+    def from_arrays(
+        cls,
+        fixed_weights,
+        fixed_locations,
+        ordinary_weights,
+        ordinary_locations,
+        truncation: TruncationMeta = EXACT_FINITE,
+    ) -> "TraitMeasure":
+        """Measure from aligned weight and location arrays of each group."""
+        measure = cls.__new__(cls)
+        measure._init(
+            fixed_weights, fixed_locations, ordinary_weights, ordinary_locations, truncation
+        )
+        return measure
+
+    def _init(self, fw, fl, ow, ol, truncation) -> None:
+        fw, fl = _atom_columns("fixed atoms", fw, fl)
+        ow, ol = _atom_columns("ordinary atoms", ow, ol)
+        locations = fl.tolist() + ol.tolist()
+        if len(set(locations)) != len(locations):
+            raise DomainError("trait measure atoms must sit at pairwise distinct locations")
+        if not isinstance(truncation, TruncationMeta):
             raise DomainError("truncation must be a TruncationMeta")
+        for name, value in zip(self.__slots__, (fw, fl, ow, ol, truncation)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TraitMeasure is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, TraitMeasure):
+            return NotImplemented
+        return self.truncation == other.truncation and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__[:4]
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (
+            TraitMeasure.from_arrays,
+            tuple(getattr(self, name) for name in self.__slots__),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraitMeasure({self.fixed_weights.size} fixed, "
+            f"{self.ordinary_weights.size} ordinary, {self.truncation!r})"
+        )
+
+    @property
+    def fixed_atoms(self) -> tuple[Atom, ...]:
+        return _atoms(self.fixed_weights, self.fixed_locations)
+
+    @property
+    def ordinary_atoms(self) -> tuple[Atom, ...]:
+        return _atoms(self.ordinary_weights, self.ordinary_locations)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return self.fixed_atoms + self.ordinary_atoms
 
     def total_mass(self) -> float:
-        return float(sum(a.weight for a in self.atoms))
+        return float(sum(self.fixed_weights.tolist() + self.ordinary_weights.tolist()))
+
+
+def _atoms(weights: np.ndarray, locations: np.ndarray) -> tuple[Atom, ...]:
+    return tuple(Atom(w, Location(v)) for w, v in zip(weights.tolist(), locations.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,20 +313,21 @@ def _parse_float(s, name: str) -> float:
     return float(s)
 
 
+def _atom_records(weights: np.ndarray, locations: np.ndarray) -> list[dict]:
+    return [
+        {"w": float_repr(w), "loc": float_repr(v)}
+        for w, v in zip(weights.tolist(), locations.tolist())
+    ]
+
+
 def trait_to_jsonable(measure: TraitMeasure) -> dict:
     trunc: dict = {"kind": measure.truncation.kind}
     if measure.truncation.kind == "truncated":
         trunc["rounds"] = measure.truncation.rounds
         trunc["count_cap"] = measure.truncation.count_cap
     return {
-        "fixed": [
-            {"w": float_repr(a.weight), "loc": float_repr(a.location.value)}
-            for a in measure.fixed_atoms
-        ],
-        "ordinary": [
-            {"w": float_repr(a.weight), "loc": float_repr(a.location.value)}
-            for a in measure.ordinary_atoms
-        ],
+        "fixed": _atom_records(measure.fixed_weights, measure.fixed_locations),
+        "ordinary": _atom_records(measure.ordinary_weights, measure.ordinary_locations),
         "trunc": trunc,
     }
 
@@ -243,18 +345,19 @@ def trait_from_jsonable(data: dict) -> TraitMeasure:
         trunc_data.get("count_cap"),
     )
 
-    def atoms(rows, name):
-        out = []
+    def columns(rows, name):
+        weights, locations = [], []
         for i, row in enumerate(rows):
             try:
-                w = _parse_float(row["w"], f"{name}[{i}].w")
-                loc = _parse_float(row["loc"], f"{name}[{i}].loc")
+                weights.append(_parse_float(row["w"], f"{name}[{i}].w"))
+                locations.append(_parse_float(row["loc"], f"{name}[{i}].loc"))
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"{name}[{i}]: malformed atom record") from exc
-            out.append(Atom(w, Location(loc)))
-        return tuple(out)
+        return weights, locations
 
-    return TraitMeasure(atoms(fixed, "fixed"), atoms(ordinary, "ordinary"), trunc)
+    return TraitMeasure.from_arrays(
+        *columns(fixed, "fixed"), *columns(ordinary, "ordinary"), trunc
+    )
 
 
 def observation_to_jsonable(observation: ObservationMeasure) -> dict:
@@ -283,12 +386,16 @@ def observation_from_jsonable(data: dict) -> ObservationMeasure:
     return ObservationMeasure(tuple(atoms))
 
 
+def jsonl_line(record: dict) -> str:
+    """One JSONL line for ``record``, newline included; keys in insertion order."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
 def write_jsonl(path, records: Iterable[dict]) -> None:
     """Write one JSON object per line. Key order is the insertion order."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
+            fh.write(jsonl_line(record))
 
 
 def read_jsonl(path) -> list[dict]:

@@ -86,13 +86,22 @@ def _shifted(
     xi: tuple[float, ...],
     lam: float,
     counts: list[int],
+    n: int,
 ) -> tuple[tuple[float, ...], float]:
-    """(xi + sum of phi(x_n), lam + N), each component summed with fsum."""
+    """(xi + sum of phi(x) over n counts, lam + n), each component summed with fsum.
+
+    ``counts`` lists the nonzero counts; the other n - len(counts) are
+    zeros.  fsum rounds the exact sum once, so the order of the terms
+    does not change the result.
+    """
+    zeros = n - len(counts)
+    phi0 = likelihood.phi(0)
     phis = [likelihood.phi(c) for c in counts]
     xi_new = tuple(
-        math.fsum([xi[j]] + [float(p[j]) for p in phis]) for j in range(likelihood.dim)
+        math.fsum([xi[j]] + [float(phi0[j])] * zeros + [float(p[j]) for p in phis])
+        for j in range(likelihood.dim)
     )
-    return xi_new, lam + float(len(counts))
+    return xi_new, lam + float(n)
 
 
 def posterior_update(model, observations) -> PosteriorCrm:
@@ -115,25 +124,28 @@ def posterior_update(model, observations) -> PosteriorCrm:
     _check_counts(like, observations)
     n = len(observations)
 
+    # nonzero counts by location, in one pass over the data; locations are
+    # distinct within an observation, so each list holds one count per
+    # observation that touched the location
+    counts_at: dict[float, list[int]] = {}
+    for obs in observations:
+        for a in obs.atoms:
+            counts_at.setdefault(a.location.value, []).append(a.count)
+
     atoms: list[FixedAtomParams] = []
     for atom in base.fixed_atoms:
-        counts = [obs.count_at(atom.location) for obs in observations]
-        xi_new, lam_new = _shifted(like, atom.xi, atom.lam, counts)
+        counts = counts_at.get(atom.location.value, [])
+        xi_new, lam_new = _shifted(like, atom.xi, atom.lam, counts, n)
         atoms.append(FixedAtomParams(atom.location, xi_new, lam_new))
 
     known = {atom.location.value for atom in base.fixed_atoms}
-    fresh = sorted(
-        {a.location.value for obs in observations for a in obs.atoms} - known
-    )
-    for value in fresh:
-        loc = Location(value)
-        counts = [obs.count_at(loc) for obs in observations]
-        xi_new, lam_new = _shifted(like, base.xi, base.lam, counts)
-        atoms.append(FixedAtomParams(loc, xi_new, lam_new))
+    for value in sorted(counts_at.keys() - known):
+        xi_new, lam_new = _shifted(like, base.xi, base.lam, counts_at[value], n)
+        atoms.append(FixedAtomParams(Location(value), xi_new, lam_new))
 
     # ordinary component: N zero-count observations everywhere else
     mass_new = base.mass * math.exp(n * like.log_h(0))
-    xi_ord, lam_ord = _shifted(like, base.xi, base.lam, [0] * n)
+    xi_ord, lam_ord = _shifted(like, base.xi, base.lam, [], n)
     return PosteriorCrm(like, mass_new, xi_ord, lam_ord, tuple(atoms), n_seen + n)
 
 

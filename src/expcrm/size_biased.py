@@ -46,7 +46,7 @@ from .exp_family import (
     log_conjugate_kernel,
     log_partition_B,
 )
-from .measures import Atom, Location, TraitMeasure, TruncationMeta
+from .measures import TraitMeasure, TruncationMeta
 from .quadrature import IntegrandSpec, integrate, probed_orders, smooth_panel
 from .rng import as_generator
 
@@ -289,6 +289,10 @@ class SizeBiasedSampler:
         self._cdf = np.cumsum(rates.reshape(-1))
         self._grand_total = float(self._cdf[-1])
         self._numeric_samplers: dict = {}
+        self._fixed_locations = frozenset(a.location.value for a in prior.fixed_atoms)
+        self._truncation = TruncationMeta(
+            "truncated", rounds=config.m_max, count_cap=self.count_cap
+        )
 
     # -- certification ---------------------------------------------------
 
@@ -315,12 +319,58 @@ class SizeBiasedSampler:
             self._numeric_samplers[key] = sampler
         return sampler.sample(gen, size)
 
+    def _cell_weights(self, gen, cells, rounds, counts) -> np.ndarray:
+        """Weights of atoms sorted by table cell, drawn cell by cell.
+
+        For a catalog family phi(x) = x and phi(0) = 0, so the cell
+        parameters of :func:`weight_dist_params` are (xi + x, lam + m) and
+        all cells take one broadcast draw, which consumes the generator
+        exactly like the per-cell draws.  When that draw puts a weight on
+        the domain boundary, the generator is rewound and the per-cell
+        loop, which redraws inside each cell, runs instead.
+        """
+        if self._entry is not None:
+            state = gen.bit_generator.state
+            weights = self._entry.sample_weights(
+                gen, self.prior.xi[0] + counts, self.prior.lam + rounds, cells.size, redraw=False
+            )
+            if weights is not None:
+                return weights
+            gen.bit_generator.state = state
+        n_x = self._xs.size
+        weights = np.empty(cells.size, dtype=float)
+        pos = 0
+        for cell, n_cell in zip(*np.unique(cells, return_counts=True)):
+            m = int(self._ms[cell // n_x])
+            x = int(self._xs[cell % n_x])
+            xi_mx, lam_mx = weight_dist_params(self.prior, m, x)
+            weights[pos : pos + n_cell] = self._weights_from_params(
+                gen, xi_mx, lam_mx, int(n_cell)
+            )
+            pos += n_cell
+        return weights
+
+    def _locations(self, gen, k: int) -> np.ndarray:
+        """k uniform locations distinct from each other and the fixed atoms.
+
+        One vectorized draw equals k scalar draws; after a collision the
+        generator is rewound and :func:`_fresh_locations` redraws one
+        location at a time, skipping taken values.
+        """
+        state = gen.bit_generator.state
+        locations = gen.uniform(size=k)
+        values = locations.tolist()
+        if len(set(values)) == k and self._fixed_locations.isdisjoint(values):
+            return locations
+        gen.bit_generator.state = state
+        return _fresh_locations(gen, k, set(self._fixed_locations))
+
     def draw_labeled(self, rng=None) -> LabeledDraw:
         """Draw the ordinary component, keeping round and count labels.
 
         Atoms are ordered by table cell (round-major), and the weight
-        draws for atoms sharing a cell are batched, so the draw consumes
-        generator output in a schedule-independent order.
+        draws follow that order, so the draw consumes generator output
+        in a schedule-independent order.
         """
         gen = self._generator(rng)
         k = int(gen.poisson(self._grand_total))
@@ -335,19 +385,8 @@ class SizeBiasedSampler:
         n_x = self._xs.size
         rounds = self._ms[cells // n_x].astype(np.int64)
         counts = self._xs[cells % n_x].astype(np.int64)
-        weights = np.empty(k, dtype=float)
-        pos = 0
-        for cell, n_cell in zip(*np.unique(cells, return_counts=True)):
-            m = int(self._ms[cell // n_x])
-            x = int(self._xs[cell % n_x])
-            xi_mx, lam_mx = weight_dist_params(self.prior, m, x)
-            weights[pos : pos + n_cell] = self._weights_from_params(
-                gen, xi_mx, lam_mx, int(n_cell)
-            )
-            pos += n_cell
-        taken = {a.location.value for a in self.prior.fixed_atoms}
-        locations = _fresh_locations(gen, k, taken)
-        return LabeledDraw(rounds, counts, weights, locations)
+        weights = self._cell_weights(gen, cells, rounds, counts)
+        return LabeledDraw(rounds, counts, weights, self._locations(gen, k))
 
     def draw(self, rng=None) -> TraitMeasure:
         """One truncated realization of the full trait measure.
@@ -357,17 +396,16 @@ class SizeBiasedSampler:
         component; the order is part of the determinism contract.
         """
         gen = self._generator(rng)
-        fixed = tuple(
-            Atom(float(self._weights_from_params(gen, fa.xi, fa.lam, 1)[0]), fa.location)
-            for fa in self.prior.fixed_atoms
-        )
+        fixed = self.prior.fixed_atoms
+        fixed_weights = [self._weights_from_params(gen, fa.xi, fa.lam, 1)[0] for fa in fixed]
         labeled = self.draw_labeled(gen)
-        ordinary = tuple(
-            Atom(float(w), Location(float(v)))
-            for w, v in zip(labeled.weights, labeled.locations)
+        return TraitMeasure.from_arrays(
+            fixed_weights,
+            [fa.location.value for fa in fixed],
+            labeled.weights,
+            labeled.locations,
+            self._truncation,
         )
-        meta = TruncationMeta("truncated", rounds=self.config.m_max, count_cap=self.count_cap)
-        return TraitMeasure(fixed, ordinary, meta)
 
 
 def sample_size_biased(prior: ExpCrmPrior, rng, config: SizeBiasedConfig | None = None) -> TraitMeasure:
@@ -395,6 +433,13 @@ class _NumericWeightSampler:
     pure power to leading order, so those pieces invert analytically;
     with the innermost knots at 1e-12 of the scale, the power
     approximation error is far below anything a sample statistic can see.
+
+    The interior is coarser: neighbouring knots differ by a factor of
+    about 1.34, and the monotone cubic between them is off by up to about
+    6e-4 in the cdf.  For Gamma(1, rate 2) the largest error sits near
+    0.83, between the knots 0.748 and 1.0; a KS test sees an error that
+    size at about 10^6 draws.  The oracle suite's weight-law test uses
+    this cdf as its reference.
     """
 
     _EDGE = 1e-12

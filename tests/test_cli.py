@@ -11,6 +11,7 @@ import pytest
 
 import expcrm.cli as cli
 from expcrm.cli import main
+from expcrm.errors import RngFaultError
 from expcrm.measures import read_jsonl
 
 
@@ -111,6 +112,30 @@ class TestSamplePrior:
         assert main(argv + ["--out", str(serial)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_leaves_no_output(
+        self, gamma_model, tmp_path, monkeypatch, capsys, workers
+    ):
+        real = cli._prior_line
+
+        def failing(sampler, seed, rep):
+            if rep == 9:
+                raise RngFaultError("injected fault")
+            return real(sampler, seed, rep)
+
+        monkeypatch.setattr(cli, "_prior_line", failing)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: workers)
+        fresh = tmp_path / "fresh.jsonl"
+        older = tmp_path / "older.jsonl"
+        older.write_text("an older run\n")
+        for out in (fresh, older):
+            argv = ["sample-prior", "--model", str(gamma_model), "--reps", "12", "--out", str(out)]
+            assert main(argv) == 1
+            assert "injected fault" in capsys.readouterr().err
+        assert not fresh.exists()
+        assert older.read_text() == "an older run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "older.jsonl"]
+
     def test_invalid_hyperparameters_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -194,6 +219,24 @@ class TestSampleMarginal:
         monkeypatch.setattr(cli, "_POOL_THRESHOLD", 10**9)
         assert main(argv + ["--out", str(serial)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_leaves_no_output(self, gamma_model, tmp_path, monkeypatch, workers):
+        real = cli._marginal_lines
+
+        def failing(sampler, fixed_locs, n_steps, seed, rep):
+            if rep == 9:
+                raise RngFaultError("injected fault")
+            return real(sampler, fixed_locs, n_steps, seed, rep)
+
+        monkeypatch.setattr(cli, "_marginal_lines", failing)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: workers)
+        argv = [
+            "sample-marginal", "--model", str(gamma_model), "--n", "2", "--reps", "10",
+            "--out", str(tmp_path / "data.jsonl"), "--summary", str(tmp_path / "summary.csv"),
+        ]
+        assert main(argv) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_summary_is_optional(self, gamma_model, tmp_path):
         out = tmp_path / "data.jsonl"

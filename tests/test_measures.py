@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -122,6 +123,64 @@ class TestTraitMeasure:
         m = TraitMeasure((), ())
         assert m.atoms == ()
         assert m.total_mass() == 0.0
+
+
+class TestColumnarTraitMeasure:
+    def test_arrays_and_atom_views_agree(self):
+        m = TraitMeasure.from_arrays([1.5], [0.5], np.array([0.25, 2.0]), np.array([0.75, 0.0]))
+        assert m == TraitMeasure((Atom(1.5, 0.5),), (Atom(0.25, 0.75), Atom(2.0, 0.0)))
+        assert m.fixed_atoms == (Atom(1.5, 0.5),)
+        assert m.ordinary_weights.tolist() == [0.25, 2.0]
+        assert m.total_mass() == 3.75
+        assert pickle.loads(pickle.dumps(m)) == m
+
+    def test_arrays_are_copied_and_read_only(self):
+        weights = np.array([1.0, 2.0])
+        m = TraitMeasure.from_arrays([], [], weights, [0.1, 0.2])
+        weights[0] = 9.0
+        assert m.ordinary_weights[0] == 1.0
+        with pytest.raises(ValueError):
+            m.ordinary_weights[0] = 3.0
+        with pytest.raises(AttributeError):
+            m.truncation = EXACT_FINITE
+
+    @pytest.mark.parametrize(
+        "fw, fl, ow, ol",
+        [
+            ([], [], [0.0], [0.5]),
+            ([], [], [-1.0], [0.5]),
+            ([], [], [math.inf], [0.5]),
+            ([math.nan], [0.5], [], []),
+            ([], [], [1.0], [1.0]),
+            ([], [], [1.0], [-0.25]),
+            ([], [], [1.0], [math.nan]),
+            ([1.0], [0.5], [2.0], [0.5]),
+            ([], [], [1.0, 2.0], [0.3, 0.3]),
+            ([], [], [1.0, 2.0], [0.3]),
+            ([], [], ["1.0"], [0.3]),
+            ([], [], [True], [0.3]),
+            ([], [], [[1.0]], [[0.3]]),
+        ],
+    )
+    def test_invalid_columns_raise_domain_error(self, fw, fl, ow, ol):
+        with pytest.raises(DomainError):
+            TraitMeasure.from_arrays(fw, fl, ow, ol)
+
+    def test_truncation_must_be_meta(self):
+        with pytest.raises(DomainError):
+            TraitMeasure.from_arrays([], [], [1.0], [0.5], truncation="truncated")
+
+    def test_json_round_trip_from_arrays(self):
+        rng = np.random.default_rng(7)
+        m = TraitMeasure.from_arrays(
+            rng.gamma(0.3, size=2),
+            [0.125, 0.875],
+            rng.gamma(0.3, size=50),
+            rng.uniform(0.2, 0.8, size=50),
+            TruncationMeta("truncated", rounds=100, count_cap=20),
+        )
+        wire = json.loads(json.dumps(trait_to_jsonable(m)))
+        assert trait_from_jsonable(wire) == m
 
 
 class TestObservationMeasure:

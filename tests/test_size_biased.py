@@ -312,6 +312,15 @@ class TestNumericWeightSampler:
         ts = np.array([1e-9, 1e-3, 0.05, 0.3, 1.0, 3.0, 50.0])
         np.testing.assert_allclose(nws.cdf(ts), ref.cdf(ts), rtol=2e-4, atol=1e-12)
 
+    def test_interior_cdf_error_is_pinned(self):
+        # Gamma(1, rate 2), the oracle suite's weight law for the gamma model;
+        # the interior interpolation error is about 6.1e-4 (near t = 0.83)
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
+        nws = _NumericWeightSampler(like, (0.0,), 2.0)
+        ts = np.concatenate([np.geomspace(1e-12, 1.0, 2000), np.linspace(0.0, 20.0, 200_001)])
+        err = np.abs(nws.cdf(ts) - stats.gamma(a=1.0, scale=0.5).cdf(ts)).max()
+        assert err <= 1e-3
+
     def test_improper_parameters_rejected(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
         with pytest.raises(DomainError, match="not normalizable"):
@@ -339,3 +348,154 @@ class TestEndToEndUnregistered:
         measure = s.draw(RngState(77))
         assert measure.truncation.rounds == 3
         assert all(a.weight > 0 for a in measure.ordinary_atoms)
+
+
+# --- the batched draw against the per-cell loop it replaced -------------------
+
+
+def _reference_cell_weights(sampler, gen, xi, lam, n):
+    """Per-cell weight draw: the catalog laws, boundary values redrawn in the cell."""
+    entry = sampler._entry
+    if entry is None:
+        return sampler._weights_from_params(gen, xi, lam, n)
+    xi0 = xi[0]
+    family = entry.likelihood_id
+    if family == "poisson":
+        law, hi = (lambda k: gen.gamma(xi0 + 1.0, 1.0 / lam, k)), math.inf
+    elif family == "bernoulli":
+        law, hi = (lambda k: gen.beta(xi0 + 1.0, lam - xi0 + 1.0, k)), 1.0
+    elif family == "odds_bernoulli":
+        law, hi = (lambda k: gen.beta(xi0 + 1.0, lam - xi0 - 1.0, k)), 1.0
+    else:
+        law, hi = (lambda k: gen.beta(xi0 + 1.0, lam * entry.r + 1.0, k)), 1.0
+    vals = law(n)
+    for _ in range(100):
+        bad = ~((vals > 0.0) & (vals < hi))
+        if not bad.any():
+            break
+        vals[bad] = law(int(bad.sum()))
+    return vals / (1.0 - vals) if family == "odds_bernoulli" else vals
+
+
+def reference_draw_labeled(sampler, gen):
+    """The per-cell draw loop: one weight call per table cell, one uniform per location."""
+    k = int(gen.poisson(sampler._grand_total))
+    if k == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
+    u = gen.uniform(0.0, sampler._grand_total, size=k)
+    cells = np.minimum(np.searchsorted(sampler._cdf, u, side="right"), sampler._cdf.size - 1)
+    cells.sort()
+    n_x = sampler._xs.size
+    rounds = sampler._ms[cells // n_x].astype(np.int64)
+    counts = sampler._xs[cells % n_x].astype(np.int64)
+    weights = np.empty(k)
+    pos = 0
+    for cell, n_cell in zip(*np.unique(cells, return_counts=True)):
+        m, x = int(sampler._ms[cell // n_x]), int(sampler._xs[cell % n_x])
+        xi_mx, lam_mx = weight_dist_params(sampler.prior, m, x)
+        weights[pos : pos + n_cell] = _reference_cell_weights(
+            sampler, gen, xi_mx, lam_mx, int(n_cell)
+        )
+        pos += n_cell
+    taken = {a.location.value for a in sampler.prior.fixed_atoms}
+    locations = []
+    while len(locations) < k:
+        v = float(gen.uniform())
+        if v not in taken:
+            taken.add(v)
+            locations.append(v)
+    return rounds, counts, weights, np.array(locations)
+
+
+def reference_draw(sampler, gen):
+    fixed = [
+        _reference_cell_weights(sampler, gen, a.xi, a.lam, 1)[0] for a in sampler.prior.fixed_atoms
+    ]
+    return np.array(fixed), reference_draw_labeled(sampler, gen)
+
+
+def _assert_labeled_equal(ld, ref):
+    for got, want in zip((ld.rounds, ld.counts, ld.weights, ld.locations), ref):
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def _fixed(*specs):
+    return tuple(FixedAtomParams(Location(v), (xi,), lam) for v, xi, lam in specs)
+
+
+STREAM_PRIORS = {
+    "gamma": gamma_prior(mass=2.0, xi=-1.5, atoms=_fixed((0.3, 0.5, 2.0), (0.7, -0.5, 1.0))),
+    "beta": beta_prior(mass=5.0, xi=-1.0, lam=1.0, atoms=_fixed((0.25, 0.5, 2.0))),
+    "odds": ExpCrmPrior(
+        ODDS_BERNOULLI_BETA_PRIME.make_likelihood(), 2.0, (-1.3,), 1.2, _fixed((0.5, 0.2, 2.0))
+    ),
+    "nb": ExpCrmPrior(NB.make_likelihood(), 2.0, (-1.5,), 3.0, _fixed((0.125, 0.1, 0.5))),
+}
+
+
+class TestBatchedStreamEquivalence:
+    @pytest.mark.parametrize("name", sorted(STREAM_PRIORS))
+    def test_catalog_draws_match_per_cell_loop(self, name):
+        s = SizeBiasedSampler(STREAM_PRIORS[name], SizeBiasedConfig(m_max=300, x_max=30))
+        for seed in range(6):
+            ld = s.draw_labeled(RngState(seed, 1))
+            _assert_labeled_equal(ld, reference_draw_labeled(s, RngState(seed, 1).generator()))
+            measure = s.draw(RngState(seed, 2))
+            fixed, (_, _, weights, locations) = reference_draw(s, RngState(seed, 2).generator())
+            assert measure.fixed_weights.tobytes() == fixed.tobytes()
+            assert measure.ordinary_weights.tobytes() == weights.tobytes()
+            assert measure.ordinary_locations.tobytes() == locations.tobytes()
+
+    def test_unregistered_clone_matches_per_cell_loop(self):
+        prior = unregistered(gamma_prior(mass=2.0, xi=-1.2, lam=1.1, atoms=_fixed((0.3, 0.5, 2.0))))
+        s = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=3, x_max=16, eps_tail=1e-5))
+        for seed in range(3):
+            _assert_labeled_equal(
+                s.draw_labeled(RngState(seed, 1)),
+                reference_draw_labeled(s, RngState(seed, 1).generator()),
+            )
+            measure = s.draw(RngState(seed, 2))
+            fixed, (_, _, weights, locations) = reference_draw(s, RngState(seed, 2).generator())
+            assert measure.fixed_weights.tobytes() == fixed.tobytes()
+            assert measure.ordinary_weights.tobytes() == weights.tobytes()
+            assert measure.ordinary_locations.tobytes() == locations.tobytes()
+
+    def test_boundary_weight_falls_back_to_per_cell_stream(self, monkeypatch):
+        class FlooringGenerator(np.random.Generator):
+            """Gamma draws below 0.02 come out as 0.0, the boundary of the weight domain."""
+
+            def gamma(self, *args, **kwargs):
+                out = super().gamma(*args, **kwargs)
+                return np.where(out < 0.02, 0.0, out)
+
+        batched = []
+        original = type(POISSON_GAMMA).sample_weights
+
+        def spy(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            if kwargs.get("redraw") is False:
+                batched.append(out)
+            return out
+
+        monkeypatch.setattr(type(POISSON_GAMMA), "sample_weights", spy)
+        s = SizeBiasedSampler(gamma_prior(mass=5.0), SizeBiasedConfig(m_max=10, x_max=30))
+        for seed in range(6):
+            def gen():
+                return FlooringGenerator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+            ld = s.draw_labeled(gen())
+            _assert_labeled_equal(ld, reference_draw_labeled(s, gen()))
+            assert (ld.weights >= 0.02).all()
+        assert len(batched) == 6 and any(out is None for out in batched)
+
+    def test_location_collision_falls_back_to_per_cell_stream(self):
+        plain = SizeBiasedSampler(gamma_prior(), SizeBiasedConfig(m_max=100, x_max=30))
+        first = plain.draw_labeled(RngState(5))
+        assert len(first) > 1
+        # a fixed atom sitting where the first location uniform lands
+        prior = gamma_prior(atoms=_fixed((float(first.locations[0]), 0.5, 2.0)))
+        s = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=100, x_max=30))
+        ld = s.draw_labeled(RngState(5))
+        _assert_labeled_equal(ld, reference_draw_labeled(s, RngState(5).generator()))
+        assert ld.weights.tobytes() == first.weights.tobytes()
+        assert ld.locations[:-1].tobytes() == first.locations[1:].tobytes()

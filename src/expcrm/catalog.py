@@ -50,14 +50,15 @@ from scipy.special import betaln, digamma, gammaln, polygamma
 
 from .errors import DivergenceSuspected, DomainError, RngFaultError
 from .exp_family import (
+    _ENTRIES,
     ExpCrmLikelihood,
     ExpCrmPrior,
     FixedAtomParams,
-    RegisteredFamily,
     ValidityResult,
     WeightDomain,
     as_xi,
-    register_family,
+    entry_for,  # noqa: F401  (re-exported: the catalog's lookup API)
+    hyperparam_valid,  # noqa: F401  (re-exported)
 )
 from .measures import Location
 
@@ -88,10 +89,7 @@ class CatalogEntry:
 
     def __init__(self):
         self._likelihood: Optional[ExpCrmLikelihood] = None
-        register_family(
-            self.family, RegisteredFamily(self.log_B, self.proper, self.kernel_orders)
-        )
-        _ENTRIES[self.family] = self
+        _ENTRIES[self.family] = self  # the registry entry_for reads
 
     # -- identity ----------------------------------------------------------
 
@@ -129,16 +127,12 @@ class CatalogEntry:
         return self._proper0(_xi0(xi), lam)
 
     def kernel_orders(self, xi, lam: float):
-        raise NotImplementedError
+        """Endpoint powers (at 0, at the top) of the kernel at (xi, lam).
 
-    def a2_orders(self, xi, lam: float):
-        raise NotImplementedError
-
-    def rate_orders(self, xi, lam: float, m: int, x: int):
-        raise NotImplementedError
-
-    def total_orders(self, xi, lam: float, m: int):
-        """Endpoint orders of the round-m total integrand nu * l0^(m-1) * (1 - l0)."""
+        The top power is None for faster-than-power decay.  The orders of
+        every rate, total and predictive integrand follow from these by
+        conjugacy (see ``expcrm.checks``).
+        """
         raise NotImplementedError
 
     # -- validity ------------------------------------------------------------
@@ -244,9 +238,6 @@ class CatalogEntry:
         raise RngFaultError("weight sampler kept hitting the domain boundary")
 
 
-_ENTRIES: dict[str, CatalogEntry] = {}
-
-
 # --- poisson / gamma_process --------------------------------------------------
 
 
@@ -286,32 +277,6 @@ class PoissonGamma(CatalogEntry):
                 endpoint="infinity",
             )
         return _xi0(xi), (_xi0(xi) if lam == 0.0 else None)
-
-    def a2_orders(self, xi, lam):
-        # integrand theta^xi e^(-lam theta) (1 - e^(-theta)) ~ theta^(xi+1) at 0
-        if lam < 0.0:
-            raise DivergenceSuspected(
-                "expected-count integrand grows exponentially for lam < 0",
-                endpoint="infinity",
-            )
-        return _xi0(xi) + 1.0, (_xi0(xi) + 1.0 if lam == 0.0 else None)
-
-    def rate_orders(self, xi, lam, m, x):
-        if lam + m <= 0.0:
-            raise DivergenceSuspected(
-                "atom-rate integrand grows exponentially for lam + m <= 0",
-                endpoint="infinity",
-            )
-        return _xi0(xi) + x, None
-
-    def total_orders(self, xi, lam, m):
-        # (1 - e^(-theta)) ~ theta at 0; e^(-(lam+m-1) theta) must decay
-        if lam + m - 1.0 <= 0.0:
-            raise DivergenceSuspected(
-                "round-total integrand grows exponentially for lam + m - 1 <= 0",
-                endpoint="infinity",
-            )
-        return _xi0(xi) + 1.0, None
 
     def hyperparam_valid(self, mass, xi, lam):
         xi0 = _xi0(xi)
@@ -412,17 +377,6 @@ class BernoulliBeta(CatalogEntry):
 
     def kernel_orders(self, xi, lam):
         return _xi0(xi), lam - _xi0(xi)
-
-    def a2_orders(self, xi, lam):
-        return _xi0(xi) + 1.0, lam - _xi0(xi)
-
-    def rate_orders(self, xi, lam, m, x):
-        # l(x|theta) = theta^x (1-theta)^(1-x) contributes (1-x) at the top
-        return _xi0(xi) + x, lam - _xi0(xi) + (m - 1.0) + (1.0 - x)
-
-    def total_orders(self, xi, lam, m):
-        # (1 - l(0|theta)) = theta exactly
-        return _xi0(xi) + 1.0, lam - _xi0(xi) + (m - 1.0)
 
     def hyperparam_valid(self, mass, xi, lam):
         xi0 = _xi0(xi)
@@ -552,18 +506,6 @@ class OddsBernoulliBetaPrime(CatalogEntry):
     def kernel_orders(self, xi, lam):
         return _xi0(xi), _xi0(xi) - lam
 
-    def a2_orders(self, xi, lam):
-        # (1 - l(0|theta)) = theta/(1+theta): one extra power at 0, none at infinity
-        return _xi0(xi) + 1.0, _xi0(xi) - lam
-
-    def rate_orders(self, xi, lam, m, x):
-        # theta^x/(1+theta) contributes (x-1) at the top
-        return _xi0(xi) + x, _xi0(xi) - lam - (m - 1.0) + (x - 1.0)
-
-    def total_orders(self, xi, lam, m):
-        # (1 - l(0|theta)) = theta/(1+theta)
-        return _xi0(xi) + 1.0, _xi0(xi) - lam - (m - 1.0)
-
     def hyperparam_valid(self, mass, xi, lam):
         xi0 = _xi0(xi)
         if not (math.isfinite(mass) and mass > 0.0):
@@ -649,16 +591,6 @@ class NegativeBinomialBeta(CatalogEntry):
 
     def kernel_orders(self, xi, lam):
         return _xi0(xi), lam * self.r
-
-    def a2_orders(self, xi, lam):
-        return _xi0(xi) + 1.0, lam * self.r
-
-    def rate_orders(self, xi, lam, m, x):
-        return _xi0(xi) + x, (lam + m) * self.r
-
-    def total_orders(self, xi, lam, m):
-        # (1 - (1-theta)^r) ~ r theta at 0 and tends to 1 at theta = 1
-        return _xi0(xi) + 1.0, (lam + m - 1.0) * self.r
 
     def hyperparam_valid(self, mass, xi, lam):
         xi0 = _xi0(xi)
@@ -810,50 +742,12 @@ def get_entry(likelihood_id: str, r: float | None = None) -> CatalogEntry:
     return entry
 
 
-def entry_for(likelihood: ExpCrmLikelihood) -> Optional[CatalogEntry]:
-    """The registered entry matching a likelihood's family id, if any."""
-    return _ENTRIES.get(likelihood.family)
-
-
 def list_entries() -> list[CatalogEntry]:
     """Base catalog entries in definition order (one negative binomial
     representative appears only if some r was instantiated)."""
     return [POISSON_GAMMA, BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME] + [
         e for k, e in _ENTRIES.items() if k.startswith("negative_binomial(")
     ]
-
-
-def hyperparam_valid(prior: ExpCrmPrior) -> ValidityResult:
-    """Validity of a prior's hyperparameters, fixed atoms included.
-
-    For catalog families this checks the analytic region; for unknown
-    families only the fixed atoms are checked (numerically) and a warning
-    notes that the ordinary-component assumptions need the numeric suite.
-    """
-    entry = entry_for(prior.likelihood)
-    warnings: list[str] = []
-    if entry is None:
-        from .exp_family import log_partition_B
-
-        for k, atom in enumerate(prior.fixed_atoms):
-            try:
-                log_partition_B(prior.likelihood, atom.xi, atom.lam, rel_tol=1e-6)
-            except Exception as exc:
-                return _fail(f"fixed atom {k} is not normalizable: {exc}")
-        warnings.append(
-            f"family {prior.likelihood.family!r} is not in the catalog; "
-            "run the numeric assumption checks to validate the ordinary component"
-        )
-        return ValidityResult(True, warnings=tuple(warnings))
-    res = entry.hyperparam_valid(prior.mass, prior.xi, prior.lam)
-    if not res.ok:
-        return res
-    warnings.extend(res.warnings)
-    for k, atom in enumerate(prior.fixed_atoms):
-        fres = entry.fixed_atom_valid(atom.xi, atom.lam)
-        if not fres.ok:
-            return _fail(f"fixed atom {k}: {fres.reason}")
-    return ValidityResult(True, warnings=tuple(warnings))
 
 
 # --- native beta-process alias --------------------------------------------------

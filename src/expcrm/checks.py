@@ -46,6 +46,7 @@ from .size_biased import (
     SizeBiasedConfig,
     SizeBiasedSampler,
     _NumericWeightSampler,
+    _shifted_params,
     rate_M,
     round_total,
     weight_dist_params,
@@ -168,38 +169,10 @@ def _check_a1(prior: ExpCrmPrior) -> CheckReport:
     )
 
 
-def _a2_value(prior: ExpCrmPrior, rel_tol: float = 1e-9) -> float:
-    """Round-1 trait rate by direct quadrature of mass * kappa * (1 - l0)."""
-    like = prior.likelihood
-    log_mass = math.log(prior.mass)
-
-    def log_f(th):
-        th = np.asarray(th, dtype=float)
-        lp0 = like.log_pmf(0, th)
-        with np.errstate(divide="ignore"):
-            gap = np.log(-np.expm1(lp0))
-        return log_mass + gap + log_conjugate_kernel(like, prior.xi, prior.lam, th)
-
-    entry = entry_for(like)
-    if entry is not None:
-        low, up = entry.a2_orders(prior.xi, prior.lam)
-    else:
-        low, up = probed_orders(log_f, like.weight_domain.upper)
-    spec = IntegrandSpec(
-        log_f,
-        upper=like.weight_domain.upper,
-        lower_order=low,
-        upper_order=up,
-        name="round-1 trait rate",
-    )
-    value, _ = integrate(spec, rel_tol=rel_tol)
-    return value
-
-
 def _check_a2(prior: ExpCrmPrior) -> CheckReport:
     name = "A2: one step sees finitely many traits"
     try:
-        value = _a2_value(prior)
+        value = _literal_round_total(prior, 1)
     except DivergenceSuspected as err:
         return CheckReport(
             name, False, math.inf, math.inf, "<",
@@ -340,10 +313,27 @@ def chi_square_two_sample(
 # --- oracle checks ------------------------------------------------------------
 
 
-def _quadrature_orders(entry, orders_fn_name, args, log_f, upper):
-    if entry is not None:
-        return getattr(entry, orders_fn_name)(*args)
-    return probed_orders(log_f, upper)
+def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
+    """Endpoint powers of ``log_f``, one of the oracle's literal integrands.
+
+    With a count ``x`` the integrand is l(x|theta) l(0|theta)^(m-1)
+    kappa(theta; xi, lam), the rate integrand; with ``x = None`` it is
+    (1 - l(0|theta)) l(0|theta)^(m-1) kappa(theta; xi, lam), the round
+    total.  For a catalog family both follow from conjugacy: the first is
+    h(x) h(0)^(m-1) kappa(theta; xi + phi(x) + (m-1) phi(0), lam + m)
+    (m = 0 with x = 0 is kappa itself).  Since 1 - l(0|theta) grows like
+    theta at 0 and tends to 1 at the top, the second has the powers of the
+    first at (m - 1, x = 0), plus one at 0.  Other families probe
+    ``log_f``.  Either way :func:`integrate` checks the declared powers
+    against its own slope probes.
+    """
+    entry = entry_for(like)
+    if entry is None:
+        return probed_orders(log_f, like.weight_domain.upper)
+    if x is None:
+        low, up = entry.kernel_orders(*_shifted_params(like, xi, lam, m - 1, 0))
+        return low + 1.0, up
+    return entry.kernel_orders(*_shifted_params(like, xi, lam, m, x))
 
 
 def oracle_log_partition(prior: ExpCrmPrior, xi, lam: float, rel_tol: float = 1e-9) -> CheckReport:
@@ -377,10 +367,7 @@ def oracle_rate_M(prior: ExpCrmPrior, m: int, x: int, rel_tol: float = 1e-9) -> 
             + log_conjugate_kernel(like, prior.xi, prior.lam, th)
         )
 
-    entry = entry_for(like)
-    low, up = _quadrature_orders(
-        entry, "rate_orders", (prior.xi, prior.lam, m, x), log_f, like.weight_domain.upper
-    )
+    low, up = _integrand_orders(like, prior.xi, prior.lam, m, x, log_f)
     spec = IntegrandSpec(
         log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
         name=f"literal rate integrand M({m},{x})",
@@ -393,8 +380,8 @@ def oracle_rate_M(prior: ExpCrmPrior, m: int, x: int, rel_tol: float = 1e-9) -> 
     )
 
 
-def oracle_round_total(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> CheckReport:
-    """Round total against quadrature of mass * kappa * l0^(m-1) * (1 - l0)."""
+def _literal_round_total(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> float:
+    """Quadrature of mass * kappa * l0^(m-1) * (1 - l0); m = 1 is the round-1 trait rate."""
     like = prior.likelihood
     log_mass = math.log(prior.mass)
 
@@ -406,15 +393,18 @@ def oracle_round_total(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> Che
         head = (m - 1) * lp0 if m > 1 else 0.0
         return log_mass + head + gap + log_conjugate_kernel(like, prior.xi, prior.lam, th)
 
-    entry = entry_for(like)
-    low, up = _quadrature_orders(
-        entry, "total_orders", (prior.xi, prior.lam, m), log_f, like.weight_domain.upper
-    )
+    low, up = _integrand_orders(like, prior.xi, prior.lam, m, None, log_f)
     spec = IntegrandSpec(
         log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
         name=f"literal round-{m} total",
     )
-    numeric, _ = integrate(spec, rel_tol=rel_tol)
+    value, _ = integrate(spec, rel_tol=rel_tol)
+    return value
+
+
+def oracle_round_total(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> CheckReport:
+    """Round total against quadrature of mass * kappa * l0^(m-1) * (1 - l0)."""
+    numeric = _literal_round_total(prior, m, rel_tol)
     primary = round_total(prior, m)
     err = abs(primary - numeric) / max(abs(numeric), 1e-300)
     return _report_leq(
@@ -433,13 +423,12 @@ def oracle_predictive_pmf(
     """
     like = prior.likelihood
     xi_eff = as_xi(xi_eff)
-    entry = entry_for(like)
     upper = like.weight_domain.upper
 
     def log_kernel(th):
         return log_conjugate_kernel(like, xi_eff, lam_eff, np.asarray(th, dtype=float))
 
-    low, up = _quadrature_orders(entry, "kernel_orders", (xi_eff, lam_eff), log_kernel, upper)
+    low, up = _integrand_orders(like, xi_eff, lam_eff, 0, 0, log_kernel)
     denom, _ = integrate(
         IntegrandSpec(log_kernel, upper=upper, lower_order=low, upper_order=up, name="kernel mass"),
         rel_tol=rel_tol,
@@ -455,17 +444,7 @@ def oracle_predictive_pmf(
             th = np.asarray(th, dtype=float)
             return like.log_pmf(_x, th) + log_conjugate_kernel(like, xi_eff, lam_eff, th)
 
-        if x == 0:
-            # l(0|theta) kappa is the kernel with one more unit of lam, since
-            # phi(0) = 0 for every registered family; probe when unregistered
-            if entry is not None:
-                lo_x, up_x = _pmf0_orders(entry, xi_eff, lam_eff)
-            else:
-                lo_x, up_x = probed_orders(log_f, upper)
-        else:
-            lo_x, up_x = _quadrature_orders(
-                entry, "rate_orders", (xi_eff, lam_eff, 1, x), log_f, upper
-            )
+        lo_x, up_x = _integrand_orders(like, xi_eff, lam_eff, 1, x, log_f)
         numer, _ = integrate(
             IntegrandSpec(log_f, upper=upper, lower_order=lo_x, upper_order=up_x,
                           name=f"predictive numerator x={x}"),
@@ -481,11 +460,6 @@ def oracle_predictive_pmf(
         1e-7,
         "; ".join(rows),
     )
-
-
-def _pmf0_orders(entry, xi_eff, lam_eff: float):
-    """Endpoint orders of l(0|theta) * kappa for a catalog family."""
-    return entry.kernel_orders(xi_eff, lam_eff + 1.0)
 
 
 def oracle_weight_law(

@@ -216,30 +216,17 @@ def log_conjugate_kernel(likelihood: ExpCrmLikelihood, xi, lam: float, theta) ->
 
 # --- registered closed forms -------------------------------------------------
 
-
-@dataclass(frozen=True)
-class RegisteredFamily:
-    """Closed forms a catalog entry contributes for one likelihood id.
-
-    ``log_B(xi, lam)`` is the analytic log normalizer, valid exactly where
-    ``proper(xi, lam)`` holds; ``kernel_orders(xi, lam)`` gives the endpoint
-    powers of the kernel for the quadrature cross-check.
-    """
-
-    log_B: Callable[[tuple, float], float]
-    proper: Callable[[tuple, float], bool]
-    kernel_orders: Callable[[tuple, float], tuple]
+# Catalog entries by likelihood family id.  Each ``expcrm.catalog.CatalogEntry``
+# adds itself on construction; an entry supplies ``log_B``/``proper`` (the
+# analytic log normalizer and where it is finite), ``kernel_orders`` (the
+# kernel's endpoint powers for quadrature), and the validity checks
+# ``hyperparam_valid``/``fixed_atom_valid``.
+_ENTRIES: dict = {}
 
 
-_B_REGISTRY: dict[str, RegisteredFamily] = {}
-
-
-def register_family(family: str, registered: RegisteredFamily) -> None:
-    _B_REGISTRY[family] = registered
-
-
-def registered_family(family: str) -> Optional[RegisteredFamily]:
-    return _B_REGISTRY.get(family)
+def entry_for(likelihood: ExpCrmLikelihood):
+    """The registered catalog entry matching a likelihood's family id, if any."""
+    return _ENTRIES.get(likelihood.family)
 
 
 def _probed_orders(likelihood: ExpCrmLikelihood, xi, lam: float) -> tuple:
@@ -251,9 +238,9 @@ def _probed_orders(likelihood: ExpCrmLikelihood, xi, lam: float) -> tuple:
 
 
 def _kernel_spec(likelihood: ExpCrmLikelihood, xi, lam: float, name: str) -> IntegrandSpec:
-    reg = _B_REGISTRY.get(likelihood.family)
-    if reg is not None:
-        low, up = reg.kernel_orders(as_xi(xi), lam)
+    entry = entry_for(likelihood)
+    if entry is not None:
+        low, up = entry.kernel_orders(as_xi(xi), lam)
     else:
         low, up = _probed_orders(likelihood, xi, lam)
     log_f_upper = None
@@ -288,14 +275,14 @@ def log_partition_B(
     DivergenceSuspected when quadrature finds the improperness itself.
     """
     xi = as_xi(xi)
-    reg = _B_REGISTRY.get(likelihood.family)
-    if reg is not None and not force_numeric:
-        if not reg.proper(xi, lam):
+    entry = entry_for(likelihood)
+    if entry is not None and not force_numeric:
+        if not entry.proper(xi, lam):
             raise DomainError(
                 f"B is infinite at (xi={xi}, lam={lam}) for {likelihood.family}: "
                 "the kernel is not normalizable there"
             )
-        return float(reg.log_B(xi, lam))
+        return float(entry.log_B(xi, lam))
     spec = _kernel_spec(likelihood, xi, lam, name=f"B[{likelihood.family}]")
     value, _ = integrate(spec, rel_tol=rel_tol)
     if not value > 0.0:
@@ -391,6 +378,37 @@ def fixed_atom_density(likelihood: ExpCrmLikelihood, xi, lam: float, theta) -> "
     return float(out[0]) if scalar else out
 
 
+def hyperparam_valid(prior: ExpCrmPrior) -> "ValidityResult":
+    """Validity of a prior's hyperparameters, fixed atoms included.
+
+    For catalog families this checks the analytic region; for unknown
+    families only the fixed atoms are checked (numerically) and a warning
+    notes that the ordinary-component assumptions need the numeric suite.
+    """
+    entry = entry_for(prior.likelihood)
+    if entry is None:
+        for k, atom in enumerate(prior.fixed_atoms):
+            try:
+                log_partition_B(prior.likelihood, atom.xi, atom.lam, rel_tol=1e-6)
+            except Exception as exc:
+                return ValidityResult(False, f"fixed atom {k} is not normalizable: {exc}")
+        return ValidityResult(
+            True,
+            warnings=(
+                f"family {prior.likelihood.family!r} is not in the catalog; "
+                "run the numeric assumption checks to validate the ordinary component",
+            ),
+        )
+    res = entry.hyperparam_valid(prior.mass, prior.xi, prior.lam)
+    if not res.ok:
+        return res
+    for k, atom in enumerate(prior.fixed_atoms):
+        fres = entry.fixed_atom_valid(atom.xi, atom.lam)
+        if not fres.ok:
+            return ValidityResult(False, f"fixed atom {k}: {fres.reason}")
+    return ValidityResult(True, warnings=res.warnings)
+
+
 def auto_conjugate(
     likelihood: ExpCrmLikelihood,
     mass: float,
@@ -408,10 +426,6 @@ def auto_conjugate(
     proper in every case.
     """
     prior = ExpCrmPrior(likelihood, mass, xi, lam, tuple(fixed_atoms))
-    # Local import: the catalog registers validators, and importing it at
-    # module scope would be circular.
-    from .catalog import hyperparam_valid
-
     verdict = hyperparam_valid(prior)
     if not verdict.ok:
         raise InvalidModelError(verdict.reason)

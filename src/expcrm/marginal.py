@@ -17,9 +17,11 @@ this sampler is its own conjugate filter: after n steps an atom's
 parameters match what :func:`expcrm.posterior.posterior_update` would
 compute from the emitted observations.
 
-The per-step rate rows only depend on the step index, so they are cached
-on the sampler and shared across streams; the neglected-rate budget is
-tracked per stream, since each stream is one realization.
+Step n's new-atom rates are row n of the sampler's
+:class:`~expcrm.size_biased.RateTable`, the table the size-biased sampler
+draws from; a row is computed the first time a stream reaches its step and
+shared by every later stream.  The neglected-rate budget is tracked per
+stream, since each stream is one realization.
 """
 
 from __future__ import annotations
@@ -30,16 +32,16 @@ from itertools import islice
 
 import numpy as np
 
-from .catalog import entry_for, hyperparam_valid
-from .errors import DomainError, InvalidModelError, QuadratureError, TailBoundError
+from .catalog import entry_for
+from .errors import QuadratureError, TailBoundError
 from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi, log_partition_B, xi_plus
 from .measures import Location, ObservationAtom, ObservationMeasure
-from .rng import as_generator
 from .size_biased import (
-    _check_round_count,
-    _fresh_locations,
+    _check_truncation,
+    _locations,
+    _positive_int,
+    _TruncatedSampler,
     rate_M,
-    round_total,
     weight_dist_params,
 )
 
@@ -105,19 +107,7 @@ class MarginalConfig:
     eps_tail: float = 1e-6
 
     def __post_init__(self):
-        v = self.x_max
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise DomainError(f"x_max must be an integer, got {v!r}")
-        if v < 1:
-            raise DomainError(f"x_max must be >= 1, got {v}")
-        object.__setattr__(self, "x_max", int(v))
-        e = self.eps_tail
-        if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
-            raise DomainError(f"eps_tail must be a number, got {e!r}")
-        e = float(e)
-        if not (math.isfinite(e) and e > 0.0):
-            raise DomainError(f"eps_tail must be positive and finite, got {e}")
-        object.__setattr__(self, "eps_tail", e)
+        _check_truncation(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +128,7 @@ class _AtomState:
         )
 
 
-class MarginalSampler:
+class MarginalSampler(_TruncatedSampler):
     """Generates observation sequences with the trait measure integrated out.
 
     One stream = one realization; :meth:`stream` yields one
@@ -150,76 +140,20 @@ class MarginalSampler:
     """
 
     def __init__(self, prior: ExpCrmPrior, config: MarginalConfig | None = None, rng=None):
-        if not isinstance(prior, ExpCrmPrior):
-            raise DomainError(f"prior must be an ExpCrmPrior, got {type(prior).__name__}")
-        if config is None:
-            config = MarginalConfig()
-        elif not isinstance(config, MarginalConfig):
-            raise DomainError(f"config must be a MarginalConfig, got {type(config).__name__}")
-        self.prior = prior
-        self.config = config
-        self._gen = None if rng is None else as_generator(rng)
-
-        res = hyperparam_valid(prior)
-        if not res.ok:
-            raise InvalidModelError(f"invalid hyperparameters: {res.reason}")
-        self.validity_warnings = res.warnings
-
-        like = prior.likelihood
-        bound = like.support_bound
-        self.count_cap = config.x_max if bound is None else min(config.x_max, bound)
-        self._entry = entry_for(like)
-        self._xs = np.arange(1, self.count_cap + 1)
-        self._tables: dict[int, tuple[np.ndarray, float]] = {}
-
-    # -- per-step new-atom intensities ------------------------------------
-
-    def _step_table(self, n: int) -> tuple[np.ndarray, float]:
-        """(cumulative rate row, neglected gap) for new atoms at step n."""
-        cached = self._tables.get(n)
-        if cached is None:
-            p = self.prior
-            if self._entry is not None:
-                row = self._entry.rate_table(p.mass, p.xi, p.lam, np.array([n]), self._xs)[0]
-                total = self._entry.round_total(p.mass, p.xi, p.lam, n)
-            else:
-                row = np.array([rate_M(p, n, int(x)) for x in self._xs], dtype=float)
-                total = round_total(p, n)
-            cdf = np.cumsum(row)
-            gap = max(total - float(cdf[-1]), 0.0)
-            cached = (cdf, gap)
-            self._tables[n] = cached
-        return cached
+        super().__init__(prior, config, rng, MarginalConfig)
 
     def tail_certificate(self, n_steps: int) -> dict:
         """JSON-ready record of what an n-step stream's truncation neglects."""
-        n_steps, _ = _check_round_count(n_steps, 1)
-        gaps = [self._step_table(n)[1] for n in range(1, n_steps + 1)]
-        worst = int(np.argmax(gaps))
-        return {
-            "steps": n_steps,
-            "count_cap": int(self.count_cap),
-            "eps_tail": float(self.config.eps_tail),
-            "neglected_rate": float(sum(gaps)),
-            "worst_step": worst + 1,
-            "worst_step_rate": float(gaps[worst]),
-        }
+        return self.table.stream_certificate(_positive_int("n_steps", n_steps))
 
     # -- drawing ----------------------------------------------------------
-
-    def _generator(self, rng) -> np.random.Generator:
-        if rng is not None:
-            return as_generator(rng)
-        if self._gen is None:
-            raise DomainError("no rng available: pass one to this call or at construction")
-        return self._gen
 
     def _predictive_walk(self, gen, xi_eff, lam_eff: float) -> int:
         """One exact draw from the predictive pmf by inverse-cdf walk."""
         u = float(gen.uniform())
         like = self.prior.likelihood
         bound = like.support_bound
-        chunk = 64 if self._entry is not None else 8
+        chunk = 64 if self.table.entry is not None else 8
         acc = 0.0
         start = 0
         while True:
@@ -254,7 +188,7 @@ class MarginalSampler:
         n = 0
         while True:
             n += 1
-            cdf, gap = self._step_table(n)
+            cdf, gap = self.table.step(n)
             neglected += gap
             if neglected > self.config.eps_tail:
                 raise TailBoundError(
@@ -274,10 +208,11 @@ class MarginalSampler:
             k = int(gen.poisson(total))
             if k > 0:
                 u = gen.uniform(0.0, total, size=k)
-                counts = self._xs[np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)]
+                counts = self.table.xs[
+                    np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+                ]
                 counts.sort()
-                taken = {a.location.value for a in next_atoms}
-                locations = _fresh_locations(gen, k, taken)
+                locations = _locations(gen, k, {a.location.value for a in next_atoms})
                 for c, v in zip(counts, locations):
                     loc = Location(float(v))
                     emissions.append((loc.value, int(c)))
@@ -293,8 +228,7 @@ class MarginalSampler:
 
     def sample(self, n_steps: int, rng=None) -> list[ObservationMeasure]:
         """The first ``n_steps`` observations of one stream."""
-        n_steps, _ = _check_round_count(n_steps, 1)
-        return list(islice(self.stream(rng), n_steps))
+        return list(islice(self.stream(rng), _positive_int("n_steps", n_steps)))
 
 
 def sample_marginal(

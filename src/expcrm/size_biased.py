@@ -11,6 +11,13 @@ proper conjugate density with the shifted parameters above.  Truncating at
 ``m_max`` rounds and a count cap leaves a finite Poisson intensity that can
 be drawn exactly by superposition.
 
+The rates, round totals and count-tail gaps live in one :class:`RateTable`
+per sampler, grown by round.  Round m of the size-biased representation is
+step m of the marginal process, so :class:`~expcrm.marginal.MarginalSampler`
+reads its new-atom rates from the same kind of table, one row per step,
+and both samplers share the configuration check, the rng handling and the
+location draws defined here.
+
 Truncation honesty cuts two ways here.  The count side is certified: the
 neglected per-round count tail (round total minus the tabulated row sum) is
 bounded at construction, and the sampler refuses to run when the bound
@@ -25,7 +32,7 @@ recording both caps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -53,6 +60,7 @@ from .rng import as_generator
 __all__ = [
     "SizeBiasedConfig",
     "LabeledDraw",
+    "RateTable",
     "SizeBiasedSampler",
     "rate_M",
     "round_total",
@@ -61,33 +69,24 @@ __all__ = [
 ]
 
 
-def _fresh_locations(gen, k: int, taken: set) -> np.ndarray:
-    """Draw k uniform locations distinct from ``taken`` and each other.
-
-    Collisions have probability zero; guarding anyway keeps the
-    distinct-locations invariant of the measure containers unconditional.
-    Mutates ``taken``.
-    """
-    out = np.empty(k, dtype=float)
-    for i in range(k):
-        for _ in range(100):
-            v = float(gen.uniform())
-            if v not in taken:
-                taken.add(v)
-                out[i] = v
-                break
-        else:
-            raise RngFaultError("100 location draws in a row collided")
-    return out
+def _positive_int(name: str, v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {v!r}")
+    if v < 1:
+        raise DomainError(f"{name} must be >= 1, got {v}")
+    return int(v)
 
 
 def _check_round_count(m, x) -> tuple[int, int]:
-    for name, v in (("round", m), ("count", x)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
-        if v < 1:
-            raise DomainError(f"{name} must be >= 1, got {v}")
-    return int(m), int(x)
+    return _positive_int("round", m), _positive_int("count", x)
+
+
+def _shifted_params(likelihood: ExpCrmLikelihood, xi, lam: float, m: int, x: int):
+    """(xi + phi(x) + (m - 1) phi(0), lam + m): the kernel of l(x|.) l(0|.)^(m-1) kappa(.; xi, lam)."""
+    phi0 = likelihood.phi(0)
+    phix = likelihood.phi(x)
+    shifted = tuple(xj + float(px) + (m - 1) * float(p0) for xj, px, p0 in zip(xi, phix, phi0))
+    return shifted, lam + float(m)
 
 
 def weight_dist_params(prior: ExpCrmPrior, m, x) -> tuple[tuple[float, ...], float]:
@@ -98,14 +97,7 @@ def weight_dist_params(prior: ExpCrmPrior, m, x) -> tuple[tuple[float, ...], flo
     ``(xi + phi(x) + (m - 1) phi(0), lam + m)``.
     """
     m, x = _check_round_count(m, x)
-    like = prior.likelihood
-    phi0 = like.phi(0)
-    phix = like.phi(x)
-    xi = tuple(
-        xj + float(px) + (m - 1) * float(p0)
-        for xj, px, p0 in zip(prior.xi, phix, phi0)
-    )
-    return xi, prior.lam + float(m)
+    return _shifted_params(prior.likelihood, prior.xi, prior.lam, m, x)
 
 
 def rate_M(prior: ExpCrmPrior, m, x) -> float:
@@ -165,6 +157,122 @@ def _generic_round_total(prior: ExpCrmPrior, m: int, rel_tol: float):
     return integrate(spec, rel_tol=rel_tol)
 
 
+class RateTable:
+    """Atom rates of one prior by round, tabulated as far as a sampler reads.
+
+    Row m holds M(m, x) for counts x = 1..count_cap, where ``count_cap`` is
+    ``x_max`` clipped to the likelihood's support bound; ``totals`` hold the
+    round totals over all positive counts, so a row's gap to its total is
+    what the count cap neglects.  A trait first seen at step n of the
+    marginal process is a round-n trait of the size-biased representation,
+    so both samplers read the same rows: the size-biased sampler reads
+    rounds 1..m_max at construction, the marginal sampler one more row per
+    step.  Each extension is one ``CatalogEntry.rate_table`` call for a
+    catalog family (quadrature per cell otherwise).
+
+    Construction checks the prior and its hyperparameters.
+    """
+
+    def __init__(self, prior: ExpCrmPrior, x_max: int, eps_tail: float):
+        if not isinstance(prior, ExpCrmPrior):
+            raise DomainError(f"prior must be an ExpCrmPrior, got {type(prior).__name__}")
+        res = hyperparam_valid(prior)
+        if not res.ok:
+            raise InvalidModelError(f"invalid hyperparameters: {res.reason}")
+        self.prior = prior
+        self.eps_tail = eps_tail
+        self.validity_warnings = res.warnings
+        bound = prior.likelihood.support_bound
+        self.count_cap = x_max if bound is None else min(x_max, bound)
+        self.entry = entry_for(prior.likelihood)
+        self.xs = np.arange(1, self.count_cap + 1)
+        self._rounds = 0  # rows tabulated so far, at the top of the buffers
+        self._rates = np.empty((0, self.count_cap))
+        self._totals = np.empty(0)
+        self._steps: list[tuple[np.ndarray, float]] = []  # (cumulative row, gap)
+
+    def _extend(self, rounds: int) -> None:
+        have = self._rounds
+        if rounds <= have:
+            return
+        p = self.prior
+        ms = np.arange(have + 1, rounds + 1)
+        if self.entry is not None:
+            rows = self.entry.rate_table(p.mass, p.xi, p.lam, ms, self.xs)
+            totals = self.entry.round_totals(p.mass, p.xi, p.lam, ms.astype(float))
+        else:
+            rows = [[rate_M(p, int(m), int(x)) for x in self.xs] for m in ms]
+            totals = [round_total(p, int(m)) for m in ms]
+        if rounds > self._totals.size:
+            # grow geometrically, so a stream's one-row extensions stay linear;
+            # np.resize keeps the existing rows at the top
+            size = max(rounds, 2 * self._totals.size)
+            self._rates = np.resize(self._rates, (size, self.count_cap))
+            self._totals = np.resize(self._totals, size)
+        self._rates[have:rounds] = rows
+        self._totals[have:rounds] = totals
+        self._rounds = rounds
+
+    def rates(self, rounds: int) -> np.ndarray:
+        """M(m, x) for rounds m = 1..rounds (rows) and counts 1..count_cap."""
+        self._extend(rounds)
+        return self._rates[:rounds].copy()
+
+    def totals(self, rounds: int) -> np.ndarray:
+        """Expected atoms of rounds 1..rounds, all positive counts combined."""
+        self._extend(rounds)
+        return self._totals[:rounds].copy()
+
+    def step(self, n: int) -> tuple[np.ndarray, float]:
+        """(cumulative rate row, neglected gap) of new atoms at marginal step n."""
+        self._extend(n)
+        for m in range(len(self._steps) + 1, n + 1):
+            cdf = np.cumsum(self._rates[m - 1])
+            self._steps.append((cdf, max(float(self._totals[m - 1]) - float(cdf[-1]), 0.0)))
+        return self._steps[n - 1]
+
+    def draw_certificate(self, rounds: int) -> dict:
+        """What the count cap neglects across rounds 1..rounds of one draw."""
+        gaps = np.maximum(self.totals(rounds) - self.rates(rounds).sum(axis=1), 0.0)
+        worst = int(np.argmax(gaps))
+        return {
+            "rounds": rounds,
+            "count_cap": int(self.count_cap),
+            "eps_tail": float(self.eps_tail),
+            "neglected_rate": float(gaps.sum()),
+            "worst_round": worst + 1,
+            "worst_round_rate": float(gaps[worst]),
+        }
+
+    def stream_certificate(self, steps: int) -> dict:
+        """What the count cap neglects across steps 1..steps of one stream."""
+        self.step(steps)
+        gaps = [gap for _, gap in self._steps[:steps]]
+        worst = int(np.argmax(gaps))
+        return {
+            "steps": steps,
+            "count_cap": int(self.count_cap),
+            "eps_tail": float(self.eps_tail),
+            "neglected_rate": float(sum(gaps)),
+            "worst_step": worst + 1,
+            "worst_step_rate": float(gaps[worst]),
+        }
+
+
+def _check_truncation(config) -> None:
+    """Validate a truncation config in place: integer fields >= 1, then eps_tail."""
+    for f in fields(config):
+        if f.name != "eps_tail":
+            object.__setattr__(config, f.name, _positive_int(f.name, getattr(config, f.name)))
+    e = config.eps_tail
+    if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
+        raise DomainError(f"eps_tail must be a number, got {e!r}")
+    e = float(e)
+    if not (math.isfinite(e) and e > 0.0):
+        raise DomainError(f"eps_tail must be positive and finite, got {e}")
+    object.__setattr__(config, "eps_tail", e)
+
+
 @dataclass(frozen=True, slots=True)
 class SizeBiasedConfig:
     """Truncation levels for size-biased generation.
@@ -182,20 +290,68 @@ class SizeBiasedConfig:
     eps_tail: float = 1e-6
 
     def __post_init__(self):
-        for name in ("m_max", "x_max"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-            if v < 1:
-                raise DomainError(f"{name} must be >= 1, got {v}")
-            object.__setattr__(self, name, int(v))
-        e = self.eps_tail
-        if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
-            raise DomainError(f"eps_tail must be a number, got {e!r}")
-        e = float(e)
-        if not (math.isfinite(e) and e > 0.0):
-            raise DomainError(f"eps_tail must be positive and finite, got {e}")
-        object.__setattr__(self, "eps_tail", e)
+        _check_truncation(self)
+
+
+def _fresh_locations(gen, k: int, taken: set) -> np.ndarray:
+    """Draw k uniform locations distinct from ``taken`` and each other.
+
+    Collisions have probability zero; guarding anyway keeps the
+    distinct-locations invariant of the measure containers unconditional.
+    Mutates ``taken``.
+    """
+    out = np.empty(k, dtype=float)
+    for i in range(k):
+        for _ in range(100):
+            v = float(gen.uniform())
+            if v not in taken:
+                taken.add(v)
+                out[i] = v
+                break
+        else:
+            raise RngFaultError("100 location draws in a row collided")
+    return out
+
+
+def _locations(gen, k: int, taken) -> np.ndarray:
+    """k uniform locations distinct from each other and from ``taken``.
+
+    One vectorized draw equals k scalar draws; after a collision the
+    generator is rewound and :func:`_fresh_locations` redraws one
+    location at a time, skipping taken values.
+    """
+    state = gen.bit_generator.state
+    locations = gen.uniform(size=k)
+    values = locations.tolist()
+    if len(set(values)) == k and taken.isdisjoint(values):
+        return locations
+    gen.bit_generator.state = state
+    return _fresh_locations(gen, k, set(taken))
+
+
+class _TruncatedSampler:
+    """What both samplers share: the config check, the rate table, the rng."""
+
+    def __init__(self, prior, config, rng, config_type):
+        if config is None:
+            config = config_type()
+        elif not isinstance(config, config_type):
+            raise DomainError(
+                f"config must be a {config_type.__name__}, got {type(config).__name__}"
+            )
+        self.table = RateTable(prior, config.x_max, config.eps_tail)
+        self.prior = prior
+        self.config = config
+        self.count_cap = self.table.count_cap
+        self.validity_warnings = self.table.validity_warnings
+        self._gen = None if rng is None else as_generator(rng)
+
+    def _generator(self, rng) -> np.random.Generator:
+        if rng is not None:
+            return as_generator(rng)
+        if self._gen is None:
+            raise DomainError("no rng available: pass one to this call or at construction")
+        return self._gen
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +373,7 @@ class LabeledDraw:
         return self.rounds.size
 
 
-class SizeBiasedSampler:
+class SizeBiasedSampler(_TruncatedSampler):
     """Draws truncated trait measures by per-round Poisson superposition.
 
     Construction validates the hyperparameters, tabulates atom rates for
@@ -231,68 +387,22 @@ class SizeBiasedSampler:
     """
 
     def __init__(self, prior: ExpCrmPrior, config: SizeBiasedConfig | None = None, rng=None):
-        if not isinstance(prior, ExpCrmPrior):
-            raise DomainError(f"prior must be an ExpCrmPrior, got {type(prior).__name__}")
-        if config is None:
-            config = SizeBiasedConfig()
-        elif not isinstance(config, SizeBiasedConfig):
-            raise DomainError(f"config must be a SizeBiasedConfig, got {type(config).__name__}")
-        self.prior = prior
-        self.config = config
-        self._gen = None if rng is None else as_generator(rng)
-
-        res = hyperparam_valid(prior)
-        if not res.ok:
-            raise InvalidModelError(f"invalid hyperparameters: {res.reason}")
-        self.validity_warnings = res.warnings
-
-        like = prior.likelihood
-        bound = like.support_bound
-        self.count_cap = config.x_max if bound is None else min(config.x_max, bound)
-        self._entry = entry_for(like)
-
-        ms = np.arange(1, config.m_max + 1)
-        xs = np.arange(1, self.count_cap + 1)
-        if self._entry is not None:
-            rates = self._entry.rate_table(prior.mass, prior.xi, prior.lam, ms, xs)
-            totals = self._entry.round_totals(prior.mass, prior.xi, prior.lam, ms.astype(float))
-        else:
-            rates = np.array(
-                [[rate_M(prior, int(m), int(x)) for x in xs] for m in ms], dtype=float
-            )
-            totals = np.array([round_total(prior, int(m)) for m in ms], dtype=float)
-
-        # row sums can exceed the totals by a few ulp when the support is
-        # exhausted (binary families); a negative gap is float noise, not mass
-        gaps = np.maximum(totals - rates.sum(axis=1), 0.0)
-        neglected = float(gaps.sum())
-        worst = int(np.argmax(gaps))
-        self._certificate = {
-            "rounds": int(config.m_max),
-            "count_cap": int(self.count_cap),
-            "eps_tail": float(config.eps_tail),
-            "neglected_rate": neglected,
-            "worst_round": int(ms[worst]),
-            "worst_round_rate": float(gaps[worst]),
-        }
-        if not neglected <= config.eps_tail:
+        super().__init__(prior, config, rng, SizeBiasedConfig)
+        m_max = self.config.m_max
+        self._certificate = self.table.draw_certificate(m_max)
+        neglected = self._certificate["neglected_rate"]
+        if not neglected <= self.config.eps_tail:
             raise TailBoundError(
                 f"counts above {self.count_cap} keep rate {neglected:.3e} > "
-                f"eps_tail = {config.eps_tail:.3e} across {config.m_max} rounds; "
+                f"eps_tail = {self.config.eps_tail:.3e} across {m_max} rounds; "
                 "raise x_max or loosen eps_tail",
                 certificate=self._certificate,
             )
-
-        self._ms = ms
-        self._xs = xs
-        self._rates = rates
-        self._cdf = np.cumsum(rates.reshape(-1))
+        self._cdf = np.cumsum(self.table.rates(m_max))
         self._grand_total = float(self._cdf[-1])
         self._numeric_samplers: dict = {}
         self._fixed_locations = frozenset(a.location.value for a in prior.fixed_atoms)
-        self._truncation = TruncationMeta(
-            "truncated", rounds=config.m_max, count_cap=self.count_cap
-        )
+        self._truncation = TruncationMeta("truncated", rounds=m_max, count_cap=self.count_cap)
 
     # -- certification ---------------------------------------------------
 
@@ -302,16 +412,9 @@ class SizeBiasedSampler:
 
     # -- drawing ----------------------------------------------------------
 
-    def _generator(self, rng) -> np.random.Generator:
-        if rng is not None:
-            return as_generator(rng)
-        if self._gen is None:
-            raise DomainError("no rng available: pass one to this call or at construction")
-        return self._gen
-
     def _weights_from_params(self, gen, xi, lam: float, size: int) -> np.ndarray:
-        if self._entry is not None:
-            return self._entry.sample_weights(gen, xi, lam, size)
+        if self.table.entry is not None:
+            return self.table.entry.sample_weights(gen, xi, lam, size)
         key = (as_xi(xi), float(lam))
         sampler = self._numeric_samplers.get(key)
         if sampler is None:
@@ -329,41 +432,24 @@ class SizeBiasedSampler:
         the domain boundary, the generator is rewound and the per-cell
         loop, which redraws inside each cell, runs instead.
         """
-        if self._entry is not None:
+        entry = self.table.entry
+        if entry is not None:
             state = gen.bit_generator.state
-            weights = self._entry.sample_weights(
+            weights = entry.sample_weights(
                 gen, self.prior.xi[0] + counts, self.prior.lam + rounds, cells.size, redraw=False
             )
             if weights is not None:
                 return weights
             gen.bit_generator.state = state
-        n_x = self._xs.size
         weights = np.empty(cells.size, dtype=float)
         pos = 0
-        for cell, n_cell in zip(*np.unique(cells, return_counts=True)):
-            m = int(self._ms[cell // n_x])
-            x = int(self._xs[cell % n_x])
-            xi_mx, lam_mx = weight_dist_params(self.prior, m, x)
+        for n_cell in np.unique(cells, return_counts=True)[1]:
+            xi_mx, lam_mx = weight_dist_params(self.prior, int(rounds[pos]), int(counts[pos]))
             weights[pos : pos + n_cell] = self._weights_from_params(
                 gen, xi_mx, lam_mx, int(n_cell)
             )
             pos += n_cell
         return weights
-
-    def _locations(self, gen, k: int) -> np.ndarray:
-        """k uniform locations distinct from each other and the fixed atoms.
-
-        One vectorized draw equals k scalar draws; after a collision the
-        generator is rewound and :func:`_fresh_locations` redraws one
-        location at a time, skipping taken values.
-        """
-        state = gen.bit_generator.state
-        locations = gen.uniform(size=k)
-        values = locations.tolist()
-        if len(set(values)) == k and self._fixed_locations.isdisjoint(values):
-            return locations
-        gen.bit_generator.state = state
-        return _fresh_locations(gen, k, set(self._fixed_locations))
 
     def draw_labeled(self, rng=None) -> LabeledDraw:
         """Draw the ordinary component, keeping round and count labels.
@@ -382,11 +468,11 @@ class SizeBiasedSampler:
         cells = np.searchsorted(self._cdf, u, side="right")
         cells = np.minimum(cells, self._cdf.size - 1)
         cells.sort()
-        n_x = self._xs.size
-        rounds = self._ms[cells // n_x].astype(np.int64)
-        counts = self._xs[cells % n_x].astype(np.int64)
+        rounds, counts = np.divmod(cells.astype(np.int64), self.count_cap)
+        rounds += 1
+        counts += 1
         weights = self._cell_weights(gen, cells, rounds, counts)
-        return LabeledDraw(rounds, counts, weights, self._locations(gen, k))
+        return LabeledDraw(rounds, counts, weights, _locations(gen, k, self._fixed_locations))
 
     def draw(self, rng=None) -> TraitMeasure:
         """One truncated realization of the full trait measure.

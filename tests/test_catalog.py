@@ -15,6 +15,7 @@ from expcrm.catalog import (
     map_bp_params,
     map_bp_params_inverse,
 )
+from expcrm.checks import _integrand_orders, check_assumptions
 from expcrm.errors import DivergenceSuspected, DomainError
 from expcrm.exp_family import (
     ExpCrmPrior,
@@ -43,7 +44,7 @@ def rate_by_quadrature(entry, mass, xi, lam, m, x, rel_tol=1e-10):
             + log_conjugate_kernel(like, xi, lam, th)
         )
 
-    lo, up = entry.rate_orders(xi, lam, m, x)
+    lo, up = _integrand_orders(like, xi, lam, m, x, log_f)
     spec = IntegrandSpec(
         log_f,
         upper=like.weight_domain.upper,
@@ -66,7 +67,7 @@ def total_by_quadrature(entry, mass, xi, lam, m, rel_tol=1e-10):
             log_gap = np.log(-np.expm1(lp0))
         return (m - 1) * lp0 + log_gap + log_conjugate_kernel(like, xi, lam, th)
 
-    lo, up = entry.total_orders(xi, lam, m)
+    lo, up = _integrand_orders(like, xi, lam, m, None, log_f)
     spec = IntegrandSpec(
         log_f,
         upper=like.weight_domain.upper,
@@ -194,12 +195,24 @@ class TestRates:
         assert closed == pytest.approx(numeric, rel=1e-8)
 
     def test_gamma_rate_divergence_guard(self):
+        like = POISSON_GAMMA.make_likelihood()
+        # lam + m = -1: the rate integrand grows like e^theta
         with pytest.raises(DivergenceSuspected):
-            POISSON_GAMMA.rate_orders((-1.5,), -3.0, 2, 1)
+            _integrand_orders(like, (-1.5,), -3.0, 2, 1, None)
+        # m = 0, x = 0 is the kernel itself, here at lam = -0.5
         with pytest.raises(DivergenceSuspected):
-            POISSON_GAMMA.total_orders((-1.5,), -1.0, 2)
+            _integrand_orders(like, (-1.5,), -0.5, 0, 0, None)
         with pytest.raises(DivergenceSuspected):
             POISSON_GAMMA.kernel_orders((-1.5,), -0.5)
+
+    def test_gamma_a2_at_lam_zero_is_finite(self):
+        # theta^-1.5 (1 - e^-theta) decays like theta^-1.5 at infinity when
+        # lam = 0, so the round-1 rate is finite: Gamma(-1/2) * -1 = 2 sqrt(pi)
+        like = POISSON_GAMMA.make_likelihood()
+        assert _integrand_orders(like, (-1.5,), 0.0, 1, None, None) == (-0.5, -1.5)
+        a2 = check_assumptions(ExpCrmPrior(like, 1.0, (-1.5,), 0.0))[2]
+        assert a2.passed, a2.detail
+        assert a2.statistic == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-8)
 
 
 class TestRoundTotals:
@@ -279,7 +292,7 @@ class TestRoundTotals:
                 log_gap = np.log(-np.expm1(lp0))
             return log_gap + log_conjugate_kernel(like, (xi0,), lam, th)
 
-        lo, _ = nb03.total_orders((xi0,), lam, 1)
+        lo, _ = _integrand_orders(like, (xi0,), lam, 1, None, log_full)
         spec = IntegrandSpec(log_full, upper=0.5, lower_order=lo, name="nb lower half")
         lower_half, _ = integrate(spec, rel_tol=1e-10)
 

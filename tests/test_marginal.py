@@ -69,22 +69,6 @@ class TestPredictivePmf:
             assert new_atom_rate(p, n, x) == rate_M(p, n, x)
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = MarginalConfig()
-        assert cfg.x_max == 50 and cfg.eps_tail == 1e-6
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            MarginalConfig(x_max=0)
-        with pytest.raises(DomainError):
-            MarginalConfig(x_max=True)
-        with pytest.raises(DomainError):
-            MarginalConfig(eps_tail=0.0)
-        with pytest.raises(DomainError):
-            MarginalConfig(eps_tail=math.nan)
-
-
 class TestSamplerConstruction:
     def test_invalid_prior_rejected(self):
         with pytest.raises(InvalidModelError, match="A1"):
@@ -241,8 +225,8 @@ class TestUnregisteredFamily:
         sp = MarginalSampler(p, cfg)
         sq = MarginalSampler(unregistered(p), cfg)
         for n in (1, 2):
-            cdf_p, gap_p = sp._step_table(n)
-            cdf_q, gap_q = sq._step_table(n)
+            cdf_p, gap_p = sp.table.step(n)
+            cdf_q, gap_q = sq.table.step(n)
             np.testing.assert_allclose(cdf_q, cdf_p, rtol=1e-7)
             assert gap_q == pytest.approx(gap_p, rel=1e-3, abs=1e-10)
 

@@ -19,6 +19,7 @@ from expcrm.errors import (
     TailBoundError,
 )
 from expcrm.exp_family import ExpCrmPrior, FixedAtomParams
+from expcrm.marginal import MarginalConfig, MarginalSampler
 from expcrm.measures import Location
 from expcrm.rng import RngState
 from expcrm.size_biased import (
@@ -103,30 +104,74 @@ class TestModuleRates:
             assert round_total(q, m) == pytest.approx(round_total(p, m), rel=1e-8)
 
 
+@pytest.mark.parametrize("config_type", [SizeBiasedConfig, MarginalConfig], ids=lambda c: c.__name__)
 class TestConfig:
-    def test_defaults(self):
-        cfg = SizeBiasedConfig()
-        assert cfg.m_max == 1000
+    """Both truncation configs share one validator."""
+
+    def test_defaults(self, config_type):
+        cfg = config_type()
         assert cfg.x_max == 50
         assert cfg.eps_tail == 1e-6
+        if config_type is SizeBiasedConfig:
+            assert cfg.m_max == 1000
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SizeBiasedConfig(m_max=0)
-        with pytest.raises(DomainError):
-            SizeBiasedConfig(x_max=True)
-        with pytest.raises(DomainError):
-            SizeBiasedConfig(m_max=2.5)
-        with pytest.raises(DomainError):
-            SizeBiasedConfig(eps_tail=0.0)
-        with pytest.raises(DomainError):
-            SizeBiasedConfig(eps_tail=math.inf)
-        with pytest.raises(DomainError):
-            SizeBiasedConfig(eps_tail="tiny")
+    def test_validation(self, config_type):
+        int_fields = [f.name for f in dataclasses.fields(config_type) if f.name != "eps_tail"]
+        for name in int_fields:
+            for bad in (0, -3, True, 2.5):
+                with pytest.raises(DomainError, match=name):
+                    config_type(**{name: bad})
+        for bad in (0.0, -1e-3, math.inf, math.nan, "tiny", True):
+            with pytest.raises(DomainError, match="eps_tail"):
+                config_type(eps_tail=bad)
 
-    def test_numpy_ints_accepted(self):
-        cfg = SizeBiasedConfig(m_max=np.int64(7), x_max=np.int32(3))
-        assert cfg.m_max == 7 and isinstance(cfg.m_max, int)
+    def test_numpy_ints_accepted(self, config_type):
+        cfg = config_type(x_max=np.int32(3), eps_tail=np.float32(0.5))
+        assert cfg.x_max == 3 and isinstance(cfg.x_max, int)
+        assert isinstance(cfg.eps_tail, float)
+        if config_type is SizeBiasedConfig:
+            cfg = config_type(m_max=np.int64(7))
+            assert cfg.m_max == 7 and isinstance(cfg.m_max, int)
+
+
+class TestRateTable:
+    """One table core: size-biased rounds are marginal steps."""
+
+    @pytest.mark.parametrize(
+        "prior,rounds,x_max",
+        [
+            (gamma_prior(mass=1.7, xi=-1.3, lam=0.8), 40, 50),
+            (unregistered(gamma_prior(mass=0.9, xi=-1.2, lam=1.1)), 3, 8),
+        ],
+        ids=["gamma", "clone"],
+    )
+    def test_size_biased_rows_are_the_marginal_step_rows(self, prior, rounds, x_max):
+        sb = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=rounds, x_max=x_max, eps_tail=1e-3))
+        mg = MarginalSampler(prior, MarginalConfig(x_max=x_max, eps_tail=1e-3))
+        # a stream grows its table one row per step, the size-biased
+        # sampler tabulates every round at construction
+        steps = [mg.table.step(n) for n in range(1, rounds + 1)]
+        assert mg.table.rates(rounds).tobytes() == sb.table.rates(rounds).tobytes()
+        assert mg.table.totals(rounds).tobytes() == sb.table.totals(rounds).tobytes()
+        for row, (cdf, gap) in zip(sb.table.rates(rounds), steps):
+            assert cdf.tobytes() == np.cumsum(row).tobytes()
+        assert sb.count_cap == mg.count_cap == x_max
+
+    def test_catalog_rows_take_one_call_per_extension(self, monkeypatch):
+        calls = []
+        original = type(POISSON_GAMMA).rate_table
+
+        def spy(self, mass, xi, lam, m, x):
+            calls.append(len(m))
+            return original(self, mass, xi, lam, m, x)
+
+        monkeypatch.setattr(type(POISSON_GAMMA), "rate_table", spy)
+        SizeBiasedSampler(gamma_prior(), SizeBiasedConfig(m_max=1000, x_max=50))
+        assert calls == [1000]
+        mg = MarginalSampler(gamma_prior())
+        mg.sample(3, RngState(5))
+        mg.sample(4, RngState(6))
+        assert calls == [1000, 1, 1, 1, 1]
 
 
 class TestSamplerConstruction:
@@ -335,7 +380,7 @@ class TestEndToEndUnregistered:
         cfg = SizeBiasedConfig(m_max=3, x_max=16, eps_tail=1e-5)
         sp = SizeBiasedSampler(p, cfg)
         sq = SizeBiasedSampler(unregistered(p), cfg)
-        np.testing.assert_allclose(sq._rates, sp._rates, rtol=1e-7)
+        np.testing.assert_allclose(sq.table.rates(3), sp.table.rates(3), rtol=1e-7)
         assert sq._grand_total == pytest.approx(sp._grand_total, rel=1e-7)
         assert sq.tail_certificate()["neglected_rate"] == pytest.approx(
             sp.tail_certificate()["neglected_rate"], rel=1e-4, abs=1e-12
@@ -355,7 +400,7 @@ class TestEndToEndUnregistered:
 
 def _reference_cell_weights(sampler, gen, xi, lam, n):
     """Per-cell weight draw: the catalog laws, boundary values redrawn in the cell."""
-    entry = sampler._entry
+    entry = sampler.table.entry
     if entry is None:
         return sampler._weights_from_params(gen, xi, lam, n)
     xi0 = xi[0]
@@ -385,13 +430,13 @@ def reference_draw_labeled(sampler, gen):
     u = gen.uniform(0.0, sampler._grand_total, size=k)
     cells = np.minimum(np.searchsorted(sampler._cdf, u, side="right"), sampler._cdf.size - 1)
     cells.sort()
-    n_x = sampler._xs.size
-    rounds = sampler._ms[cells // n_x].astype(np.int64)
-    counts = sampler._xs[cells % n_x].astype(np.int64)
+    n_x = sampler.count_cap
+    rounds = (cells // n_x + 1).astype(np.int64)
+    counts = (cells % n_x + 1).astype(np.int64)
     weights = np.empty(k)
     pos = 0
     for cell, n_cell in zip(*np.unique(cells, return_counts=True)):
-        m, x = int(sampler._ms[cell // n_x]), int(sampler._xs[cell % n_x])
+        m, x = int(cell // n_x) + 1, int(cell % n_x) + 1
         xi_mx, lam_mx = weight_dist_params(sampler.prior, m, x)
         weights[pos : pos + n_cell] = _reference_cell_weights(
             sampler, gen, xi_mx, lam_mx, int(n_cell)

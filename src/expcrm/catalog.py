@@ -76,6 +76,12 @@ def _fail(reason: str) -> ValidityResult:
     return ValidityResult(False, reason)
 
 
+def _check_mass(mass: float) -> ValidityResult:
+    if math.isfinite(mass) and mass > 0.0:
+        return _OK
+    return _fail(f"mass must be positive and finite, got {mass:g}")
+
+
 class CatalogEntry:
     """One conjugate likelihood/prior pair with its closed forms.
 
@@ -138,6 +144,12 @@ class CatalogEntry:
     # -- validity ------------------------------------------------------------
 
     def hyperparam_valid(self, mass: float, xi, lam: float) -> ValidityResult:
+        """A positive finite mass, then the family's (xi, lam) region."""
+        xi0 = _xi0(xi)
+        res = _check_mass(mass)
+        return self._region_valid(xi0, lam) if res.ok else res
+
+    def _region_valid(self, xi0: float, lam: float) -> ValidityResult:
         raise NotImplementedError
 
     def fixed_atom_valid(self, xi, lam: float) -> ValidityResult:
@@ -183,11 +195,13 @@ class CatalogEntry:
     def round_total(self, mass: float, xi, lam: float, m: int) -> float:
         return float(self.round_totals(mass, xi, lam, np.array([m], dtype=float))[0])
 
-    def predictive_logpmf(self, xi0_eff: float, lam_eff: float, x: np.ndarray) -> np.ndarray:
+    def predictive_logpmf(self, xi0_eff, lam_eff, x: np.ndarray) -> np.ndarray:
         """log pmf of the next count at an atom with accumulated (xi, lam).
 
         ``xi0_eff`` is xi plus the summed counts so far, ``lam_eff`` is lam
-        plus the number of completed observations. The normalizer ratio
+        plus the number of completed observations; both are floats, or
+        arrays that broadcast against ``x`` (columns of per-atom values give
+        one row of pmf values per atom). The normalizer ratio
         B(xi_eff + x, lam_eff + 1) - B(xi_eff, lam_eff) integrates the
         likelihood against the atom's current weight density.
         """
@@ -238,6 +252,56 @@ class CatalogEntry:
         raise RngFaultError("weight sampler kept hitting the domain boundary")
 
 
+class _NativeBeta(CatalogEntry):
+    """A family that also takes native beta parameters (mass, alpha, theta_c).
+
+    The kernel-level map sets xi = -alpha - 1 and lam by the family's
+    ``_native_lam``, so that the native validity region alpha in [0, 1),
+    theta_c > -alpha maps onto the exponential one.  A fixed atom with
+    native law Beta(rho, sigma) gets xi = rho - 1 and lam by
+    ``_native_fixed_lam``.  The two lam maps are all a subclass adds.
+    """
+
+    def _native_lam(self, alpha: float, theta_c: float) -> float:
+        raise NotImplementedError
+
+    def _native_fixed_lam(self, rho: float, sigma: float) -> float:
+        raise NotImplementedError
+
+    def native_valid(self, mass: float, alpha: float, theta_c: float) -> ValidityResult:
+        res = _check_mass(mass)
+        if not res.ok:
+            return res
+        if not 0.0 <= alpha < 1.0:
+            return _fail(f"native alpha must lie in [0, 1), got {alpha:g}")
+        if not theta_c > -alpha:
+            return _fail(f"native theta must exceed -alpha, got theta={theta_c:g}")
+        return _OK
+
+    def native_params(self, mass: float, alpha: float, theta_c: float) -> tuple:
+        """(mass, xi, lam) of native parameters; DomainError outside their region."""
+        res = self.native_valid(mass, alpha, theta_c)
+        if not res.ok:
+            raise DomainError(res.reason)
+        return mass, (-alpha - 1.0,), self._native_lam(alpha, theta_c)
+
+    def native_fixed_atom(self, rho: float, sigma: float) -> tuple:
+        """Beta(rho, sigma) fixed-atom law in exponential coordinates."""
+        if not (rho > 0.0 and sigma > 0.0):
+            raise DomainError("native fixed atoms need rho > 0 and sigma > 0")
+        return (rho - 1.0,), self._native_fixed_lam(rho, sigma)
+
+    def from_native(self, mass: float, alpha: float, theta_c: float, fixed=()) -> ExpCrmPrior:
+        """Prior from native (mass, alpha, theta_c); ``fixed`` holds
+        (location, rho, sigma) triples of native fixed-atom laws."""
+        mass, xi, lam = self.native_params(mass, alpha, theta_c)
+        atoms = tuple(
+            FixedAtomParams(Location(loc), *self.native_fixed_atom(rho, sigma))
+            for (loc, rho, sigma) in fixed
+        )
+        return ExpCrmPrior(self.make_likelihood(), mass, xi, lam, atoms)
+
+
 # --- poisson / gamma_process --------------------------------------------------
 
 
@@ -278,10 +342,7 @@ class PoissonGamma(CatalogEntry):
             )
         return _xi0(xi), (_xi0(xi) if lam == 0.0 else None)
 
-    def hyperparam_valid(self, mass, xi, lam):
-        xi0 = _xi0(xi)
-        if not (math.isfinite(mass) and mass > 0.0):
-            return _fail(f"mass must be positive and finite, got {mass:g}")
+    def _region_valid(self, xi0, lam):
         if xi0 > -1.0:
             return _fail(f"A1 fails: xi must be <= -1 for infinite ordinary mass, got {xi0:g}")
         if xi0 <= -2.0:
@@ -326,7 +387,7 @@ class PoissonGamma(CatalogEntry):
 # --- bernoulli / beta_process -------------------------------------------------
 
 
-class BernoulliBeta(CatalogEntry):
+class BernoulliBeta(_NativeBeta):
     """Binary counts; weights on (0, 1] with a beta-shaped kernel.
 
     Valid hyperparameters come in two published ranges that disagree off
@@ -378,10 +439,7 @@ class BernoulliBeta(CatalogEntry):
     def kernel_orders(self, xi, lam):
         return _xi0(xi), lam - _xi0(xi)
 
-    def hyperparam_valid(self, mass, xi, lam):
-        xi0 = _xi0(xi)
-        if not (math.isfinite(mass) and mass > 0.0):
-            return _fail(f"mass must be positive and finite, got {mass:g}")
+    def _region_valid(self, xi0, lam):
         if -2.0 < xi0 <= -1.0:
             if lam > xi0 - 1.0:
                 return _OK
@@ -417,40 +475,11 @@ class BernoulliBeta(CatalogEntry):
     def _draw_weights(self, generator, xi0, lam):
         return generator.beta(xi0 + 1.0, lam - xi0 + 1.0)
 
-    def from_native(self, mass: float, alpha: float, theta_c: float, fixed=()) -> ExpCrmPrior:
-        """Prior from native (mass, alpha, theta_c), kernel-level map.
+    def _native_lam(self, alpha, theta_c):
+        return theta_c - 2.0
 
-        xi = -alpha - 1 and lam = theta_c - 2 make the exponential kernel
-        equal the classic theta^(-alpha-1) * (1-theta)^(theta_c+alpha-1);
-        the native validity region maps exactly onto the exponential one.
-        ``fixed`` holds (location, rho, sigma) triples of native beta
-        parameters for the fixed atoms.
-        """
-        res = self.native_valid(mass, alpha, theta_c)
-        if not res.ok:
-            raise DomainError(res.reason)
-        atoms = tuple(
-            FixedAtomParams(Location(loc), *self.native_fixed_atom(rho, sigma))
-            for (loc, rho, sigma) in fixed
-        )
-        return ExpCrmPrior(
-            self.make_likelihood(), mass, (-alpha - 1.0,), theta_c - 2.0, atoms
-        )
-
-    def native_valid(self, mass: float, alpha: float, theta_c: float) -> ValidityResult:
-        if not (math.isfinite(mass) and mass > 0.0):
-            return _fail(f"mass must be positive and finite, got {mass:g}")
-        if not 0.0 <= alpha < 1.0:
-            return _fail(f"native alpha must lie in [0, 1), got {alpha:g}")
-        if not theta_c > -alpha:
-            return _fail(f"native theta must exceed -alpha, got theta={theta_c:g}")
-        return _OK
-
-    def native_fixed_atom(self, rho: float, sigma: float) -> tuple:
-        """Beta(rho, sigma) fixed-atom law in exponential coordinates."""
-        if not (rho > 0.0 and sigma > 0.0):
-            raise DomainError("native fixed atoms need rho > 0 and sigma > 0")
-        return (rho - 1.0,), rho + sigma - 2.0
+    def _native_fixed_lam(self, rho, sigma):
+        return rho + sigma - 2.0
 
     def describe(self):
         return {
@@ -506,10 +535,7 @@ class OddsBernoulliBetaPrime(CatalogEntry):
     def kernel_orders(self, xi, lam):
         return _xi0(xi), _xi0(xi) - lam
 
-    def hyperparam_valid(self, mass, xi, lam):
-        xi0 = _xi0(xi)
-        if not (math.isfinite(mass) and mass > 0.0):
-            return _fail(f"mass must be positive and finite, got {mass:g}")
+    def _region_valid(self, xi0, lam):
         if xi0 > -1.0:
             return _fail(f"A1 fails: xi must be <= -1 for infinite ordinary mass, got {xi0:g}")
         if xi0 <= -2.0:
@@ -543,7 +569,7 @@ class OddsBernoulliBetaPrime(CatalogEntry):
 # --- negative_binomial(r) / beta -----------------------------------------------
 
 
-class NegativeBinomialBeta(CatalogEntry):
+class NegativeBinomialBeta(_NativeBeta):
     """Counts are NB(r, theta); weights on (0, 1) with kernel exponent lam*r."""
 
     likelihood_id = "negative_binomial"
@@ -592,10 +618,7 @@ class NegativeBinomialBeta(CatalogEntry):
     def kernel_orders(self, xi, lam):
         return _xi0(xi), lam * self.r
 
-    def hyperparam_valid(self, mass, xi, lam):
-        xi0 = _xi0(xi)
-        if not (math.isfinite(mass) and mass > 0.0):
-            return _fail(f"mass must be positive and finite, got {mass:g}")
+    def _region_valid(self, xi0, lam):
         if xi0 > -1.0:
             return _fail(f"A1 fails: xi must be <= -1 for infinite ordinary mass, got {xi0:g}")
         if xi0 <= -2.0:
@@ -670,39 +693,11 @@ class NegativeBinomialBeta(CatalogEntry):
     def _draw_weights(self, generator, xi0, lam):
         return generator.beta(xi0 + 1.0, lam * self.r + 1.0)
 
-    def from_native(self, mass: float, alpha: float, theta_c: float, fixed=()) -> ExpCrmPrior:
-        """Prior from native (mass, alpha, theta_c): xi = -alpha - 1,
-        lam = (theta_c + alpha - 1) / r. ``fixed`` holds (location, rho,
-        sigma) triples of beta parameters for the fixed atoms."""
-        res = self.native_valid(mass, alpha, theta_c)
-        if not res.ok:
-            raise DomainError(res.reason)
-        atoms = tuple(
-            FixedAtomParams(Location(loc), *self.native_fixed_atom(rho, sigma))
-            for (loc, rho, sigma) in fixed
-        )
-        return ExpCrmPrior(
-            self.make_likelihood(),
-            mass,
-            (-alpha - 1.0,),
-            (theta_c + alpha - 1.0) / self.r,
-            atoms,
-        )
+    def _native_lam(self, alpha, theta_c):
+        return (theta_c + alpha - 1.0) / self.r
 
-    def native_valid(self, mass: float, alpha: float, theta_c: float) -> ValidityResult:
-        if not (math.isfinite(mass) and mass > 0.0):
-            return _fail(f"mass must be positive and finite, got {mass:g}")
-        if not 0.0 <= alpha < 1.0:
-            return _fail(f"native alpha must lie in [0, 1), got {alpha:g}")
-        if not theta_c > -alpha:
-            return _fail(f"native theta must exceed -alpha, got theta={theta_c:g}")
-        return _OK
-
-    def native_fixed_atom(self, rho: float, sigma: float) -> tuple:
-        """Beta(rho, sigma) fixed-atom law in exponential coordinates."""
-        if not (rho > 0.0 and sigma > 0.0):
-            raise DomainError("native fixed atoms need rho > 0 and sigma > 0")
-        return (rho - 1.0,), (sigma - 1.0) / self.r
+    def _native_fixed_lam(self, rho, sigma):
+        return (sigma - 1.0) / self.r
 
     def describe(self):
         return {

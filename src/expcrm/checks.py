@@ -40,13 +40,14 @@ from .exp_family import (
     log_partition_B,
 )
 from .marginal import MarginalConfig, MarginalSampler, predictive_logpmf
-from .quadrature import IntegrandSpec, integrate, probed_orders
+from .quadrature import IntegrandSpec, integrate
 from .rng import RngState
 from .size_biased import (
     SizeBiasedConfig,
     SizeBiasedSampler,
+    _integrand_orders,
     _NumericWeightSampler,
-    _shifted_params,
+    _round_total_quadrature,
     rate_M,
     round_total,
     weight_dist_params,
@@ -172,7 +173,7 @@ def _check_a1(prior: ExpCrmPrior) -> CheckReport:
 def _check_a2(prior: ExpCrmPrior) -> CheckReport:
     name = "A2: one step sees finitely many traits"
     try:
-        value = _literal_round_total(prior, 1)
+        value = _round_total_quadrature(prior, 1)
     except DivergenceSuspected as err:
         return CheckReport(
             name, False, math.inf, math.inf, "<",
@@ -313,29 +314,6 @@ def chi_square_two_sample(
 # --- oracle checks ------------------------------------------------------------
 
 
-def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
-    """Endpoint powers of ``log_f``, one of the oracle's literal integrands.
-
-    With a count ``x`` the integrand is l(x|theta) l(0|theta)^(m-1)
-    kappa(theta; xi, lam), the rate integrand; with ``x = None`` it is
-    (1 - l(0|theta)) l(0|theta)^(m-1) kappa(theta; xi, lam), the round
-    total.  For a catalog family both follow from conjugacy: the first is
-    h(x) h(0)^(m-1) kappa(theta; xi + phi(x) + (m-1) phi(0), lam + m)
-    (m = 0 with x = 0 is kappa itself).  Since 1 - l(0|theta) grows like
-    theta at 0 and tends to 1 at the top, the second has the powers of the
-    first at (m - 1, x = 0), plus one at 0.  Other families probe
-    ``log_f``.  Either way :func:`integrate` checks the declared powers
-    against its own slope probes.
-    """
-    entry = entry_for(like)
-    if entry is None:
-        return probed_orders(log_f, like.weight_domain.upper)
-    if x is None:
-        low, up = entry.kernel_orders(*_shifted_params(like, xi, lam, m - 1, 0))
-        return low + 1.0, up
-    return entry.kernel_orders(*_shifted_params(like, xi, lam, m, x))
-
-
 def oracle_log_partition(prior: ExpCrmPrior, xi, lam: float, rel_tol: float = 1e-9) -> CheckReport:
     """Primary log-partition path against forced quadrature."""
     like = prior.likelihood
@@ -380,31 +358,9 @@ def oracle_rate_M(prior: ExpCrmPrior, m: int, x: int, rel_tol: float = 1e-9) -> 
     )
 
 
-def _literal_round_total(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> float:
-    """Quadrature of mass * kappa * l0^(m-1) * (1 - l0); m = 1 is the round-1 trait rate."""
-    like = prior.likelihood
-    log_mass = math.log(prior.mass)
-
-    def log_f(th):
-        th = np.asarray(th, dtype=float)
-        lp0 = like.log_pmf(0, th)
-        with np.errstate(divide="ignore"):
-            gap = np.log(-np.expm1(lp0))
-        head = (m - 1) * lp0 if m > 1 else 0.0
-        return log_mass + head + gap + log_conjugate_kernel(like, prior.xi, prior.lam, th)
-
-    low, up = _integrand_orders(like, prior.xi, prior.lam, m, None, log_f)
-    spec = IntegrandSpec(
-        log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
-        name=f"literal round-{m} total",
-    )
-    value, _ = integrate(spec, rel_tol=rel_tol)
-    return value
-
-
 def oracle_round_total(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> CheckReport:
     """Round total against quadrature of mass * kappa * l0^(m-1) * (1 - l0)."""
-    numeric = _literal_round_total(prior, m, rel_tol)
+    numeric = _round_total_quadrature(prior, m, rel_tol)
     primary = round_total(prior, m)
     err = abs(primary - numeric) / max(abs(numeric), 1e-300)
     return _report_leq(

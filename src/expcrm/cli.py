@@ -141,9 +141,7 @@ def _cmd_posterior(args) -> int:
         "n_obs": post.n_obs,
         "model": model,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, out)
     return 0
 
 
@@ -228,6 +226,13 @@ def _replacing(path):
         raise
 
 
+def _write_json(path, record: dict) -> None:
+    """``record`` as indented JSON, written through :func:`_replacing`."""
+    with _replacing(path) as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
 def _cmd_sample_prior(args) -> int:
     cfg = parse_model_config(args.model)
     rounds = cfg.rounds if args.rounds is None else args.rounds
@@ -300,9 +305,7 @@ def _cmd_verify(args) -> int:
             "passed": passed,
             "reports": [r.to_jsonable() for r in reports],
         }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.report, out)
     return 0 if passed else 1
 
 

@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry, get_entry, hyperparam_valid
-from .errors import ConfigError, InvalidModelError
+from .errors import ConfigError, DomainError, InvalidModelError
 from .exp_family import ExpCrmPrior, FixedAtomParams
 from .measures import Location
 
@@ -228,26 +228,15 @@ class ModelConfig:
                 xi = par
             atoms.append(FixedAtomParams(Location(loc), xi, lam))
         if self.native is not None:
-            res = entry.native_valid(
-                self.native["mass"], self.native["alpha"], self.native["theta"]
-            )
-            if not res.ok:
-                raise InvalidModelError(res.reason)
-            converted = entry.from_native(
-                self.native["mass"], self.native["alpha"], self.native["theta"]
-            )
-            prior = ExpCrmPrior(
-                entry.make_likelihood(), converted.mass, converted.xi, converted.lam,
-                tuple(atoms),
-            )
+            try:
+                mass, xi, lam = entry.native_params(
+                    self.native["mass"], self.native["alpha"], self.native["theta"]
+                )
+            except DomainError as err:
+                raise InvalidModelError(str(err)) from err
         else:
-            prior = ExpCrmPrior(
-                entry.make_likelihood(),
-                self.params["mass"],
-                tuple(self.params["xi"]),
-                self.params["lam"],
-                tuple(atoms),
-            )
+            mass, xi, lam = self.params["mass"], tuple(self.params["xi"]), self.params["lam"]
+        prior = ExpCrmPrior(entry.make_likelihood(), mass, xi, lam, tuple(atoms))
         res = hyperparam_valid(prior)
         if not res.ok:
             raise InvalidModelError(res.reason)

@@ -110,24 +110,6 @@ class MarginalConfig:
         _check_truncation(self)
 
 
-@dataclass(frozen=True, slots=True)
-class _AtomState:
-    """One tracked atom: location plus accumulated weight parameters."""
-
-    location: Location
-    xi: tuple[float, ...]
-    lam: float
-    born_at: int  # 0 for the model's fixed atoms
-
-    def bump(self, likelihood: ExpCrmLikelihood, x: int) -> "_AtomState":
-        return _AtomState(
-            self.location,
-            xi_plus(self.xi, likelihood.phi(x)),
-            self.lam + 1.0,
-            self.born_at,
-        )
-
-
 class MarginalSampler(_TruncatedSampler):
     """Generates observation sequences with the trait measure integrated out.
 
@@ -148,24 +130,47 @@ class MarginalSampler(_TruncatedSampler):
 
     # -- drawing ----------------------------------------------------------
 
-    def _predictive_walk(self, gen, xi_eff, lam_eff: float) -> int:
-        """One exact draw from the predictive pmf by inverse-cdf walk."""
-        u = float(gen.uniform())
+    def _predictive_walk(self, gen, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """One exact draw from each atom's predictive pmf by inverse-cdf walk.
+
+        Row i of the atoms x dim array ``xi`` and entry i of ``lam`` hold
+        atom i's accumulated parameters.  The atoms take one uniform each,
+        in row order, from a single draw (none when there are no atoms),
+        and walk their cdfs together, one chunk of counts at a time; each
+        row sums its own chunks, so it returns the count a walk of that
+        atom alone would.
+        """
+        out = np.empty(lam.size, dtype=np.int64)
+        if lam.size == 0:
+            return out
+        u = gen.uniform(size=lam.size)[:, None]
         like = self.prior.likelihood
+        entry = self.table.entry
         bound = like.support_bound
-        chunk = 64 if self.table.entry is not None else 8
+        chunk = 64 if entry is not None else 8
+        rows = np.arange(lam.size)
+        lam = lam[:, None]
         acc = 0.0
         start = 0
         while True:
             stop = start + chunk if bound is None else min(start + chunk, bound + 1)
             xs = np.arange(start, stop)
-            cum = acc + np.cumsum(np.exp(predictive_logpmf(like, xi_eff, lam_eff, xs)))
-            idx = int(np.searchsorted(cum, u, side="right"))
-            if idx < xs.size:
-                return int(xs[idx])
-            acc = float(cum[-1])
+            if entry is not None:
+                logpmf = entry.predictive_logpmf(xi[:, :1], lam, xs)
+            else:
+                logpmf = np.array(
+                    [predictive_logpmf(like, x, l, xs) for x, l in zip(xi, lam[:, 0])]
+                )
+            cum = acc + np.cumsum(np.exp(logpmf), axis=1)
+            idx = (cum <= u).sum(axis=1)  # a right-sided searchsorted per row
+            out[rows] = start + idx
+            if idx.max() < xs.size:
+                return out
+            going = idx == xs.size
+            rows, xi, lam, u, acc = rows[going], xi[going], lam[going], u[going], cum[going, -1:]
             if bound is not None and stop > bound:
-                return int(bound)  # u fell in the last float ulp of the cdf
+                out[rows] = bound  # u fell in the last float ulp of the cdf
+                return out
             start = stop
             if start > 10**6:
                 raise QuadratureError("predictive walk failed to accumulate to 1")
@@ -173,17 +178,23 @@ class MarginalSampler(_TruncatedSampler):
     def stream(self, rng=None):
         """Yield one ObservationMeasure per step, forever.
 
-        Per step, the rng is consumed in a fixed order: fixed atoms in
-        prior order, then earlier-born atoms in birth order, then the
-        new-atom count (Poisson), counts, and locations.  The stream
-        raises :class:`~expcrm.errors.TailBoundError` at the step where
-        the cumulative neglected new-atom rate would pass ``eps_tail``.
+        Per step, the rng is consumed in a fixed order: one uniform per
+        atom already on the books (fixed atoms in prior order, then
+        earlier-born atoms in birth order), then the new-atom count
+        (Poisson), counts, and locations.  The stream raises
+        :class:`~expcrm.errors.TailBoundError` at the step where the
+        cumulative neglected new-atom rate would pass ``eps_tail``.
         """
         gen = self._generator(rng)
-        like = self.prior.likelihood
-        atoms = [
-            _AtomState(fa.location, fa.xi, fa.lam, 0) for fa in self.prior.fixed_atoms
-        ]
+        prior = self.prior
+        like = prior.likelihood
+        # the atoms on the books as columns, fixed atoms first, then the
+        # new atoms of each step in birth order
+        fixed = prior.fixed_atoms
+        locations = [fa.location for fa in fixed]
+        xi = np.array([fa.xi for fa in fixed], dtype=float).reshape(len(fixed), like.dim)
+        lam = np.array([fa.lam for fa in fixed], dtype=float)
+        taken = {loc.value for loc in locations}
         neglected = 0.0
         n = 0
         while True:
@@ -197,34 +208,30 @@ class MarginalSampler(_TruncatedSampler):
                     f"{self.config.eps_tail:.3e}; raise x_max or loosen eps_tail",
                     certificate=self.tail_certificate(n),
                 )
-            emissions = []
-            next_atoms = []
-            for atom in atoms:
-                x = self._predictive_walk(gen, atom.xi, atom.lam)
-                if x > 0:
-                    emissions.append((atom.location.value, x))
-                next_atoms.append(atom.bump(like, x))
+            counts = self._predictive_walk(gen, xi, lam)
+            counts = counts.tolist()
+            if counts:
+                # every count, zero included, updates its atom's parameters
+                xi += np.array([like.phi(x) for x in counts])
+                lam += 1.0
             total = float(cdf[-1])
             k = int(gen.poisson(total))
             if k > 0:
                 u = gen.uniform(0.0, total, size=k)
-                counts = self.table.xs[
+                born = self.table.xs[
                     np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
                 ]
-                counts.sort()
-                locations = _locations(gen, k, {a.location.value for a in next_atoms})
-                for c, v in zip(counts, locations):
-                    loc = Location(float(v))
-                    emissions.append((loc.value, int(c)))
-                    xi_new, lam_new = weight_dist_params(self.prior, n, int(c))
-                    next_atoms.append(_AtomState(loc, xi_new, lam_new, n))
-            atoms = next_atoms
-            yield ObservationMeasure(
-                tuple(
-                    ObservationAtom(c, Location(v))
-                    for v, c in sorted(emissions)
-                )
-            )
+                born.sort()
+                values = _locations(gen, k, taken).tolist()
+                taken.update(values)
+                locations.extend(Location(v) for v in values)
+                params = [weight_dist_params(prior, n, c) for c in born.tolist()]
+                xi = np.concatenate([xi, np.array([p for p, _ in params])])
+                lam = np.concatenate([lam, [q for _, q in params]])
+                counts += born.tolist()
+            atoms = [ObservationAtom(x, loc) for x, loc in zip(counts, locations) if x]
+            atoms.sort(key=lambda a: a.location.value)
+            yield ObservationMeasure(tuple(atoms))
 
     def sample(self, n_steps: int, rng=None) -> list[ObservationMeasure]:
         """The first ``n_steps`` observations of one stream."""

@@ -102,6 +102,15 @@ class IntegrandSpec:
         if self.upper_order is not None and not np.isfinite(self.upper_order):
             raise QuadratureError(f"{self.name}: upper_order must be finite or None")
 
+    def log_f_from_top(self, v) -> np.ndarray:
+        """``log f(upper - v)`` at distances ``v`` from a finite top.
+
+        Goes through ``log_f_upper`` when given, else forms ``upper - v``.
+        """
+        if self.log_f_upper is not None:
+            return self.log_f_upper(v)
+        return self.log_f(self.upper - np.asarray(v, dtype=float))
+
 
 @lru_cache(maxsize=2048)
 def _gl_rule(n: int):
@@ -446,13 +455,7 @@ def integrate(spec: IntegrandSpec, rel_tol: float = 1e-10) -> tuple[float, float
     finite = math.isfinite(spec.upper)
     scale = min(spec.upper, 1.0) / 2.0 if finite else 0.5
 
-    if finite and spec.log_f_upper is not None:
-        log_f_upper = spec.log_f_upper
-    elif finite:
-        def log_f_upper(v, _U=spec.upper, _f=spec.log_f):
-            return _f(_U - np.asarray(v, dtype=float))
-    else:
-        log_f_upper = None
+    log_f_upper = spec.log_f_from_top if finite else None
 
     # Validate declarations before trusting them.
     _check_power(spec.log_f, scale * np.array(_PROBE_OFFSETS), spec.lower_order, name, "lower")

@@ -49,6 +49,7 @@ from .errors import (
 from .exp_family import (
     ExpCrmLikelihood,
     ExpCrmPrior,
+    _kernel_spec,
     as_xi,
     log_conjugate_kernel,
     log_partition_B,
@@ -125,15 +126,40 @@ def round_total(prior: ExpCrmPrior, m, *, rel_tol: float = 1e-9) -> float:
     entry = entry_for(prior.likelihood)
     if entry is not None:
         return entry.round_total(prior.mass, prior.xi, prior.lam, m)
-    value, _ = _generic_round_total(prior, m, rel_tol)
-    return value
+    return _round_total_quadrature(prior, m, rel_tol)
 
 
-def _generic_round_total(prior: ExpCrmPrior, m: int, rel_tol: float):
+def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
+    """Endpoint powers of ``log_f``, a rate or round-total integrand.
+
+    With a count ``x`` the integrand is l(x|theta) l(0|theta)^(m-1)
+    kappa(theta; xi, lam), the rate integrand; with ``x = None`` it is
+    (1 - l(0|theta)) l(0|theta)^(m-1) kappa(theta; xi, lam), the round
+    total.  For a catalog family both follow from conjugacy: the first is
+    h(x) h(0)^(m-1) kappa(theta; xi + phi(x) + (m-1) phi(0), lam + m)
+    (m = 0 with x = 0 is kappa itself).  Since 1 - l(0|theta) grows like
+    theta at 0 and tends to 1 at the top, the second has the powers of the
+    first at (m - 1, x = 0), plus one at 0.  Other families probe
+    ``log_f``.  Either way :func:`integrate` checks the declared powers
+    against its own slope probes.
+    """
+    entry = entry_for(like)
+    if entry is None:
+        return probed_orders(log_f, like.weight_domain.upper)
+    if x is None:
+        low, up = entry.kernel_orders(*_shifted_params(like, xi, lam, m - 1, 0))
+        return low + 1.0, up
+    return entry.kernel_orders(*_shifted_params(like, xi, lam, m, x))
+
+
+def _round_total_quadrature(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> float:
     """Quadrature of mass * (1 - l(0|theta)) * l(0|theta)^(m-1) * kappa.
 
     Summing the pmf over x >= 1 gives 1 - l(0|theta), so the round total
-    never needs the count-by-count rates.
+    never needs the count-by-count rates.  This is the round total of a
+    family without closed forms, and the oracle's reference for the
+    closed forms of the catalog (m = 1 is the round-1 trait rate of
+    assumption A2).
     """
     like = prior.likelihood
     log_mass = math.log(prior.mass)
@@ -146,7 +172,7 @@ def _generic_round_total(prior: ExpCrmPrior, m: int, rel_tol: float):
         head = (m - 1) * lp0 if m > 1 else 0.0
         return log_mass + head + gap + log_conjugate_kernel(like, prior.xi, prior.lam, th)
 
-    low, up = probed_orders(log_f, like.weight_domain.upper)
+    low, up = _integrand_orders(like, prior.xi, prior.lam, m, None, log_f)
     spec = IntegrandSpec(
         log_f,
         upper=like.weight_domain.upper,
@@ -154,7 +180,8 @@ def _generic_round_total(prior: ExpCrmPrior, m: int, rel_tol: float):
         upper_order=up,
         name=f"round-{m} total for {like.family}",
     )
-    return integrate(spec, rel_tol=rel_tol)
+    value, _ = integrate(spec, rel_tol=rel_tol)
+    return value
 
 
 class RateTable:
@@ -522,10 +549,13 @@ class _NumericWeightSampler:
 
     The interior is coarser: neighbouring knots differ by a factor of
     about 1.34, and the monotone cubic between them is off by up to about
-    6e-4 in the cdf.  For Gamma(1, rate 2) the largest error sits near
+    6e-4 in the cdf for Gamma(1, rate 2), whose largest error sits near
     0.83, between the knots 0.748 and 1.0; a KS test sees an error that
-    size at about 10^6 draws.  The oracle suite's weight-law test uses
-    this cdf as its reference.
+    size at about 10^6 draws.  Laws that fall steeply to zero at a finite
+    top are off by more: about 1.9e-3 for Beta(2, 6) and 1.3e-3 for the
+    negative binomial (r = 2.5) law at xi 0.5, lam 3, which a KS test
+    sees at about a tenth as many draws.  The oracle suite's weight-law
+    test uses this cdf as its reference.
     """
 
     _EDGE = 1e-12
@@ -533,14 +563,13 @@ class _NumericWeightSampler:
     _TAIL = 1e-13
 
     def __init__(self, likelihood: ExpCrmLikelihood, xi, lam: float):
-        xi = as_xi(xi)
         self._like = likelihood
-
-        def log_f(th):
-            return log_conjugate_kernel(likelihood, xi, lam, np.asarray(th, dtype=float))
-
+        spec = _kernel_spec(likelihood, as_xi(xi), lam, f"weight law for {likelihood.family}")
+        log_f = spec.log_f
         self._log_f = log_f
         upper = float(likelihood.weight_domain.upper)
+        # probed even for catalog families: the oracle checks the catalog
+        # against this sampler, so it does not take the catalog's orders
         low, up = probed_orders(log_f, upper)
         if low <= -1.0 + 1e-7:
             raise DomainError(
@@ -568,8 +597,14 @@ class _NumericWeightSampler:
             knots = np.geomspace(self._EDGE, 1.0, self._KNOTS_PER_SIDE)
         knots = list(knots)
 
+        # the upper half of a finite domain is integrated in the distance
+        # v = upper - t: next to the top, panels are about 1e-12 wide and
+        # their nodes would round against upper in t
         def panel(a, b):
-            value, _ = smooth_panel(log_f, a, b, rel_tol=1e-9)
+            if self._finite and a >= upper / 2.0:
+                value, _ = smooth_panel(spec.log_f_from_top, upper - b, upper - a, rel_tol=1e-9)
+            else:
+                value, _ = smooth_panel(log_f, a, b, rel_tol=1e-9)
             return value
 
         t0 = knots[0]
@@ -599,7 +634,7 @@ class _NumericWeightSampler:
 
         if self._finite:
             v0 = upper - knots[-1]
-            f_top = math.exp(float(log_f(np.array([knots[-1]]))[0]))
+            f_top = math.exp(float(spec.log_f_from_top(np.array([v0]))[0]))
             self._up_power = up
             self._up_edge = v0
             mass_above = f_top * v0 / (up + 1.0)

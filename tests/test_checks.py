@@ -13,6 +13,7 @@ from expcrm.catalog import (
     BERNOULLI_BETA,
     ODDS_BERNOULLI_BETA_PRIME,
     POISSON_GAMMA,
+    get_entry,
 )
 from expcrm.checks import (
     CheckReport,
@@ -269,6 +270,15 @@ class TestOracleChecks:
         reports = oracle_suite(gamma_prior(), seed=4, reps=1500)
         # 4 probe cells give 4 partitions and 4 rates, plus 3 totals, the
         # predictive, and the weight law
+        assert len(reports) == 13
+        assert all(r.passed for r in reports)
+
+    def test_suite_runs_on_a_steep_bounded_weight_law(self):
+        # the weight law at cell (1, 1) is Beta(0.7, 4.75), which falls
+        # to zero like (1 - theta)^3.75 at its finite top
+        nb = get_entry("negative_binomial", r=2.5)
+        prior = ExpCrmPrior(nb.make_likelihood(), 1.2, (-1.3,), 0.5)
+        reports = oracle_suite(prior, seed=1, reps=300)
         assert len(reports) == 13
         assert all(r.passed for r in reports)
 

@@ -396,3 +396,29 @@ class TestPlumbing:
 
     def test_unknown_suite_exits_2(self, gamma_model, capsys):
         assert main(["verify", "--model", str(gamma_model), "--suite", "everything"]) == 2
+
+    @pytest.mark.parametrize("command", ["posterior", "verify"])
+    def test_serializer_error_leaves_no_output(
+        self, gamma_model, tmp_path, monkeypatch, capsys, command
+    ):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"atoms": [{"x": 1, "loc": "0.25"}]}) + "\n")
+
+        def failing(record, fh, **kwargs):
+            fh.write('{"header": ')
+            raise OSError("injected write fault")
+
+        monkeypatch.setattr(cli.json, "dump", failing)
+        fresh = tmp_path / "fresh.json"
+        older = tmp_path / "older.json"
+        older.write_text("an older run\n")
+        for out in (fresh, older):
+            if command == "posterior":
+                argv = ["posterior", "--model", str(gamma_model), "--data", str(data), "--out", str(out)]
+            else:
+                argv = ["verify", "--model", str(gamma_model), "--report", str(out)]
+            assert main(argv) == 2
+            assert "injected write fault" in capsys.readouterr().err
+        assert not fresh.exists()
+        assert older.read_text() == "an older run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "model.json", "older.json"]

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from expcrm.catalog import BERNOULLI_BETA, POISSON_GAMMA, get_entry
+from expcrm.catalog import BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, POISSON_GAMMA, get_entry
 from expcrm.errors import DomainError, InvalidModelError, TailBoundError
-from expcrm.exp_family import ExpCrmPrior, FixedAtomParams
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, xi_plus
 from expcrm.marginal import (
     MarginalConfig,
     MarginalSampler,
@@ -18,7 +18,7 @@ from expcrm.marginal import (
 )
 from expcrm.measures import Location, ObservationMeasure
 from expcrm.rng import RngState
-from expcrm.size_biased import rate_M
+from expcrm.size_biased import rate_M, weight_dist_params
 
 NB = get_entry("negative_binomial", r=2.5)
 
@@ -240,22 +240,161 @@ class TestUnregisteredFamily:
             assert all(a.count >= 1 for a in obs.atoms)
 
 
-class _FixedUniform:
-    def __init__(self, value):
-        self._value = value
+class _FixedUniforms:
+    """Stands in for a generator: ``uniform(size=k)`` returns the given values."""
 
-    def uniform(self):
-        return self._value
+    def __init__(self, *values):
+        self._values = np.array(values)
+
+    def uniform(self, size):
+        assert size == self._values.size
+        return self._values.copy()
+
+
+def _columns(*params):
+    """Per-atom (xi, lam) pairs as the sampler's atoms x dim and lam columns."""
+    return np.array([[xi] for xi, _ in params]), np.array([lam for _, lam in params])
+
+
+def reference_walk(sampler, u, xi, lam):
+    """The per-atom inverse-cdf walk: one atom, one uniform, chunks of counts."""
+    like = sampler.prior.likelihood
+    bound = like.support_bound
+    chunk = 64 if sampler.table.entry is not None else 8
+    acc = 0.0
+    start = 0
+    while True:
+        stop = start + chunk if bound is None else min(start + chunk, bound + 1)
+        xs = np.arange(start, stop)
+        cum = acc + np.cumsum(np.exp(predictive_logpmf(like, xi, lam, xs)))
+        idx = int(np.searchsorted(cum, u, side="right"))
+        if idx < xs.size:
+            return int(xs[idx])
+        acc = float(cum[-1])
+        if bound is not None and stop > bound:
+            return int(bound)
+        start = stop
+
+
+def reference_stream(sampler, gen, n_steps):
+    """The per-atom stream loop: (location, count) pairs of each step, sorted.
+
+    Every atom on the books walks its own predictive pmf on one scalar
+    uniform, then new atoms arrive; locations are drawn one uniform at a
+    time, skipping taken values.
+    """
+    prior = sampler.prior
+    like = prior.likelihood
+    atoms = [(fa.location.value, fa.xi, fa.lam) for fa in prior.fixed_atoms]
+    steps = []
+    for n in range(1, n_steps + 1):
+        cdf, _ = sampler.table.step(n)
+        emissions = []
+        next_atoms = []
+        for v, xi, lam in atoms:
+            x = reference_walk(sampler, float(gen.uniform()), xi, lam)
+            if x > 0:
+                emissions.append((v, x))
+            next_atoms.append((v, xi_plus(xi, like.phi(x)), lam + 1.0))
+        total = float(cdf[-1])
+        k = int(gen.poisson(total))
+        if k > 0:
+            u = gen.uniform(0.0, total, size=k)
+            counts = sampler.table.xs[
+                np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+            ]
+            counts.sort()
+            taken = {v for v, _, _ in next_atoms}
+            for c in counts:
+                v = float(gen.uniform())
+                while v in taken:
+                    v = float(gen.uniform())
+                taken.add(v)
+                emissions.append((v, int(c)))
+                next_atoms.append((v, *weight_dist_params(prior, n, int(c))))
+        atoms = next_atoms
+        steps.append(sorted(emissions))
+    return steps
+
+
+def _pairs(observations):
+    return [[(a.location.value, a.count) for a in obs.atoms] for obs in observations]
+
+
+def _fixed(*specs):
+    return tuple(FixedAtomParams(Location(v), (xi,), lam) for v, xi, lam in specs)
+
+
+STREAM_PRIORS = {
+    "gamma": gamma_prior(mass=2.0, xi=-1.5, atoms=_fixed((0.3, 0.5, 2.0), (0.7, -0.5, 1.0))),
+    "beta": beta_prior(mass=5.0, xi=-1.0, lam=1.0, atoms=_fixed((0.25, 0.5, 2.0))),
+    "odds": ExpCrmPrior(
+        ODDS_BERNOULLI_BETA_PRIME.make_likelihood(), 2.0, (-1.3,), 1.2, _fixed((0.5, 0.2, 2.0))
+    ),
+    "nb": ExpCrmPrior(NB.make_likelihood(), 2.0, (-1.5,), 3.0, _fixed((0.125, 0.1, 0.5))),
+    # NB(151, 1/2) counts at the fixed atom: every walk crosses the 64-count chunk
+    "gamma-deep": gamma_prior(atoms=_fixed((0.3, 150.0, 1.0))),
+}
+
+
+class TestArrayStreamEquivalence:
+    @pytest.mark.parametrize("name", sorted(STREAM_PRIORS))
+    def test_catalog_streams_match_per_atom_loop(self, name):
+        s = MarginalSampler(STREAM_PRIORS[name], MarginalConfig(x_max=30))
+        for seed in range(4):
+            got = _pairs(s.sample(25, RngState(seed, 3)))
+            assert got == reference_stream(s, RngState(seed, 3).generator(), 25)
+            if name == "gamma-deep":
+                assert min(dict(step)[0.3] for step in got) > 64
+
+    def test_unregistered_clone_matches_per_atom_loop(self):
+        # NB(21, 1/2) counts at the fixed atom cross the 8-count chunks of the generic walk
+        prior = unregistered(gamma_prior(mass=1.5, xi=-1.2, lam=1.1, atoms=_fixed((0.3, 20.0, 1.0))))
+        s = MarginalSampler(prior, MarginalConfig(x_max=10, eps_tail=1e-3))
+        for seed in range(2):
+            got = _pairs(s.sample(3, RngState(seed, 3)))
+            assert got == reference_stream(s, RngState(seed, 3).generator(), 3)
+            assert max(dict(step)[0.3] for step in got) > 8
 
 
 class TestPredictiveWalk:
     def test_walk_is_exactly_inverse_cdf(self):
         s = MarginalSampler(gamma_prior())
         pmf = stats.nbinom(n=1.0, p=0.5)  # atom params (0, 1): xi+1=1, lam/(lam+1)=1/2
-        for u, want in [(0.1, 0), (0.49, 0), (0.51, 1), (0.74, 1), (0.76, 2), (0.99, 6)]:
-            got = s._predictive_walk(_FixedUniform(u), (0.0,), 1.0)
-            assert got == int(pmf.ppf(u)), (u, got)
+        us = (0.1, 0.49, 0.51, 0.74, 0.76, 0.99)
+        got = s._predictive_walk(_FixedUniforms(*us), *_columns(*[(0.0, 1.0)] * len(us)))
+        assert got.tolist() == [int(pmf.ppf(u)) for u in us]
+
+    def test_rows_walk_their_own_chunks(self):
+        # rows leave the walk in different chunks; each keeps its own sums
+        s = MarginalSampler(gamma_prior())
+        params = [(150.0, 1.0), (0.0, 1.0), (60.0, 1.0), (150.0, 1.0), (0.5, 2.0)]
+        us = (0.5, 0.3, 0.999, 0.01, 0.9)
+        got = s._predictive_walk(_FixedUniforms(*us), *_columns(*params))
+        want = [reference_walk(s, u, (xi,), lam) for u, (xi, lam) in zip(us, params)]
+        assert got.tolist() == want
+        assert want[0] > 128 and want[2] > 64 and want[1] < 64
+
+    def test_no_atoms_draw_nothing(self):
+        s = MarginalSampler(gamma_prior())
+        untouchable = object()  # any draw from it would raise AttributeError
+        got = s._predictive_walk(untouchable, np.zeros((0, 1)), np.zeros(0))
+        assert got.size == 0
 
     def test_walk_caps_at_the_support_bound(self):
+        # parameters where P(0) + P(1) rounds below 1, so a uniform in the
+        # last float ulp of the cdf runs past both counts
         s = MarginalSampler(beta_prior())
-        assert s._predictive_walk(_FixedUniform(1.0 - 1e-16), (0.0,), 2.0) == 1
+        like = s.prior.likelihood
+        top = np.nextafter(1.0, 0.0)
+        for xi in np.linspace(-0.9, 3.0, 400):
+            cum = np.cumsum(np.exp(predictive_logpmf(like, (xi,), 2.0, np.arange(2))))
+            if cum[-1] <= top:
+                break
+        else:
+            pytest.fail("no parameters with a cdf short of 1 found")
+        params = [(xi, 2.0), (0.0, 2.0), (xi, 2.0)]
+        us = (top, 0.1, 0.2)
+        got = s._predictive_walk(_FixedUniforms(*us), *_columns(*params))
+        assert got.tolist() == [reference_walk(s, u, (x,), lam) for u, (x, lam) in zip(us, params)]
+        assert got[0] == 1

@@ -366,6 +366,22 @@ class TestNumericWeightSampler:
         err = np.abs(nws.cdf(ts) - stats.gamma(a=1.0, scale=0.5).cdf(ts)).max()
         assert err <= 1e-3
 
+    @pytest.mark.parametrize(
+        "entry, xi, lam",
+        [(NB, xi, lam) for xi in (-0.3, 0.5) for lam in (1.5, 3.0)]
+        + [(BERNOULLI_BETA, xi, lam) for xi in (-0.5, 1.0) for lam in (3.0, 6.0)],
+    )
+    def test_steep_bounded_laws_build(self, entry, xi, lam):
+        # weight laws that fall to zero like (1 - t)^p, p >= 3.5, at the top
+        # of (0, 1): the panels next to 1 are integrated in the distance to it
+        nws = _NumericWeightSampler(entry.make_likelihood(), (xi,), lam)
+        b = lam * entry.r + 1.0 if entry is NB else lam - xi + 1.0
+        ts = np.concatenate(
+            [np.linspace(0.0, 1.0, 20_001), np.geomspace(1e-12, 1e-3, 200), 1.0 - np.geomspace(1e-12, 1e-3, 200)]
+        )
+        err = np.abs(nws.cdf(ts) - stats.beta(xi + 1.0, b).cdf(ts)).max()
+        assert err <= 2.5e-3
+
     def test_improper_parameters_rejected(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
         with pytest.raises(DomainError, match="not normalizable"):

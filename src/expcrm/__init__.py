@@ -15,126 +15,65 @@ Entry points:
   generative processes,
 * :func:`run_suite` for numeric verification of a model,
 * ``expcrm`` (console script, :func:`expcrm.cli.main`) for batch use.
+
+``import expcrm`` loads no submodule: each public name below is read from
+its module the first time it is used (PEP 562), so only code that touches
+the verification layer pays for ``scipy.stats``.
 """
 
-from .catalog import (
-    BERNOULLI_BETA,
-    ODDS_BERNOULLI_BETA_PRIME,
-    POISSON_GAMMA,
-    entry_for,
-    get_entry,
-    hyperparam_valid,
-    list_entries,
-)
-from .checks import (
-    CheckReport,
-    check_assumptions,
-    equivalence_run,
-    run_suite,
-)
-from .config import ModelConfig, parse_model_config
-from .errors import (
-    ConfigError,
-    DivergenceSuspected,
-    DomainError,
-    ExpCrmError,
-    InvalidModelError,
-    InvalidObservationError,
-    QuadratureError,
-    RngFaultError,
-    SingularityMismatch,
-    TailBoundError,
-)
-from .exp_family import (
-    ExpCrmLikelihood,
-    ExpCrmPrior,
-    FixedAtomParams,
-    ValidityResult,
-    WeightDomain,
-    auto_conjugate,
-    fixed_atom_density,
-    log_conjugate_kernel,
-    log_partition_B,
-    weight_rate_density,
-)
-from .marginal import MarginalConfig, MarginalSampler, new_atom_rate, predictive_logpmf, sample_marginal
-from .measures import (
-    Atom,
-    Location,
-    ObservationAtom,
-    ObservationMeasure,
-    TraitMeasure,
-    TruncationMeta,
-)
-from .posterior import PosteriorCrm, iterated_equals_batch, posterior_update
-from .rng import RngState, as_generator
-from .size_biased import (
-    LabeledDraw,
-    SizeBiasedConfig,
-    SizeBiasedSampler,
-    rate_M,
-    round_total,
-    sample_size_biased,
-    weight_dist_params,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "BERNOULLI_BETA",
-    "CheckReport",
-    "ConfigError",
-    "DivergenceSuspected",
-    "DomainError",
-    "ExpCrmError",
-    "ExpCrmLikelihood",
-    "ExpCrmPrior",
-    "FixedAtomParams",
-    "InvalidModelError",
-    "InvalidObservationError",
-    "LabeledDraw",
-    "Location",
-    "MarginalConfig",
-    "MarginalSampler",
-    "ModelConfig",
-    "ODDS_BERNOULLI_BETA_PRIME",
-    "ObservationAtom",
-    "ObservationMeasure",
-    "POISSON_GAMMA",
-    "PosteriorCrm",
-    "QuadratureError",
-    "RngFaultError",
-    "RngState",
-    "SingularityMismatch",
-    "SizeBiasedConfig",
-    "SizeBiasedSampler",
-    "TailBoundError",
-    "TraitMeasure",
-    "TruncationMeta",
-    "ValidityResult",
-    "WeightDomain",
-    "as_generator",
-    "auto_conjugate",
-    "check_assumptions",
-    "entry_for",
-    "equivalence_run",
-    "fixed_atom_density",
-    "get_entry",
-    "hyperparam_valid",
-    "iterated_equals_batch",
-    "list_entries",
-    "log_conjugate_kernel",
-    "log_partition_B",
-    "new_atom_rate",
-    "parse_model_config",
-    "posterior_update",
-    "predictive_logpmf",
-    "rate_M",
-    "round_total",
-    "run_suite",
-    "sample_marginal",
-    "sample_size_biased",
-    "weight_dist_params",
-    "weight_rate_density",
-]
+# each public name, listed once under the module it is read from
+_EXPORTS = {
+    "catalog": (
+        "BERNOULLI_BETA", "ODDS_BERNOULLI_BETA_PRIME", "POISSON_GAMMA", "entry_for", "get_entry",
+        "hyperparam_valid", "list_entries",
+    ),
+    "checks": ("CheckReport", "check_assumptions", "equivalence_run", "run_suite"),
+    "config": ("ModelConfig", "parse_model_config"),
+    "errors": (
+        "ConfigError", "DivergenceSuspected", "DomainError", "ExpCrmError", "InvalidModelError",
+        "InvalidObservationError", "QuadratureError", "RngFaultError", "SingularityMismatch",
+        "TailBoundError",
+    ),
+    "exp_family": (
+        "ExpCrmLikelihood", "ExpCrmPrior", "FixedAtomParams", "ValidityResult", "WeightDomain",
+        "auto_conjugate", "fixed_atom_density", "log_conjugate_kernel", "log_partition_B",
+        "weight_rate_density",
+    ),
+    "marginal": (
+        "MarginalConfig", "MarginalSampler", "new_atom_rate", "predictive_logpmf",
+        "sample_marginal",
+    ),
+    "measures": (
+        "Atom", "Location", "ObservationAtom", "ObservationMeasure", "TraitMeasure",
+        "TruncationMeta",
+    ),
+    "posterior": ("PosteriorCrm", "iterated_equals_batch", "posterior_update"),
+    "rng": ("RngState", "as_generator"),
+    "size_biased": (
+        "LabeledDraw", "SizeBiasedConfig", "SizeBiasedSampler", "rate_M", "round_total",
+        "sample_size_biased", "weight_dist_params",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+# submodules the package namespace has always offered as attributes
+_SUBMODULES = {*_EXPORTS, "quadrature"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

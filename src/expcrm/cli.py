@@ -40,7 +40,6 @@ import os
 import sys
 
 from .catalog import get_entry, list_entries
-from .checks import run_suite
 from .config import ModelConfig, model_config_from_dict, parse_model_config
 from .errors import ConfigError, ExpCrmError
 from .marginal import MarginalConfig, MarginalSampler
@@ -290,6 +289,8 @@ def _cmd_sample_marginal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import run_suite  # loads scipy.stats, which no other command needs
+
     cfg = parse_model_config(args.model)
     prior = cfg.build_prior()
     seed = _effective_seed(cfg, args)

@@ -338,7 +338,7 @@ def parse_model_config(path) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
         data = json.loads(text)

@@ -401,12 +401,15 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 def read_jsonl(path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
     return records

@@ -20,7 +20,6 @@ from .exp_family import (
     ExpCrmPrior,
     FixedAtomParams,
     fixed_atom_density,
-    xi_plus,
 )
 from .measures import Location, ObservationMeasure
 

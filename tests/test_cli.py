@@ -422,3 +422,16 @@ class TestPlumbing:
         assert not fresh.exists()
         assert older.read_text() == "an older run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "model.json", "older.json"]
+
+    @pytest.mark.parametrize("command", ["posterior", "sample-prior"])
+    def test_non_utf8_input_exits_2(self, gamma_model, tmp_path, capsys, command):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        out = tmp_path / "out"
+        if command == "posterior":
+            argv = ["posterior", "--model", str(gamma_model), "--data", str(bad), "--out", str(out)]
+        else:
+            argv = ["sample-prior", "--model", str(bad), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bin", "model.json"]

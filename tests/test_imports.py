@@ -1,0 +1,196 @@
+"""What the package imports, and what ``expcrm`` exports.
+
+An ``ast`` scan keeps every module free of imports it never reads.  The
+export table in ``expcrm/__init__.py`` is checked against a pinned copy
+of the public names, each name against the object its module defines,
+and, in fresh interpreters, that ``import expcrm`` loads no submodule
+and that only ``verify`` loads ``scipy.stats``.
+"""
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import expcrm
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "expcrm").glob("*.py"))
+
+PUBLIC = [
+    "Atom", "BERNOULLI_BETA", "CheckReport", "ConfigError", "DivergenceSuspected", "DomainError",
+    "ExpCrmError", "ExpCrmLikelihood", "ExpCrmPrior", "FixedAtomParams", "InvalidModelError",
+    "InvalidObservationError", "LabeledDraw", "Location", "MarginalConfig", "MarginalSampler",
+    "ModelConfig", "ODDS_BERNOULLI_BETA_PRIME", "ObservationAtom", "ObservationMeasure",
+    "POISSON_GAMMA", "PosteriorCrm", "QuadratureError", "RngFaultError", "RngState",
+    "SingularityMismatch", "SizeBiasedConfig", "SizeBiasedSampler", "TailBoundError",
+    "TraitMeasure", "TruncationMeta", "ValidityResult", "WeightDomain", "as_generator",
+    "auto_conjugate", "check_assumptions", "entry_for", "equivalence_run", "fixed_atom_density",
+    "get_entry", "hyperparam_valid", "iterated_equals_batch", "list_entries",
+    "log_conjugate_kernel", "log_partition_B", "new_atom_rate", "parse_model_config",
+    "posterior_update", "predictive_logpmf", "rate_M", "round_total", "run_suite",
+    "sample_marginal", "sample_size_biased", "weight_dist_params", "weight_rate_density",
+]
+# every submodule the package namespace offered when it imported them all
+SUBMODULES = [
+    "catalog", "checks", "config", "errors", "exp_family", "marginal", "measures", "posterior",
+    "quadrature", "rng", "size_biased",
+]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Module-level imports whose bound name the module never reads.
+
+    A line marked ``# noqa: F401`` is a deliberate re-export and exempt.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read and "noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(bound)
+    return unused
+
+
+def run_python(code: str, cwd) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this package; its stdout lines."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+class TestUnusedImports:
+    def test_scan_flags_an_unread_import(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os\n"
+            "import os.path as osp\n"
+            "from json import (\n    dumps,\n    loads,  # noqa: F401\n)\n"
+            "import sys\n"
+            "print(sys.argv, dumps)\n"
+        )
+        assert unused_imports(source) == ["os", "osp"]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_module_reads_every_import(self, path):
+        assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+class TestExportTable:
+    def test_all_is_pinned(self):
+        assert expcrm.__all__ == PUBLIC
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_name_is_its_modules_object(self, name):
+        owners = [
+            m for m in SUBMODULES if name in vars(importlib.import_module(f"expcrm.{m}"))
+        ]
+        assert owners
+        for module in owners:
+            assert getattr(expcrm, name) is getattr(sys.modules[f"expcrm.{module}"], name)
+
+    @pytest.mark.parametrize("module", SUBMODULES)
+    def test_submodule_attribute(self, module):
+        assert getattr(expcrm, module) is importlib.import_module(f"expcrm.{module}")
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from expcrm import *", namespace)
+        assert set(PUBLIC) <= set(namespace)
+        assert all(namespace[name] is getattr(expcrm, name) for name in PUBLIC)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            expcrm.no_such_name  # noqa: B018
+        assert not hasattr(expcrm, "no_such_name")
+
+    def test_dir_lists_the_public_names(self):
+        assert set(PUBLIC) | set(SUBMODULES) <= set(dir(expcrm))
+
+
+class TestLazyLoading:
+    def test_import_loads_no_submodule_and_no_scipy(self, tmp_path):
+        (line,) = run_python(
+            "import json, sys\n"
+            "import expcrm\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m.startswith(('expcrm.', 'scipy.')) or m == 'scipy')))\n",
+            tmp_path,
+        )
+        assert json.loads(line) == []
+
+    def test_submodule_attribute_loads_on_first_read(self, tmp_path):
+        (line,) = run_python(
+            "import expcrm\n"
+            "print(expcrm.quadrature.__name__, expcrm.checks.run_suite is expcrm.run_suite)\n",
+            tmp_path,
+        )
+        assert line == "expcrm.quadrature True"
+
+    @pytest.mark.parametrize(
+        "command,stats_loaded",
+        [
+            ("families", False),
+            ("sample-prior", False),
+            ("sample-marginal", False),
+            ("posterior", False),
+            ("verify", True),
+        ],
+    )
+    def test_only_verify_loads_scipy_stats(self, tmp_path, command, stats_loaded):
+        model = tmp_path / "model.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "likelihood": "poisson",
+                    "params": {"mass": 1.0, "xi": -1.0, "lam": 1.0},
+                    "truncation": {"rounds": 20, "x_max": 40, "eps_tail": 1e-4},
+                    "seed": 3,
+                }
+            )
+        )
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"atoms": [{"x": 1, "loc": "0.25"}]}) + "\n")
+        argv = {
+            "families": ["families", "list"],
+            # fewer than 8 replicates run in this process, not in a pool
+            "sample-prior": ["sample-prior", "--model", "model.json", "--reps", "3",
+                             "--out", "draws.jsonl"],
+            "sample-marginal": ["sample-marginal", "--model", "model.json", "--n", "3",
+                                "--reps", "2", "--out", "obs.jsonl"],
+            "posterior": ["posterior", "--model", "model.json", "--data", "data.jsonl",
+                          "--out", "post.json"],
+            "verify": ["verify", "--model", "model.json"],
+        }[command]
+        lines = run_python(
+            "import sys\n"
+            "from expcrm.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'scipy.stats' in sys.modules)\n",
+            tmp_path,
+        )
+        assert lines[-1] == f"0 {stats_loaded}"

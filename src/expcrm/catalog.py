@@ -21,6 +21,13 @@ kernel mass diverges logarithmically at zero, which is the boundary case
 (for the beta process this point, xi = -1 with lam = -1, is the classic
 Indian buffet process with new-dish rate mass/n).
 
+A family states only its own facts: eta and A, the count support bound and
+the weight domain, the stable overrides, B and the kernel orders, its round
+totals and weight law, its lam condition and its descriptor lines.
+:class:`CatalogEntry` derives the rest once: phi(x) = x, the scalar h from
+``log_h_vec``, the weight bound of the draws, the descriptor's ids, counts
+and weights, and the xi range (-2, -1].
+
 The beta process additionally exists in its native three-parameter form
 (mass, alpha, theta_c). Two maps connect the parametrizations and they are
 not the same map:
@@ -87,11 +94,13 @@ class CatalogEntry:
 
     Subclasses fill in the family specifics; the base class implements
     everything expressible through the log normalizer ``_log_B0`` alone,
-    relying on the shared structure phi(x) = x of the catalog.
+    relying on the shared structure phi(x) = x and h(0) = 1 of the catalog.
     """
 
     likelihood_id: str = ""
     prior_id: str = ""
+    # the family's own descriptor lines: valid, native, fixed_atoms
+    _descriptor: dict = {}
 
     def __init__(self):
         self._likelihood: Optional[ExpCrmLikelihood] = None
@@ -105,14 +114,28 @@ class CatalogEntry:
 
     def make_likelihood(self) -> ExpCrmLikelihood:
         if self._likelihood is None:
-            self._likelihood = self._build_likelihood()
+            self._likelihood = ExpCrmLikelihood(
+                family=self.family,
+                log_h=lambda x: float(self.log_h_vec(x)),
+                phi=lambda x: (float(x),),  # the identity every closed form below assumes
+                **self._likelihood_fields(),
+            )
         return self._likelihood
 
-    def _build_likelihood(self) -> ExpCrmLikelihood:
+    def _likelihood_fields(self) -> dict:
+        """The family's remaining ``ExpCrmLikelihood`` fields."""
         raise NotImplementedError
 
     def describe(self) -> dict:
-        raise NotImplementedError
+        like = self.make_likelihood()
+        bound = like.support_bound
+        return {
+            "likelihood": self.likelihood_id,
+            "prior": self.prior_id,
+            "counts": "0, 1, 2, ..." if bound is None else ", ".join(map(str, range(bound + 1))),
+            "weights": like.weight_domain.label(),
+            **self._descriptor,
+        }
 
     # -- closed forms -------------------------------------------------------
 
@@ -137,7 +160,7 @@ class CatalogEntry:
 
         The top power is None for faster-than-power decay.  The orders of
         every rate, total and predictive integrand follow from these by
-        conjugacy (see ``expcrm.checks``).
+        conjugacy (see ``expcrm.size_biased._integrand_orders``).
         """
         raise NotImplementedError
 
@@ -150,6 +173,14 @@ class CatalogEntry:
         return self._region_valid(xi0, lam) if res.ok else res
 
     def _region_valid(self, xi0: float, lam: float) -> ValidityResult:
+        """The catalog's xi range (-2, -1], then the family's lam condition."""
+        if xi0 > -1.0:
+            return _fail(f"A1 fails: xi must be <= -1 for infinite ordinary mass, got {xi0:g}")
+        if xi0 <= -2.0:
+            return _fail(f"A2 fails: xi must exceed -2 for a finite atom rate, got {xi0:g}")
+        return self._lam_valid(xi0, lam)
+
+    def _lam_valid(self, xi0: float, lam: float) -> ValidityResult:
         raise NotImplementedError
 
     def fixed_atom_valid(self, xi, lam: float) -> ValidityResult:
@@ -212,9 +243,6 @@ class CatalogEntry:
             - self._log_B0(xi0_eff, lam_eff)
         )
 
-    # weights must fall in the open interval (0, _weight_hi)
-    _weight_hi: float = math.inf
-
     def _draw_weights(self, generator, xi0: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """One weight per entry of the equal-length ``xi0``/``lam`` arrays.
 
@@ -241,9 +269,10 @@ class CatalogEntry:
         lam = np.broadcast_to(np.asarray(lam, dtype=float), size)
         if not np.all(self._proper0(xi0, lam)):
             raise DomainError("weight draws need proper (xi, lam)")
+        hi = self.make_likelihood().weight_domain.upper
         vals = self._draw_weights(generator, xi0, lam)
         for _ in range(100):
-            bad = ~((vals > 0.0) & (vals < self._weight_hi))
+            bad = ~((vals > 0.0) & (vals < hi))
             if not bad.any():
                 return vals
             if not redraw:
@@ -302,6 +331,12 @@ class _NativeBeta(CatalogEntry):
         return ExpCrmPrior(self.make_likelihood(), mass, xi, lam, atoms)
 
 
+def _binary_log_h(self, x):
+    """log h of the two binary families: h = 1 on the counts 0 and 1."""
+    x = np.asarray(x, dtype=np.int64)
+    return np.where((x == 0) | (x == 1), 0.0, -np.inf)
+
+
 # --- poisson / gamma_process --------------------------------------------------
 
 
@@ -310,12 +345,13 @@ class PoissonGamma(CatalogEntry):
 
     likelihood_id = "poisson"
     prior_id = "gamma_process"
+    _descriptor = {
+        "valid": "mass > 0, -2 < xi <= -1, lam > 0",
+        "fixed_atoms": "xi_fix > -1, lam_fix > 0",
+    }
 
-    def _build_likelihood(self) -> ExpCrmLikelihood:
-        return ExpCrmLikelihood(
-            family=self.family,
-            log_h=lambda x: -float(gammaln(x + 1.0)),
-            phi=lambda x: (float(x),),
+    def _likelihood_fields(self) -> dict:
+        return dict(
             eta=lambda th: np.log(th)[:, None],
             A=lambda th: np.asarray(th, dtype=float),
             support_bound=None,
@@ -342,11 +378,7 @@ class PoissonGamma(CatalogEntry):
             )
         return _xi0(xi), (_xi0(xi) if lam == 0.0 else None)
 
-    def _region_valid(self, xi0, lam):
-        if xi0 > -1.0:
-            return _fail(f"A1 fails: xi must be <= -1 for infinite ordinary mass, got {xi0:g}")
-        if xi0 <= -2.0:
-            return _fail(f"A2 fails: xi must exceed -2 for a finite atom rate, got {xi0:g}")
+    def _lam_valid(self, xi0, lam):
         if not lam > 0.0:
             return _fail(f"A2 fails: lam must be positive for a finite atom rate, got {lam:g}")
         return _OK
@@ -373,16 +405,6 @@ class PoissonGamma(CatalogEntry):
     def _draw_weights(self, generator, xi0, lam):
         return generator.gamma(xi0 + 1.0, 1.0 / lam)
 
-    def describe(self):
-        return {
-            "likelihood": self.likelihood_id,
-            "prior": self.prior_id,
-            "counts": "0, 1, 2, ...",
-            "weights": "(0, inf)",
-            "valid": "mass > 0, -2 < xi <= -1, lam > 0",
-            "fixed_atoms": "xi_fix > -1, lam_fix > 0",
-        }
-
 
 # --- bernoulli / beta_process -------------------------------------------------
 
@@ -402,8 +424,15 @@ class BernoulliBeta(_NativeBeta):
 
     likelihood_id = "bernoulli"
     prior_id = "beta_process"
+    _descriptor = {
+        "valid": "mass > 0, -2 < xi <= -1, lam > xi - 1 "
+        "(union with the native alias range xi in [-1, 0), lam > -xi - 3, with a warning)",
+        "native": "mass > 0, 0 <= alpha < 1, theta > -alpha",
+        "fixed_atoms": "xi_fix > -1, lam_fix > xi_fix - 1",
+    }
+    log_h_vec = _binary_log_h
 
-    def _build_likelihood(self) -> ExpCrmLikelihood:
+    def _likelihood_fields(self) -> dict:
         def log_pmf_fn(x, th):
             # stable at the closed upper boundary theta = 1, where
             # P(0) = 0 comes out as log1p(-1) = -inf
@@ -412,10 +441,7 @@ class BernoulliBeta(_NativeBeta):
                     return np.log(th)
                 return np.log1p(-th)
 
-        return ExpCrmLikelihood(
-            family=self.family,
-            log_h=lambda x: 0.0 if x in (0, 1) else -math.inf,
-            phi=lambda x: (float(x),),
+        return dict(
             eta=lambda th: (np.log(th) - np.log1p(-th))[:, None],
             A=lambda th: -np.log1p(-th),
             support_bound=1,
@@ -425,10 +451,6 @@ class BernoulliBeta(_NativeBeta):
             log_kernel_upper_fn=lambda xi, lam, v: xi[0] * np.log1p(-v) + (lam - xi[0]) * np.log(v),
             sample_fn=lambda gen, th: (gen.random(len(th)) < th).astype(np.int64),
         )
-
-    def log_h_vec(self, x):
-        x = np.asarray(x, dtype=np.int64)
-        return np.where((x == 0) | (x == 1), 0.0, -np.inf)
 
     def _log_B0(self, xi0, lam):
         return betaln(xi0 + 1.0, lam - xi0 + 1.0)
@@ -470,8 +492,6 @@ class BernoulliBeta(_NativeBeta):
         m = np.asarray(m, dtype=float)
         return mass * np.exp(betaln(xi0 + 2.0, lam - xi0 + m))
 
-    _weight_hi = 1.0
-
     def _draw_weights(self, generator, xi0, lam):
         return generator.beta(xi0 + 1.0, lam - xi0 + 1.0)
 
@@ -480,18 +500,6 @@ class BernoulliBeta(_NativeBeta):
 
     def _native_fixed_lam(self, rho, sigma):
         return rho + sigma - 2.0
-
-    def describe(self):
-        return {
-            "likelihood": self.likelihood_id,
-            "prior": self.prior_id,
-            "counts": "0, 1",
-            "weights": "(0, 1]",
-            "valid": "mass > 0, -2 < xi <= -1, lam > xi - 1 "
-            "(union with the native alias range xi in [-1, 0), lam > -xi - 3, with a warning)",
-            "native": "mass > 0, 0 <= alpha < 1, theta > -alpha",
-            "fixed_atoms": "xi_fix > -1, lam_fix > xi_fix - 1",
-        }
 
 
 # --- odds_bernoulli / beta_prime_process ---------------------------------------
@@ -502,17 +510,19 @@ class OddsBernoulliBetaPrime(CatalogEntry):
 
     likelihood_id = "odds_bernoulli"
     prior_id = "beta_prime_process"
+    _descriptor = {
+        "valid": "mass > 0, -2 < xi <= -1, lam > xi + 1",
+        "fixed_atoms": "xi_fix > -1, lam_fix > xi_fix + 1",
+    }
+    log_h_vec = _binary_log_h
 
-    def _build_likelihood(self) -> ExpCrmLikelihood:
+    def _likelihood_fields(self) -> dict:
         def log_pmf_fn(x, th):
             if x == 1:
                 return np.log(th) - np.log1p(th)
             return -np.log1p(th)
 
-        return ExpCrmLikelihood(
-            family=self.family,
-            log_h=lambda x: 0.0 if x in (0, 1) else -math.inf,
-            phi=lambda x: (float(x),),
+        return dict(
             eta=lambda th: np.log(th)[:, None],
             A=lambda th: np.log1p(th),
             support_bound=1,
@@ -521,10 +531,6 @@ class OddsBernoulliBetaPrime(CatalogEntry):
             log_kernel_fn=lambda xi, lam, th: xi[0] * np.log(th) - lam * np.log1p(th),
             sample_fn=lambda gen, th: (gen.random(len(th)) * (1.0 + th) < th).astype(np.int64),
         )
-
-    def log_h_vec(self, x):
-        x = np.asarray(x, dtype=np.int64)
-        return np.where((x == 0) | (x == 1), 0.0, -np.inf)
 
     def _log_B0(self, xi0, lam):
         return betaln(xi0 + 1.0, lam - xi0 - 1.0)
@@ -535,11 +541,7 @@ class OddsBernoulliBetaPrime(CatalogEntry):
     def kernel_orders(self, xi, lam):
         return _xi0(xi), _xi0(xi) - lam
 
-    def _region_valid(self, xi0, lam):
-        if xi0 > -1.0:
-            return _fail(f"A1 fails: xi must be <= -1 for infinite ordinary mass, got {xi0:g}")
-        if xi0 <= -2.0:
-            return _fail(f"A2 fails: xi must exceed -2, got {xi0:g}")
+    def _lam_valid(self, xi0, lam):
         if not lam > xi0 + 1.0:
             return _fail(f"A2 fails: lam must exceed xi + 1 for a convergent tail, got {lam:g}")
         return _OK
@@ -555,16 +557,6 @@ class OddsBernoulliBetaPrime(CatalogEntry):
         with np.errstate(divide="ignore"):
             return y / (1.0 - y)
 
-    def describe(self):
-        return {
-            "likelihood": self.likelihood_id,
-            "prior": self.prior_id,
-            "counts": "0, 1",
-            "weights": "(0, inf)",
-            "valid": "mass > 0, -2 < xi <= -1, lam > xi + 1",
-            "fixed_atoms": "xi_fix > -1, lam_fix > xi_fix + 1",
-        }
-
 
 # --- negative_binomial(r) / beta -----------------------------------------------
 
@@ -574,6 +566,12 @@ class NegativeBinomialBeta(_NativeBeta):
 
     likelihood_id = "negative_binomial"
     prior_id = "beta"
+    _descriptor = {
+        "likelihood": "negative_binomial(r)",
+        "valid": "mass > 0, -2 < xi <= -1, lam * r > -1, r > 0",
+        "native": "mass > 0, 0 <= alpha < 1, theta > -alpha",
+        "fixed_atoms": "xi_fix > -1, lam_fix * r > -1",
+    }
 
     def __init__(self, r: float):
         if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0.0):
@@ -585,21 +583,14 @@ class NegativeBinomialBeta(_NativeBeta):
     def family(self) -> str:
         return f"negative_binomial({format(self.r, 'g')})"
 
-    def _build_likelihood(self) -> ExpCrmLikelihood:
+    def _likelihood_fields(self) -> dict:
         r = self.r
-
-        def log_h(x):
-            return float(gammaln(x + r) - gammaln(r) - gammaln(x + 1.0))
-
-        return ExpCrmLikelihood(
-            family=self.family,
-            log_h=log_h,
-            phi=lambda x: (float(x),),
+        return dict(
             eta=lambda th: np.log(th)[:, None],
             A=lambda th: -r * np.log1p(-th),
             support_bound=None,
             weight_domain=WeightDomain(1.0),
-            log_pmf_fn=lambda x, th: log_h(x) + x * np.log(th) + r * np.log1p(-th),
+            log_pmf_fn=lambda x, th: self.log_h_vec(x) + x * np.log(th) + r * np.log1p(-th),
             log_kernel_fn=lambda xi, lam, th: xi[0] * np.log(th) + lam * r * np.log1p(-th),
             log_kernel_upper_fn=lambda xi, lam, v: xi[0] * np.log1p(-v) + lam * r * np.log(v),
             sample_fn=lambda gen, th: gen.negative_binomial(r, 1.0 - th),
@@ -618,11 +609,7 @@ class NegativeBinomialBeta(_NativeBeta):
     def kernel_orders(self, xi, lam):
         return _xi0(xi), lam * self.r
 
-    def _region_valid(self, xi0, lam):
-        if xi0 > -1.0:
-            return _fail(f"A1 fails: xi must be <= -1 for infinite ordinary mass, got {xi0:g}")
-        if xi0 <= -2.0:
-            return _fail(f"A2 fails: xi must exceed -2, got {xi0:g}")
+    def _lam_valid(self, xi0, lam):
         if not lam * self.r > -1.0:
             return _fail(
                 f"A2 fails: lam * r must exceed -1 for a normalizable round weight, "
@@ -688,8 +675,6 @@ class NegativeBinomialBeta(_NativeBeta):
             )
         return mass * out
 
-    _weight_hi = 1.0
-
     def _draw_weights(self, generator, xi0, lam):
         return generator.beta(xi0 + 1.0, lam * self.r + 1.0)
 
@@ -698,17 +683,6 @@ class NegativeBinomialBeta(_NativeBeta):
 
     def _native_fixed_lam(self, rho, sigma):
         return (sigma - 1.0) / self.r
-
-    def describe(self):
-        return {
-            "likelihood": f"{self.likelihood_id}(r)",
-            "prior": self.prior_id,
-            "counts": "0, 1, 2, ...",
-            "weights": "(0, 1)",
-            "valid": "mass > 0, -2 < xi <= -1, lam * r > -1, r > 0",
-            "native": "mass > 0, 0 <= alpha < 1, theta > -alpha",
-            "fixed_atoms": "xi_fix > -1, lam_fix * r > -1",
-        }
 
 
 # --- registry -----------------------------------------------------------------
@@ -724,8 +698,7 @@ def get_entry(likelihood_id: str, r: float | None = None) -> CatalogEntry:
         if r is None:
             raise DomainError("negative_binomial needs the shape parameter r")
         key = f"negative_binomial({format(float(r), 'g')})"
-        entry = _ENTRIES.get(key)
-        return entry if entry is not None else NegativeBinomialBeta(r)
+        return _ENTRIES.get(key) or NegativeBinomialBeta(r)
     if r is not None:
         raise DomainError(f"family {likelihood_id!r} takes no shape parameter")
     entry = _ENTRIES.get(likelihood_id)
@@ -738,11 +711,10 @@ def get_entry(likelihood_id: str, r: float | None = None) -> CatalogEntry:
 
 
 def list_entries() -> list[CatalogEntry]:
-    """Base catalog entries in definition order (one negative binomial
-    representative appears only if some r was instantiated)."""
-    return [POISSON_GAMMA, BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME] + [
-        e for k, e in _ENTRIES.items() if k.startswith("negative_binomial(")
-    ]
+    """One entry per catalog family in definition order, the negative
+    binomial at r = 1."""
+    nb = get_entry("negative_binomial", 1.0)
+    return [POISSON_GAMMA, BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, nb]
 
 
 # --- native beta-process alias --------------------------------------------------

@@ -85,7 +85,7 @@ class CheckReport:
     """Outcome of one verification check.
 
     ``statistic`` is compared against ``threshold`` in the direction of
-    ``comparison`` (``"<="`` or ``">="``); ``passed`` records the verdict
+    ``comparison`` (``"<="``, ``">="`` or ``"<"``); ``passed`` records the verdict
     so a serialized report stays self-contained.
     """
 
@@ -533,12 +533,19 @@ def run_suite(
     seed: int = 0,
     reps: int = 2000,
     alpha: float = 0.01,
+    x_max: int = 50,
+    eps_tail: float = 1e-6,
 ) -> list[CheckReport]:
-    """Run one named verification suite and return its reports."""
+    """Run one named verification suite and return its reports.
+
+    ``x_max`` and ``eps_tail`` truncate the equivalence suite's rounds 1-3.
+    """
     if suite == "assumptions":
         return check_assumptions(prior)
     if suite == "oracle":
         return oracle_suite(prior, seed=seed, reps=max(reps, 1000))
     if suite == "equivalence":
-        return equivalence_run(prior, reps=reps, seed=seed, alpha=alpha)
+        return equivalence_run(
+            prior, reps=reps, seed=seed, x_max=x_max, eps_tail=eps_tail, alpha=alpha
+        )
     raise DomainError(f"unknown suite {suite!r}; choose one of {', '.join(_SUITES)}")

@@ -39,7 +39,7 @@ import multiprocessing
 import os
 import sys
 
-from .catalog import get_entry, list_entries
+from .catalog import list_entries
 from .config import ModelConfig, model_config_from_dict, parse_model_config
 from .errors import ConfigError, ExpCrmError
 from .marginal import MarginalConfig, MarginalSampler
@@ -87,18 +87,7 @@ def _effective_seed(cfg: ModelConfig, args) -> int:
 
 
 def _cmd_families(args) -> int:
-    # make sure one negative binomial representative is instantiated, so
-    # the listing always shows all four catalog pairs
-    get_entry("negative_binomial", 1.0)
-    seen = set()
-    descriptors = []
-    for entry in list_entries():
-        desc = entry.describe()
-        if desc["likelihood"] in seen:
-            continue
-        seen.add(desc["likelihood"])
-        descriptors.append(desc)
-    print(json.dumps(descriptors, indent=2))
+    print(json.dumps([e.describe() for e in list_entries()], indent=2))
     return 0
 
 
@@ -294,7 +283,9 @@ def _cmd_verify(args) -> int:
     cfg = parse_model_config(args.model)
     prior = cfg.build_prior()
     seed = _effective_seed(cfg, args)
-    reports = run_suite(prior, args.suite, seed=seed, reps=args.reps)
+    reports = run_suite(
+        prior, args.suite, seed=seed, reps=args.reps, x_max=cfg.x_max, eps_tail=cfg.eps_tail
+    )
     for report in reports:
         print(report)
     passed = all(r.passed for r in reports)
@@ -370,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         choices=["assumptions", "oracle", "equivalence"],
         default="assumptions",
-        help="which checks to run",
+        help="which checks to run; equivalence compares rounds 1-3 whatever the config's rounds",
     )
     ver.add_argument("--seed", type=_nonneg_int, default=None, help="override config seed")
     ver.add_argument("--reps", type=_positive_int, default=2000, help="Monte Carlo replicates")

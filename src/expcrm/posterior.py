@@ -65,21 +65,6 @@ class PosteriorCrm:
         raise DomainError(f"no fixed atom at location {location.value}")
 
 
-def _check_counts(likelihood: ExpCrmLikelihood, observations) -> None:
-    for n, obs in enumerate(observations):
-        if not isinstance(obs, ObservationMeasure):
-            raise DomainError(
-                f"observation {n} must be an ObservationMeasure, got {type(obs).__name__}"
-            )
-        for atom in obs.atoms:
-            if not likelihood.in_support(atom.count):
-                raise InvalidObservationError(
-                    f"observation {n} has count {atom.count} at location "
-                    f"{atom.location.value}, outside the support of "
-                    f"{likelihood.family} (bound {likelihood.support_bound})"
-                )
-
-
 def _shifted(
     likelihood: ExpCrmLikelihood,
     xi: tuple[float, ...],
@@ -120,15 +105,23 @@ def posterior_update(model, observations) -> PosteriorCrm:
         raise DomainError(f"model must be a prior or posterior, got {type(model).__name__}")
     observations = tuple(observations)
     like = base.likelihood
-    _check_counts(like, observations)
     n = len(observations)
 
-    # nonzero counts by location, in one pass over the data; locations are
-    # distinct within an observation, so each list holds one count per
-    # observation that touched the location
+    # nonzero counts by location, checked and grouped in one pass over the
+    # data; locations are distinct within an observation, so each list
+    # holds one count per observation that touched the location
     counts_at: dict[float, list[int]] = {}
-    for obs in observations:
+    for i, obs in enumerate(observations):
+        if not isinstance(obs, ObservationMeasure):
+            raise DomainError(
+                f"observation {i} must be an ObservationMeasure, got {type(obs).__name__}"
+            )
         for a in obs.atoms:
+            if not like.in_support(a.count):
+                raise InvalidObservationError(
+                    f"observation {i} has count {a.count} at location {a.location.value}, "
+                    f"outside the support of {like.family} (bound {like.support_bound})"
+                )
             counts_at.setdefault(a.location.value, []).append(a.count)
 
     atoms: list[FixedAtomParams] = []

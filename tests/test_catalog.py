@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from expcrm.catalog import (
     BERNOULLI_BETA,
@@ -115,6 +116,68 @@ class TestRegistry:
                 assert key in d, (entry.family, key)
         assert "native" in BERNOULLI_BETA.describe()
         assert "native" in NB.describe()
+
+    def test_list_entries_is_one_per_family(self):
+        families = [e.family for e in list_entries()]
+        assert families == ["poisson", "bernoulli", "odds_bernoulli", "negative_binomial(1)"]
+
+
+def closed_form_log_h(entry, x):
+    if entry.likelihood_id == "poisson":
+        return -gammaln(x + 1.0)
+    if entry.likelihood_id == "negative_binomial":
+        return gammaln(x + entry.r) - gammaln(entry.r) - gammaln(x + 1.0)
+    return 0.0 if x in (0, 1) else -math.inf
+
+
+class TestBaseDerivedFacts:
+    """phi and h come from the base entry; the closed forms assume them."""
+
+    @pytest.mark.parametrize("entry", list_entries() + [NB], ids=lambda e: e.family)
+    def test_phi_is_identity_and_h_matches_closed_form(self, entry):
+        like = entry.make_likelihood()
+        assert like.log_h(0) == 0.0  # h(0) = 1, which rate_table and predictive_logpmf assume
+        for x in range(31):
+            assert like.phi(x) == (float(x),)
+            assert like.log_h(x) == pytest.approx(closed_form_log_h(entry, x), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("entry", [BERNOULLI_BETA, NB, ODDS_BERNOULLI_BETA_PRIME],
+                             ids=lambda e: e.family)
+    def test_draws_at_the_top_of_the_domain_are_redrawn(self, entry):
+        class TopFirst(np.random.Generator):
+            """Returns 1.0 in every other entry of its first beta draw."""
+
+            calls = 0
+
+            def beta(self, a, b, size=None):
+                self.calls += 1
+                out = np.array(super().beta(a, b, size), dtype=float)
+                if self.calls == 1:
+                    out[::2] = 1.0
+                return out
+
+        gen = TopFirst(np.random.PCG64(7))
+        draws = entry.sample_weights(gen, (-0.5,), 2.0, 6)
+        upper = entry.make_likelihood().weight_domain.upper
+        assert gen.calls >= 2
+        assert np.all((draws > 0.0) & (draws < upper))
+
+    @pytest.mark.parametrize(
+        "entry, bad_lam, lam_reason",
+        [
+            (POISSON_GAMMA, 0.0, "A2 fails: lam must be positive"),
+            (ODDS_BERNOULLI_BETA_PRIME, -0.7, "A2 fails: lam must exceed xi + 1"),
+            (NB, -0.4, "A2 fails: lam * r must exceed -1"),
+        ],
+        ids=["poisson", "odds_bernoulli", "negative_binomial(2.5)"],
+    )
+    def test_region_messages(self, entry, bad_lam, lam_reason):
+        assert entry.hyperparam_valid(1.0, (-0.5,), 1.0).reason.startswith("A1 fails")
+        assert entry.hyperparam_valid(1.0, (-2.0,), 1.0).reason.startswith(
+            "A2 fails: xi must exceed -2"
+        )
+        assert entry.hyperparam_valid(1.0, (-1.5,), bad_lam).reason.startswith(lam_reason)
+        assert entry.hyperparam_valid(1.0, (-1.5,), 1.0).ok
 
 
 class TestLogB:

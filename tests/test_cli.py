@@ -46,7 +46,51 @@ def beta_model(tmp_path):
     return path
 
 
+# `families list`, byte for byte
+FAMILIES_LIST = """[
+  {
+    "likelihood": "poisson",
+    "prior": "gamma_process",
+    "counts": "0, 1, 2, ...",
+    "weights": "(0, inf)",
+    "valid": "mass > 0, -2 < xi <= -1, lam > 0",
+    "fixed_atoms": "xi_fix > -1, lam_fix > 0"
+  },
+  {
+    "likelihood": "bernoulli",
+    "prior": "beta_process",
+    "counts": "0, 1",
+    "weights": "(0, 1]",
+    "valid": "mass > 0, -2 < xi <= -1, lam > xi - 1 (union with the native alias range xi in [-1, 0), lam > -xi - 3, with a warning)",
+    "native": "mass > 0, 0 <= alpha < 1, theta > -alpha",
+    "fixed_atoms": "xi_fix > -1, lam_fix > xi_fix - 1"
+  },
+  {
+    "likelihood": "odds_bernoulli",
+    "prior": "beta_prime_process",
+    "counts": "0, 1",
+    "weights": "(0, inf)",
+    "valid": "mass > 0, -2 < xi <= -1, lam > xi + 1",
+    "fixed_atoms": "xi_fix > -1, lam_fix > xi_fix + 1"
+  },
+  {
+    "likelihood": "negative_binomial(r)",
+    "prior": "beta",
+    "counts": "0, 1, 2, ...",
+    "weights": "(0, 1)",
+    "valid": "mass > 0, -2 < xi <= -1, lam * r > -1, r > 0",
+    "native": "mass > 0, 0 <= alpha < 1, theta > -alpha",
+    "fixed_atoms": "xi_fix > -1, lam_fix * r > -1"
+  }
+]
+"""
+
+
 class TestFamilies:
+    def test_list_bytes_are_pinned(self, capsys):
+        assert main(["families", "list"]) == 0
+        assert capsys.readouterr().out == FAMILIES_LIST
+
     def test_list_emits_all_four(self, capsys):
         assert main(["families", "list"]) == 0
         listing = json.loads(capsys.readouterr().out)
@@ -377,6 +421,30 @@ class TestVerify:
              "--reps", "300", "--seed", "6"]
         )
         assert code == 0
+
+    def test_equivalence_runs_at_the_config_truncation(self, tmp_path, capsys):
+        # a count cap of 2 leaves far more than eps_tail in the tail, so the
+        # suite must refuse to run rather than compare truncated samplers
+        capped = tmp_path / "capped.json"
+        capped.write_text(
+            json.dumps(
+                {
+                    "likelihood": "poisson",
+                    "params": {"mass": 1.0, "xi": -1.0, "lam": 1.0},
+                    "truncation": {"x_max": 2},
+                }
+            )
+        )
+        report = tmp_path / "report.json"
+        code = main(
+            ["verify", "--model", str(capped), "--suite", "equivalence",
+             "--reps", "200", "--report", str(report)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "counts above 2" in err and "x_max" in err
+        assert not report.exists()
 
     def test_report_is_optional(self, gamma_model, capsys):
         assert main(["verify", "--model", str(gamma_model)]) == 0

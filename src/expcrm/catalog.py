@@ -226,7 +226,7 @@ class CatalogEntry:
     def round_total(self, mass: float, xi, lam: float, m: int) -> float:
         return float(self.round_totals(mass, xi, lam, np.array([m], dtype=float))[0])
 
-    def predictive_logpmf(self, xi0_eff, lam_eff, x: np.ndarray) -> np.ndarray:
+    def predictive_logpmf(self, xi0_eff, lam_eff, x: np.ndarray, *, log_h=None) -> np.ndarray:
         """log pmf of the next count at an atom with accumulated (xi, lam).
 
         ``xi0_eff`` is xi plus the summed counts so far, ``lam_eff`` is lam
@@ -234,11 +234,15 @@ class CatalogEntry:
         arrays that broadcast against ``x`` (columns of per-atom values give
         one row of pmf values per atom). The normalizer ratio
         B(xi_eff + x, lam_eff + 1) - B(xi_eff, lam_eff) integrates the
-        likelihood against the atom's current weight density.
+        likelihood against the atom's current weight density.  A caller
+        that evaluates the same counts many times may pass the ``log_h``
+        (``log_h_vec(x)``) it already holds; the sum is the same.
         """
         x = np.asarray(x, dtype=np.int64)
+        if log_h is None:
+            log_h = self.log_h_vec(x)
         return (
-            self.log_h_vec(x)
+            log_h
             + self._log_B0(xi0_eff + x, lam_eff + 1.0)
             - self._log_B0(xi0_eff, lam_eff)
         )

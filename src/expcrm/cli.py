@@ -38,6 +38,7 @@ import json
 import multiprocessing
 import os
 import sys
+from itertools import islice
 
 from .catalog import list_entries
 from .config import ModelConfig, model_config_from_dict, parse_model_config
@@ -46,9 +47,9 @@ from .marginal import MarginalConfig, MarginalSampler
 from .measures import (
     jsonl_line,
     observation_from_jsonable,
-    observation_to_jsonable,
+    observation_jsonl_line,
     read_jsonl,
-    trait_to_jsonable,
+    trait_jsonl_line,
 )
 from .posterior import posterior_update
 from .rng import RngState
@@ -150,8 +151,7 @@ def _init_prior_worker(cfg_dict: dict, m_max: int, x_max: int) -> None:
 
 
 def _prior_line(sampler: SizeBiasedSampler, seed: int, rep: int) -> str:
-    measure = sampler.draw(RngState(seed, stream=rep))
-    return jsonl_line({"rep": rep, **trait_to_jsonable(measure)})
+    return trait_jsonl_line(rep, sampler.draw(RngState(seed, stream=rep)))
 
 
 def _init_marginal_worker(cfg_dict: dict, x_max: int, n_steps: int) -> None:
@@ -159,21 +159,21 @@ def _init_marginal_worker(cfg_dict: dict, x_max: int, n_steps: int) -> None:
     sampler = MarginalSampler(
         cfg.build_prior(), MarginalConfig(x_max=x_max, eps_tail=cfg.eps_tail)
     )
-    fixed = {a.location.value for a in sampler.prior.fixed_atoms}
-    _WORKER["run"] = lambda seed, rep: _marginal_lines(sampler, fixed, n_steps, seed, rep)
+    _WORKER["run"] = lambda seed, rep: _marginal_lines(sampler, n_steps, seed, rep)
 
 
-def _marginal_lines(sampler, fixed_locs, n_steps, seed, rep):
-    """One replicate's JSONL text and its per-step summary rows."""
-    observations = sampler.sample(n_steps, RngState(seed, stream=rep))
+def _marginal_lines(sampler, n_steps, seed, rep):
+    """One replicate's JSONL text and its per-step summary rows.
+
+    Written from the stream's columns; a step's new atoms (``atoms_new``)
+    are the atoms born at it.
+    """
     lines = []
     summary = []
-    seen = set(fixed_locs)
-    for n, obs in enumerate(observations, start=1):
-        lines.append(jsonl_line({"rep": rep, "n": n, **observation_to_jsonable(obs)}))
-        new = [a for a in obs.atoms if a.location.value not in seen]
-        seen.update(a.location.value for a in obs.atoms)
-        summary.append((rep, n, len(obs.atoms), len(new), obs.total_count()))
+    steps = islice(sampler._steps(RngState(seed, stream=rep)), n_steps)
+    for n, (counts, values, born) in enumerate(steps, start=1):
+        lines.append(observation_jsonl_line(rep, n, counts, values))
+        summary.append((rep, n, counts.size, born, int(counts.sum())))
     return "".join(lines), summary
 
 

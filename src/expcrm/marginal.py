@@ -123,6 +123,7 @@ class MarginalSampler(_TruncatedSampler):
 
     def __init__(self, prior: ExpCrmPrior, config: MarginalConfig | None = None, rng=None):
         super().__init__(prior, config, rng, MarginalConfig)
+        self._log_h: dict[int, np.ndarray] = {}  # log h of each walk chunk, by its first count
 
     def tail_certificate(self, n_steps: int) -> dict:
         """JSON-ready record of what an n-step stream's truncation neglects."""
@@ -138,7 +139,8 @@ class MarginalSampler(_TruncatedSampler):
         in row order, from a single draw (none when there are no atoms),
         and walk their cdfs together, one chunk of counts at a time; each
         row sums its own chunks, so it returns the count a walk of that
-        atom alone would.
+        atom alone would.  For catalog families log h of a chunk's counts
+        is computed once per sampler.
         """
         out = np.empty(lam.size, dtype=np.int64)
         if lam.size == 0:
@@ -156,7 +158,10 @@ class MarginalSampler(_TruncatedSampler):
             stop = start + chunk if bound is None else min(start + chunk, bound + 1)
             xs = np.arange(start, stop)
             if entry is not None:
-                logpmf = entry.predictive_logpmf(xi[:, :1], lam, xs)
+                log_h = self._log_h.get(start)
+                if log_h is None:
+                    log_h = self._log_h[start] = entry.log_h_vec(xs)
+                logpmf = entry.predictive_logpmf(xi[:, :1], lam, xs, log_h=log_h)
             else:
                 logpmf = np.array(
                     [predictive_logpmf(like, x, l, xs) for x, l in zip(xi, lam[:, 0])]
@@ -175,15 +180,15 @@ class MarginalSampler(_TruncatedSampler):
             if start > 10**6:
                 raise QuadratureError("predictive walk failed to accumulate to 1")
 
-    def stream(self, rng=None):
-        """Yield one ObservationMeasure per step, forever.
+    def _steps(self, rng=None):
+        """The stream's steps as columns, forever.
 
-        Per step, the rng is consumed in a fixed order: one uniform per
-        atom already on the books (fixed atoms in prior order, then
-        earlier-born atoms in birth order), then the new-atom count
-        (Poisson), counts, and locations.  The stream raises
-        :class:`~expcrm.errors.TailBoundError` at the step where the
-        cumulative neglected new-atom rate would pass ``eps_tail``.
+        Yields ``(counts, values, born)`` per step: the step's nonzero
+        counts (int64) and their location values (float64), both sorted
+        by location, and the number of atoms born at the step.  Every
+        newborn atom emits a count of at least 1, so ``born`` is also the
+        number of locations no earlier step touched.  The rng order and
+        the tail check are :meth:`stream`'s.
         """
         gen = self._generator(rng)
         prior = self.prior
@@ -191,10 +196,10 @@ class MarginalSampler(_TruncatedSampler):
         # the atoms on the books as columns, fixed atoms first, then the
         # new atoms of each step in birth order
         fixed = prior.fixed_atoms
-        locations = [fa.location for fa in fixed]
+        values = np.array([fa.location.value for fa in fixed], dtype=float)
         xi = np.array([fa.xi for fa in fixed], dtype=float).reshape(len(fixed), like.dim)
         lam = np.array([fa.lam for fa in fixed], dtype=float)
-        taken = {loc.value for loc in locations}
+        taken = set(values.tolist())
         neglected = 0.0
         n = 0
         while True:
@@ -209,10 +214,9 @@ class MarginalSampler(_TruncatedSampler):
                     certificate=self.tail_certificate(n),
                 )
             counts = self._predictive_walk(gen, xi, lam)
-            counts = counts.tolist()
-            if counts:
+            if counts.size:
                 # every count, zero included, updates its atom's parameters
-                xi += np.array([like.phi(x) for x in counts])
+                xi += np.array([like.phi(x) for x in counts.tolist()])
                 lam += 1.0
             total = float(cdf[-1])
             k = int(gen.poisson(total))
@@ -222,15 +226,35 @@ class MarginalSampler(_TruncatedSampler):
                     np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
                 ]
                 born.sort()
-                values = _locations(gen, k, taken).tolist()
-                taken.update(values)
-                locations.extend(Location(v) for v in values)
+                new_values = _locations(gen, k, taken)
+                taken.update(new_values.tolist())
+                values = np.concatenate([values, new_values])
                 params = [weight_dist_params(prior, n, c) for c in born.tolist()]
                 xi = np.concatenate([xi, np.array([p for p, _ in params])])
                 lam = np.concatenate([lam, [q for _, q in params]])
-                counts += born.tolist()
-            atoms = [ObservationAtom(x, loc) for x, loc in zip(counts, locations) if x]
-            atoms.sort(key=lambda a: a.location.value)
+                counts = np.concatenate([counts, born])
+            hit = np.flatnonzero(counts)
+            order = hit[np.argsort(values[hit])]
+            yield counts[order], values[order], k
+
+    def stream(self, rng=None):
+        """Yield one ObservationMeasure per step, forever.
+
+        Per step, the rng is consumed in a fixed order: one uniform per
+        atom already on the books (fixed atoms in prior order, then
+        earlier-born atoms in birth order), then the new-atom count
+        (Poisson), counts, and locations.  The stream raises
+        :class:`~expcrm.errors.TailBoundError` at the step where the
+        cumulative neglected new-atom rate would pass ``eps_tail``.
+        """
+        locations: dict[float, Location] = {}  # one per atom, reused at every step
+        for counts, values, _ in self._steps(rng):
+            atoms = []
+            for x, v in zip(counts.tolist(), values.tolist()):
+                loc = locations.get(v)
+                if loc is None:
+                    loc = locations[v] = Location(v)
+                atoms.append(ObservationAtom(x, loc))
             yield ObservationMeasure(tuple(atoms))
 
     def sample(self, n_steps: int, rng=None) -> list[ObservationMeasure]:

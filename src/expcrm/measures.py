@@ -295,7 +295,13 @@ def merge_locations(observations: Sequence[ObservationMeasure]) -> tuple[Locatio
 # --- JSON round-trip -------------------------------------------------------
 #
 # Floats travel as repr-exact decimal strings: 17 significant digits are
-# enough to reconstruct any double bit-for-bit.
+# enough to reconstruct any double bit-for-bit.  A trait line is written by
+# two serializers: ``trait_to_jsonable`` plus ``jsonl_line`` for library
+# callers, and ``trait_jsonl_line``, which fills one ``%.17g`` template from
+# the measure's columns, for the CLI.  ``test_trait_line_matches_dict_path``
+# in tests/test_measures.py pins the two to the same bytes; observation lines
+# have the same pair (``observation_to_jsonable`` and
+# ``observation_jsonl_line``), pinned by tests/test_marginal.py.
 
 
 def float_repr(x: float) -> str:
@@ -320,16 +326,53 @@ def _atom_records(weights: np.ndarray, locations: np.ndarray) -> list[dict]:
     ]
 
 
+def _trunc_record(truncation: TruncationMeta) -> dict:
+    trunc: dict = {"kind": truncation.kind}
+    if truncation.kind == "truncated":
+        trunc["rounds"] = truncation.rounds
+        trunc["count_cap"] = truncation.count_cap
+    return trunc
+
+
 def trait_to_jsonable(measure: TraitMeasure) -> dict:
-    trunc: dict = {"kind": measure.truncation.kind}
-    if measure.truncation.kind == "truncated":
-        trunc["rounds"] = measure.truncation.rounds
-        trunc["count_cap"] = measure.truncation.count_cap
     return {
         "fixed": _atom_records(measure.fixed_weights, measure.fixed_locations),
         "ordinary": _atom_records(measure.ordinary_weights, measure.ordinary_locations),
-        "trunc": trunc,
+        "trunc": _trunc_record(measure.truncation),
     }
+
+
+def _interleaved(a: np.ndarray, b: np.ndarray) -> list:
+    """``[a[0], b[0], a[1], b[1], ...]`` as Python numbers."""
+    flat = [0] * (2 * a.size)
+    flat[0::2] = a.tolist()
+    flat[1::2] = b.tolist()
+    return flat
+
+
+_ATOM_TEMPLATE = '{"w":"%.17g","loc":"%.17g"}'
+
+
+def trait_jsonl_line(rep: int, measure: TraitMeasure) -> str:
+    """``jsonl_line({"rep": rep, **trait_to_jsonable(measure)})``, byte for byte.
+
+    The weights and locations of both groups are interleaved into one
+    float list and written by a single ``%`` fill of a template built for
+    this measure's atom counts; no per-atom record is made.
+    """
+    flat = _interleaved(
+        np.concatenate([measure.fixed_weights, measure.ordinary_weights]),
+        np.concatenate([measure.fixed_locations, measure.ordinary_locations]),
+    )
+    template = (
+        '{"rep":%d,"fixed":['
+        + ",".join([_ATOM_TEMPLATE] * measure.fixed_weights.size)
+        + '],"ordinary":['
+        + ",".join([_ATOM_TEMPLATE] * measure.ordinary_weights.size)
+        + '],"trunc":%s}\n'
+    )
+    trunc = json.dumps(_trunc_record(measure.truncation), separators=(",", ":"))
+    return template % (rep, *flat, trunc)
 
 
 def trait_from_jsonable(data: dict) -> TraitMeasure:
@@ -366,6 +409,19 @@ def observation_to_jsonable(observation: ObservationMeasure) -> dict:
             {"x": a.count, "loc": float_repr(a.location.value)} for a in observation.atoms
         ]
     }
+
+
+_COUNT_TEMPLATE = '{"x":%d,"loc":"%.17g"}'
+
+
+def observation_jsonl_line(rep: int, n: int, counts: np.ndarray, values: np.ndarray) -> str:
+    """``jsonl_line({"rep": rep, "n": n, **observation_to_jsonable(obs)})``, byte for byte.
+
+    ``obs`` is the observation with ``counts`` (positive integers) at the
+    locations ``values``, in that order; one ``%`` fill writes the line.
+    """
+    template = '{"rep":%d,"n":%d,"atoms":[' + ",".join([_COUNT_TEMPLATE] * counts.size) + "]}\n"
+    return template % (rep, n, *_interleaved(counts, values))
 
 
 def observation_from_jsonable(data: dict) -> ObservationMeasure:

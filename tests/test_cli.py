@@ -268,10 +268,10 @@ class TestSampleMarginal:
     def test_worker_error_leaves_no_output(self, gamma_model, tmp_path, monkeypatch, workers):
         real = cli._marginal_lines
 
-        def failing(sampler, fixed_locs, n_steps, seed, rep):
+        def failing(sampler, n_steps, seed, rep):
             if rep == 9:
                 raise RngFaultError("injected fault")
-            return real(sampler, fixed_locs, n_steps, seed, rep)
+            return real(sampler, n_steps, seed, rep)
 
         monkeypatch.setattr(cli, "_marginal_lines", failing)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: workers)

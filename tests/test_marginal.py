@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from expcrm.marginal import (
     predictive_logpmf,
     sample_marginal,
 )
-from expcrm.measures import Location, ObservationMeasure
+from expcrm import cli
+from expcrm.measures import Location, ObservationMeasure, jsonl_line, observation_to_jsonable
 from expcrm.rng import RngState
 from expcrm.size_biased import rate_M, weight_dist_params
 
@@ -355,6 +357,50 @@ class TestArrayStreamEquivalence:
             got = _pairs(s.sample(3, RngState(seed, 3)))
             assert got == reference_stream(s, RngState(seed, 3).generator(), 3)
             assert max(dict(step)[0.3] for step in got) > 8
+
+
+def dict_path_lines(observations, fixed_values, rep):
+    """JSONL text and summary rows written from ObservationMeasures with a seen set."""
+    lines, rows = [], []
+    seen = set(fixed_values)
+    for n, obs in enumerate(observations, start=1):
+        lines.append(jsonl_line({"rep": rep, "n": n, **observation_to_jsonable(obs)}))
+        new = [a for a in obs.atoms if a.location.value not in seen]
+        seen.update(a.location.value for a in obs.atoms)
+        rows.append((rep, n, len(obs.atoms), len(new), obs.total_count()))
+    return "".join(lines), rows
+
+
+COLUMNAR_PRIORS = {
+    "ibp": BERNOULLI_BETA.from_native(5.0, 0.0, 1.0),
+    "gamma-fixed": STREAM_PRIORS["gamma"],
+    "nb": STREAM_PRIORS["nb"],
+}
+
+
+class TestColumnarOutput:
+    """The CLI writes each step from the stream's columns, not from measures."""
+
+    @pytest.mark.parametrize("name", sorted(COLUMNAR_PRIORS))
+    def test_lines_and_summary_match_the_measure_path(self, name):
+        prior = COLUMNAR_PRIORS[name]
+        s = MarginalSampler(prior, MarginalConfig(x_max=30))
+        fixed = [fa.location.value for fa in prior.fixed_atoms]
+        for seed in range(3):
+            observations = s.sample(30, RngState(seed, 5))
+            assert _pairs(observations) == reference_stream(s, RngState(seed, 5).generator(), 30)
+            got = cli._marginal_lines(s, 30, seed, 5)
+            assert got == dict_path_lines(observations, fixed, 5)
+            assert sum(row[3] for row in got[1]) > 0
+
+    def test_columns_are_sorted_positive_and_count_births(self):
+        s = MarginalSampler(COLUMNAR_PRIORS["gamma-fixed"], MarginalConfig(x_max=30))
+        taken = {fa.location.value for fa in s.prior.fixed_atoms}
+        for counts, values, born in islice(s._steps(RngState(1, 0)), 30):
+            assert counts.dtype == np.int64 and values.dtype == np.float64
+            assert (counts > 0).all() and (np.diff(values) > 0).all()
+            assert born == len(set(values.tolist()) - taken)
+            taken.update(values.tolist())
 
 
 class TestPredictiveWalk:

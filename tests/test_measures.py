@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expcrm.errors import ConfigError, DomainError
@@ -18,11 +18,14 @@ from expcrm.measures import (
     TruncationMeta,
     count_at,
     float_repr,
+    jsonl_line,
     merge_locations,
     observation_from_jsonable,
+    observation_jsonl_line,
     observation_to_jsonable,
     read_jsonl,
     trait_from_jsonable,
+    trait_jsonl_line,
     trait_to_jsonable,
     write_jsonl,
 )
@@ -254,6 +257,76 @@ def test_observation_json_round_trip_exact(pairs):
     obs = ObservationMeasure(tuple(ObservationAtom(c, Location(l)) for c, l in pairs))
     wire = json.loads(json.dumps(observation_to_jsonable(obs)))
     assert observation_from_jsonable(wire) == obs
+
+
+# the columnar serializers against the dict path: subnormals, the ends of
+# the double range, -0.0 and integral floats, empty groups, both truncations
+edge_weights = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+                     1.0, 2.0, 3.0, 1e16, 1e22]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False),
+)
+edge_locations = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 0.9999999999999999]), locations
+)
+truncations = st.one_of(
+    st.just(EXACT_FINITE),
+    st.builds(
+        TruncationMeta,
+        st.just("truncated"),
+        st.integers(min_value=1, max_value=10**9),
+        st.integers(min_value=1, max_value=10**9),
+    ),
+)
+
+
+@st.composite
+def columnar_measures(draw):
+    pairs = draw(
+        st.lists(st.tuples(edge_weights, edge_locations), max_size=12, unique_by=lambda t: t[1])
+    )
+    k = draw(st.integers(min_value=0, max_value=len(pairs)))
+    w = np.array([p[0] for p in pairs], dtype=float)
+    loc = np.array([p[1] for p in pairs], dtype=float)
+    return TraitMeasure.from_arrays(w[:k], loc[:k], w[k:], loc[k:], draw(truncations))
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=10**12), columnar_measures())
+@example(0, TraitMeasure.from_arrays([], [], [], [], EXACT_FINITE))
+@example(
+    7,
+    TraitMeasure.from_arrays(
+        [5e-324, 1e300], [-0.0, 5e-324], [1e-300, 2.0, 1.7976931348623157e308],
+        [0.25, 0.5, 0.9999999999999999], TruncationMeta("truncated", 1000, 50),
+    ),
+)
+@example(3, TraitMeasure.from_arrays([1.0], [0.0], [], [], EXACT_FINITE))
+@example(4, TraitMeasure.from_arrays([], [], [3.0, 1e22], [0.1, 0.2], TruncationMeta("truncated", 1, 1)))
+def test_trait_line_matches_dict_path(rep, measure):
+    line = trait_jsonl_line(rep, measure)
+    assert line == jsonl_line({"rep": rep, **trait_to_jsonable(measure)})
+    assert trait_from_jsonable(json.loads(line)) == measure
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=10**12), edge_locations),
+        max_size=12,
+        unique_by=lambda t: t[1],
+    ),
+)
+@example(0, 1, [])
+@example(2, 9, [(1, -0.0), (3, 5e-324), (10**12, 0.9999999999999999)])
+def test_observation_line_matches_dict_path(rep, n, pairs):
+    counts = np.array([c for c, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=float)
+    obs = ObservationMeasure(tuple(ObservationAtom(c, Location(v)) for c, v in pairs))
+    line = observation_jsonl_line(rep, n, counts, values)
+    assert line == jsonl_line({"rep": rep, "n": n, **observation_to_jsonable(obs)})
 
 
 def test_trait_jsonable_floats_are_strings():

@@ -275,18 +275,6 @@ def _gl_panel_vals(fn_vals, a: float, b: float, n: int) -> float:
     return out
 
 
-def smooth_panel(log_f, a: float, b: float, rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Integrate exp(log_f) over [a, b] with no endpoint singularities.
-
-    A light entry point for callers that already know the integrand is
-    smooth on the closed interval (interior mass slices, cdf grids).
-    Returns (value, err_est) like integrate().
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise QuadratureError(f"smooth panel needs finite a < b, got [{a:g}, {b:g}]")
-    return _smooth_finite(log_f, a, b, rel_tol, "smooth panel")
-
-
 def _smooth_finite(log_g, a: float, b: float, rel_tol: float, name: str):
     """Globally adaptive Gauss-Legendre on [a, b] for a smooth integrand."""
 

@@ -3,8 +3,10 @@
 An ``ast`` scan keeps every module free of imports it never reads.  The
 export table in ``expcrm/__init__.py`` is checked against a pinned copy
 of the public names, each name against the object its module defines,
-and, in fresh interpreters, that ``import expcrm`` loads no submodule
-and that only ``verify`` loads ``scipy.stats``.
+and, in fresh interpreters, that ``import expcrm`` loads no submodule,
+that only ``verify`` loads ``scipy.stats``, and that no other command loads
+``scipy.interpolate`` or ``scipy.optimize`` through the package (a second
+scan keeps every module from importing either, at any level).
 """
 
 import ast
@@ -68,6 +70,23 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
+def imported_modules(source: str) -> set[str]:
+    """Every absolute module an import anywhere in ``source`` names, ``from`` names included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def scipy_solvers(names) -> list[str]:
+    """The names among ``names`` that are, or lie under, scipy.interpolate or scipy.optimize."""
+    return sorted(n for n in names if n.startswith(("scipy.interpolate", "scipy.optimize")))
+
+
 def run_python(code: str, cwd) -> list[str]:
     """Run ``code`` in a fresh interpreter on this package; its stdout lines."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -81,6 +100,43 @@ def run_python(code: str, cwd) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def cli_modules(tmp_path, command: str) -> tuple[int, list[str]]:
+    """Run one CLI command in a fresh interpreter: its exit code and the scipy modules it loaded."""
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps(
+            {
+                "likelihood": "poisson",
+                "params": {"mass": 1.0, "xi": -1.0, "lam": 1.0},
+                "truncation": {"rounds": 20, "x_max": 40, "eps_tail": 1e-4},
+                "seed": 3,
+            }
+        )
+    )
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps({"atoms": [{"x": 1, "loc": "0.25"}]}) + "\n")
+    argv = {
+        "families": ["families", "list"],
+        # fewer than 8 replicates run in this process, not in a pool
+        "sample-prior": ["sample-prior", "--model", "model.json", "--reps", "3",
+                         "--out", "draws.jsonl"],
+        "sample-marginal": ["sample-marginal", "--model", "model.json", "--n", "3",
+                            "--reps", "2", "--out", "obs.jsonl"],
+        "posterior": ["posterior", "--model", "model.json", "--data", "data.jsonl",
+                      "--out", "post.json"],
+        "verify": ["verify", "--model", "model.json"],
+    }[command]
+    lines = run_python(
+        "import json, sys\n"
+        "from expcrm.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy.'))]))\n",
+        tmp_path,
+    )
+    code, modules = json.loads(lines[-1])
+    return code, modules
 
 
 class TestUnusedImports:
@@ -98,6 +154,21 @@ class TestUnusedImports:
     @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_module_reads_every_import(self, path):
         assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+class TestNoScipySolvers:
+    def test_scan_sees_nested_and_from_imports(self):
+        source = (
+            "import scipy.special\n"
+            "def f():\n"
+            "    from scipy import optimize\n"
+            "    import scipy.interpolate as si\n"
+        )
+        assert scipy_solvers(imported_modules(source)) == ["scipy.interpolate", "scipy.optimize"]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_module_imports_no_scipy_solver(self, path):
+        assert scipy_solvers(imported_modules(path.read_text(encoding="utf-8"))) == []
 
 
 class TestExportTable:
@@ -162,35 +233,12 @@ class TestLazyLoading:
         ],
     )
     def test_only_verify_loads_scipy_stats(self, tmp_path, command, stats_loaded):
-        model = tmp_path / "model.json"
-        model.write_text(
-            json.dumps(
-                {
-                    "likelihood": "poisson",
-                    "params": {"mass": 1.0, "xi": -1.0, "lam": 1.0},
-                    "truncation": {"rounds": 20, "x_max": 40, "eps_tail": 1e-4},
-                    "seed": 3,
-                }
-            )
-        )
-        data = tmp_path / "data.jsonl"
-        data.write_text(json.dumps({"atoms": [{"x": 1, "loc": "0.25"}]}) + "\n")
-        argv = {
-            "families": ["families", "list"],
-            # fewer than 8 replicates run in this process, not in a pool
-            "sample-prior": ["sample-prior", "--model", "model.json", "--reps", "3",
-                             "--out", "draws.jsonl"],
-            "sample-marginal": ["sample-marginal", "--model", "model.json", "--n", "3",
-                                "--reps", "2", "--out", "obs.jsonl"],
-            "posterior": ["posterior", "--model", "model.json", "--data", "data.jsonl",
-                          "--out", "post.json"],
-            "verify": ["verify", "--model", "model.json"],
-        }[command]
-        lines = run_python(
-            "import sys\n"
-            "from expcrm.cli import main\n"
-            f"code = main({argv!r})\n"
-            "print(code, 'scipy.stats' in sys.modules)\n",
-            tmp_path,
-        )
-        assert lines[-1] == f"0 {stats_loaded}"
+        code, modules = cli_modules(tmp_path, command)
+        assert (code, "scipy.stats" in modules) == (0, stats_loaded)
+
+    @pytest.mark.parametrize(
+        "command", ["families", "sample-prior", "sample-marginal", "posterior"]
+    )
+    def test_command_loads_no_scipy_solver(self, tmp_path, command):
+        code, modules = cli_modules(tmp_path, command)
+        assert (code, scipy_solvers(modules)) == (0, [])

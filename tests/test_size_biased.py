@@ -28,6 +28,7 @@ from expcrm.size_biased import (
     SizeBiasedSampler,
     _fresh_locations,
     _NumericWeightSampler,
+    _Panels,
     rate_M,
     round_total,
     sample_size_biased,
@@ -347,29 +348,29 @@ class TestNumericWeightSampler:
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
         nws = _NumericWeightSampler(like, (-0.5,), 2.0)
         ref = stats.gamma(a=0.5, scale=0.5)
-        for u in (1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999):
-            assert nws._invert(u * nws._total) == pytest.approx(ref.ppf(u), rel=2e-3)
+        u = np.array([1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999])
+        np.testing.assert_allclose(nws._invert(u * nws._total), ref.ppf(u), rtol=1e-8)
 
     def test_cdf_matches_reference(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
         nws = _NumericWeightSampler(like, (-0.5,), 2.0)
         ref = stats.gamma(a=0.5, scale=0.5)
         ts = np.array([1e-9, 1e-3, 0.05, 0.3, 1.0, 3.0, 50.0])
-        np.testing.assert_allclose(nws.cdf(ts), ref.cdf(ts), rtol=2e-4, atol=1e-12)
+        np.testing.assert_allclose(nws.cdf(ts), ref.cdf(ts), rtol=1e-8, atol=1e-12)
 
     def test_interior_cdf_error_is_pinned(self):
-        # Gamma(1, rate 2), the oracle suite's weight law for the gamma model;
-        # the interior interpolation error is about 6.1e-4 (near t = 0.83)
+        # Gamma(1, rate 2), the oracle suite's weight law for the gamma model
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
         nws = _NumericWeightSampler(like, (0.0,), 2.0)
         ts = np.concatenate([np.geomspace(1e-12, 1.0, 2000), np.linspace(0.0, 20.0, 200_001)])
         err = np.abs(nws.cdf(ts) - stats.gamma(a=1.0, scale=0.5).cdf(ts)).max()
-        assert err <= 1e-3
+        assert err <= 1e-8
 
     @pytest.mark.parametrize(
         "entry, xi, lam",
         [(NB, xi, lam) for xi in (-0.3, 0.5) for lam in (1.5, 3.0)]
-        + [(BERNOULLI_BETA, xi, lam) for xi in (-0.5, 1.0) for lam in (3.0, 6.0)],
+        + [(BERNOULLI_BETA, xi, lam) for xi in (-0.5, 1.0) for lam in (3.0, 6.0)]
+        + [(NB, xi, 10.0) for xi in (-0.3, 0.5)],
     )
     def test_steep_bounded_laws_build(self, entry, xi, lam):
         # weight laws that fall to zero like (1 - t)^p, p >= 3.5, at the top
@@ -380,7 +381,45 @@ class TestNumericWeightSampler:
             [np.linspace(0.0, 1.0, 20_001), np.geomspace(1e-12, 1e-3, 200), 1.0 - np.geomspace(1e-12, 1e-3, 200)]
         )
         err = np.abs(nws.cdf(ts) - stats.beta(xi + 1.0, b).cdf(ts)).max()
-        assert err <= 2.5e-3
+        assert err <= 1e-8
+
+    @pytest.mark.parametrize(
+        "entry, xi, lam, ref",
+        [
+            # endpoint power -0.999 at 0: 97% of the mass lies below the first knot
+            (POISSON_GAMMA, -0.999, 1.0, stats.gamma(a=1e-3)),
+            # tail power -1.2 at infinity: the quarter-octave march runs 765 steps
+            (ODDS_BERNOULLI_BETA_PRIME, -0.3, 0.9, stats.betaprime(0.7, 0.2)),
+            # narrower than a panel of the grid: the panels around its mass are bisected
+            (POISSON_GAMMA, 1999.0, 1e4, stats.gamma(a=2000.0, scale=1e-4)),
+            # all of the mass above the initial grid, where the density underflows
+            (POISSON_GAMMA, 4999.0, 1.0, stats.gamma(a=5000.0)),
+        ],
+        ids=["gamma-power-near-0", "beta-prime-tail-near-1", "gamma-steep", "gamma-far-out"],
+    )
+    def test_edge_laws_match_reference(self, entry, xi, lam, ref):
+        like = dataclasses.replace(entry.make_likelihood(), family="mystery")
+        nws = _NumericWeightSampler(like, (xi,), lam)
+        quantiles = ref.ppf(np.linspace(0.0, 1.0, 2001))
+        ts = np.concatenate([np.geomspace(1e-300, 1e12, 3000), np.linspace(0.0, 20.0, 20_001), quantiles])
+        assert np.abs(nws.cdf(ts) - ref.cdf(ts)).max() <= 1e-8
+
+    def test_newton_steps_leaving_the_panel_bisect(self):
+        # density t^20 on the one panel [0, 1], which 12 nodes integrate
+        # exactly; from the linear first guess, Newton's step leaves the
+        # panel by a factor of about 10^4
+        panels = _Panels(lambda t: 20.0 * np.log(t), np.array([0.0, 1.0]), "t^20")
+        panels.cum = np.array([0.0, 1.0 / 21.0])
+        u = np.array([1e-6, 0.1, 0.5, 0.9])
+        np.testing.assert_allclose(panels.solve(u / 21.0), u ** (1.0 / 21.0), rtol=1e-12)
+
+    def test_sample_draws_one_uniform_per_weight(self):
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
+        nws = _NumericWeightSampler(like, (-0.5,), 2.0)
+        gen, twin = RngState(34).generator(), RngState(34).generator()
+        nws.sample(gen, 17)
+        twin.uniform(size=17)
+        assert gen.bit_generator.state == twin.bit_generator.state
 
     def test_improper_parameters_rejected(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")

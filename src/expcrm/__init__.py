@@ -17,8 +17,8 @@ Entry points:
 * ``expcrm`` (console script, :func:`expcrm.cli.main`) for batch use.
 
 ``import expcrm`` loads no submodule: each public name below is read from
-its module the first time it is used (PEP 562), so only code that touches
-the verification layer pays for ``scipy.stats``.
+its module the first time it is used (PEP 562), so code pays only for the
+modules it touches.
 """
 
 import importlib

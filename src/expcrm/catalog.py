@@ -556,10 +556,12 @@ class OddsBernoulliBetaPrime(CatalogEntry):
         return mass * np.exp(betaln(xi0 + 2.0, lam + m - xi0 - 2.0))
 
     def _draw_weights(self, generator, xi0, lam):
-        # odds of a beta draw: y = 0 and y = 1 map to the boundary points 0 and inf
-        y = generator.beta(xi0 + 1.0, lam - xi0 - 1.0)
-        with np.errstate(divide="ignore"):
-            return y / (1.0 - y)
+        # the ratio of the two gamma variates of a beta draw, taken in pairs
+        # from one call: the odds y / (1 - y) of the beta draw itself lose
+        # heavy tails, where much of the mass rounds onto y = 1
+        g = generator.standard_gamma(np.column_stack([xi0 + 1.0, lam - xi0 - 1.0]).ravel())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return g[0::2] / g[1::2]
 
 
 # --- negative_binomial(r) / beta -----------------------------------------------

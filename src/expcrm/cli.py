@@ -278,7 +278,7 @@ def _cmd_sample_marginal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .checks import run_suite  # loads scipy.stats, which no other command needs
+    from .checks import run_suite  # the verification layer, which no other command needs
 
     cfg = parse_model_config(args.model)
     prior = cfg.build_prior()

@@ -662,7 +662,8 @@ class _NumericWeightSampler:
     The cdf is summed from composite Gauss-Legendre panels (12 nodes each)
     on knots graded geometrically toward each endpoint, from 1e-12 of the
     scale, and marched out in quarter-octaves toward an infinite top until
-    a shell is negligible.  All of a side's nodes go through the log
+    a shell is negligible or, for a power tail, the analytic power piece
+    above it is accurate.  All of a side's nodes go through the log
     density in one vectorized call; the upper half of a finite domain is
     integrated in the distance from the top, where points next to the top
     are exact.  Each panel's error is bounded by its distance from a 6-node
@@ -735,12 +736,25 @@ class _NumericWeightSampler:
         if not self._finite:
             # march in quarter-octaves until a shell stops mattering; shells
             # can grow at first when the mass sits above the initial grid,
-            # and a shell closes nothing while no mass has been found
+            # and a shell closes nothing while no mass has been found.  A
+            # declared power tail also closes once the analytic piece above a
+            # shell is accurate: its relative error is at most the shell's
+            # log-slope deviation from up over -up - 1, and the error it makes
+            # must be within _REL_TOL of the mass below
             mass, err = parts[0]
             n_grid, marched = grid.size - 1, self._MARCH
+            if up is not None:
+                knot_logs = lower.log_density(lower.knots[n_grid:])
             while True:
                 cum = (mass_below + np.cumsum(mass))[n_grid:]
-                closed = np.flatnonzero((mass[n_grid:] <= self._TAIL * cum) & (cum > 0.0))
+                done = mass[n_grid:] <= self._TAIL * cum
+                if up is not None:
+                    ends = lower.knots[n_grid:]
+                    above = np.exp(knot_logs[1:] - lower.shift) * ends[1:] / (-up - 1.0)
+                    with np.errstate(invalid="ignore"):  # underflowed densities close nothing
+                        slope = np.diff(knot_logs) / np.diff(np.log(ends))
+                        done |= above * np.abs(slope - up) / (-up - 1.0) <= _REL_TOL * cum
+                closed = np.flatnonzero(done & (cum > 0.0))
                 if closed.size:
                     n = n_grid + int(closed[0]) + 1
                     lower.knots, parts[0] = lower.knots[: n + 1], (mass[:n], err[:n])
@@ -755,6 +769,8 @@ class _NumericWeightSampler:
                 more_mass, more_err = lower.masses(lower.node_logs(a, b), a, b)
                 lower.knots = np.concatenate([lower.knots, b])
                 mass, err = np.concatenate([mass, more_mass]), np.concatenate([err, more_err])
+                if up is not None:
+                    knot_logs = np.concatenate([knot_logs, lower.log_density(b)])
                 marched += self._MARCH
 
         if self._finite:

@@ -145,7 +145,11 @@ class TestBaseDerivedFacts:
                              ids=lambda e: e.family)
     def test_draws_at_the_top_of_the_domain_are_redrawn(self, entry):
         class TopFirst(np.random.Generator):
-            """Returns 1.0 in every other entry of its first beta draw."""
+            """Puts every other weight of its first draw on the top of the domain.
+
+            Beta draws become 1.0; odds, drawn as ratios of gamma pairs, get
+            every other denominator 0.0 and so become infinite.
+            """
 
             calls = 0
 
@@ -156,11 +160,24 @@ class TestBaseDerivedFacts:
                     out[::2] = 1.0
                 return out
 
+            def standard_gamma(self, shape, size=None):
+                self.calls += 1
+                out = np.array(super().standard_gamma(shape, size), dtype=float)
+                if self.calls == 1:
+                    out[1::4] = 0.0
+                return out
+
         gen = TopFirst(np.random.PCG64(7))
         draws = entry.sample_weights(gen, (-0.5,), 2.0, 6)
         upper = entry.make_likelihood().weight_domain.upper
         assert gen.calls >= 2
         assert np.all((draws > 0.0) & (draws < upper))
+
+    def test_odds_draws_keep_heavy_tails(self):
+        # Beta-prime(0.5, 0.05): about 15% of the mass lies above odds 1e16,
+        # where y / (1 - y) of a beta draw y would round y onto 1
+        draws = ODDS_BERNOULLI_BETA_PRIME.sample_weights(RngState(5).generator(), (-0.5,), 0.55, 4000)
+        assert stats.kstest(draws, stats.betaprime(0.5, 0.05).cdf).pvalue > 0.01
 
     @pytest.mark.parametrize(
         "entry, bad_lam, lam_reason",

@@ -17,10 +17,13 @@ from expcrm.catalog import (
 )
 from expcrm.checks import (
     CheckReport,
+    _homogeneity,
+    _pearson,
     check_assumptions,
     chi_square_gof,
     chi_square_two_sample,
     equivalence_run,
+    kolmogorov_sf,
     ks_two_sample,
     log1mexp,
     oracle_log_partition,
@@ -161,6 +164,76 @@ class TestKsHelper:
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
             ks_two_sample([1.0], [1.0, 2.0])
+
+
+def ks_grid(n: int) -> np.ndarray:
+    """D values for n draws that reach every branch of the finite-n Kolmogorov sf.
+
+    Support edge and Ruben-Gambino ends, MTW (n D^1.5 <= 1.4), Pelz-Good,
+    2 * smirnov (n D^2 >= 2.2, or D >= 1/2) and zero (n D^2 >= 370), each
+    with points at and next to its boundaries.
+    """
+    mtw_top = (1.4 / n) ** (2.0 / 3.0)
+    edges = [math.sqrt(c / n) for c in (0.754693, 2.2, 4.0, 18.0, 370.0)] + [mtw_top, 0.5]
+    near = [e * f for e in edges for f in (0.97, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.03)]
+    ends = [0.0, 0.5 / n, np.nextafter(0.5 / n, 1.0), 0.75 / n, 1.0 / n, 1.5 / n,
+            (n - 1.5) / n, (n - 1.0) / n, 0.999, 1.0, 1.2]
+    return np.concatenate([ends, near, np.geomspace(0.4 / n, 1.0, 120)])
+
+
+class TestKolmogorovSf:
+    @pytest.mark.parametrize("n", [141, 500, 1000, 2000, 10_000, 20_000])
+    def test_matches_scipy_bit_for_bit_above_140(self, n):
+        ds = ks_grid(n)
+        # every branch of the n > 140 dispatch is on the grid; zero needs n >= 1480
+        inner = ds[(ds > 1.0 / n) & (ds < 0.5)]
+        nd2 = n * inner**2
+        assert (n * inner**1.5 <= 1.4).any() and ((n * inner**1.5 > 1.4) & (nd2 < 2.2)).any()
+        assert ((nd2 >= 2.2) & (nd2 < 370.0)).any()
+        assert (nd2 >= 370.0).any() == (n >= 1480)
+        got = np.array([kolmogorov_sf(n, d) for d in ds])
+        want = stats.kstwo.sf(ds, n)
+        assert [(d, g, w) for d, g, w in zip(ds, got, want) if g != w] == []
+
+    def test_near_scipy_up_to_140(self):
+        # scipy runs Pomeranz's recursion where n D^2 is in (0.754693, 4]; MTW here
+        for n in (1, 2, 3, 5, 10, 37, 99, 121, 140):
+            ds = ks_grid(n)
+            got = np.array([kolmogorov_sf(n, d) for d in ds])
+            np.testing.assert_allclose(got, stats.kstwo.sf(ds, n), rtol=1e-10, atol=0.0)
+
+
+class TestChiSquarePort:
+    def test_homogeneity_is_scipys_contingency_test(self):
+        gen = np.random.default_rng(2024)
+        for _ in range(2000):
+            table = gen.integers(0, 60, size=(2, int(gen.integers(2, 12))))
+            table[:, table.sum(axis=0) == 0] = 1
+            table[table.sum(axis=1) == 0] = 1
+            res = stats.chi2_contingency(table, correction=False)
+            assert _homogeneity(table.astype(float)) == (res.statistic, res.pvalue)
+
+    def test_pearson_is_scipys_chisquare(self):
+        gen = np.random.default_rng(2025)
+        for _ in range(2000):
+            cells = int(gen.integers(2, 15))
+            observed = gen.integers(1, 90, size=cells).astype(float)
+            expected = gen.uniform(0.5, 40.0, size=cells)
+            expected *= observed.sum() / expected.sum()
+            res = stats.chisquare(observed, expected)
+            assert _pearson(observed, expected, cells - 1) == (res.statistic, res.pvalue)
+
+    def test_two_sample_report_carries_scipys_p_value(self):
+        gen = np.random.default_rng(2026)
+        for _ in range(200):
+            # column totals of at least 10, so no category is pooled
+            table = gen.integers(5, 60, size=(2, int(gen.integers(2, 8))))
+            a = np.repeat(np.arange(table.shape[1]), table[0]).tolist()
+            b = np.repeat(np.arange(table.shape[1]), table[1]).tolist()
+            res = stats.chi2_contingency(table, correction=False)
+            rep = chi_square_two_sample(a, b)
+            assert rep.statistic == res.pvalue
+            assert rep.detail.endswith(f"chi2 = {res.statistic:.4g}")
 
 
 class TestChiSquareGof:

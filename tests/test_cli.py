@@ -415,6 +415,26 @@ class TestVerify:
         assert doc["suite"] == "oracle"
         assert len(doc["reports"]) == 13
 
+    def test_oracle_suite_on_a_heavy_power_tail(self, tmp_path):
+        # the round-1 weight law is Beta-prime(0.5, 0.05), tail power -1.05
+        model = tmp_path / "odds.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "likelihood": "odds_bernoulli",
+                    "prior": "beta_prime_process",
+                    "params": {"mass": 1.0, "xi": [-1.5], "lam": -0.45},
+                    "seed": 0,
+                }
+            )
+        )
+        report = tmp_path / "report.json"
+        code = main(["verify", "--model", str(model), "--suite", "oracle", "--report", str(report)])
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert doc["reports"][-1]["name"] == "weight law at (xi=-0.5, lam=0.55)"
+        assert all(r["passed"] for r in doc["reports"])
+
     def test_equivalence_suite(self, gamma_model):
         code = main(
             ["verify", "--model", str(gamma_model), "--suite", "equivalence",

@@ -6,6 +6,10 @@ from the table that ``bench/digests.py`` writes into ``bench/README.md``.
 Under the ``RngState(seed, stream)`` contract a change that only makes the
 program faster leaves every digest as it is, so a mismatch here means the
 output bytes moved.
+
+The three ``verify`` reports of the ``verify-gamma`` workload at its first
+verify seed are pinned here instead, as they were when the suites took their
+p-values from ``scipy.stats``.
 """
 
 import hashlib
@@ -94,3 +98,20 @@ def test_bench_seed_outputs_match_the_digest_table(workload, tmp_path):
     table = _digest_table()
     for name, path in RUNS[workload](tmp_path).items():
         assert _sha256(path) == table[(workload, SEED, name)], f"{workload} {name}"
+
+
+VERIFY_REPORTS = {
+    "assumptions": "40e24eab07a8b56803cb92f1246a9c8f0149a364da5f29badb17bf611765aa40",
+    "oracle": "dbd1b6d034b12fed380bf2e16eb19f65861d697d9d2f23813d0b8aa458d255df",
+    "equivalence": "37a7dd9661b957992d4a50518bebefff585b36d13e2e22eca0f55b8f64e5b9f6",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_REPORTS))
+def test_verify_reports_are_pinned(suite, tmp_path):
+    model = tmp_path / "model.json"
+    cfg = workloads.model_config("params", workloads.GAMMA, workloads.VERIFY_SEEDS[SEED])
+    workloads.write_config(model, cfg)
+    report = tmp_path / f"report-{suite}.json"
+    _cli("verify", "--model", str(model), "--suite", suite, "--report", str(report))
+    assert _sha256(report) == VERIFY_REPORTS[suite]

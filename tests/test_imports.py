@@ -3,10 +3,11 @@
 An ``ast`` scan keeps every module free of imports it never reads.  The
 export table in ``expcrm/__init__.py`` is checked against a pinned copy
 of the public names, each name against the object its module defines,
-and, in fresh interpreters, that ``import expcrm`` loads no submodule,
-that only ``verify`` loads ``scipy.stats``, and that no other command loads
-``scipy.interpolate`` or ``scipy.optimize`` through the package (a second
-scan keeps every module from importing either, at any level).
+and, in fresh interpreters, that ``import expcrm`` loads no submodule
+and that no command, each ``verify`` suite included, loads ``scipy.stats``,
+``scipy.interpolate`` or ``scipy.optimize`` through the package.  A second
+scan keeps every module from importing either solver package at any level,
+and from importing ``scipy.stats`` at module level.
 """
 
 import ast
@@ -70,10 +71,27 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
-def imported_modules(source: str) -> set[str]:
-    """Every absolute module an import anywhere in ``source`` names, ``from`` names included."""
+def _module_level_nodes(tree):
+    """Every node that runs when the module is imported: all but function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
+
+
+def imported_modules(source: str, module_level: bool = False) -> set[str]:
+    """Every absolute module an import in ``source`` names, ``from`` names included.
+
+    With ``module_level`` only imports that run when the module is imported count.
+    """
+    tree = ast.parse(source)
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in _module_level_nodes(tree) if module_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -85,6 +103,11 @@ def imported_modules(source: str) -> set[str]:
 def scipy_solvers(names) -> list[str]:
     """The names among ``names`` that are, or lie under, scipy.interpolate or scipy.optimize."""
     return sorted(n for n in names if n.startswith(("scipy.interpolate", "scipy.optimize")))
+
+
+def scipy_stats(names) -> list[str]:
+    """The names among ``names`` that are, or lie under, scipy.stats."""
+    return sorted(n for n in names if n == "scipy.stats" or n.startswith("scipy.stats."))
 
 
 def run_python(code: str, cwd) -> list[str]:
@@ -100,6 +123,12 @@ def run_python(code: str, cwd) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+COMMANDS = [
+    "families", "sample-prior", "sample-marginal", "posterior", "verify-assumptions",
+    "verify-oracle", "verify-equivalence",
+]
 
 
 def cli_modules(tmp_path, command: str) -> tuple[int, list[str]]:
@@ -126,7 +155,12 @@ def cli_modules(tmp_path, command: str) -> tuple[int, list[str]]:
                             "--reps", "2", "--out", "obs.jsonl"],
         "posterior": ["posterior", "--model", "model.json", "--data", "data.jsonl",
                       "--out", "post.json"],
-        "verify": ["verify", "--model", "model.json"],
+        # the smallest replicate counts the suites take
+        **{
+            f"verify-{suite}": ["verify", "--model", "model.json", "--suite", suite,
+                                "--reps", "100"]
+            for suite in ("assumptions", "oracle", "equivalence")
+        },
     }[command]
     lines = run_python(
         "import json, sys\n"
@@ -169,6 +203,27 @@ class TestNoScipySolvers:
     @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_module_imports_no_scipy_solver(self, path):
         assert scipy_solvers(imported_modules(path.read_text(encoding="utf-8"))) == []
+
+
+class TestNoModuleLevelScipyStats:
+    def test_scan_skips_function_bodies_only(self):
+        source = (
+            "import scipy.special\n"
+            "from scipy import stats\n"
+            "class C:\n"
+            "    from scipy.stats import norm\n"
+            "def f():\n"
+            "    from scipy.stats import ks_2samp\n"
+        )
+        names = imported_modules(source, module_level=True)
+        assert scipy_stats(names) == ["scipy.stats", "scipy.stats.norm"]
+        assert "scipy.stats.ks_2samp" not in names
+        assert "scipy.stats.ks_2samp" in imported_modules(source)
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_module_does_not_import_scipy_stats(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert scipy_stats(imported_modules(source, module_level=True)) == []
 
 
 class TestExportTable:
@@ -222,23 +277,12 @@ class TestLazyLoading:
         )
         assert line == "expcrm.quadrature True"
 
-    @pytest.mark.parametrize(
-        "command,stats_loaded",
-        [
-            ("families", False),
-            ("sample-prior", False),
-            ("sample-marginal", False),
-            ("posterior", False),
-            ("verify", True),
-        ],
-    )
-    def test_only_verify_loads_scipy_stats(self, tmp_path, command, stats_loaded):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_loads_scipy_stats(self, tmp_path, command):
         code, modules = cli_modules(tmp_path, command)
-        assert (code, "scipy.stats" in modules) == (0, stats_loaded)
+        assert (code, scipy_stats(modules)) == (0, [])
 
-    @pytest.mark.parametrize(
-        "command", ["families", "sample-prior", "sample-marginal", "posterior"]
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_command_loads_no_scipy_solver(self, tmp_path, command):
         code, modules = cli_modules(tmp_path, command)
         assert (code, scipy_solvers(modules)) == (0, [])

@@ -388,14 +388,20 @@ class TestNumericWeightSampler:
         [
             # endpoint power -0.999 at 0: 97% of the mass lies below the first knot
             (POISSON_GAMMA, -0.999, 1.0, stats.gamma(a=1e-3)),
-            # tail power -1.2 at infinity: the quarter-octave march runs 765 steps
+            # tail powers -1.2, -1.1 and -1.05 at infinity: the quarter-octave
+            # march closes where the analytic power piece above it is accurate
             (ODDS_BERNOULLI_BETA_PRIME, -0.3, 0.9, stats.betaprime(0.7, 0.2)),
+            (ODDS_BERNOULLI_BETA_PRIME, -0.3, 0.8, stats.betaprime(0.7, 0.1)),
+            (ODDS_BERNOULLI_BETA_PRIME, -0.3, 0.75, stats.betaprime(0.7, 0.05)),
             # narrower than a panel of the grid: the panels around its mass are bisected
             (POISSON_GAMMA, 1999.0, 1e4, stats.gamma(a=2000.0, scale=1e-4)),
             # all of the mass above the initial grid, where the density underflows
             (POISSON_GAMMA, 4999.0, 1.0, stats.gamma(a=5000.0)),
         ],
-        ids=["gamma-power-near-0", "beta-prime-tail-near-1", "gamma-steep", "gamma-far-out"],
+        ids=[
+            "gamma-power-near-0", "beta-prime-tail-near-1", "beta-prime-tail-1.1",
+            "beta-prime-tail-1.05", "gamma-steep", "gamma-far-out",
+        ],
     )
     def test_edge_laws_match_reference(self, entry, xi, lam, ref):
         like = dataclasses.replace(entry.make_likelihood(), family="mystery")
@@ -465,7 +471,11 @@ def _reference_cell_weights(sampler, gen, xi, lam, n):
     elif family == "bernoulli":
         law, hi = (lambda k: gen.beta(xi0 + 1.0, lam - xi0 + 1.0, k)), 1.0
     elif family == "odds_bernoulli":
-        law, hi = (lambda k: gen.beta(xi0 + 1.0, lam - xi0 - 1.0, k)), 1.0
+        def law(k):
+            g = gen.standard_gamma(np.tile([xi0 + 1.0, lam - xi0 - 1.0], k))
+            return g[0::2] / g[1::2]
+
+        hi = math.inf
     else:
         law, hi = (lambda k: gen.beta(xi0 + 1.0, lam * entry.r + 1.0, k)), 1.0
     vals = law(n)
@@ -474,7 +484,7 @@ def _reference_cell_weights(sampler, gen, xi, lam, n):
         if not bad.any():
             break
         vals[bad] = law(int(bad.sum()))
-    return vals / (1.0 - vals) if family == "odds_bernoulli" else vals
+    return vals
 
 
 def reference_draw_labeled(sampler, gen):

@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import betaln, digamma, gammaln, polygamma
 
-from .errors import DivergenceSuspected, DomainError, RngFaultError
+from .errors import DivergenceSuspected, DomainError
 from .exp_family import (
     _ENTRIES,
     ExpCrmLikelihood,
@@ -256,33 +256,21 @@ class CatalogEntry:
         """
         raise NotImplementedError
 
-    def sample_weights(self, generator, xi, lam, size: int, *, redraw: bool = True):
+    def sample_weights(self, generator, xi, lam, size: int):
         """``size`` draws of the weight law with hyperparameters (xi, lam).
 
         ``xi`` is the one-dimensional xi of a single law, or an array of
         xi values with one entry per draw; ``lam`` is a float or such an
-        array.  Draws that land on the boundary of the open weight domain
-        are redrawn with their own parameters until they fall inside.  With
-        ``redraw=False`` the draw is one generator call and the method
-        returns ``None`` when any entry hit the boundary, so that a caller
-        bound to another stream schedule can rewind the generator and draw
-        its own way.
+        array.  The draw is one generator call; a draw that rounded onto an
+        edge of the weight domain is moved inside by
+        :meth:`~expcrm.exp_family.WeightDomain.clip`.
         """
         xi0 = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else _xi0(xi)
         xi0 = np.broadcast_to(xi0, size)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), size)
         if not np.all(self._proper0(xi0, lam)):
             raise DomainError("weight draws need proper (xi, lam)")
-        hi = self.make_likelihood().weight_domain.upper
-        vals = self._draw_weights(generator, xi0, lam)
-        for _ in range(100):
-            bad = ~((vals > 0.0) & (vals < hi))
-            if not bad.any():
-                return vals
-            if not redraw:
-                return None
-            vals[bad] = self._draw_weights(generator, xi0[bad], lam[bad])
-        raise RngFaultError("weight sampler kept hitting the domain boundary")
+        return self.make_likelihood().weight_domain.clip(self._draw_weights(generator, xi0, lam))
 
 
 class _NativeBeta(CatalogEntry):
@@ -558,9 +546,11 @@ class OddsBernoulliBetaPrime(CatalogEntry):
     def _draw_weights(self, generator, xi0, lam):
         # the ratio of the two gamma variates of a beta draw, taken in pairs
         # from one call: the odds y / (1 - y) of the beta draw itself lose
-        # heavy tails, where much of the mass rounds onto y = 1
-        g = generator.standard_gamma(np.column_stack([xi0 + 1.0, lam - xi0 - 1.0]).ravel())
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # heavy tails, where much of the mass rounds onto y = 1.  Each
+        # variate is clipped inside its own (0, inf) first, so no ratio is 0/0
+        shapes = np.column_stack([xi0 + 1.0, lam - xi0 - 1.0]).ravel()
+        g = WeightDomain(math.inf).clip(generator.standard_gamma(shapes))
+        with np.errstate(over="ignore"):
             return g[0::2] / g[1::2]
 
 

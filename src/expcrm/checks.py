@@ -60,7 +60,6 @@ __all__ = [
     "chi_square_two_sample",
     "equivalence_run",
     "kolmogorov_sf",
-    "ks_two_sample",
     "log1mexp",
     "oracle_log_partition",
     "oracle_predictive_pmf",
@@ -196,21 +195,6 @@ def _check_a2(prior: ExpCrmPrior) -> CheckReport:
 
 
 # --- statistical helpers ------------------------------------------------------
-
-
-def ks_two_sample(a, b, alpha: float = 0.01, name: str = "two-sample KS") -> CheckReport:
-    """Two-sample KS test by ``scipy.stats.ks_2samp``, which this function imports.
-
-    No suite calls it; it is the only code in the package that loads ``scipy.stats``.
-    """
-    from scipy.stats import ks_2samp
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise DomainError("two-sample KS needs at least two points per sample")
-    res = ks_2samp(a, b, method="asymp" if min(a.size, b.size) > 500 else "auto")
-    return _report_geq(name, res.pvalue, alpha, f"n = {a.size} vs {b.size}, D = {res.statistic:.4g}")
 
 
 def _pearson(observed: np.ndarray, expected: np.ndarray, dof: int) -> tuple[float, float]:

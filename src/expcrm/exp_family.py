@@ -31,6 +31,7 @@ quadrature for families without one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -78,6 +79,23 @@ class WeightDomain:
         if self.closed_upper:
             return inside & (theta <= self.upper)
         return inside & (theta < self.upper)
+
+    def clip(self, theta) -> np.ndarray:
+        """Draws moved from on or past an edge to the nearest double inside.
+
+        A weight that rounded onto 0 becomes the smallest subnormal; one
+        that rounded onto an open top becomes the double just below it, and
+        an overflow the largest finite double.  This is the one boundary rule
+        of every weight draw: a draw is never redrawn, so the law keeps the
+        mass that rounds onto an edge and the stream is read forward only.
+        """
+        if self.closed_upper:
+            top = self.upper
+        elif math.isfinite(self.upper):
+            top = math.nextafter(self.upper, 0.0)
+        else:
+            top = sys.float_info.max
+        return np.clip(theta, 5e-324, top)
 
     def label(self) -> str:
         hi = "inf" if not math.isfinite(self.upper) else format(self.upper, "g")

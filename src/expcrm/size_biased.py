@@ -318,40 +318,28 @@ class SizeBiasedConfig:
         _check_truncation(self)
 
 
-def _fresh_locations(gen, k: int, taken: set) -> np.ndarray:
-    """Draw k uniform locations distinct from ``taken`` and each other.
-
-    Collisions have probability zero; guarding anyway keeps the
-    distinct-locations invariant of the measure containers unconditional.
-    Mutates ``taken``.
-    """
-    out = np.empty(k, dtype=float)
-    for i in range(k):
-        for _ in range(100):
-            v = float(gen.uniform())
-            if v not in taken:
-                taken.add(v)
-                out[i] = v
-                break
-        else:
-            raise RngFaultError("100 location draws in a row collided")
-    return out
-
-
 def _locations(gen, k: int, taken) -> np.ndarray:
     """k uniform locations distinct from each other and from ``taken``.
 
-    One vectorized draw equals k scalar draws; after a collision the
-    generator is rewound and :func:`_fresh_locations` redraws one
-    location at a time, skipping taken values.
+    One vectorized draw equals k scalar draws.  Collisions have probability
+    zero; guarding anyway keeps the distinct-locations invariant of the
+    measure containers unconditional.  An entry equal to a taken value or
+    to an earlier entry is redrawn in place, in index order, from the
+    uniforms that follow, so the generator is only ever read forward.
     """
-    state = gen.bit_generator.state
     locations = gen.uniform(size=k)
-    values = locations.tolist()
-    if len(set(values)) == k and taken.isdisjoint(values):
-        return locations
-    gen.bit_generator.state = state
-    return _fresh_locations(gen, k, set(taken))
+    for _ in range(100):
+        values = locations.tolist()
+        if len(set(values)) == k and taken.isdisjoint(values):
+            return locations
+        seen = set(taken)
+        colliding = []
+        for i, v in enumerate(values):
+            if v in seen:
+                colliding.append(i)
+            seen.add(v)
+        locations[colliding] = gen.uniform(size=len(colliding))
+    raise RngFaultError("100 location draws in a row collided")
 
 
 class _TruncatedSampler:
@@ -453,19 +441,13 @@ class SizeBiasedSampler(_TruncatedSampler):
         For a catalog family phi(x) = x and phi(0) = 0, so the cell
         parameters of :func:`weight_dist_params` are (xi + x, lam + m) and
         all cells take one broadcast draw, which consumes the generator
-        exactly like the per-cell draws.  When that draw puts a weight on
-        the domain boundary, the generator is rewound and the per-cell
-        loop, which redraws inside each cell, runs instead.
+        exactly like the per-cell draws.
         """
         entry = self.table.entry
         if entry is not None:
-            state = gen.bit_generator.state
-            weights = entry.sample_weights(
-                gen, self.prior.xi[0] + counts, self.prior.lam + rounds, cells.size, redraw=False
+            return entry.sample_weights(
+                gen, self.prior.xi[0] + counts, self.prior.lam + rounds, cells.size
             )
-            if weights is not None:
-                return weights
-            gen.bit_generator.state = state
         weights = np.empty(cells.size, dtype=float)
         pos = 0
         for n_cell in np.unique(cells, return_counts=True)[1]:
@@ -706,6 +688,7 @@ class _NumericWeightSampler:
         self._up_power = up
         self._finite = math.isfinite(upper)
         self._upper = upper
+        self._domain = likelihood.weight_domain
 
         if self._finite:
             if up <= -1.0 + 1e-7:
@@ -824,31 +807,26 @@ class _NumericWeightSampler:
         return np.clip(out / self._total, 0.0, 1.0)
 
     def _invert(self, c: np.ndarray) -> np.ndarray:
-        """The weights at which the unnormalized cdf reaches ``c``."""
+        """The weights at which the unnormalized cdf reaches ``c``, clipped into the domain."""
         out = np.empty(c.shape)
-        below = c <= self._mass_below
-        # an underflowed draw is still an atom
+        # strict, so that c = 0 on a law whose mass below the first knot
+        # underflowed to 0 is solved in the panels rather than read as 0/0
+        below = c < self._mass_below
         frac = c[below] / self._mass_below
-        out[below] = np.maximum(self._sides[0].knots[0] * frac ** (1.0 / (self._low + 1.0)), 5e-324)
+        out[below] = self._sides[0].knots[0] * frac ** (1.0 / (self._low + 1.0))
         top = ~below & (self._mass_above > 0.0) & (c >= self._total - self._mass_above)
         if top.any():
             frac = (self._total - c[top]) / self._mass_above
             with np.errstate(divide="ignore", over="ignore"):
                 far = self._up_edge * frac ** (1.0 / (self._up_power + 1.0))
-            # heavy tails (power barely below -1) can overflow for u within
-            # an ulp of 1; a clamped draw is still the right rare event
-            out[top] = self._upper - far if self._finite else np.minimum(far, 8e307)
+            out[top] = self._upper - far if self._finite else far
         rest = ~(below | top)
         if self._finite:
             high = rest & (c >= self._sides[0].cum[-1])
             out[high] = self._upper - self._sides[1].solve(self._total - c[high])
             rest &= ~high
         out[rest] = self._sides[0].solve(c[rest])
-        return out
+        return self._domain.clip(out)
 
     def sample(self, gen, size: int) -> np.ndarray:
-        u = gen.uniform(size=size)
-        while (u == 0.0).any():  # keep weights strictly positive
-            zeros = u == 0.0
-            u[zeros] = gen.uniform(size=int(zeros.sum()))
-        return self._invert(u * self._total)
+        return self._invert(gen.uniform(size=size) * self._total)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,12 +144,13 @@ class TestBaseDerivedFacts:
 
     @pytest.mark.parametrize("entry", [BERNOULLI_BETA, NB, ODDS_BERNOULLI_BETA_PRIME],
                              ids=lambda e: e.family)
-    def test_draws_at_the_top_of_the_domain_are_redrawn(self, entry):
-        class TopFirst(np.random.Generator):
-            """Puts every other weight of its first draw on the top of the domain.
+    def test_draws_on_an_edge_of_the_domain_are_clipped(self, entry):
+        class OnTheEdges(np.random.Generator):
+            """Puts weights of its draws on the edges of the domain.
 
-            Beta draws become 1.0; odds, drawn as ratios of gamma pairs, get
-            every other denominator 0.0 and so become infinite.
+            Beta draws get 0.0 and 1.0; odds, drawn as ratios of gamma pairs,
+            get a 0.0 numerator in the first pair and a 0.0 denominator in the
+            second.
             """
 
             calls = 0
@@ -156,22 +158,53 @@ class TestBaseDerivedFacts:
             def beta(self, a, b, size=None):
                 self.calls += 1
                 out = np.array(super().beta(a, b, size), dtype=float)
-                if self.calls == 1:
-                    out[::2] = 1.0
+                out[0], out[1] = 0.0, 1.0
                 return out
 
             def standard_gamma(self, shape, size=None):
                 self.calls += 1
                 out = np.array(super().standard_gamma(shape, size), dtype=float)
-                if self.calls == 1:
-                    out[1::4] = 0.0
+                out[0], out[3] = 0.0, 0.0
                 return out
 
-        gen = TopFirst(np.random.PCG64(7))
+        gen = OnTheEdges(np.random.PCG64(7))
+        twin = np.random.Generator(np.random.PCG64(7))
         draws = entry.sample_weights(gen, (-0.5,), 2.0, 6)
-        upper = entry.make_likelihood().weight_domain.upper
-        assert gen.calls >= 2
-        assert np.all((draws > 0.0) & (draws < upper))
+        domain = entry.make_likelihood().weight_domain
+        top = {
+            BERNOULLI_BETA: 1.0, NB: np.nextafter(1.0, 0.0), ODDS_BERNOULLI_BETA_PRIME: sys.float_info.max,
+        }[entry]
+        # one generator call, nothing redrawn: the draw is the clipped call
+        assert gen.calls == 1
+        assert 0.0 < draws[0] <= 1e-323 and draws[1] == top
+        assert domain.contains(draws).all()
+        exact = entry.sample_weights(twin, (-0.5,), 2.0, 6)
+        assert draws[2:].tobytes() == exact[2:].tobytes()
+
+    @pytest.mark.parametrize("entry, lam", [(BERNOULLI_BETA, -1.45), (NB, -0.38)],
+                             ids=["bernoulli", "negative_binomial(2.5)"])
+    def test_beta_draws_keep_the_mass_next_to_one(self, entry, lam):
+        # the law is Beta(0.5, 0.05): about 30% of its mass lies within 1e-10
+        # of 1, and about half of all draws in that band round onto 1.0, so
+        # the band's share shows whether they were kept.  A KS test cannot:
+        # draws kept at the top are tied, which reads as D near 0.14 even
+        # when the mass is right
+        n = 20_000
+        draws = entry.sample_weights(RngState(5).generator(), (-0.5,), lam, n)
+        p = stats.beta(0.5, 0.05).sf(1.0 - 1e-10)
+        share = np.mean(draws >= 1.0 - 1e-10)
+        assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+        assert entry.make_likelihood().weight_domain.contains(draws).all()
+
+    def test_odds_pair_of_zero_gammas_gives_a_finite_weight(self):
+        class ZeroGammas(np.random.Generator):
+            def standard_gamma(self, shape, size=None):
+                return np.zeros_like(super().standard_gamma(shape, size))
+
+        draws = ODDS_BERNOULLI_BETA_PRIME.sample_weights(
+            ZeroGammas(np.random.PCG64(7)), (-0.5,), 2.0, 3
+        )
+        assert np.isfinite(draws).all() and (draws > 0.0).all()
 
     def test_odds_draws_keep_heavy_tails(self):
         # Beta-prime(0.5, 0.05): about 15% of the mass lies above odds 1e16,

@@ -24,7 +24,6 @@ from expcrm.checks import (
     chi_square_two_sample,
     equivalence_run,
     kolmogorov_sf,
-    ks_two_sample,
     log1mexp,
     oracle_log_partition,
     oracle_predictive_pmf,
@@ -146,24 +145,6 @@ class TestAssumptionChecks:
         assert all(r.passed for r in reports)
         # round-1 total for the binary family at (-1, 1) is 1/3
         assert reports[2].statistic == pytest.approx(1.0 / 3.0, rel=1e-9)
-
-
-class TestKsHelper:
-    def test_same_law_passes(self):
-        gen = np.random.default_rng(7)
-        a = gen.gamma(2.0, size=800)
-        b = gen.gamma(2.0, size=900)
-        assert ks_two_sample(a, b).passed
-
-    def test_different_law_fails(self):
-        gen = np.random.default_rng(7)
-        a = gen.gamma(2.0, size=800)
-        b = gen.gamma(3.0, size=900)
-        assert not ks_two_sample(a, b).passed
-
-    def test_needs_two_points(self):
-        with pytest.raises(DomainError):
-            ks_two_sample([1.0], [1.0, 2.0])
 
 
 def ks_grid(n: int) -> np.ndarray:

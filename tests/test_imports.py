@@ -6,8 +6,9 @@ of the public names, each name against the object its module defines,
 and, in fresh interpreters, that ``import expcrm`` loads no submodule
 and that no command, each ``verify`` suite included, loads ``scipy.stats``,
 ``scipy.interpolate`` or ``scipy.optimize`` through the package.  A second
-scan keeps every module from importing either solver package at any level,
-and from importing ``scipy.stats`` at module level.
+scan keeps every module from importing ``scipy.stats`` or either solver
+package at any level, and a third from reading or assigning a generator's
+``bit_generator.state``: draws read the stream forward only.
 """
 
 import ast
@@ -71,27 +72,10 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
-def _module_level_nodes(tree):
-    """Every node that runs when the module is imported: all but function bodies."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(
-            child
-            for child in ast.iter_child_nodes(node)
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        )
-
-
-def imported_modules(source: str, module_level: bool = False) -> set[str]:
-    """Every absolute module an import in ``source`` names, ``from`` names included.
-
-    With ``module_level`` only imports that run when the module is imported count.
-    """
-    tree = ast.parse(source)
+def imported_modules(source: str) -> set[str]:
+    """Every absolute module an import in ``source`` names, ``from`` names included."""
     names = set()
-    for node in _module_level_nodes(tree) if module_level else ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -108,6 +92,18 @@ def scipy_solvers(names) -> list[str]:
 def scipy_stats(names) -> list[str]:
     """The names among ``names`` that are, or lie under, scipy.stats."""
     return sorted(n for n in names if n == "scipy.stats" or n.startswith("scipy.stats."))
+
+
+def state_accesses(source: str) -> list[int]:
+    """Lines that read or assign ``<expr>.bit_generator.state``, the way to rewind a generator."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "state"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "bit_generator"
+    )
 
 
 def run_python(code: str, cwd) -> list[str]:
@@ -206,7 +202,9 @@ class TestNoScipySolvers:
 
 
 class TestNoModuleLevelScipyStats:
-    def test_scan_skips_function_bodies_only(self):
+    # named for the module-level scan it began as; it now scans every level
+
+    def test_scan_sees_nested_and_from_imports(self):
         source = (
             "import scipy.special\n"
             "from scipy import stats\n"
@@ -215,15 +213,28 @@ class TestNoModuleLevelScipyStats:
             "def f():\n"
             "    from scipy.stats import ks_2samp\n"
         )
-        names = imported_modules(source, module_level=True)
-        assert scipy_stats(names) == ["scipy.stats", "scipy.stats.norm"]
-        assert "scipy.stats.ks_2samp" not in names
-        assert "scipy.stats.ks_2samp" in imported_modules(source)
+        assert scipy_stats(imported_modules(source)) == [
+            "scipy.stats", "scipy.stats.ks_2samp", "scipy.stats.norm",
+        ]
 
     @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_module_does_not_import_scipy_stats(self, path):
-        source = path.read_text(encoding="utf-8")
-        assert scipy_stats(imported_modules(source, module_level=True)) == []
+        assert scipy_stats(imported_modules(path.read_text(encoding="utf-8"))) == []
+
+
+class TestNoGeneratorRewinds:
+    def test_scan_sees_reads_and_assignments(self):
+        source = (
+            "def f(gen):\n"
+            "    saved = gen.bit_generator.state\n"
+            "    gen.bit_generator.state = saved\n"
+            "    return gen.bit_generator.seed_seq, gen.state\n"
+        )
+        assert state_accesses(source) == [2, 3]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_module_never_touches_generator_state(self, path):
+        assert state_accesses(path.read_text(encoding="utf-8")) == []
 
 
 class TestExportTable:

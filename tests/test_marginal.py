@@ -283,7 +283,8 @@ def reference_stream(sampler, gen, n_steps):
 
     Every atom on the books walks its own predictive pmf on one scalar
     uniform, then new atoms arrive; locations are drawn one uniform at a
-    time, skipping taken values.
+    time, and until none is taken or repeats an earlier one, each such
+    location is redrawn in index order.
     """
     prior = sampler.prior
     like = prior.likelihood
@@ -306,12 +307,19 @@ def reference_stream(sampler, gen, n_steps):
                 np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
             ]
             counts.sort()
-            taken = {v for v, _, _ in next_atoms}
-            for c in counts:
-                v = float(gen.uniform())
-                while v in taken:
-                    v = float(gen.uniform())
-                taken.add(v)
+            locations = [float(gen.uniform()) for _ in counts]
+            while True:
+                seen = {v for v, _, _ in next_atoms}
+                colliding = []
+                for i, v in enumerate(locations):
+                    if v in seen:
+                        colliding.append(i)
+                    seen.add(v)
+                if not colliding:
+                    break
+                for i in colliding:
+                    locations[i] = float(gen.uniform())
+            for v, c in zip(locations, counts):
                 emissions.append((v, int(c)))
                 next_atoms.append((v, *weight_dist_params(prior, n, int(c))))
         atoms = next_atoms

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from expcrm.size_biased import (
     LabeledDraw,
     SizeBiasedConfig,
     SizeBiasedSampler,
-    _fresh_locations,
+    _locations,
     _NumericWeightSampler,
     _Panels,
     rate_M,
@@ -300,25 +301,30 @@ class TestDrawing:
 
 
 class _ScriptedGen:
-    """Stand-in generator whose uniforms follow a script."""
+    """Stand-in generator whose uniforms follow a script, then repeat its last value."""
 
     def __init__(self, values):
         self._values = list(values)
 
-    def uniform(self):
-        if len(self._values) > 1:
-            return self._values.pop(0)
-        return self._values[0]
+    def uniform(self, size):
+        return np.array([self._values.pop(0) if len(self._values) > 1 else self._values[0]
+                         for _ in range(size)])
 
 
 class TestLocationHygiene:
     def test_collisions_are_redrawn(self):
-        out = _fresh_locations(_ScriptedGen([0.5, 0.25, 0.25, 0.75]), 2, taken={0.5})
-        assert out.tolist() == [0.25, 0.75]
+        # a taken value is redrawn in place from the uniform after the batch
+        out = _locations(_ScriptedGen([0.5, 0.25, 0.75]), 2, frozenset({0.5}))
+        assert out.tolist() == [0.75, 0.25]
+
+    def test_repeats_inside_the_batch_are_redrawn(self):
+        # the later copy is redrawn, and so is a redraw that repeats again
+        out = _locations(_ScriptedGen([0.25, 0.5, 0.25, 0.5, 0.75]), 3, set())
+        assert out.tolist() == [0.25, 0.5, 0.75]
 
     def test_stuck_generator_raises(self):
         with pytest.raises(RngFaultError):
-            _fresh_locations(_ScriptedGen([0.5]), 2, taken={0.5})
+            _locations(_ScriptedGen([0.5]), 2, frozenset({0.5}))
 
 
 class TestNumericWeightSampler:
@@ -427,6 +433,20 @@ class TestNumericWeightSampler:
         twin.uniform(size=17)
         assert gen.bit_generator.state == twin.bit_generator.state
 
+    def test_draws_next_to_an_open_top_stay_inside(self):
+        # NB(0.1) at xi -0.5, lam -9.5 has the weight law Beta(0.5, 0.05) on
+        # (0, 1): about 30% of its mass lies within 1e-10 of the open top,
+        # where the inversion from the top rounds onto 1.0
+        like = dataclasses.replace(get_entry("negative_binomial", r=0.1).make_likelihood(),
+                                   family="mystery")
+        gen = RngState(5).generator()
+        n = 20_000
+        draws = _NumericWeightSampler(like, (-0.5,), -9.5).sample(gen, n)
+        assert draws.max() == np.nextafter(1.0, 0.0)
+        p = stats.beta(0.5, 0.05).sf(1.0 - 1e-10)
+        assert abs(np.mean(draws >= 1.0 - 1e-10) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+        like.sample(gen, draws)  # raises DomainError on a weight outside (0, 1)
+
     def test_improper_parameters_rejected(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
         with pytest.raises(DomainError, match="not normalizable"):
@@ -460,31 +480,41 @@ class TestEndToEndUnregistered:
 
 
 def _reference_cell_weights(sampler, gen, xi, lam, n):
-    """Per-cell weight draw: the catalog laws, boundary values redrawn in the cell."""
+    """Per-cell weight draw: the catalog laws, edge values clipped to the nearest double inside."""
     entry = sampler.table.entry
     if entry is None:
         return sampler._weights_from_params(gen, xi, lam, n)
     xi0 = xi[0]
     family = entry.likelihood_id
+    big = sys.float_info.max
     if family == "poisson":
-        law, hi = (lambda k: gen.gamma(xi0 + 1.0, 1.0 / lam, k)), math.inf
+        vals, top = gen.gamma(xi0 + 1.0, 1.0 / lam, n), big
     elif family == "bernoulli":
-        law, hi = (lambda k: gen.beta(xi0 + 1.0, lam - xi0 + 1.0, k)), 1.0
+        vals, top = gen.beta(xi0 + 1.0, lam - xi0 + 1.0, n), 1.0
     elif family == "odds_bernoulli":
-        def law(k):
-            g = gen.standard_gamma(np.tile([xi0 + 1.0, lam - xi0 - 1.0], k))
-            return g[0::2] / g[1::2]
-
-        hi = math.inf
+        g = np.clip(gen.standard_gamma(np.tile([xi0 + 1.0, lam - xi0 - 1.0], n)), 5e-324, big)
+        with np.errstate(over="ignore"):
+            vals, top = g[0::2] / g[1::2], big
     else:
-        law, hi = (lambda k: gen.beta(xi0 + 1.0, lam * entry.r + 1.0, k)), 1.0
-    vals = law(n)
-    for _ in range(100):
-        bad = ~((vals > 0.0) & (vals < hi))
-        if not bad.any():
-            break
-        vals[bad] = law(int(bad.sum()))
-    return vals
+        vals, top = gen.beta(xi0 + 1.0, lam * entry.r + 1.0, n), np.nextafter(1.0, 0.0)
+    return np.clip(vals, 5e-324, top)
+
+
+def reference_locations(gen, k, taken):
+    """k locations, one uniform at a time; until none is a taken value or
+    repeats an earlier one, each such location is redrawn in index order."""
+    locations = [float(gen.uniform()) for _ in range(k)]
+    while True:
+        seen = set(taken)
+        colliding = []
+        for i, v in enumerate(locations):
+            if v in seen:
+                colliding.append(i)
+            seen.add(v)
+        if not colliding:
+            return np.array(locations)
+        for i in colliding:
+            locations[i] = float(gen.uniform())
 
 
 def reference_draw_labeled(sampler, gen):
@@ -508,13 +538,7 @@ def reference_draw_labeled(sampler, gen):
         )
         pos += n_cell
     taken = {a.location.value for a in sampler.prior.fixed_atoms}
-    locations = []
-    while len(locations) < k:
-        v = float(gen.uniform())
-        if v not in taken:
-            taken.add(v)
-            locations.append(v)
-    return rounds, counts, weights, np.array(locations)
+    return rounds, counts, weights, reference_locations(gen, k, taken)
 
 
 def reference_draw(sampler, gen):
@@ -570,7 +594,7 @@ class TestBatchedStreamEquivalence:
             assert measure.ordinary_weights.tobytes() == weights.tobytes()
             assert measure.ordinary_locations.tobytes() == locations.tobytes()
 
-    def test_boundary_weight_falls_back_to_per_cell_stream(self, monkeypatch):
+    def test_boundary_weight_is_clipped_in_the_broadcast_draw(self, monkeypatch):
         class FlooringGenerator(np.random.Generator):
             """Gamma draws below 0.02 come out as 0.0, the boundary of the weight domain."""
 
@@ -578,29 +602,32 @@ class TestBatchedStreamEquivalence:
                 out = super().gamma(*args, **kwargs)
                 return np.where(out < 0.02, 0.0, out)
 
-        batched = []
+        calls = []
         original = type(POISSON_GAMMA).sample_weights
 
         def spy(self, *args, **kwargs):
-            out = original(self, *args, **kwargs)
-            if kwargs.get("redraw") is False:
-                batched.append(out)
-            return out
+            calls.append(args[-1])
+            return original(self, *args, **kwargs)
 
         monkeypatch.setattr(type(POISSON_GAMMA), "sample_weights", spy)
         s = SizeBiasedSampler(gamma_prior(mass=5.0), SizeBiasedConfig(m_max=10, x_max=30))
+        clipped = 0
         for seed in range(6):
             def gen():
                 return FlooringGenerator(np.random.PCG64(np.random.SeedSequence(seed)))
 
             ld = s.draw_labeled(gen())
             _assert_labeled_equal(ld, reference_draw_labeled(s, gen()))
-            assert (ld.weights >= 0.02).all()
-        assert len(batched) == 6 and any(out is None for out in batched)
+            assert ((ld.weights == 5e-324) | (ld.weights >= 0.02)).all()
+            clipped += int((ld.weights == 5e-324).sum())
+        # one broadcast call per draw, whatever lands on the boundary
+        assert len(calls) == 6 and clipped > 0
 
-    def test_location_collision_falls_back_to_per_cell_stream(self):
+    def test_location_collision_is_redrawn_in_place(self):
         plain = SizeBiasedSampler(gamma_prior(), SizeBiasedConfig(m_max=100, x_max=30))
-        first = plain.draw_labeled(RngState(5))
+        gen = RngState(5).generator()
+        first = plain.draw_labeled(gen)
+        after = gen.uniform()
         assert len(first) > 1
         # a fixed atom sitting where the first location uniform lands
         prior = gamma_prior(atoms=_fixed((float(first.locations[0]), 0.5, 2.0)))
@@ -608,4 +635,5 @@ class TestBatchedStreamEquivalence:
         ld = s.draw_labeled(RngState(5))
         _assert_labeled_equal(ld, reference_draw_labeled(s, RngState(5).generator()))
         assert ld.weights.tobytes() == first.weights.tobytes()
-        assert ld.locations[:-1].tobytes() == first.locations[1:].tobytes()
+        assert ld.locations[0] == after
+        assert ld.locations[1:].tobytes() == first.locations[1:].tobytes()

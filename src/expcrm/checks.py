@@ -36,18 +36,16 @@ from .errors import DivergenceSuspected, DomainError, QuadratureError
 from .exp_family import (
     ExpCrmPrior,
     as_xi,
-    log_conjugate_kernel,
     log_partition_B,
 )
 from .marginal import MarginalConfig, MarginalSampler, predictive_logpmf
-from .quadrature import IntegrandSpec, integrate
 from .rng import RngState
 from .size_biased import (
+    RateTable,
     SizeBiasedConfig,
     SizeBiasedSampler,
-    _integrand_orders,
+    _literal_integral,
     _NumericWeightSampler,
-    _round_total_quadrature,
     rate_M,
     round_total,
     weight_dist_params,
@@ -67,6 +65,7 @@ __all__ = [
     "oracle_round_total",
     "oracle_weight_law",
     "run_suite",
+    "suite_truncation",
 ]
 
 
@@ -173,7 +172,7 @@ def _check_a1(prior: ExpCrmPrior) -> CheckReport:
 def _check_a2(prior: ExpCrmPrior) -> CheckReport:
     name = "A2: one step sees finitely many traits"
     try:
-        value = _round_total_quadrature(prior, 1)
+        value = _literal_integral(prior.likelihood, prior.xi, prior.lam, 1, None, prior.mass)
     except DivergenceSuspected as err:
         return CheckReport(
             name, False, math.inf, math.inf, "<",
@@ -477,25 +476,7 @@ def oracle_log_partition(prior: ExpCrmPrior, xi, lam: float, rel_tol: float = 1e
 
 def oracle_rate_M(prior: ExpCrmPrior, m: int, x: int, rel_tol: float = 1e-9) -> CheckReport:
     """Atom rate against quadrature of the literal product integrand."""
-    like = prior.likelihood
-    log_mass = math.log(prior.mass)
-
-    def log_f(th):
-        th = np.asarray(th, dtype=float)
-        head = (m - 1) * like.log_pmf(0, th) if m > 1 else 0.0
-        return (
-            log_mass
-            + like.log_pmf(x, th)
-            + head
-            + log_conjugate_kernel(like, prior.xi, prior.lam, th)
-        )
-
-    low, up = _integrand_orders(like, prior.xi, prior.lam, m, x, log_f)
-    spec = IntegrandSpec(
-        log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
-        name=f"literal rate integrand M({m},{x})",
-    )
-    numeric, _ = integrate(spec, rel_tol=rel_tol)
+    numeric = _literal_integral(prior.likelihood, prior.xi, prior.lam, m, x, prior.mass, rel_tol)
     primary = rate_M(prior, m, x)
     err = abs(primary - numeric) / max(abs(numeric), 1e-300)
     return _report_leq(
@@ -505,7 +486,7 @@ def oracle_rate_M(prior: ExpCrmPrior, m: int, x: int, rel_tol: float = 1e-9) -> 
 
 def oracle_round_total(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> CheckReport:
     """Round total against quadrature of mass * kappa * l0^(m-1) * (1 - l0)."""
-    numeric = _round_total_quadrature(prior, m, rel_tol)
+    numeric = _literal_integral(prior.likelihood, prior.xi, prior.lam, m, None, prior.mass, rel_tol)
     primary = round_total(prior, m)
     err = abs(primary - numeric) / max(abs(numeric), 1e-300)
     return _report_leq(
@@ -524,16 +505,7 @@ def oracle_predictive_pmf(
     """
     like = prior.likelihood
     xi_eff = as_xi(xi_eff)
-    upper = like.weight_domain.upper
-
-    def log_kernel(th):
-        return log_conjugate_kernel(like, xi_eff, lam_eff, np.asarray(th, dtype=float))
-
-    low, up = _integrand_orders(like, xi_eff, lam_eff, 0, 0, log_kernel)
-    denom, _ = integrate(
-        IntegrandSpec(log_kernel, upper=upper, lower_order=low, upper_order=up, name="kernel mass"),
-        rel_tol=rel_tol,
-    )
+    denom = _literal_integral(like, xi_eff, lam_eff, 0, 0, rel_tol=rel_tol)
 
     bound = like.support_bound
     xs = [x for x in range(0, x_hi + 1) if bound is None or x <= bound]
@@ -541,16 +513,7 @@ def oracle_predictive_pmf(
     rows = []
     primary = np.exp(predictive_logpmf(like, xi_eff, lam_eff, np.array(xs)))
     for x, p in zip(xs, primary):
-        def log_f(th, _x=x):
-            th = np.asarray(th, dtype=float)
-            return like.log_pmf(_x, th) + log_conjugate_kernel(like, xi_eff, lam_eff, th)
-
-        lo_x, up_x = _integrand_orders(like, xi_eff, lam_eff, 1, x, log_f)
-        numer, _ = integrate(
-            IntegrandSpec(log_f, upper=upper, lower_order=lo_x, upper_order=up_x,
-                          name=f"predictive numerator x={x}"),
-            rel_tol=rel_tol,
-        )
+        numer = _literal_integral(like, xi_eff, lam_eff, 1, x, rel_tol=rel_tol)
         ratio = numer / denom
         err = abs(p - ratio) / max(abs(ratio), 1e-300)
         worst = max(worst, err)
@@ -635,9 +598,14 @@ def oracle_suite(prior: ExpCrmPrior, seed: int = 0, reps: int = 4000) -> list[Ch
 # --- sampler equivalence ------------------------------------------------------
 
 
+# rounds of the size-biased sampler, and steps of the marginal one, that the
+# equivalence suite compares
+EQUIVALENCE_ROUNDS = 3
+
+
 def equivalence_run(
     prior: ExpCrmPrior,
-    n_steps: int = 3,
+    n_steps: int = EQUIVALENCE_ROUNDS,
     reps: int = 2000,
     seed: int = 0,
     x_max: int = 50,
@@ -708,3 +676,23 @@ def run_suite(
             prior, reps=reps, seed=seed, x_max=x_max, eps_tail=eps_tail, alpha=alpha
         )
     raise DomainError(f"unknown suite {suite!r}; choose one of {', '.join(_SUITES)}")
+
+
+def suite_truncation(
+    prior: ExpCrmPrior, suite: str, x_max: int = 50, eps_tail: float = 1e-6
+) -> tuple[dict | None, dict | None]:
+    """(policy, certificate) of the truncation ``run_suite`` applies to ``suite``.
+
+    The equivalence suite compares rounds 1-3 at ``x_max`` and ``eps_tail``;
+    the certificate holds what its two samplers' shared rate table neglects
+    over them.  The assumption and oracle suites truncate nothing.
+    """
+    if suite != "equivalence":
+        return None, None
+    table = RateTable(prior, x_max, eps_tail)
+    policy = {"rounds": EQUIVALENCE_ROUNDS, "x_max": x_max, "eps_tail": eps_tail}
+    certificate = {
+        "size_biased": table.draw_certificate(EQUIVALENCE_ROUNDS),
+        "marginal": table.stream_certificate(EQUIVALENCE_ROUNDS),
+    }
+    return policy, certificate

@@ -278,7 +278,8 @@ def _cmd_sample_marginal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .checks import run_suite  # the verification layer, which no other command needs
+    # the verification layer, which no other command needs
+    from .checks import run_suite, suite_truncation
 
     cfg = parse_model_config(args.model)
     prior = cfg.build_prior()
@@ -290,8 +291,9 @@ def _cmd_verify(args) -> int:
         print(report)
     passed = all(r.passed for r in reports)
     if args.report is not None:
+        policy, certificate = suite_truncation(prior, args.suite, cfg.x_max, cfg.eps_tail)
         out = {
-            "header": _header("verify", cfg, seed, cfg.to_jsonable()["truncation"], None),
+            "header": _header("verify", cfg, seed, policy, certificate),
             "suite": args.suite,
             "reps": args.reps,
             "passed": passed,

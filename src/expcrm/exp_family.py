@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidModelError, QuadratureError
 from .measures import Location
-from .quadrature import IntegrandSpec, integrate, probed_orders
+from .quadrature import IntegrandSpec, integrate, probed_orders, relative_to_peak
 
 
 def as_xi(xi) -> tuple[float, ...]:
@@ -247,27 +247,23 @@ def entry_for(likelihood: ExpCrmLikelihood):
     return _ENTRIES.get(likelihood.family)
 
 
-def _probed_orders(likelihood: ExpCrmLikelihood, xi, lam: float) -> tuple:
-    """Infer kernel endpoint powers by log-log slope probes."""
+def _kernel_spec(likelihood: ExpCrmLikelihood, xi, lam: float, name: str) -> IntegrandSpec:
+    """The conjugate kernel at (xi, lam), with the catalog's endpoint powers or probed ones."""
     def log_k(th):
         return log_conjugate_kernel(likelihood, xi, lam, th)
 
-    return probed_orders(log_k, likelihood.weight_domain.upper)
-
-
-def _kernel_spec(likelihood: ExpCrmLikelihood, xi, lam: float, name: str) -> IntegrandSpec:
     entry = entry_for(likelihood)
     if entry is not None:
         low, up = entry.kernel_orders(as_xi(xi), lam)
     else:
-        low, up = _probed_orders(likelihood, xi, lam)
+        low, up = probed_orders(log_k, likelihood.weight_domain.upper)
     log_f_upper = None
     if likelihood.log_kernel_upper_fn is not None:
         xi_t = as_xi(xi)
         def log_f_upper(v, _xi=xi_t, _lam=lam):
             return likelihood.log_kernel_upper_fn(_xi, _lam, np.asarray(v, dtype=float))
     return IntegrandSpec(
-        lambda th: log_conjugate_kernel(likelihood, xi, lam, th),
+        log_k,
         upper=likelihood.weight_domain.upper,
         lower_order=low,
         upper_order=up,
@@ -287,8 +283,9 @@ def log_partition_B(
     """log of the kernel's normalizer at (xi, lam).
 
     Uses the registered closed form when one exists; otherwise validated
-    quadrature of the kernel (computed in linear space, so extremely
-    negative B can underflow; every catalog family has a closed form).
+    quadrature of the kernel divided by its largest value on the quadrature's
+    starting knots, with that offset added back to the log, so a B far
+    outside floating-point range (posterior-sized parameters) stays exact.
     Raises DomainError at improper parameters with a registered form, and
     DivergenceSuspected when quadrature finds the improperness itself.
     """
@@ -301,11 +298,11 @@ def log_partition_B(
                 "the kernel is not normalizable there"
             )
         return float(entry.log_B(xi, lam))
-    spec = _kernel_spec(likelihood, xi, lam, name=f"B[{likelihood.family}]")
+    spec, offset = relative_to_peak(_kernel_spec(likelihood, xi, lam, name=f"B[{likelihood.family}]"))
     value, _ = integrate(spec, rel_tol=rel_tol)
     if not value > 0.0:
-        raise QuadratureError(f"kernel normalizer underflowed for {likelihood.family}")
-    return math.log(value)
+        raise QuadratureError(f"kernel normalizer vanished for {likelihood.family}")
+    return math.log(value) + offset
 
 
 # --- prior containers --------------------------------------------------------

@@ -37,13 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .catalog import entry_for, hyperparam_valid
-from .errors import (
-    DomainError,
-    InvalidModelError,
-    QuadratureError,
-    RngFaultError,
-    TailBoundError,
-)
+from .errors import DomainError, InvalidModelError, RngFaultError, TailBoundError
 from .exp_family import (
     ExpCrmLikelihood,
     ExpCrmPrior,
@@ -53,7 +47,7 @@ from .exp_family import (
     log_partition_B,
 )
 from .measures import TraitMeasure, TruncationMeta
-from .quadrature import IntegrandSpec, _eval_log, _gl_rule, integrate, probed_orders
+from .quadrature import IntegrandSpec, PanelLaw, integrate, probed_orders
 from .rng import as_generator
 
 __all__ = [
@@ -119,12 +113,19 @@ def rate_M(prior: ExpCrmPrior, m, x) -> float:
 
 
 def round_total(prior: ExpCrmPrior, m, *, rel_tol: float = 1e-9) -> float:
-    """Expected number of round-m atoms, all positive counts combined."""
+    """Expected number of round-m atoms, all positive counts combined.
+
+    Summing the pmf over x >= 1 gives 1 - l(0|theta), so a family without
+    closed forms needs no count-by-count rates: its round total is one
+    quadrature of mass * (1 - l(0|theta)) l(0|theta)^(m-1) kappa, which is
+    also the oracle's reference for the closed forms of the catalog (m = 1
+    is the round-1 trait rate of assumption A2).
+    """
     m, _ = _check_round_count(m, 1)
     entry = entry_for(prior.likelihood)
     if entry is not None:
         return entry.round_total(prior.mass, prior.xi, prior.lam, m)
-    return _round_total_quadrature(prior, m, rel_tol)
+    return _literal_integral(prior.likelihood, prior.xi, prior.lam, m, None, prior.mass, rel_tol)
 
 
 def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
@@ -150,36 +151,37 @@ def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
     return entry.kernel_orders(*_shifted_params(like, xi, lam, m, x))
 
 
-def _round_total_quadrature(prior: ExpCrmPrior, m: int, rel_tol: float = 1e-9) -> float:
-    """Quadrature of mass * (1 - l(0|theta)) * l(0|theta)^(m-1) * kappa.
+def _literal_integral(
+    like, xi, lam: float, m: int, x, mass: float = 1.0, rel_tol: float = 1e-9
+) -> float:
+    """mass times the integral of l(x|theta) l(0|theta)^(m-1) kappa(theta; xi, lam).
 
-    Summing the pmf over x >= 1 gives 1 - l(0|theta), so the round total
-    never needs the count-by-count rates.  This is the round total of a
-    family without closed forms, and the oracle's reference for the
-    closed forms of the catalog (m = 1 is the round-1 trait rate of
-    assumption A2).
+    The integrand is built from the likelihood itself, never from a closed
+    form: ``x = None`` puts 1 - l(0|theta) in place of l(x|theta) (the
+    round-total integrand), and m = 0 with x = 0 is kappa itself.  Its
+    endpoint powers come from :func:`_integrand_orders`.
     """
-    like = prior.likelihood
-    log_mass = math.log(prior.mass)
-
     def log_f(th):
         th = np.asarray(th, dtype=float)
+        out = log_conjugate_kernel(like, xi, lam, th)
+        if m == 0 and x == 0:
+            return out
         lp0 = like.log_pmf(0, th)
-        with np.errstate(divide="ignore"):
-            gap = np.log(-np.expm1(lp0))
-        head = (m - 1) * lp0 if m > 1 else 0.0
-        return log_mass + head + gap + log_conjugate_kernel(like, prior.xi, prior.lam, th)
+        if x is None:
+            with np.errstate(divide="ignore"):
+                out = out + np.log(-np.expm1(lp0))
+        else:
+            out = out + like.log_pmf(x, th)
+        return out + (m - 1) * lp0 if m > 1 else out
 
-    low, up = _integrand_orders(like, prior.xi, prior.lam, m, None, log_f)
+    low, up = _integrand_orders(like, xi, lam, m, x, log_f)
+    factor = "(1 - l(0))" if x is None else f"l({x})"
     spec = IntegrandSpec(
-        log_f,
-        upper=like.weight_domain.upper,
-        lower_order=low,
-        upper_order=up,
-        name=f"round-{m} total for {like.family}",
+        log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
+        name=f"{factor} l(0)^{m - 1} kappa for {like.family}",
     )
     value, _ = integrate(spec, rel_tol=rel_tol)
-    return value
+    return mass * value
 
 
 class RateTable:
@@ -514,161 +516,23 @@ def sample_size_biased(prior: ExpCrmPrior, rng, config: SizeBiasedConfig | None 
 
 # --- weight draws without a catalog law --------------------------------------
 
-# Gauss-Legendre nodes per panel, and those of the companion rule whose
-# distance from it is the panel's error bound
-_GL_NODES = 12
-_GL_COMPANION = 6
-# a panel is refined until its error bound is within _REL_TOL of its mass,
-# or _ABS_TOL of the law's total; _MAX_PANELS caps the refinement per side
-_REL_TOL = 1e-10
-_ABS_TOL = 1e-16
-_MAX_PANELS = 4000
-_NEWTON_STEPS = 100
-
-
-def _rule_points(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The points a + (b - a)(1 + y)/2, one row per interval [a, b]."""
-    return a[:, None] + np.multiply.outer(b - a, 0.5 * (1.0 + y))
-
-
-class _Panels:
-    """Gauss-Legendre panels tiling one side of a weight law's domain.
-
-    ``log_g`` is the log density in the side's own coordinate: the weight
-    itself, or, on the upper half of a finite domain, the distance from the
-    top, where points next to the top are exact.  Densities are taken
-    relative to ``exp(shift)``, one offset for the whole law, which keeps
-    them in floating-point range.  Once refined, ``cum[i]`` is the mass
-    below knot ``i``, counted from the side's outer end and starting at the
-    analytic piece beyond it.
-    """
-
-    def __init__(self, log_g, knots: np.ndarray, name: str):
-        self.log_g = log_g
-        self.knots = knots
-        self.name = name
-        self.shift = 0.0
-        self.cum = None
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        return _eval_log(self.log_g, x.ravel(), self.name).reshape(x.shape)
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x) - self.shift)
-
-    def node_logs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """log density at the nodes of both rules on the panels [a, b]."""
-        y = np.concatenate([_gl_rule(_GL_NODES)[0], _gl_rule(_GL_COMPANION)[0]])
-        return self.log_density(_rule_points(a, b, y))
-
-    def masses(self, logs: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """Each panel's mass by the main rule, and its distance from the companion's."""
-        f = np.exp(logs - self.shift)
-        half = 0.5 * (b - a)
-        main = half * (f[:, :_GL_NODES] @ _gl_rule(_GL_NODES)[1])
-        companion = half * (f[:, _GL_NODES:] @ _gl_rule(_GL_COMPANION)[1])
-        return main, np.abs(main - companion)
-
-    def refine(self, mass: np.ndarray, err: np.ndarray, base: float, floor: float) -> None:
-        """Bisect panels until each error bound is within _REL_TOL of its mass plus ``floor``.
-
-        Then sets ``knots`` to the refined panels and ``cum`` to ``base`` plus their running sums.
-        """
-        a, b = self.knots[:-1], self.knots[1:]
-        while True:
-            bad = err > _REL_TOL * mass + floor
-            if not bad.any():
-                break
-            if a.size + np.count_nonzero(bad) > _MAX_PANELS:
-                raise QuadratureError(
-                    f"{self.name}: interior refinement budget exhausted on "
-                    f"[{self.knots[0]:g}, {self.knots[-1]:g}]"
-                )
-            mid = 0.5 * (a[bad] + b[bad])
-            new_a = np.concatenate([a[bad], mid])
-            new_b = np.concatenate([mid, b[bad]])
-            new_mass, new_err = self.masses(self.node_logs(new_a, new_b), new_a, new_b)
-            keep = ~bad
-            a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
-            mass = np.concatenate([mass[keep], new_mass])
-            err = np.concatenate([err[keep], new_err])
-        order = np.argsort(a)
-        self.knots = np.append(a[order], b[order[-1]])
-        self.cum = base + np.concatenate([[0.0], np.cumsum(mass[order])])
-
-    def _cum_and_density(self, i: np.ndarray, x: np.ndarray):
-        """``cum`` at x inside panel i (the partial panel by the main rule) and the density at x."""
-        if not x.size:
-            return x.copy(), x.copy()
-        y, w = _gl_rule(_GL_NODES)
-        a = self.knots[i]
-        f = self.density(np.column_stack([_rule_points(a, x, y), x]))
-        return self.cum[i] + 0.5 * (x - a) * (f[:, :-1] @ w), f[:, -1]
-
-    def cum_at(self, x: np.ndarray) -> np.ndarray:
-        i = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
-        return self._cum_and_density(i, x)[0]
-
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        """Points x with ``cum_at(x) == c``, by Newton's method inside the panel holding c.
-
-        Each c's panel brackets its root, the bracket shrinks with every
-        iterate, and a step that leaves it becomes a bisection step.
-        """
-        i = np.clip(np.searchsorted(self.cum, c, side="right") - 1, 0, self.knots.size - 2)
-        lo, hi = self.knots[i], self.knots[i + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (c - self.cum[i]) / (self.cum[i + 1] - self.cum[i])
-        x = lo + (hi - lo) * np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
-        active = np.arange(c.size)
-        for _ in range(_NEWTON_STEPS):
-            if not active.size:
-                break
-            xa, la, ha = x[active], lo[active], hi[active]
-            g, f = self._cum_and_density(i[active], xa)
-            g -= c[active]
-            la = np.where(g < 0.0, xa, la)
-            ha = np.where(g > 0.0, xa, ha)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = xa - g / f
-            outside = ~((nxt > la) & (nxt < ha))
-            nxt[outside] = 0.5 * (la[outside] + ha[outside])
-            x[active], lo[active], hi[active] = nxt, la, ha
-            active = active[np.abs(nxt - xa) > 1e-14 * nxt]
-        return x
-
 
 class _NumericWeightSampler:
     """Inverse-cdf weight sampler for families without a catalog law.
 
-    The cdf is summed from composite Gauss-Legendre panels (12 nodes each)
-    on knots graded geometrically toward each endpoint, from 1e-12 of the
-    scale, and marched out in quarter-octaves toward an infinite top until
-    a shell is negligible or, for a power tail, the analytic power piece
-    above it is accurate.  All of a side's nodes go through the log
-    density in one vectorized call; the upper half of a finite domain is
-    integrated in the distance from the top, where points next to the top
-    are exact.  Each panel's error is bounded by its distance from a 6-node
-    companion rule, and panels are bisected until every bound is within
-    1e-10 of its panel's mass (or 1e-16 of the law's total).  So every
-    cumulative sum, counted from either end, is within about 1e-10 of
-    itself, as long as the 12-node rule is the more accurate of the two;
-    the tests pin the cdf against ``scipy.stats`` to 1e-8.  ``cdf`` adds the
-    partial panel up to t with the same 12-node rule.
-
-    Below the first knot and above the last the density is a pure power to
-    leading order, so those pieces invert analytically; with the innermost
-    knots at 1e-12 of the scale, the power approximation error is far below
-    anything a sample statistic can see.  Inside, ``sample`` inverts all of a
-    cell's uniforms at once by Newton's method on the density, each
-    bracketed by its panel.  The oracle suite's weight-law test uses this
-    cdf as its reference.
+    The cdf is the :class:`~expcrm.quadrature.PanelLaw` of the conjugate
+    kernel, held to 1e-10 per panel: composite Gauss-Legendre panels whose
+    companion-rule error bounds are each within 1e-10 of the panel's mass,
+    with analytic power pieces at the ends.  So every cumulative sum,
+    counted from either end, is within about 1e-10 of itself, as long as
+    the 12-node rule is the more accurate of the two; the tests pin the cdf
+    against ``scipy.stats`` to 1e-8.  ``sample`` inverts all of a cell's
+    uniforms at once (Newton's method on the density, bracketed by each
+    panel; the end pieces analytically) and clips the draws into the weight
+    domain.  The oracle suite's weight-law test uses this cdf as its
+    reference, so the endpoint powers are probed here, never taken from
+    the catalog.
     """
-
-    _EDGE = 1e-12
-    _KNOTS_PER_SIDE = 96
-    _TAIL = 1e-13
-    _MARCH = 60  # quarter-octaves per log-density call while closing an infinite tail
 
     def __init__(self, likelihood: ExpCrmLikelihood, xi, lam: float):
         spec = _kernel_spec(likelihood, as_xi(xi), lam, f"weight law for {likelihood.family}")
@@ -676,157 +540,25 @@ class _NumericWeightSampler:
         if entry_for(likelihood) is None:
             low, up = spec.lower_order, spec.upper_order  # the spec probed them
         else:
-            # probed even for catalog families: the oracle checks the catalog
-            # against this sampler, so it does not take the catalog's orders
             low, up = probed_orders(spec.log_f, upper)
         if low <= -1.0 + 1e-7:
             raise DomainError(
                 f"weight density for {likelihood.family} is not normalizable at 0 "
                 f"(endpoint power {low:.6f}); the parameters are improper"
             )
-        self._low = low
-        self._up_power = up
-        self._finite = math.isfinite(upper)
-        self._upper = upper
+        finite = math.isfinite(upper)
+        if (up <= -1.0 + 1e-7) if finite else (up is not None and up >= -1.0 - 1e-7):
+            where = "its upper boundary" if finite else "infinity"
+            raise DomainError(
+                f"weight density for {likelihood.family} is not normalizable at "
+                f"{where} (endpoint power {up:.6f})"
+            )
+        self._law = PanelLaw(spec, low, up, 1e-10)
         self._domain = likelihood.weight_domain
-
-        if self._finite:
-            if up <= -1.0 + 1e-7:
-                raise DomainError(
-                    f"weight density for {likelihood.family} is not normalizable at "
-                    f"its upper boundary (endpoint power {up:.6f})"
-                )
-            grid = upper * np.geomspace(self._EDGE, 0.5, self._KNOTS_PER_SIDE)
-            sides = [_Panels(g, grid, spec.name) for g in (spec.log_f, spec.log_f_from_top)]
-        else:
-            if up is not None and up >= -1.0 - 1e-7:
-                raise DomainError(
-                    f"weight density for {likelihood.family} is not normalizable at "
-                    f"infinity (tail power {up})"
-                )
-            grid = np.geomspace(self._EDGE, 1.0, self._KNOTS_PER_SIDE)
-            march = 2.0 ** (0.25 * np.arange(1, 1201))
-            sides = [_Panels(spec.log_f, np.concatenate([grid, march[: self._MARCH]]), spec.name)]
-        logs = [s.node_logs(s.knots[:-1], s.knots[1:]) for s in sides]
-        shift = max(float(np.max(lg)) for lg in logs)
-        for s in sides:
-            s.shift = shift
-        parts = [s.masses(lg, s.knots[:-1], s.knots[1:]) for s, lg in zip(sides, logs)]
-        lower = sides[0]
-        edge = grid[:1]
-        mass_below = float(lower.density(edge)[0]) * grid[0] / (low + 1.0)
-
-        if not self._finite:
-            # march in quarter-octaves until a shell stops mattering; shells
-            # can grow at first when the mass sits above the initial grid,
-            # and a shell closes nothing while no mass has been found.  A
-            # declared power tail also closes once the analytic piece above a
-            # shell is accurate: its relative error is at most the shell's
-            # log-slope deviation from up over -up - 1, and the error it makes
-            # must be within _REL_TOL of the mass below
-            mass, err = parts[0]
-            n_grid, marched = grid.size - 1, self._MARCH
-            if up is not None:
-                knot_logs = lower.log_density(lower.knots[n_grid:])
-            while True:
-                cum = (mass_below + np.cumsum(mass))[n_grid:]
-                done = mass[n_grid:] <= self._TAIL * cum
-                if up is not None:
-                    ends = lower.knots[n_grid:]
-                    above = np.exp(knot_logs[1:] - lower.shift) * ends[1:] / (-up - 1.0)
-                    with np.errstate(invalid="ignore"):  # underflowed densities close nothing
-                        slope = np.diff(knot_logs) / np.diff(np.log(ends))
-                        done |= above * np.abs(slope - up) / (-up - 1.0) <= _REL_TOL * cum
-                closed = np.flatnonzero(done & (cum > 0.0))
-                if closed.size:
-                    n = n_grid + int(closed[0]) + 1
-                    lower.knots, parts[0] = lower.knots[: n + 1], (mass[:n], err[:n])
-                    break
-                if marched == march.size:
-                    raise QuadratureError(
-                        f"weight tail for {likelihood.family} failed to close "
-                        "after 1200 quarter-octaves"
-                    )
-                b = march[marched : marched + self._MARCH]
-                a = np.concatenate([lower.knots[-1:], b[:-1]])
-                more_mass, more_err = lower.masses(lower.node_logs(a, b), a, b)
-                lower.knots = np.concatenate([lower.knots, b])
-                mass, err = np.concatenate([mass, more_mass]), np.concatenate([err, more_err])
-                if up is not None:
-                    knot_logs = np.concatenate([knot_logs, lower.log_density(b)])
-                marched += self._MARCH
-
-        if self._finite:
-            self._up_edge = grid[0]
-            f_top = float(sides[1].density(edge)[0])
-            mass_above = f_top * grid[0] / (up + 1.0)
-        else:
-            self._up_edge = lower.knots[-1]
-            if up is None:
-                # faster-than-power decay: the stopping rule already pushed
-                # the residual tail below noise, drop it
-                mass_above = 0.0
-            else:
-                f_top = float(lower.density(lower.knots[-1:])[0])
-                mass_above = f_top * self._up_edge / (-up - 1.0)
-
-        total = mass_below + mass_above + sum(float(m.sum()) for m, _ in parts)
-        if not math.isfinite(total):
-            raise QuadratureError(f"{spec.name}: overflow inside an interior panel")
-        for s, (mass, err), base in zip(sides, parts, (mass_below, mass_above)):
-            s.refine(mass, err, base, _ABS_TOL * total)
-        self._sides = sides
-        self._mass_below = mass_below
-        self._mass_above = mass_above
-        self._total = float(lower.cum[-1] + (sides[1].cum[-1] if self._finite else mass_above))
 
     def cdf(self, t) -> np.ndarray:
         """Normalized cdf of the weight law, from the same panels."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape)
-        lower = self._sides[0]
-        t0, t_end = lower.knots[0], lower.knots[-1]
-        below = t <= t0
-        above = t >= t_end
-        inner = ~(below | above)
-        out[below] = self._mass_below * (np.clip(t[below], 0.0, None) / t0) ** (self._low + 1.0)
-        out[inner] = lower.cum_at(t[inner])
-        if self._finite:
-            v = np.clip(self._upper - t[above], 0.0, None)
-            top = v <= self._up_edge
-            rest = np.empty(v.shape)
-            rest[top] = self._mass_above * (v[top] / self._up_edge) ** (self._up_power + 1.0)
-            rest[~top] = self._sides[1].cum_at(v[~top])
-            out[above] = self._total - rest
-        elif self._up_power is not None:
-            out[above] = self._total - self._mass_above * (t[above] / self._up_edge) ** (
-                self._up_power + 1.0
-            )
-        else:
-            out[above] = self._total
-        return np.clip(out / self._total, 0.0, 1.0)
-
-    def _invert(self, c: np.ndarray) -> np.ndarray:
-        """The weights at which the unnormalized cdf reaches ``c``, clipped into the domain."""
-        out = np.empty(c.shape)
-        # strict, so that c = 0 on a law whose mass below the first knot
-        # underflowed to 0 is solved in the panels rather than read as 0/0
-        below = c < self._mass_below
-        frac = c[below] / self._mass_below
-        out[below] = self._sides[0].knots[0] * frac ** (1.0 / (self._low + 1.0))
-        top = ~below & (self._mass_above > 0.0) & (c >= self._total - self._mass_above)
-        if top.any():
-            frac = (self._total - c[top]) / self._mass_above
-            with np.errstate(divide="ignore", over="ignore"):
-                far = self._up_edge * frac ** (1.0 / (self._up_power + 1.0))
-            out[top] = self._upper - far if self._finite else far
-        rest = ~(below | top)
-        if self._finite:
-            high = rest & (c >= self._sides[0].cum[-1])
-            out[high] = self._upper - self._sides[1].solve(self._total - c[high])
-            rest &= ~high
-        out[rest] = self._sides[0].solve(c[rest])
-        return self._domain.clip(out)
+        return self._law.cdf(t)
 
     def sample(self, gen, size: int) -> np.ndarray:
-        return self._invert(gen.uniform(size=size) * self._total)
+        return self._domain.clip(self._law.invert(gen.uniform(size=size) * self._law.total))

@@ -17,7 +17,7 @@ from expcrm.catalog import (
     map_bp_params,
     map_bp_params_inverse,
 )
-from expcrm.checks import _integrand_orders, check_assumptions
+from expcrm.checks import check_assumptions
 from expcrm.errors import DivergenceSuspected, DomainError
 from expcrm.exp_family import (
     ExpCrmPrior,
@@ -29,6 +29,7 @@ from expcrm.exp_family import (
 from expcrm.measures import Location
 from expcrm.quadrature import IntegrandSpec, integrate
 from expcrm.rng import RngState
+from expcrm.size_biased import _integrand_orders, _literal_integral
 
 NB = get_entry("negative_binomial", r=2.5)
 
@@ -36,49 +37,12 @@ NB = get_entry("negative_binomial", r=2.5)
 def rate_by_quadrature(entry, mass, xi, lam, m, x, rel_tol=1e-10):
     """mass * integral of l(0|t)^(m-1) l(x|t) * kernel, straight from the
     likelihood; independent of the entry's closed-form B."""
-    like = entry.make_likelihood()
-
-    def log_f(th):
-        th = np.asarray(th, dtype=float)
-        return (
-            (m - 1) * like.log_pmf(0, th)
-            + like.log_pmf(x, th)
-            + log_conjugate_kernel(like, xi, lam, th)
-        )
-
-    lo, up = _integrand_orders(like, xi, lam, m, x, log_f)
-    spec = IntegrandSpec(
-        log_f,
-        upper=like.weight_domain.upper,
-        lower_order=lo,
-        upper_order=up,
-        name=f"rate[{entry.family}]",
-    )
-    value, _ = integrate(spec, rel_tol=rel_tol)
-    return mass * value
+    return _literal_integral(entry.make_likelihood(), xi, lam, m, x, mass, rel_tol)
 
 
 def total_by_quadrature(entry, mass, xi, lam, m, rel_tol=1e-10):
     """mass * integral of kernel * l(0|t)^(m-1) * (1 - l(0|t))."""
-    like = entry.make_likelihood()
-
-    def log_f(th):
-        th = np.asarray(th, dtype=float)
-        lp0 = like.log_pmf(0, th)
-        with np.errstate(divide="ignore"):
-            log_gap = np.log(-np.expm1(lp0))
-        return (m - 1) * lp0 + log_gap + log_conjugate_kernel(like, xi, lam, th)
-
-    lo, up = _integrand_orders(like, xi, lam, m, None, log_f)
-    spec = IntegrandSpec(
-        log_f,
-        upper=like.weight_domain.upper,
-        lower_order=lo,
-        upper_order=up,
-        name=f"total[{entry.family}]",
-    )
-    value, _ = integrate(spec, rel_tol=rel_tol)
-    return mass * value
+    return _literal_integral(entry.make_likelihood(), xi, lam, m, None, mass, rel_tol)
 
 
 class TestRegistry:

@@ -466,6 +466,32 @@ class TestVerify:
         assert "counts above 2" in err and "x_max" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("suite", ["assumptions", "oracle", "equivalence"])
+    def test_report_header_states_the_truncation_used(self, tmp_path, suite):
+        model = tmp_path / "model.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "likelihood": "poisson",
+                    "params": {"mass": 1.0, "xi": -1.0, "lam": 1.0},
+                    "truncation": {"rounds": 7, "x_max": 30, "eps_tail": 1e-4},
+                }
+            )
+        )
+        report = tmp_path / "report.json"
+        argv = ["verify", "--model", str(model), "--suite", suite, "--reps", "100"]
+        assert main([*argv, "--report", str(report)]) == 0
+        truncation = json.loads(report.read_text())["header"]["truncation"]
+        if suite != "equivalence":
+            # these suites truncate nothing
+            assert truncation == {"policy": None, "certificate": None}
+            return
+        assert truncation["policy"] == {"rounds": 3, "x_max": 30, "eps_tail": 1e-4}
+        sb, mg = truncation["certificate"]["size_biased"], truncation["certificate"]["marginal"]
+        assert (sb["rounds"], sb["count_cap"], sb["eps_tail"]) == (3, 30, 1e-4)
+        assert (mg["steps"], mg["count_cap"], mg["eps_tail"]) == (3, 30, 1e-4)
+        assert sb["neglected_rate"] == pytest.approx(mg["neglected_rate"], rel=1e-12)
+
     def test_report_is_optional(self, gamma_model, capsys):
         assert main(["verify", "--model", str(gamma_model)]) == 0
         assert "[PASS]" in capsys.readouterr().out

@@ -8,8 +8,8 @@ program faster leaves every digest as it is, so a mismatch here means the
 output bytes moved.
 
 The three ``verify`` reports of the ``verify-gamma`` workload at its first
-verify seed are pinned here instead, as they were when the suites took their
-p-values from ``scipy.stats``.
+verify seed are pinned here instead: their headers state the truncation each
+suite used, and their quadrature statistics come from ``PanelLaw``.
 """
 
 import hashlib
@@ -101,9 +101,9 @@ def test_bench_seed_outputs_match_the_digest_table(workload, tmp_path):
 
 
 VERIFY_REPORTS = {
-    "assumptions": "40e24eab07a8b56803cb92f1246a9c8f0149a364da5f29badb17bf611765aa40",
-    "oracle": "dbd1b6d034b12fed380bf2e16eb19f65861d697d9d2f23813d0b8aa458d255df",
-    "equivalence": "37a7dd9661b957992d4a50518bebefff585b36d13e2e22eca0f55b8f64e5b9f6",
+    "assumptions": "2a4a56fc70916d5bc81f520eb086aebeda8f17902157ac5242d7fd960e974cc0",
+    "oracle": "b02a2ac5284d600cbf7aaef76d0f2bddc3500326ee5913505fea675793ed59f4",
+    "equivalence": "d5f71211711ff25248dddb848932e10cab418096e79a9d639da62128039da848",
 }
 
 

@@ -233,6 +233,21 @@ class TestLogPartition:
         got = log_partition_B(like, (-0.5,), 2.0)
         assert got == pytest.approx(0.2257913526447274323630976, abs=1e-9)
 
+    @pytest.mark.parametrize("xi, lam", [(1000.0, 1000.0), (3000.0, 2000.0)])
+    def test_unregistered_posterior_sized_parameters(self, xi, lam):
+        # B near -1000 and -1786: the kernel lies far below the smallest double
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
+        want = POISSON_GAMMA.log_B((xi,), lam)
+        assert log_partition_B(like, (xi,), lam) == pytest.approx(want, rel=1e-13)
+
+    def test_unregistered_bounded_kernel_without_a_top_evaluator(self):
+        # the kernel of Beta(0.5, 0.3), reachable at the top only through 1 - v
+        like = dataclasses.replace(
+            BERNOULLI_BETA.make_likelihood(), family="custom_binary", log_kernel_upper_fn=None
+        )
+        want = BERNOULLI_BETA.log_B((-0.5,), -1.2)
+        assert log_partition_B(like, (-0.5,), -1.2) == pytest.approx(want, abs=1e-8)
+
     def test_unregistered_improper_detected_numerically(self):
         base = POISSON_GAMMA.make_likelihood()
         like = dataclasses.replace(base, family="custom_counts2")

@@ -8,7 +8,9 @@ and that no command, each ``verify`` suite included, loads ``scipy.stats``,
 ``scipy.interpolate`` or ``scipy.optimize`` through the package.  A second
 scan keeps every module from importing ``scipy.stats`` or either solver
 package at any level, and a third from reading or assigning a generator's
-``bit_generator.state``: draws read the stream forward only.
+``bit_generator.state``: draws read the stream forward only.  A fourth
+keeps Gauss rules and private ``quadrature`` names inside ``quadrature.py``,
+so the package has one quadrature engine.
 """
 
 import ast
@@ -104,6 +106,30 @@ def state_accesses(source: str) -> list[int]:
         and isinstance(node.value, ast.Attribute)
         and node.value.attr == "bit_generator"
     )
+
+
+QUADRATURE_RULES = ("roots_jacobi", "roots_legendre")
+
+
+def quadrature_engine_names(source: str) -> list[str]:
+    """Quadrature rules and private ``quadrature`` names that ``source`` reaches for.
+
+    A Gauss rule imported or read as an attribute anywhere, or a private
+    name imported from ``expcrm.quadrature``: either would start a second
+    quadrature engine beside the one in ``quadrature.py``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            private = (node.level, node.module) in ((1, "quadrature"), (0, "expcrm.quadrature"))
+            found += [
+                alias.name
+                for alias in node.names
+                if alias.name in QUADRATURE_RULES or (private and alias.name.startswith("_"))
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in QUADRATURE_RULES:
+            found.append(node.attr)
+    return sorted(found)
 
 
 def run_python(code: str, cwd) -> list[str]:
@@ -235,6 +261,28 @@ class TestNoGeneratorRewinds:
     @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_module_never_touches_generator_state(self, path):
         assert state_accesses(path.read_text(encoding="utf-8")) == []
+
+
+class TestOneQuadratureEngine:
+    def test_scan_sees_rules_and_private_names(self):
+        source = (
+            "import scipy.special\n"
+            "from scipy.special import roots_jacobi\n"
+            "from .quadrature import PanelLaw, _Panels\n"
+            "from expcrm.quadrature import _gl_rule\n"
+            "from .size_biased import _literal_integral\n"
+            "def f(n):\n"
+            "    return scipy.special.roots_legendre(n)\n"
+        )
+        assert quadrature_engine_names(source) == [
+            "_Panels", "_gl_rule", "roots_jacobi", "roots_legendre",
+        ]
+
+    @pytest.mark.parametrize(
+        "path", [p for p in MODULES if p.name != "quadrature.py"], ids=lambda p: p.name
+    )
+    def test_only_quadrature_builds_rules(self, path):
+        assert quadrature_engine_names(path.read_text(encoding="utf-8")) == []
 
 
 class TestExportTable:

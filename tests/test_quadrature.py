@@ -50,7 +50,7 @@ def beta_prime_spec(a: float, b: float) -> IntegrandSpec:
 
 @pytest.mark.parametrize("a,b", BETA_PARAMS)
 def test_beta_integrals(a, b):
-    """Both-endpoint Jacobi panels reproduce the beta function."""
+    """Panels graded toward both endpoints, with analytic end pieces, give the beta function."""
     value, err = integrate(beta_spec(a, b), rel_tol=REL_TOL)
     truth = math.exp(betaln(a, b))
     np.testing.assert_allclose(value, truth, rtol=CORPUS_RTOL)
@@ -59,7 +59,7 @@ def test_beta_integrals(a, b):
 
 @pytest.mark.parametrize("a,c", GAMMA_PARAMS)
 def test_gamma_integrals(a, c):
-    """Exponential tails are summed shell by shell without a declared order."""
+    """Exponential tails close the quarter-octave march without a declared order."""
     value, _ = integrate(gamma_spec(a, c), rel_tol=REL_TOL)
     truth = math.exp(gammaln(a) - a * math.log(c))
     np.testing.assert_allclose(value, truth, rtol=CORPUS_RTOL)
@@ -67,7 +67,7 @@ def test_gamma_integrals(a, c):
 
 @pytest.mark.parametrize("a,b", BETA_PRIME_PARAMS)
 def test_beta_prime_integrals(a, b):
-    """Power tails go through the u = t^-s transform, even fractions above -1."""
+    """Declared power tails close with an analytic piece, even fractions above -1."""
     value, _ = integrate(beta_prime_spec(a, b), rel_tol=REL_TOL)
     truth = math.exp(betaln(a, b))
     np.testing.assert_allclose(value, truth, rtol=CORPUS_RTOL)

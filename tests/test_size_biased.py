@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from expcrm.errors import (
 from expcrm.exp_family import ExpCrmPrior, FixedAtomParams
 from expcrm.marginal import MarginalConfig, MarginalSampler
 from expcrm.measures import Location
+from expcrm.quadrature import _Panels
 from expcrm.rng import RngState
 from expcrm.size_biased import (
     LabeledDraw,
@@ -29,7 +31,6 @@ from expcrm.size_biased import (
     SizeBiasedSampler,
     _locations,
     _NumericWeightSampler,
-    _Panels,
     rate_M,
     round_total,
     sample_size_biased,
@@ -51,6 +52,12 @@ def unregistered(prior):
     """The same model wearing a family id the catalog does not know."""
     like = dataclasses.replace(prior.likelihood, family="mystery-" + prior.likelihood.family)
     return dataclasses.replace(prior, likelihood=like)
+
+
+def topless_bernoulli():
+    """An unregistered Bernoulli clone that reaches the top of (0, 1) only by forming 1 - v."""
+    like = BERNOULLI_BETA.make_likelihood()
+    return dataclasses.replace(like, family="mystery-bernoulli", log_kernel_upper_fn=None)
 
 
 class TestModuleRates:
@@ -355,7 +362,7 @@ class TestNumericWeightSampler:
         nws = _NumericWeightSampler(like, (-0.5,), 2.0)
         ref = stats.gamma(a=0.5, scale=0.5)
         u = np.array([1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999])
-        np.testing.assert_allclose(nws._invert(u * nws._total), ref.ppf(u), rtol=1e-8)
+        np.testing.assert_allclose(nws._law.invert(u * nws._law.total), ref.ppf(u), rtol=1e-8)
 
     def test_cdf_matches_reference(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
@@ -416,6 +423,15 @@ class TestNumericWeightSampler:
         ts = np.concatenate([np.geomspace(1e-300, 1e12, 3000), np.linspace(0.0, 20.0, 20_001), quantiles])
         assert np.abs(nws.cdf(ts) - ref.cdf(ts)).max() <= 1e-8
 
+    def test_bounded_law_without_a_top_evaluator(self):
+        # Beta(0.5, 0.3): 1.6% of its mass lies within 1e-6 of the top, where
+        # 1 - v is too coarse for the panels and a Jacobi cap closes the law
+        nws = _NumericWeightSampler(topless_bernoulli(), (-0.5,), -1.2)
+        ts = np.concatenate(
+            [np.linspace(0.0, 1.0, 20_001), np.geomspace(1e-12, 1e-3, 200), 1.0 - np.geomspace(1e-12, 1e-3, 200)]
+        )
+        assert np.abs(nws.cdf(ts) - stats.beta(0.5, 0.3).cdf(ts)).max() <= 1e-8
+
     def test_newton_steps_leaving_the_panel_bisect(self):
         # density t^20 on the one panel [0, 1], which 12 nodes integrate
         # exactly; from the linear first guess, Newton's step leaves the
@@ -466,6 +482,23 @@ class TestEndToEndUnregistered:
         assert sq.tail_certificate()["neglected_rate"] == pytest.approx(
             sp.tail_certificate()["neglected_rate"], rel=1e-4, abs=1e-12
         )
+
+    def test_bench_clone_certificate_matches_the_catalog(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import clone_calls
+
+        certificates = [
+            clone_calls.build_sampler(prior).tail_certificate()["neglected_rate"]
+            for prior in (clone_calls.clone_prior(), clone_calls.catalog_prior())
+        ]
+        assert certificates[0] == pytest.approx(certificates[1], rel=1e-6)
+
+    def test_fixed_atom_law_without_a_top_evaluator(self):
+        atom = FixedAtomParams(Location(0.5), (-0.5,), -1.2)  # weight law Beta(0.5, 0.3)
+        prior = ExpCrmPrior(topless_bernoulli(), 1.0, (-1.5,), -0.5, (atom,))
+        measure = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=5, x_max=1)).draw(RngState(0))
+        (fixed,) = measure.fixed_atoms
+        assert 0.0 < fixed.weight < 1.0
 
     def test_clone_draw_is_a_valid_measure(self):
         p = unregistered(gamma_prior(mass=2.0, xi=-1.2, lam=1.1))

@@ -26,7 +26,7 @@ def draw_buffet(sampler, rng):
     order = []
     rows = []
     for obs in sampler.sample(CUSTOMERS, rng):
-        taken = {a.location.value for a in obs.atoms}
+        taken = set(obs.locations.tolist())
         for v in sorted(taken):
             if v not in order:
                 order.append(v)
@@ -51,7 +51,7 @@ def main():
     for _ in range(reps):
         seen = set()
         for n, obs in enumerate(sampler.sample(CUSTOMERS, gen)):
-            fresh = {a.location.value for a in obs.atoms} - seen
+            fresh = set(obs.locations.tolist()) - seen
             new[n] += len(fresh)
             seen |= fresh
     for n in range(CUSTOMERS):

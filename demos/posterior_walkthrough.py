@@ -11,7 +11,6 @@ import numpy as np
 
 from expcrm import (
     Location,
-    ObservationAtom,
     ObservationMeasure,
     POISSON_GAMMA,
     auto_conjugate,
@@ -23,7 +22,7 @@ from expcrm import (
 
 
 def obs(*pairs):
-    return ObservationMeasure(tuple(ObservationAtom(c, Location(v)) for v, c in pairs))
+    return ObservationMeasure.from_arrays([c for _, c in pairs], [v for v, _ in pairs])
 
 
 def show_predictive(like, xi, lam, label):

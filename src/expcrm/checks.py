@@ -634,9 +634,10 @@ def equivalence_run(
             sb_stats[n - 1].append((int(mask.sum()), int(labeled.counts[mask].sum())))
         seen = set(fixed_locs)
         for n, obs in enumerate(mg.sample(n_steps, RngState(seed, stream=2 * r + 1)), start=1):
-            births = [a.count for a in obs.atoms if a.location.value not in seen]
-            mg_stats[n - 1].append((len(births), int(sum(births))))
-            seen.update(a.location.value for a in obs.atoms)
+            values = obs.locations.tolist()
+            births = [c for c, v in zip(obs.counts.tolist(), values) if v not in seen]
+            mg_stats[n - 1].append((len(births), sum(births)))
+            seen.update(values)
     return [
         chi_square_two_sample(
             sb_stats[n - 1],

@@ -35,7 +35,7 @@ import numpy as np
 from .catalog import entry_for
 from .errors import QuadratureError, TailBoundError
 from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi, log_partition_B, xi_plus
-from .measures import Location, ObservationAtom, ObservationMeasure
+from .measures import ObservationMeasure
 from .size_biased import (
     _check_truncation,
     _locations,
@@ -247,15 +247,8 @@ class MarginalSampler(_TruncatedSampler):
         :class:`~expcrm.errors.TailBoundError` at the step where the
         cumulative neglected new-atom rate would pass ``eps_tail``.
         """
-        locations: dict[float, Location] = {}  # one per atom, reused at every step
         for counts, values, _ in self._steps(rng):
-            atoms = []
-            for x, v in zip(counts.tolist(), values.tolist()):
-                loc = locations.get(v)
-                if loc is None:
-                    loc = locations[v] = Location(v)
-                atoms.append(ObservationAtom(x, loc))
-            yield ObservationMeasure(tuple(atoms))
+            yield ObservationMeasure.from_arrays(counts, values)
 
     def sample(self, n_steps: int, rng=None) -> list[ObservationMeasure]:
         """The first ``n_steps`` observations of one stream."""

@@ -2,9 +2,11 @@
 
 Two kinds of measures appear throughout: trait measures (positive real
 weights at distinct locations, the latent object) and observation measures
-(positive integer counts at distinct locations, the data). Locations live on
-the unit interval ``[0, 1)``; only their identity matters, the geometry never
-enters any formula.
+(positive integer counts at distinct locations, the data), each held as
+read-only columns checked once when built; :class:`Atom` and
+:class:`ObservationAtom` are views built when a measure's atoms are read.
+Locations live on the unit interval ``[0, 1)``; only their identity matters,
+the geometry never enters any formula.
 
 Serialization writes every float as a 17-significant-digit decimal string, so
 a dump/load cycle reproduces the exact same doubles and byte-identical files
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,34 +111,73 @@ class TruncationMeta:
 EXACT_FINITE = TruncationMeta("exact-finite")
 
 
-def _require_distinct(locations: Iterable[Location], what: str) -> None:
-    values = [loc.value for loc in locations]
-    if len(set(values)) != len(values):
-        raise DomainError(f"{what} must sit at pairwise distinct locations")
-
-
-def _atom_columns(what: str, weights, locations) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only float64 copies of one group's weights and locations, checked."""
+def _atom_columns(what: str, values, locations, *, counts=False) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only, checked copies of one group's weights (float64, positive, finite)
+    or, with ``counts``, counts (int64, >= 1), and its locations (float64, in [0, 1))."""
+    name = "counts" if counts else "weights"
+    value_column = (values, "iu", np.int64) if counts else (values, "fiu", float)
     out = []
-    for values in (weights, locations):
-        arr = np.asarray(values)
-        if arr.ndim != 1 or arr.dtype.kind not in "fiu":
-            raise DomainError(f"{what}: expected one-dimensional arrays of real numbers")
-        arr = arr.astype(float)
+    for arr, kinds, dtype in (value_column, (locations, "fiu", float)):
+        arr = np.asarray(arr)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+            raise DomainError(f"{what}: expected one-dimensional arrays of {name} and locations")
+        arr = arr.astype(dtype)
         arr.flags.writeable = False
         out.append(arr)
-    weights, locations = out
-    if weights.size != locations.size:
-        raise DomainError(f"{what}: {weights.size} weights but {locations.size} locations")
-    # min and max carry a NaN through, and a NaN fails every comparison
-    if weights.size and not (weights.min() > 0.0 and weights.max() < math.inf):
-        raise DomainError(f"{what}: weights must be positive and finite")
-    if locations.size and not (locations.min() >= 0.0 and locations.max() < 1.0):
-        raise DomainError(f"{what}: locations must lie in [0, 1)")
-    return weights, locations
+    values, locations = out
+    if values.size != locations.size:
+        raise DomainError(f"{what}: {values.size} {name} but {locations.size} locations")
+    # a NaN fails every comparison, so it breaks every rule
+    if counts:
+        ok, rule = values >= 1, "be >= 1"
+    else:
+        ok, rule = (values > 0.0) & (values < math.inf), "be positive and finite"
+    if np.count_nonzero(ok) < ok.size:  # cheaper than ok.all() on a few atoms
+        raise DomainError(f"{what}: {name} must {rule}, got {values[~ok][0]}")
+    ok = (locations >= 0.0) & (locations < 1.0)
+    if np.count_nonzero(ok) < ok.size:
+        raise DomainError(f"{what}: locations must lie in [0, 1), got {locations[~ok][0]}")
+    return values, locations
 
 
-class TraitMeasure:
+class _ColumnMeasure:
+    """A measure held in columns: immutable, equal field by field (arrays by
+    value), and built and pickled by ``from_arrays``, which takes the fields
+    in ``__slots__`` order and checks them in the subclass's ``_init``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_arrays(cls, *fields, **named):
+        measure = cls.__new__(cls)
+        measure._init(*fields, **named)
+        return measure
+
+    def _fill(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._fields(), other._fields())
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return type(self).from_arrays, self._fields()
+
+
+class TraitMeasure(_ColumnMeasure):
     """A finite discrete measure with positive real weights.
 
     ``fixed_atoms`` are the atoms at the model's fixed locations (kept apart
@@ -148,7 +189,7 @@ class TraitMeasure:
     ``fixed_locations``, ``ordinary_weights``, ``ordinary_locations``),
     validated once at construction; :class:`Atom` views are built only
     when ``fixed_atoms``, ``ordinary_atoms`` or ``atoms`` is read.
-    Samplers build measures with :meth:`from_arrays`.
+    Samplers build measures with ``from_arrays`` (the four, then ``truncation``).
     """
 
     __slots__ = (
@@ -165,63 +206,25 @@ class TraitMeasure:
         ordinary_atoms: Sequence[Atom] = (),
         truncation: TruncationMeta = EXACT_FINITE,
     ):
-        fixed, ordinary = tuple(fixed_atoms), tuple(ordinary_atoms)
-        for a in fixed + ordinary:
-            if not isinstance(a, Atom):
-                raise DomainError(f"atoms must be Atom instances, got {type(a).__name__}")
-        self._init(
-            [a.weight for a in fixed],
-            [a.location.value for a in fixed],
-            [a.weight for a in ordinary],
-            [a.location.value for a in ordinary],
-            truncation,
-        )
+        fixed = _unzip_atoms(Atom, "weight", fixed_atoms)
+        self._init(*fixed, *_unzip_atoms(Atom, "weight", ordinary_atoms), truncation)
 
-    @classmethod
-    def from_arrays(
-        cls,
+    def _init(
+        self,
         fixed_weights,
         fixed_locations,
         ordinary_weights,
         ordinary_locations,
         truncation: TruncationMeta = EXACT_FINITE,
-    ) -> "TraitMeasure":
-        """Measure from aligned weight and location arrays of each group."""
-        measure = cls.__new__(cls)
-        measure._init(
-            fixed_weights, fixed_locations, ordinary_weights, ordinary_locations, truncation
-        )
-        return measure
-
-    def _init(self, fw, fl, ow, ol, truncation) -> None:
-        fw, fl = _atom_columns("fixed atoms", fw, fl)
-        ow, ol = _atom_columns("ordinary atoms", ow, ol)
+    ) -> None:
+        fw, fl = _atom_columns("fixed atoms", fixed_weights, fixed_locations)
+        ow, ol = _atom_columns("ordinary atoms", ordinary_weights, ordinary_locations)
         locations = fl.tolist() + ol.tolist()
         if len(set(locations)) != len(locations):
             raise DomainError("trait measure atoms must sit at pairwise distinct locations")
         if not isinstance(truncation, TruncationMeta):
             raise DomainError("truncation must be a TruncationMeta")
-        for name, value in zip(self.__slots__, (fw, fl, ow, ol, truncation)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TraitMeasure is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, TraitMeasure):
-            return NotImplemented
-        return self.truncation == other.truncation and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__[:4]
-        )
-
-    __hash__ = None
-
-    def __reduce__(self):
-        return (
-            TraitMeasure.from_arrays,
-            tuple(getattr(self, name) for name in self.__slots__),
-        )
+        self._fill(fw, fl, ow, ol, truncation)
 
     def __repr__(self) -> str:
         return (
@@ -231,11 +234,11 @@ class TraitMeasure:
 
     @property
     def fixed_atoms(self) -> tuple[Atom, ...]:
-        return _atoms(self.fixed_weights, self.fixed_locations)
+        return _atoms(Atom, self.fixed_weights, self.fixed_locations)
 
     @property
     def ordinary_atoms(self) -> tuple[Atom, ...]:
-        return _atoms(self.ordinary_weights, self.ordinary_locations)
+        return _atoms(Atom, self.ordinary_weights, self.ordinary_locations)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -245,78 +248,91 @@ class TraitMeasure:
         return float(sum(self.fixed_weights.tolist() + self.ordinary_weights.tolist()))
 
 
-def _atoms(weights: np.ndarray, locations: np.ndarray) -> tuple[Atom, ...]:
-    return tuple(Atom(w, Location(v)) for w, v in zip(weights.tolist(), locations.tolist()))
+def _atoms(kind: type, values: np.ndarray, locations: np.ndarray) -> tuple:
+    return tuple(kind(w, Location(v)) for w, v in zip(values.tolist(), locations.tolist()))
 
 
-@dataclass(frozen=True, slots=True)
-class ObservationMeasure:
-    """Integer-count data: one count >= 1 per touched location."""
+def _unzip_atoms(kind: type, field: str, atoms: Iterable) -> tuple[list, list]:
+    """The ``field`` values and the location values of ``atoms``, each a ``kind``."""
+    atoms = tuple(atoms)
+    for a in atoms:
+        if not isinstance(a, kind):
+            raise DomainError(f"atoms must be {kind.__name__} instances, got {type(a).__name__}")
+    return [getattr(a, field) for a in atoms], [a.location.value for a in atoms]
 
-    atoms: tuple[ObservationAtom, ...] = field(default_factory=tuple)
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        for a in self.atoms:
-            if not isinstance(a, ObservationAtom):
-                raise DomainError(
-                    f"observation atoms must be ObservationAtom instances, got {type(a).__name__}"
-                )
-        _require_distinct([a.location for a in self.atoms], "observation atoms")
+class ObservationMeasure(_ColumnMeasure):
+    """Integer-count data: read-only ``counts`` (int64, >= 1) at pairwise
+    distinct ``locations`` (float64, in [0, 1)), checked once when built,
+    from the two arrays by ``from_arrays(counts, locations)``;
+    :class:`ObservationAtom` views are built only when ``atoms`` is read."""
+
+    __slots__ = ("counts", "locations")
+
+    def __init__(self, atoms: Sequence[ObservationAtom] = ()):
+        self._init(*_unzip_atoms(ObservationAtom, "count", atoms))
+
+    def _init(self, counts, locations) -> None:
+        counts, locations = _atom_columns("observation atoms", counts, locations, counts=True)
+        if len(set(locations.tolist())) != locations.size:
+            raise DomainError("observation atoms must sit at pairwise distinct locations")
+        self._fill(counts, locations)
+
+    def __repr__(self) -> str:
+        return f"ObservationMeasure({self.counts.tolist()} at {self.locations.tolist()})"
+
+    @property
+    def atoms(self) -> tuple[ObservationAtom, ...]:
+        return _atoms(ObservationAtom, self.counts, self.locations)
 
     def count_at(self, location: Location) -> int:
         """Count at ``location``; zero when the location is untouched."""
-        return count_at(self, location)
+        value = location.value if isinstance(location, Location) else Location(location).value
+        hit = np.flatnonzero(self.locations == value)
+        return int(self.counts[hit[0]]) if hit.size else 0
 
     def total_count(self) -> int:
-        return sum(a.count for a in self.atoms)
-
-
-def count_at(observation: ObservationMeasure, location: Location) -> int:
-    """Count of ``observation`` at ``location`` (0 when absent)."""
-    if not isinstance(location, Location):
-        location = Location(location)
-    for a in observation.atoms:
-        if a.location.value == location.value:
-            return a.count
-    return 0
-
-
-def merge_locations(observations: Sequence[ObservationMeasure]) -> tuple[Location, ...]:
-    """Sorted union of the locations touched by the given observations.
-
-    Sorted ascending by float value; a location shared by several
-    observations appears once.
-    """
-    values = sorted({a.location.value for obs in observations for a in obs.atoms})
-    return tuple(Location(v) for v in values)
+        return int(self.counts.sum())
 
 
 # --- JSON round-trip -------------------------------------------------------
 #
 # Floats travel as repr-exact decimal strings: 17 significant digits are
-# enough to reconstruct any double bit-for-bit.  A trait line is written by
-# two serializers: ``trait_to_jsonable`` plus ``jsonl_line`` for library
-# callers, and ``trait_jsonl_line``, which fills one ``%.17g`` template from
-# the measure's columns, for the CLI.  ``test_trait_line_matches_dict_path``
-# in tests/test_measures.py pins the two to the same bytes; observation lines
-# have the same pair (``observation_to_jsonable`` and
-# ``observation_jsonl_line``), pinned by tests/test_marginal.py.
+# enough to reconstruct any double bit-for-bit.  Each line type has a dict
+# writer for library callers (``trait_to_jsonable`` or
+# ``observation_to_jsonable``, then ``jsonl_line``) and a ``%.17g`` template
+# writer for the CLI (``trait_jsonl_line``, ``observation_jsonl_line``);
+# tests/test_measures.py pins each pair to the same bytes.  The readers
+# gather each field into one list and build the measure with ``from_arrays``.
 
 
 def float_repr(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_float(s, name: str) -> float:
-    if isinstance(s, str):
+def _parse_floats(items: list, what: str, key: str) -> list[float]:
+    """Each item, a number or numeric string, as a float."""
+    out = []
+    for i, s in enumerate(items):
+        if isinstance(s, bool) or not isinstance(s, (str, int, float)):
+            raise ConfigError(f"{what}[{i}].{key}: expected a number or numeric string, got {s!r}")
         try:
-            return float(s)
+            out.append(float(s))
         except ValueError as exc:
-            raise ConfigError(f"{name}: cannot parse float from {s!r}") from exc
-    if isinstance(s, bool) or not isinstance(s, (int, float)):
-        raise ConfigError(f"{name}: expected a number or numeric string, got {s!r}")
-    return float(s)
+            raise ConfigError(f"{what}[{i}].{key}: cannot parse float from {s!r}") from exc
+    return out
+
+
+def _record_columns(rows, keys: tuple[str, str], what: str) -> tuple[list, list]:
+    """The values under each of ``keys`` across the atom records ``rows``."""
+    if not isinstance(rows, list):
+        raise ConfigError(f"{what} must be a list of atom records, got {type(rows).__name__}")
+    try:
+        return [row[keys[0]] for row in rows], [row[keys[1]] for row in rows]
+    except (KeyError, TypeError):
+        i = next(i for i, row in enumerate(rows)
+                 if not (isinstance(row, dict) and set(keys) <= row.keys()))
+        raise ConfigError(f"{what}[{i}]: malformed atom record") from None
 
 
 def _atom_records(weights: np.ndarray, locations: np.ndarray) -> list[dict]:
@@ -389,14 +405,8 @@ def trait_from_jsonable(data: dict) -> TraitMeasure:
     )
 
     def columns(rows, name):
-        weights, locations = [], []
-        for i, row in enumerate(rows):
-            try:
-                weights.append(_parse_float(row["w"], f"{name}[{i}].w"))
-                locations.append(_parse_float(row["loc"], f"{name}[{i}].loc"))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"{name}[{i}]: malformed atom record") from exc
-        return weights, locations
+        weights, locations = _record_columns(rows, ("w", "loc"), name)
+        return _parse_floats(weights, name, "w"), _parse_floats(locations, name, "loc")
 
     return TraitMeasure.from_arrays(
         *columns(fixed, "fixed"), *columns(ordinary, "ordinary"), trunc
@@ -406,7 +416,8 @@ def trait_from_jsonable(data: dict) -> TraitMeasure:
 def observation_to_jsonable(observation: ObservationMeasure) -> dict:
     return {
         "atoms": [
-            {"x": a.count, "loc": float_repr(a.location.value)} for a in observation.atoms
+            {"x": c, "loc": float_repr(v)}
+            for c, v in zip(observation.counts.tolist(), observation.locations.tolist())
         ]
     }
 
@@ -429,17 +440,11 @@ def observation_from_jsonable(data: dict) -> ObservationMeasure:
         rows = data["atoms"]
     except (KeyError, TypeError) as exc:
         raise ConfigError("observation record must carry an 'atoms' list") from exc
-    atoms = []
-    for i, row in enumerate(rows):
-        try:
-            x = row["x"]
-            loc = _parse_float(row["loc"], f"atoms[{i}].loc")
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"atoms[{i}]: malformed observation atom") from exc
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ConfigError(f"atoms[{i}].x: count must be an integer, got {x!r}")
-        atoms.append(ObservationAtom(x, Location(loc)))
-    return ObservationMeasure(tuple(atoms))
+    counts, locations = _record_columns(rows, ("x", "loc"), "atoms")
+    if not set(map(type, counts)) <= {int}:
+        i, x = next((i, x) for i, x in enumerate(counts) if type(x) is not int)
+        raise ConfigError(f"atoms[{i}].x: count must be an integer, got {x!r}")
+    return ObservationMeasure.from_arrays(counts, _parse_floats(locations, "atoms", "loc"))
 
 
 def jsonl_line(record: dict) -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, InvalidObservationError
 from .exp_family import (
     ExpCrmLikelihood,
@@ -107,38 +109,42 @@ def posterior_update(model, observations) -> PosteriorCrm:
     like = base.likelihood
     n = len(observations)
 
-    # nonzero counts by location, checked and grouped in one pass over the
-    # data; locations are distinct within an observation, so each list
-    # holds one count per observation that touched the location
-    counts_at: dict[float, list[int]] = {}
     for i, obs in enumerate(observations):
         if not isinstance(obs, ObservationMeasure):
             raise DomainError(
                 f"observation {i} must be an ObservationMeasure, got {type(obs).__name__}"
             )
-        for a in obs.atoms:
-            if not like.in_support(a.count):
-                raise InvalidObservationError(
-                    f"observation {i} has count {a.count} at location {a.location.value}, "
-                    f"outside the support of {like.family} (bound {like.support_bound})"
-                )
-            counts_at.setdefault(a.location.value, []).append(a.count)
+    counts = np.concatenate([np.empty(0, np.int64), *(obs.counts for obs in observations)])
+    values = np.concatenate([np.empty(0), *(obs.locations for obs in observations)])
+    # counts are >= 1, so only a bounded support can reject one
+    over = np.flatnonzero(counts > like.support_bound) if like.support_bound is not None else []
+    if len(over):
+        k = over[0]
+        i = np.searchsorted(np.cumsum([obs.counts.size for obs in observations]), k, side="right")
+        raise InvalidObservationError(
+            f"observation {i} has count {counts[k]} at location {values[k]}, "
+            f"outside the support of {like.family} (bound {like.support_bound})"
+        )
 
-    atoms: list[FixedAtomParams] = []
-    for atom in base.fixed_atoms:
-        counts = counts_at.get(atom.location.value, [])
-        xi_new, lam_new = _shifted(like, atom.xi, atom.lam, counts, n)
-        atoms.append(FixedAtomParams(atom.location, xi_new, lam_new))
+    # each location's counts in observation order, one per observation that touched it
+    order = np.argsort(values, kind="stable")
+    keys, starts = np.unique(values[order], return_index=True)
+    grouped, ends = counts[order].tolist(), [*starts.tolist()[1:], counts.size]
+    counts_at = {v: grouped[a:b] for v, a, b in zip(keys.tolist(), starts.tolist(), ends)}
 
+    # the prior's fixed atoms in their order, then the fresh locations, ascending
     known = {atom.location.value for atom in base.fixed_atoms}
-    for value in sorted(counts_at.keys() - known):
-        xi_new, lam_new = _shifted(like, base.xi, base.lam, counts_at[value], n)
-        atoms.append(FixedAtomParams(Location(value), xi_new, lam_new))
+    sites = [(atom.location, atom.xi, atom.lam) for atom in base.fixed_atoms]
+    sites += [(Location(v), base.xi, base.lam) for v in counts_at if v not in known]
+    atoms = tuple(
+        FixedAtomParams(loc, *_shifted(like, xi, lam, counts_at.get(loc.value, []), n))
+        for loc, xi, lam in sites
+    )
 
     # ordinary component: N zero-count observations everywhere else
     mass_new = base.mass * math.exp(n * like.log_h(0))
     xi_ord, lam_ord = _shifted(like, base.xi, base.lam, [], n)
-    return PosteriorCrm(like, mass_new, xi_ord, lam_ord, tuple(atoms), n_seen + n)
+    return PosteriorCrm(like, mass_new, xi_ord, lam_ord, atoms, n_seen + n)
 
 
 def posterior_fixed_atom_density(posterior: PosteriorCrm, location, theta):
@@ -162,26 +168,20 @@ def iterated_equals_batch(prior: ExpCrmPrior, observations, rel_tol: float = 1e-
     """
     observations = tuple(observations)
     batch = posterior_update(prior, observations)
-    step = posterior_update(prior, observations[:1]) if observations else posterior_update(prior, ())
+    step = posterior_update(prior, observations[:1])
     for obs in observations[1:]:
         step = posterior_update(step, [obs])
 
-    if batch.n_obs != step.n_obs:
-        return False
-    if not _close(batch.mass, step.mass, rel_tol) or not _close(batch.lam, step.lam, rel_tol):
-        return False
-    if len(batch.xi) != len(step.xi):
-        return False
-    if not all(_close(a, b, rel_tol) for a, b in zip(batch.xi, step.xi)):
-        return False
-    lhs = {a.location.value: a for a in batch.fixed_atoms}
-    rhs = {a.location.value: a for a in step.fixed_atoms}
-    if set(lhs) != set(rhs):
-        return False
-    for value, a in lhs.items():
-        b = rhs[value]
-        if not _close(a.lam, b.lam, rel_tol):
-            return False
-        if not all(_close(x, y, rel_tol) for x, y in zip(a.xi, b.xi)):
-            return False
-    return True
+    def numbers(post):
+        """Model-level numbers, and each fixed atom's (lam, *xi) by location."""
+        atoms = {a.location.value: (a.lam, *a.xi) for a in post.fixed_atoms}
+        return (post.mass, post.lam, *post.xi), atoms
+
+    (top, atoms), (top_step, atoms_step) = numbers(batch), numbers(step)
+    pairs = [(top, top_step)] + [(atoms[v], atoms_step.get(v, ())) for v in atoms]
+    return (
+        batch.n_obs == step.n_obs
+        and atoms.keys() == atoms_step.keys()
+        and all(len(a) == len(b) for a, b in pairs)
+        and all(_close(x, y, rel_tol) for a, b in pairs for x, y in zip(a, b))
+    )

@@ -353,6 +353,40 @@ class TestPosterior:
         assert code == 1
         assert "support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "atoms, fault",
+        [
+            ([{"x": 1, "loc": "0.5"}, {"x": 2, "loc": "0.5"}], "distinct locations"),
+            ([{"x": 0, "loc": "0.5"}], ">= 1, got 0"),
+            ([{"x": -3, "loc": "0.5"}], ">= 1, got -3"),
+            ([{"x": 1, "loc": "1.5"}], "got 1.5"),
+            ([{"x": 1, "loc": "nan"}], "got nan"),
+        ],
+        ids=["repeated-location", "zero-count", "negative-count", "location-1.5", "location-nan"],
+    )
+    def test_data_outside_the_domain_exit_1(self, gamma_model, tmp_path, capsys, atoms, fault):
+        data = tmp_path / "data.jsonl"
+        # a valid record first: the faulty one is the second record of the file
+        records = [{"atoms": [{"x": 1, "loc": "0.25"}]}, {"atoms": atoms}]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "p.json"
+        argv = ["posterior", "--model", str(gamma_model), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert fault in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("atoms", [None, {}, ""], ids=["null", "object", "string"])
+    def test_non_list_atoms_exit_2(self, gamma_model, tmp_path, capsys, atoms):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"atoms": atoms}) + "\n")
+        out = tmp_path / "p.json"
+        argv = ["posterior", "--model", str(gamma_model), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 2
+        assert "must be a list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_data_exit_2(self, gamma_model, tmp_path):
         data = tmp_path / "data.jsonl"
         data.write_text("{nope\n")

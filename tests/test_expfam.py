@@ -262,8 +262,11 @@ class TestDensities:
         xi, lam, _ = PROPER_POINT[like.family]
         lo, up = entry.kernel_orders(xi, lam)
 
+        log_B = log_partition_B(like, xi, lam)
+
         def log_density(th):
-            return np.log(fixed_atom_density(like, xi, lam, th))
+            # the log of fixed_atom_density, which would underflow to 0 in the tails
+            return log_conjugate_kernel(like, xi, lam, th) - log_B
 
         spec = IntegrandSpec(
             log_density,
@@ -274,6 +277,8 @@ class TestDensities:
         )
         value, _ = integrate(spec, rel_tol=1e-10)
         assert value == pytest.approx(1.0, abs=1e-9)
+        want = math.exp(log_density(np.array([0.5]))[0])
+        assert fixed_atom_density(like, xi, lam, 0.5) == pytest.approx(want, rel=1e-12)
 
     def test_weight_rate_density_scaling(self):
         like = POISSON_GAMMA.make_likelihood()

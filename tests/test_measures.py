@@ -16,10 +16,8 @@ from expcrm.measures import (
     ObservationMeasure,
     TraitMeasure,
     TruncationMeta,
-    count_at,
     float_repr,
     jsonl_line,
-    merge_locations,
     observation_from_jsonable,
     observation_jsonl_line,
     observation_to_jsonable,
@@ -191,7 +189,7 @@ class TestObservationMeasure:
         obs = ObservationMeasure((ObservationAtom(2, 0.3), ObservationAtom(5, 0.7)))
         assert obs.count_at(Location(0.3)) == 2
         assert obs.count_at(Location(0.5)) == 0
-        assert count_at(obs, 0.7) == 5
+        assert obs.count_at(0.7) == 5
         assert obs.total_count() == 7
 
     def test_duplicate_locations_rejected(self):
@@ -202,14 +200,63 @@ class TestObservationMeasure:
         obs = ObservationMeasure()
         assert obs.total_count() == 0
         assert obs.count_at(Location(0.1)) == 0
+        assert obs == ObservationMeasure.from_arrays([], [])
 
 
-def test_merge_locations_sorted_dedup():
-    a = ObservationMeasure((ObservationAtom(1, 0.9), ObservationAtom(1, 0.2)))
-    b = ObservationMeasure((ObservationAtom(3, 0.2), ObservationAtom(1, 0.5)))
-    merged = merge_locations([a, b])
-    assert merged == (Location(0.2), Location(0.5), Location(0.9))
-    assert merge_locations([]) == ()
+class TestColumnarObservationMeasure:
+    def test_arrays_and_atom_views_agree(self):
+        obs = ObservationMeasure.from_arrays(np.array([3, 1]), [0.25, 0.0])
+        assert obs == ObservationMeasure((ObservationAtom(3, 0.25), ObservationAtom(1, 0.0)))
+        assert obs.atoms == (ObservationAtom(3, Location(0.25)), ObservationAtom(1, Location(0.0)))
+        assert obs.counts.dtype == np.int64 and obs.locations.dtype == np.float64
+        assert obs != ObservationMeasure.from_arrays([3, 2], [0.25, 0.0])
+        assert obs != TraitMeasure.from_arrays([], [], [3.0, 1.0], [0.25, 0.0])
+
+    def test_arrays_are_copied_and_read_only(self):
+        counts, locations = np.array([1, 2]), np.array([0.1, 0.2])
+        obs = ObservationMeasure.from_arrays(counts, locations)
+        counts[0], locations[0] = 9, 0.9
+        assert obs.counts.tolist() == [1, 2] and obs.locations.tolist() == [0.1, 0.2]
+        with pytest.raises(ValueError):
+            obs.counts[0] = 3
+        with pytest.raises(ValueError):
+            obs.locations[0] = 0.5
+        with pytest.raises(AttributeError):
+            obs.counts = np.array([1, 1])
+
+    def test_pickle_round_trip(self):
+        obs = ObservationMeasure.from_arrays([4, 1, 10**12], [0.5, 5e-324, 0.9999999999999999])
+        again = pickle.loads(pickle.dumps(obs))
+        assert again == obs
+        assert again.counts.dtype == np.int64 and not again.counts.flags.writeable
+
+    def test_unhashable_like_trait_measures(self):
+        with pytest.raises(TypeError):
+            hash(ObservationMeasure.from_arrays([1], [0.5]))
+
+    @pytest.mark.parametrize(
+        "counts, locations",
+        [
+            ([0], [0.5]),
+            ([-3], [0.5]),
+            ([1.5], [0.5]),
+            ([1.0], [0.5]),
+            ([True], [0.5]),
+            (["1"], [0.5]),
+            ([10**20], [0.5]),
+            ([1], [1.0]),
+            ([1], [1.5]),
+            ([1], [-0.25]),
+            ([1], [math.nan]),
+            ([1], [math.inf]),
+            ([1, 2], [0.3, 0.3]),
+            ([1, 2], [0.3]),
+            ([[1]], [[0.3]]),
+        ],
+    )
+    def test_invalid_columns_raise_domain_error(self, counts, locations):
+        with pytest.raises(DomainError):
+            ObservationMeasure.from_arrays(counts, locations)
 
 
 @given(finite_floats)
@@ -348,6 +395,7 @@ def test_trait_from_jsonable_accepts_plain_numbers():
         {"fixed": [], "ordinary": []},
         {"fixed": [{"w": "x", "loc": "0.1"}], "ordinary": [], "trunc": {"kind": "exact-finite"}},
         {"fixed": [{"w": "1.0"}], "ordinary": [], "trunc": {"kind": "exact-finite"}},
+        {"fixed": None, "ordinary": [], "trunc": {"kind": "exact-finite"}},
         "not a dict",
     ],
 )
@@ -363,6 +411,9 @@ def test_trait_from_jsonable_rejects_malformed(data):
         {"atoms": [{"x": 1.5, "loc": "0.1"}]},
         {"atoms": [{"x": True, "loc": "0.1"}]},
         {"atoms": [{"loc": "0.1"}]},
+        {"atoms": None},
+        {"atoms": {}},
+        {"atoms": ""},
     ],
 )
 def test_observation_from_jsonable_rejects_malformed(data):

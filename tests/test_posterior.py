@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,8 +109,14 @@ class TestUpdateAlgebra:
 
     def test_support_bound_enforced(self):
         prior = ExpCrmPrior(BERNOULLI_BETA.make_likelihood(), 1.0, (-1.0,), -1.0)
-        with pytest.raises(InvalidObservationError, match="count 2"):
+        with pytest.raises(InvalidObservationError, match="observation 0 has count 2"):
             posterior_update(prior, [obs([(0.2, 2)])])
+        # the first offender is named: observation 1's first atom, not observation 3's
+        data = [obs([(0.1, 1), (0.4, 1)]), obs([(0.3, 3), (0.2, 1)]), obs([]), obs([(0.5, 2)])]
+        with pytest.raises(
+            InvalidObservationError, match=r"observation 1 has count 3 at location 0\.3,"
+        ):
+            posterior_update(prior, data)
         # unbounded supports take any count
         posterior_update(gamma_prior(), [obs([(0.2, 40)])])
 
@@ -212,3 +219,54 @@ def test_batch_update_is_exchangeable(counts, perm_seed):
     assert {a.location.value: (a.xi, a.lam) for a in batch.fixed_atoms} == {
         a.location.value: (a.xi, a.lam) for a in other.fixed_atoms
     }
+
+
+def unregistered(prior):
+    like = dataclasses.replace(prior.likelihood, family="mystery-" + prior.likelihood.family)
+    return dataclasses.replace(prior, likelihood=like)
+
+
+def per_atom_reference(prior, observations):
+    """Fixed atoms as (location, xi, lam): per-atom dict grouping, fsum sums."""
+    like, n = prior.likelihood, len(observations)
+    counts_at = {}
+    for o in observations:
+        for a in o.atoms:
+            counts_at.setdefault(a.location.value, []).append(a.count)
+
+    def shifted(xi, lam, counts):
+        terms = [like.phi(0)] * (n - len(counts)) + [like.phi(c) for c in counts]
+        return (
+            tuple(math.fsum([xi[j]] + [float(t[j]) for t in terms]) for j in range(like.dim)),
+            lam + n,
+        )
+
+    out = [
+        (a.location.value, *shifted(a.xi, a.lam, counts_at.get(a.location.value, [])))
+        for a in prior.fixed_atoms
+    ]
+    known = {a.location.value for a in prior.fixed_atoms}
+    for value in sorted(counts_at.keys() - known):
+        out.append((value, *shifted(prior.xi, prior.lam, counts_at[value])))
+    return out
+
+
+@pytest.mark.parametrize("clone", [False, True], ids=["catalog", "unregistered"])
+def test_fixed_atoms_match_per_atom_reference(clone):
+    rng = np.random.default_rng(11)
+    prior = gamma_prior(
+        atoms=(
+            FixedAtomParams(Location(0.625), (0.5,), 2.0),
+            FixedAtomParams(Location(0.125), (1.25,), 0.75),
+        )
+    )
+    if clone:
+        prior = unregistered(prior)
+    pool = [0.625, 0.125] + rng.uniform(0.0, 1.0, size=30).tolist()
+    observations = [
+        obs([(v, int(rng.integers(1, 9))) for v in rng.choice(pool, size=k, replace=False)])
+        for k in rng.integers(0, 12, size=60)
+    ]
+    post = posterior_update(prior, observations)
+    got = [(a.location.value, a.xi, a.lam) for a in post.fixed_atoms]
+    assert got == per_atom_reference(prior, observations)

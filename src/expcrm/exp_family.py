@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidModelError, QuadratureError
 from .measures import Location
-from .quadrature import IntegrandSpec, integrate, probed_orders, relative_to_peak
+from .quadrature import IntegrandSpec, log_integrate, probed_orders, relative_to_peak
 
 
 def as_xi(xi) -> tuple[float, ...]:
@@ -272,6 +272,62 @@ def _kernel_spec(likelihood: ExpCrmLikelihood, xi, lam: float, name: str) -> Int
     )
 
 
+# Per-panel tolerance of the column laws: at 1e-10 the power tails of
+# beta-prime rate rows close up to 1.5e-10 off their closed forms
+_COLUMN_TOL = 1e-11
+
+
+def _kernel_logs(
+    likelihood: ExpCrmLikelihood, xis, lams, name: str, positive: bool = False,
+    rel_tol: float = _COLUMN_TOL,
+) -> np.ndarray:
+    """log of the integral of the conjugate kernel at each pair (xis[c], lams[c]).
+
+    The kernels are the columns of one integrand and one
+    :class:`~expcrm.quadrature.PanelLaw`: column c is
+    ``exp(<xi_c, eta(theta)> - lam_c A(theta))``, so eta and A are evaluated
+    once per point and the columns come from one matrix product.  Near a
+    finite top the likelihood's ``log_kernel_upper_fn``, when given,
+    evaluates each column in the distance from the top.  ``positive``
+    multiplies the last column by 1 - l(0|theta), the chance of a positive
+    count.  The quadrature probes the endpoint powers, all columns at once.
+    """
+    lams = np.asarray(lams, dtype=float)
+    xis = np.asarray(xis, dtype=float).reshape(lams.size, likelihood.dim)
+    upper = likelihood.weight_domain.upper
+    phi0, log_h0 = np.asarray(likelihood.phi(0), dtype=float), likelihood.log_h(0)
+
+    def eta_A(th):
+        e = np.asarray(likelihood.eta(th), dtype=float).reshape(th.size, likelihood.dim)
+        return e, np.asarray(likelihood.A(th), dtype=float)
+
+    def log_seen(e, a):
+        """log(1 - l(0|theta)) from eta and A."""
+        with np.errstate(divide="ignore"):
+            return np.log(-np.expm1(log_h0 + e @ phi0 - a))
+
+    def log_f(th):
+        e, a = eta_A(th)
+        out = e @ xis.T - np.multiply.outer(a, lams)
+        if positive:
+            out[:, -1] += log_seen(e, a)
+        return out
+
+    log_f_upper = None
+    if likelihood.log_kernel_upper_fn is not None:
+        def log_f_upper(v):
+            v = np.asarray(v, dtype=float)
+            out = np.column_stack(
+                [likelihood.log_kernel_upper_fn(tuple(x), l, v) for x, l in zip(xis, lams)]
+            )
+            if positive:
+                out[:, -1] += log_seen(*eta_A(upper - v))
+            return out
+
+    spec = IntegrandSpec(log_f, upper, lower_order=None, log_f_upper=log_f_upper, name=name)
+    return log_integrate(spec, rel_tol)
+
+
 def log_partition_B(
     likelihood: ExpCrmLikelihood,
     xi,
@@ -282,9 +338,9 @@ def log_partition_B(
 ) -> float:
     """log of the kernel's normalizer at (xi, lam).
 
-    Uses the registered closed form when one exists; otherwise validated
-    quadrature of the kernel divided by its largest value on the quadrature's
-    starting knots, with that offset added back to the log, so a B far
+    Uses the registered closed form when one exists; otherwise the log of a
+    validated quadrature of the kernel divided by its largest value on the
+    quadrature's starting knots, with that offset added back, so a B far
     outside floating-point range (posterior-sized parameters) stays exact.
     Raises DomainError at improper parameters with a registered form, and
     DivergenceSuspected when quadrature finds the improperness itself.
@@ -299,10 +355,7 @@ def log_partition_B(
             )
         return float(entry.log_B(xi, lam))
     spec, offset = relative_to_peak(_kernel_spec(likelihood, xi, lam, name=f"B[{likelihood.family}]"))
-    value, _ = integrate(spec, rel_tol=rel_tol)
-    if not value > 0.0:
-        raise QuadratureError(f"kernel normalizer vanished for {likelihood.family}")
-    return math.log(value) + offset
+    return log_integrate(spec, rel_tol=rel_tol) + offset
 
 
 # --- prior containers --------------------------------------------------------

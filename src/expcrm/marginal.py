@@ -34,7 +34,7 @@ import numpy as np
 
 from .catalog import entry_for
 from .errors import QuadratureError, TailBoundError
-from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi, log_partition_B, xi_plus
+from .exp_family import ExpCrmLikelihood, ExpCrmPrior, _kernel_logs, as_xi, xi_plus
 from .measures import ObservationMeasure
 from .size_biased import (
     _check_truncation,
@@ -59,27 +59,28 @@ def predictive_logpmf(likelihood: ExpCrmLikelihood, xi_eff, lam_eff: float, x) -
 
     ``h(x) * exp(B(xi_eff + phi(x), lam_eff + 1) - B(xi_eff, lam_eff))``;
     proper ``(xi_eff, lam_eff)`` make this a normalized pmf over the
-    count support (zero included).
+    count support (zero included).  Without closed forms, the base B and
+    the B of every count in the support are the columns of one quadrature.
     """
     xi_eff = as_xi(xi_eff)
     xs = np.asarray(x, dtype=np.int64)
     entry = entry_for(likelihood)
     if entry is not None:
         return entry.predictive_logpmf(xi_eff[0], float(lam_eff), xs)
-    base = log_partition_B(likelihood, xi_eff, lam_eff)
-    out = []
-    for xv in xs.reshape(-1):
-        xv = int(xv)
-        if not likelihood.in_support(xv):
-            out.append(-math.inf)
-            continue
-        shifted = xi_plus(xi_eff, likelihood.phi(xv))
-        out.append(
-            likelihood.log_h(xv)
-            + log_partition_B(likelihood, shifted, float(lam_eff) + 1.0)
-            - base
+    flat = xs.reshape(-1)
+    inside = np.array([likelihood.in_support(int(v)) for v in flat], dtype=bool)
+    out = np.full(flat.shape, -math.inf)
+    if inside.any():
+        counts = flat[inside].tolist()
+        lam = float(lam_eff)
+        log_B = _kernel_logs(
+            likelihood,
+            [xi_eff] + [xi_plus(xi_eff, likelihood.phi(v)) for v in counts],
+            [lam] + [lam + 1.0] * len(counts),
+            name=f"B[{likelihood.family}]",
         )
-    return np.array(out).reshape(xs.shape)
+        out[inside] = np.array([likelihood.log_h(v) for v in counts]) + log_B[1:] - log_B[0]
+    return out.reshape(xs.shape)
 
 
 def new_atom_rate(prior: ExpCrmPrior, step, x) -> float:

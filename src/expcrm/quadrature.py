@@ -18,6 +18,14 @@ leading order, so those pieces are analytic.  A finite top without an exact
 evaluator stops at 1e-6 of the scale, since U - v rounds v to steps of
 1.1e-16 * U, and closes with a 24-node Gauss-Jacobi cap in v^p.
 
+An integrand may have columns: k integrands over the same domain, evaluated
+together as an (n, k) matrix at n points, with one declared power per column
+and end.  A law over them shares one set of panels: a panel is bisected
+while any column's bound exceeds ``rel_tol`` of that column's mass, and the
+march toward infinity closes once every column has closed.  A rate row or a
+predictive chunk of an exponential family, whose cells are all
+``exp(<xi_c, eta(t)> - lam_c A(t))``, is integrated this way in one law.
+
 :func:`integrate` validates each declared power against a log-log slope
 probe (a wrong declaration raises :class:`~expcrm.errors.SingularityMismatch`
 instead of silently producing a wrong number), and detects divergent
@@ -27,16 +35,22 @@ contributions that hold steady or grow raise
 :class:`~expcrm.errors.DivergenceSuspected`.  This catches both power
 divergence (shells grow geometrically) and the marginal logarithmic case
 (shells hold constant), which no fixed growth-factor threshold can see.
+:func:`probed_orders` measures the powers with the same slope rule, so a
+probed power always passes the check.
 
-Evaluators work in log space (``log_f``), and the panels take f relative to
-its largest value at their first nodes, so kernels with huge dynamic range
-never overflow; :func:`relative_to_peak` does the same for a caller whose
-integral itself lies outside floating-point range.
+Evaluators work in log space (``log_f``), and the panels take each column
+relative to its largest value at their first nodes, raised if a march
+toward infinity finds far larger values, so kernels with huge dynamic range
+never overflow.  :func:`log_integrate` returns the logs of the integrals,
+which may lie outside floating-point range; :func:`relative_to_peak` divides
+an integrand by its peak on the starting knots for a caller that keeps the
+offset itself.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
@@ -54,7 +68,7 @@ SLOPE_TOL = 0.25
 # drop by at least log(0.95); anything flatter is treated as divergent.
 _DECAY_LOG = math.log(0.95)
 
-_PROBE_OFFSETS = (1e-4, 10**-5.5, 1e-7)
+_PROBE_OFFSETS = np.array((1e-4, 10**-5.5, 1e-7))
 _N_SHELLS = 28
 
 # Endpoint orders this close to the divergence boundary are treated as
@@ -70,20 +84,24 @@ class IntegrandSpec:
     Parameters
     ----------
     log_f : callable
-        Vectorized map from an array of interior points to ``log f``.
-        Values of ``-inf`` (f == 0) are tolerated, NaN and ``+inf`` are not.
+        Vectorized map from an array of n interior points to ``log f``:
+        shape (n,), or (n, k) for an integrand of k columns.  Values of
+        ``-inf`` (f == 0) are tolerated, NaN and ``+inf`` are not.
     upper : float
         Right endpoint: any positive finite value, or ``math.inf``.
-    lower_order : float
-        The power q with f(t) ~ c * t^q as t -> 0+. Declaring q <= -1
-        asserts the integral diverges at 0; the integrator then verifies
-        that claim and raises ``DivergenceSuspected``.
-    upper_order : float or None
+    lower_order : float, array or None
+        The power q with f(t) ~ c * t^q as t -> 0+, one per column. Declaring
+        q <= -1 asserts the integral diverges at 0; the integrator then
+        verifies that claim and raises ``DivergenceSuspected``.  ``None``
+        declares neither power: the integrator measures both with
+        :func:`probed_orders`, and ``upper_order`` must be None too.
+    upper_order : float, array or None
         At a finite endpoint, the power p with f ~ c * (upper - t)^p
         (``None`` means f is smooth up to the endpoint). At infinity, the
         power p with f ~ c * t^p (``None`` means faster-than-power decay,
         e.g. exponential). Powers p >= -1 at infinity or p <= -1 at a
-        finite endpoint assert divergence there.
+        finite endpoint assert divergence there.  With columns, an array
+        whose NaN entries stand for ``None``.
     log_f_upper : callable, optional
         Stable evaluator of ``log f(upper - v)`` as a function of the
         distance ``v`` from a finite upper endpoint. Supplying it avoids
@@ -95,17 +113,21 @@ class IntegrandSpec:
 
     log_f: Callable[[np.ndarray], np.ndarray]
     upper: float
-    lower_order: float
-    upper_order: float | None = None
+    lower_order: float | np.ndarray | None
+    upper_order: float | np.ndarray | None = None
     log_f_upper: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "integrand"
 
     def __post_init__(self):
         if not (self.upper > 0):
             raise QuadratureError(f"{self.name}: upper endpoint must be positive")
-        if not np.isfinite(self.lower_order):
+        up = self.upper_order  # NaN stands for None in a column, not for a whole spec
+        if self.lower_order is None:
+            if up is not None:
+                raise QuadratureError(f"{self.name}: an upper_order needs a lower_order")
+        elif not np.isfinite(self.lower_order).all():
             raise QuadratureError(f"{self.name}: lower_order must be finite")
-        if self.upper_order is not None and not np.isfinite(self.upper_order):
+        if up is not None and (np.isinf(up).any() or (np.ndim(up) == 0 and np.isnan(up))):
             raise QuadratureError(f"{self.name}: upper_order must be finite or None")
 
     def log_f_from_top(self, v) -> np.ndarray:
@@ -125,88 +147,98 @@ def _gl_rule(n: int):
 
 def _eval_log(log_f, t: np.ndarray, name: str) -> np.ndarray:
     out = np.asarray(log_f(np.asarray(t, dtype=float)), dtype=float)
-    if np.isnan(out).any() or np.isposinf(out).any():
-        bad = t[np.isnan(out) | np.isposinf(out)]
+    if not (out < math.inf).all():  # NaN or +inf
+        bad = t[~(out < math.inf).reshape(t.size, -1).all(axis=1)]
         raise QuadratureError(f"{name}: evaluator returned NaN/+inf near t={bad[:3]}")
     return out
 
 
-# --- endpoint declaration checks -------------------------------------------
+def _scalar_or_columns(values):
+    """A float for a one-column result, else the array of one value per column."""
+    values = np.asarray(values)
+    return float(values) if values.ndim == 0 else values
 
 
-def _fit_slope(log_t: np.ndarray, log_v: np.ndarray) -> float:
-    x = log_t - log_t.mean()
-    return float(np.dot(x, log_v - log_v.mean()) / np.dot(x, x))
+# --- the slope rule ---------------------------------------------------------
 
 
-def _check_power(log_g, points: np.ndarray, declared: float, name: str, where: str) -> None:
-    vals = _eval_log(log_g, points, name)
-    if not np.isfinite(vals).all():
-        raise SingularityMismatch(
-            f"{name}: evaluator is zero at the {where} probe points; "
-            "cannot verify the declared endpoint power"
-        )
-    slope = _fit_slope(np.log(points), vals)
-    if abs(slope - declared) > SLOPE_TOL:
-        raise SingularityMismatch(
-            f"{name}: declared {where} power {declared:g} but the probe "
-            f"measured {slope:.3f}"
-        )
+def _slope(log_f, points: np.ndarray, finer: float, name: str):
+    """Log-log slope of ``f`` at ``points``, refined by one Richardson step.
 
-
-def probe_power(log_f, points) -> float:
-    """Least-squares log-log slope of ``f`` over the given probe points.
-
-    Used to infer an endpoint power when no analytic declaration exists.
-    Raises QuadratureError when f vanishes at a probe point.
+    A least-squares fit at one scale is contaminated by the analytic factor
+    of the integrand, linearly in the probe scale; fits at scales s and
+    ``finer`` * s cancel that term.  ``finer`` < 1 probes toward a finite
+    endpoint, > 1 toward infinity.  One slope per column of ``log_f``; NaN
+    for a column that is zero at a probe point.
     """
-    pts = np.asarray(points, dtype=float)
-    vals = _eval_log(log_f, pts, "probe")
-    if not np.isfinite(vals).all():
-        raise QuadratureError("cannot probe an endpoint power where f is zero")
-    return _fit_slope(np.log(pts), vals)
-
-
-def probe_power_refined(log_f, points, finer: float = 0.1) -> float:
-    """Slope probe with one Richardson step in the probe scale.
-
-    A single-scale fit is contaminated by the analytic factor of the
-    integrand, linearly in the probe scale; two fits at scales s and
-    finer*s cancel that term.  Use finer < 1 toward a finite endpoint
-    and finer > 1 toward an infinite one.  Needed when the probed slope
-    becomes the *declared* power of an analytic end piece: a mismatch
-    delta puts that piece off by about delta / (power + 1) of itself.
-    """
-    if not finer > 0.0 or finer == 1.0:
-        raise QuadratureError(f"probe refinement factor must be positive and != 1, got {finer:g}")
-    pts = np.asarray(points, dtype=float)
-    q1 = probe_power(log_f, pts)
-    q2 = probe_power(log_f, finer * pts)
+    n = points.size
+    both = np.concatenate([points, finer * points])
+    values = _eval_log(log_f, both, name)
+    zero = ~np.isfinite(values).all(axis=0)
+    if zero.any():
+        values = np.where(zero, 0.0, values)
+    fits = []
+    for pts, vals in ((both[:n], values[:n]), (both[n:], values[n:])):
+        x = np.log(pts)
+        x = x - x.mean()
+        fits.append(np.dot(x, vals - vals.mean(axis=0)) / np.dot(x, x))
     # contaminant shrinks by k moving toward the endpoint
     k = finer if finer < 1.0 else 1.0 / finer
-    return (q2 - k * q1) / (1.0 - k)
+    return np.where(zero, np.nan, (fits[1] - k * fits[0]) / (1.0 - k))
+
+
+def _probe_points(upper: float) -> tuple:
+    """(points, refinement) of the slope rule at 0 and at the top.
+
+    Probes sit at 1e-4 to 1e-7 of half the scale, refined ten times closer
+    to a finite end; toward infinity at 1e4 to 1e7, refined ten times
+    farther out.
+    """
+    if math.isfinite(upper):
+        pts = min(upper, 1.0) / 2.0 * _PROBE_OFFSETS
+        return (pts, 0.1), (pts, 0.1)
+    return (0.5 * _PROBE_OFFSETS, 0.1), (1.0 / _PROBE_OFFSETS, 10.0)
 
 
 def probed_orders(log_f, upper: float) -> tuple:
     """Measure both endpoint powers of a positive integrand on (0, upper).
 
     Returns (lower_order, upper_order) in the sense of
-    :class:`IntegrandSpec`; an infinite-endpoint slope steeper than any
-    reasonable power is reported as ``None`` (faster-than-power decay).
+    :class:`IntegrandSpec`, one per column of ``log_f``; an
+    infinite-endpoint slope steeper than any reasonable power is reported
+    as ``None`` (faster-than-power decay), or NaN in a column.
     """
     upper = float(upper)
     if not upper > 0.0:
         raise QuadratureError("probed_orders needs a positive upper endpoint")
-    scale = min(upper, 1.0) / 2.0 if math.isfinite(upper) else 0.5
-    pts = scale * np.array(_PROBE_OFFSETS)
-    low = probe_power_refined(log_f, pts)
-    if math.isfinite(upper):
-        up = probe_power_refined(lambda v: log_f(upper - np.asarray(v, dtype=float)), pts)
-    else:
-        up = probe_power_refined(log_f, 1.0 / np.array(_PROBE_OFFSETS), finer=10.0)
-        if up < -40.0:
-            up = None
-    return low, up
+    finite = math.isfinite(upper)
+    log_top = (lambda v: log_f(upper - np.asarray(v, dtype=float))) if finite else log_f
+    at_low, at_top = _probe_points(upper)
+    low, up = _slope(log_f, *at_low, "probe"), _slope(log_top, *at_top, "probe")
+    if np.isnan(low).any() or np.isnan(up).any():
+        raise QuadratureError("cannot probe an endpoint power where f is zero")
+    if not finite:
+        up = np.where(up < -40.0, np.nan, up)
+    up = _scalar_or_columns(up)
+    return _scalar_or_columns(low), (None if np.ndim(up) == 0 and math.isnan(up) else up)
+
+
+def _check_power(slope, declared, name: str, where: str) -> None:
+    """Raise unless each declared power (NaN: none declared) matches its probed ``slope``."""
+    slope, declared = np.asarray(slope), np.asarray(declared, dtype=float)
+    checked = ~np.isnan(declared)
+    if np.isnan(slope[checked]).any():
+        raise SingularityMismatch(
+            f"{name}: evaluator is zero at the {where} probe points; "
+            "cannot verify the declared endpoint power"
+        )
+    off = np.flatnonzero((np.abs(slope - declared) > SLOPE_TOL).ravel())
+    if off.size:
+        col = "" if declared.ndim == 0 else f" (column {off[0]})"
+        raise SingularityMismatch(
+            f"{name}: declared {where} power {declared.flat[off[0]]:g}{col} but the probe "
+            f"measured {np.ravel(slope)[off[0]]:.3f}"
+        )
 
 
 # --- divergence screens -----------------------------------------------------
@@ -287,6 +319,8 @@ _CAP_GRID = np.geomspace(_CAP_EDGE, 0.5, _KNOTS_PER_SIDE)
 _MARCH_KNOTS = 2.0 ** (0.25 * np.arange(1, 1201))
 _MARCH = 60
 _INFINITE_START = np.concatenate([np.geomspace(_EDGE, 1.0, _KNOTS_PER_SIDE), _MARCH_KNOTS[:_MARCH]])
+# the largest log whose exp is a finite double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _start_knots(spec: IntegrandSpec) -> list:
@@ -331,26 +365,27 @@ class _Panels:
 
     ``log_g`` is the log integrand in the side's own coordinate: the point
     itself, or, on the upper half of a finite domain, the distance from the
-    top.  Values are taken relative to ``exp(shift)``, one offset for the
-    whole law, which keeps them in floating-point range.  Once refined,
-    ``cum[i]`` is the mass below knot ``i``, counted from the side's outer
-    end and starting at the piece beyond it, and ``err`` bounds the error of
-    the panel sum.
+    top.  Every per-column quantity has a leading axis of one entry per
+    column.  Values are taken relative to ``exp(shift)``, one offset per
+    column for the whole law, which keeps them in floating-point range.
+    Once refined, ``cum[c, i]`` is column c's mass below knot ``i``, counted
+    from the side's outer end and starting at the piece beyond it, and
+    ``err[c]`` bounds the error of its panel sum.
     """
 
     def __init__(self, log_g, knots: np.ndarray, name: str):
         self.log_g = log_g
         self.knots = knots
         self.name = name
-        self.shift = 0.0
+        self.shift = np.zeros(1)
         self.cum = None
-        self.err = 0.0
+        self.err = None
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        return _eval_log(self.log_g, x.ravel(), self.name).reshape(x.shape)
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x) - self.shift)
+        """log density at the points x, shape (columns, *x.shape)."""
+        out = _eval_log(self.log_g, x.ravel(), self.name)
+        cols = out[None] if out.ndim == 1 else out.T
+        return cols.reshape(cols.shape[0], *x.shape)
 
     def node_logs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """log density at the nodes of both rules on the panels [a, b]."""
@@ -359,21 +394,22 @@ class _Panels:
 
     def masses(self, logs: np.ndarray, a: np.ndarray, b: np.ndarray):
         """Each panel's mass by the main rule, and its distance from the companion's."""
-        f = np.exp(logs - self.shift)
+        f = np.exp(logs - self.shift[:, None, None])
         half = 0.5 * (b - a)
-        main = half * (f[:, :_GL_NODES] @ _gl_rule(_GL_NODES)[1])
-        companion = half * (f[:, _GL_NODES:] @ _gl_rule(_GL_COMPANION)[1])
+        main = half * (f[..., :_GL_NODES] @ _gl_rule(_GL_NODES)[1])
+        companion = half * (f[..., _GL_NODES:] @ _gl_rule(_GL_COMPANION)[1])
         return main, np.abs(main - companion)
 
-    def refine(self, mass, err, base: float, rel_tol: float, floor: float) -> None:
-        """Bisect panels until each error bound is within ``rel_tol`` of its mass plus ``floor``.
+    def refine(self, mass, err, base, rel_tol: float, floor) -> None:
+        """Bisect panels until every column's bound is within ``rel_tol`` of its mass plus ``floor``.
 
         Then sets ``knots`` to the refined panels, ``cum`` to ``base`` plus
         their running sums and ``err`` to the sum of their bounds.
         """
         a, b = self.knots[:-1], self.knots[1:]
+        floor = floor[:, None]
         while True:
-            bad = err > rel_tol * mass + floor
+            bad = (err > rel_tol * mass + floor).any(axis=0)
             if not bad.any():
                 break
             if a.size + np.count_nonzero(bad) > _MAX_PANELS:
@@ -387,25 +423,34 @@ class _Panels:
             new_mass, new_err = self.masses(self.node_logs(new_a, new_b), new_a, new_b)
             keep = ~bad
             a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
-            mass = np.concatenate([mass[keep], new_mass])
-            err = np.concatenate([err[keep], new_err])
+            mass = np.concatenate([mass[:, keep], new_mass], axis=1)
+            err = np.concatenate([err[:, keep], new_err], axis=1)
         order = np.argsort(a)
         self.knots = np.append(a[order], b[order[-1]])
-        self.cum = base + np.concatenate([[0.0], np.cumsum(mass[order])])
-        self.err = float(err.sum())
+        running = np.cumsum(mass[:, order], axis=1)
+        self.cum = base[:, None] + np.concatenate([np.zeros((running.shape[0], 1)), running], axis=1)
+        self.err = err.sum(axis=1)
 
-    def _cum_and_density(self, i: np.ndarray, x: np.ndarray):
-        """``cum`` at x inside panel i (the partial panel by the main rule) and the density at x."""
+    def _first_cum(self) -> np.ndarray:
+        """The running sums of the first column: the inverse belongs to one-column laws."""
+        return self.cum.reshape(-1, self.knots.size)[0]
+
+    def _cum_and_density(self, i: np.ndarray, x: np.ndarray, cum: np.ndarray):
+        """``cum`` at x inside panel i (the partial panel by the main rule) and the density at x.
+
+        Of the first column, whose running sums are ``cum``.
+        """
         if not x.size:
             return x.copy(), x.copy()
         y, w = _gl_rule(_GL_NODES)
         a = self.knots[i]
-        f = self.density(np.column_stack([_rule_points(a, x, y), x]))
-        return self.cum[i] + 0.5 * (x - a) * (f[:, :-1] @ w), f[:, -1]
+        pts = np.column_stack([_rule_points(a, x, y), x])
+        f = np.exp(self.log_density(pts)[0] - self.shift[0])
+        return cum[i] + 0.5 * (x - a) * (f[:, :-1] @ w), f[:, -1]
 
     def cum_at(self, x: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
-        return self._cum_and_density(i, x)[0]
+        return self._cum_and_density(i, x, self._first_cum())[0]
 
     def solve(self, c: np.ndarray) -> np.ndarray:
         """Points x with ``cum_at(x) == c``, by Newton's method inside the panel holding c.
@@ -413,17 +458,18 @@ class _Panels:
         Each c's panel brackets its root, the bracket shrinks with every
         iterate, and a step that leaves it becomes a bisection step.
         """
-        i = np.clip(np.searchsorted(self.cum, c, side="right") - 1, 0, self.knots.size - 2)
+        cum = self._first_cum()
+        i = np.clip(np.searchsorted(cum, c, side="right") - 1, 0, self.knots.size - 2)
         lo, hi = self.knots[i], self.knots[i + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (c - self.cum[i]) / (self.cum[i + 1] - self.cum[i])
+            frac = (c - cum[i]) / (cum[i + 1] - cum[i])
         x = lo + (hi - lo) * np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
         active = np.arange(c.size)
         for _ in range(_NEWTON_STEPS):
             if not active.size:
                 break
             xa, la, ha = x[active], lo[active], hi[active]
-            g, f = self._cum_and_density(i[active], xa)
+            g, f = self._cum_and_density(i[active], xa, cum)
             g -= c[active]
             la = np.where(g < 0.0, xa, la)
             ha = np.where(g > 0.0, xa, ha)
@@ -436,62 +482,77 @@ class _Panels:
         return x
 
 
-def _power_piece(side: _Panels, ends: np.ndarray, power: float) -> tuple[float, float]:
-    """Mass of the analytic piece beyond the outermost knot ``ends[0]``, and its error bound.
+def _power_piece(side: _Panels, ends: np.ndarray, power: np.ndarray):
+    """Each column's mass of the analytic piece beyond the outermost knot ``ends[0]``, and its error bound.
 
     There f ~ c x^power, so the piece is f(ends[0]) ends[0] / |power + 1|;
     it is off by at most the log-log slope of f between ``ends`` minus
-    ``power``, over |power + 1|, relative to itself.
+    ``power``, over |power + 1|, relative to itself.  A column whose piece
+    underflows to 0 has no error either.
     """
     logs = side.log_density(ends)
-    mass = float(np.exp(logs[0] - side.shift)) * ends[0] / abs(power + 1.0)
-    if mass == 0.0:
-        return 0.0, 0.0
-    slope = (logs[1] - logs[0]) / math.log(ends[1] / ends[0])
-    return mass, mass * abs(slope - power) / abs(power + 1.0)
+    mass = np.exp(logs[:, 0] - side.shift) * ends[0] / np.abs(power + 1.0)
+    rise = np.subtract(logs[:, 1], logs[:, 0], out=np.zeros(mass.size), where=mass > 0.0)
+    return mass, mass * np.abs(rise / math.log(ends[1] / ends[0]) - power) / np.abs(power + 1.0)
 
 
-def _jacobi_cap(side: _Panels, p: float, e: float) -> tuple[float, float]:
-    """Gauss-Jacobi mass of the side over (0, e], where g ~ c v^p, and its half-rule error bound."""
-    masses = []
-    for n in (_CAP_NODES, _CAP_NODES // 2):
-        y, w = roots_jacobi(n, 0.0, p)
-        v = (e / 2.0) * (1.0 + y)
-        g = np.exp(side.log_density(v) - side.shift - p * np.log(v))
-        masses.append((e / 2.0) ** (p + 1.0) * float(np.dot(w, g)))
-    return masses[0], abs(masses[0] - masses[1])
+def _jacobi_cap(side: _Panels, p: np.ndarray, e: float):
+    """Each column's Gauss-Jacobi mass over (0, e], where g ~ c v^p, and its half-rule error bound."""
+    mass, err = np.empty(p.size), np.empty(p.size)
+    for q in np.unique(p):
+        cols = np.flatnonzero(p == q)
+        masses = []
+        for n in (_CAP_NODES, _CAP_NODES // 2):
+            y, w = roots_jacobi(n, 0.0, q)
+            v = (e / 2.0) * (1.0 + y)
+            logs = side.log_density(v)
+            masses.append([
+                (e / 2.0) ** (q + 1.0) * float(np.dot(w, np.exp(logs[c] - side.shift[c] - q * np.log(v))))
+                for c in cols
+            ])
+        mass[cols] = masses[0]
+        err[cols] = np.abs(np.subtract(*masses))
+    return mass, err
 
 
 class PanelLaw:
     """Certified panel sums of a positive integrand, with their cdf and its inverse.
 
     ``low`` and ``up`` are the endpoint powers of ``spec`` in the sense of
-    :class:`IntegrandSpec`, both convergent; ``up`` None means a smooth
-    finite top, or faster-than-power decay at infinity.  Every panel's error
-    bound is held within ``rel_tol`` of its mass (or 1e-16 of the total),
-    and a march toward an infinite top closes at 1e-3 * rel_tol.
+    :class:`IntegrandSpec`, both convergent: floats for an integrand of one
+    column, arrays of one power per column otherwise.  ``up`` None (NaN in
+    a column) means a smooth finite top, or faster-than-power decay at
+    infinity.  Every panel's error bound is held within ``rel_tol`` of its
+    mass (or 1e-16 of the total) in every column, and a march toward an
+    infinite top closes at 1e-3 * rel_tol once every column has.
 
     After construction ``total`` is the integral and ``err`` bounds its
     error, both in units of ``exp(shift)``, the largest integrand value at
-    the first nodes.  ``cdf`` normalizes the cumulative sums; ``invert``
-    maps cumulative masses in (0, total) back to points.
+    the first nodes (raised where a march toward infinity found values
+    that would overflow against it); all three are floats for one column
+    and arrays of one entry per column otherwise.  ``cdf`` normalizes the
+    cumulative sums of a one-column law; ``invert`` maps cumulative masses
+    in (0, total) back to points.
     """
 
-    def __init__(self, spec: IntegrandSpec, low: float, up: float | None, rel_tol: float):
+    def __init__(self, spec: IntegrandSpec, low, up, rel_tol: float):
         name = spec.name
         self._upper = float(spec.upper)
         self._finite = math.isfinite(self._upper)
-        self._low = low
-        if self._finite and up is None:
-            up = 0.0  # smooth up to the top
-        self._up_power = up
+        one_column = np.ndim(low) == 0
         sides = [_Panels(g, knots, name) for g, knots in _start_knots(spec)]
         logs = [s.node_logs(s.knots[:-1], s.knots[1:]) for s in sides]
-        self.shift = max(float(np.max(lg)) for lg in logs)
-        if self.shift == -math.inf:  # zero at every node: take the integrand as it is
-            self.shift = 0.0
+        k = logs[0].shape[0]
+        low = np.full(k, low, dtype=float)
+        up = np.full(k, np.nan if up is None else up, dtype=float)
+        if self._finite:
+            up[np.isnan(up)] = 0.0  # smooth up to the top
+        power = ~np.isnan(up)
+        any_power = bool(power.any())
+        shift = np.max([lg.max(axis=(1, 2)) for lg in logs], axis=0)
+        shift[shift == -math.inf] = 0.0  # zero at every node: take the integrand as it is
         for s in sides:
-            s.shift = self.shift
+            s.shift = shift
         parts = [s.masses(lg, s.knots[:-1], s.knots[1:]) for s, lg in zip(sides, logs)]
         lower = sides[0]
         mass_below, below_err = _power_piece(lower, lower.knots[:2], low)
@@ -503,24 +564,26 @@ class PanelLaw:
             # declared power tail also closes once the analytic piece above a
             # shell is accurate: its relative error is at most the shell's
             # log-slope deviation from up over -up - 1, and the error it makes
-            # must be within rel_tol of the mass below
+            # must be within rel_tol of the mass below.  The march ends at
+            # the first shell by which every column has closed
             mass, err = parts[0]
             n_grid, marched = _KNOTS_PER_SIDE - 1, _MARCH
-            if up is not None:
+            p = up[:, None]
+            if any_power:
                 knot_logs = lower.log_density(lower.knots[n_grid:])
             while True:
-                cum = (mass_below + np.cumsum(mass))[n_grid:]
-                done = mass[n_grid:] <= 1e-3 * rel_tol * cum
-                if up is not None:
+                cum = (mass_below[:, None] + np.cumsum(mass, axis=1))[:, n_grid:]
+                done = mass[:, n_grid:] <= 1e-3 * rel_tol * cum
+                if any_power:
                     ends = lower.knots[n_grid:]
-                    above = np.exp(knot_logs[1:] - lower.shift) * ends[1:] / (-up - 1.0)
+                    above = np.exp(knot_logs[:, 1:] - lower.shift[:, None]) * ends[1:] / (-p - 1.0)
                     with np.errstate(invalid="ignore"):  # underflowed densities close nothing
                         slope = np.diff(knot_logs) / np.diff(np.log(ends))
-                        done |= above * np.abs(slope - up) / (-up - 1.0) <= rel_tol * cum
-                closed = np.flatnonzero(done & (cum > 0.0))
-                if closed.size:
-                    n = n_grid + int(closed[0]) + 1
-                    lower.knots, parts[0] = lower.knots[: n + 1], (mass[:n], err[:n])
+                        done |= above * np.abs(slope - p) / (-p - 1.0) <= rel_tol * cum
+                done &= cum > 0.0
+                if done.any(axis=1).all():
+                    n = n_grid + int(done.argmax(axis=1).max()) + 1
+                    lower.knots, parts[0] = lower.knots[: n + 1], (mass[:, :n], err[:, :n])
                     break
                 if marched == _MARCH_KNOTS.size:
                     raise QuadratureError(
@@ -528,11 +591,24 @@ class PanelLaw:
                     )
                 b = _MARCH_KNOTS[marched : marched + _MARCH]
                 a = np.concatenate([lower.knots[-1:], b[:-1]])
-                more_mass, more_err = lower.masses(lower.node_logs(a, b), a, b)
+                new_logs = lower.node_logs(a, b)
+                peak = new_logs.max(axis=(1, 2))
+                over = peak - lower.shift > _LOG_MAX
+                if over.any():
+                    # the mass lies far above the nodes that set the shift:
+                    # rescale what is summed so far and raise the shift to
+                    # the new peak, so the new shells stay in range
+                    raised = np.where(over, peak, lower.shift)
+                    scale = np.exp(lower.shift - raised)
+                    mass, err = mass * scale[:, None], err * scale[:, None]
+                    mass_below, below_err = mass_below * scale, below_err * scale
+                    lower.shift = raised
+                more_mass, more_err = lower.masses(new_logs, a, b)
                 lower.knots = np.concatenate([lower.knots, b])
-                mass, err = np.concatenate([mass, more_mass]), np.concatenate([err, more_err])
-                if up is not None:
-                    knot_logs = np.concatenate([knot_logs, lower.log_density(b)])
+                mass = np.concatenate([mass, more_mass], axis=1)
+                err = np.concatenate([err, more_err], axis=1)
+                if any_power:
+                    knot_logs = np.concatenate([knot_logs, lower.log_density(b)], axis=1)
                 marched += _MARCH
 
         if self._finite:
@@ -546,23 +622,30 @@ class PanelLaw:
             self._up_edge = lower.knots[-1]
             # faster-than-power decay: the stopping rule already pushed the
             # residual tail below noise, drop it
-            mass_above, above_err = 0.0, 0.0
-            if up is not None:
-                mass_above, above_err = _power_piece(lower, lower.knots[:-3:-1], up)
+            mass_above, above_err = np.zeros(k), np.zeros(k)
+            if any_power:
+                piece, piece_err = _power_piece(lower, lower.knots[:-3:-1], up)
+                mass_above = np.where(power, piece, 0.0)
+                above_err = np.where(power, piece_err, 0.0)
 
-        total = mass_below + mass_above + sum(float(m.sum()) for m, _ in parts)
-        if not math.isfinite(total):
+        total = mass_below + mass_above + sum(m.sum(axis=1) for m, _ in parts)
+        if not np.isfinite(total).all():
             raise QuadratureError(f"{name}: overflow inside an interior panel")
         for s, (mass, err), base in zip(sides, parts, (mass_below, mass_above)):
             s.refine(mass, err, base, rel_tol, _ABS_TOL * total)
         self._sides = sides
+        self._low, self._up_power = low, up
         self._mass_below = mass_below
         self._mass_above = mass_above
-        self.total = float(lower.cum[-1] + (sides[1].cum[-1] if self._finite else mass_above))
-        self.err = below_err + above_err + sum(s.err for s in sides)
+        total = lower.cum[:, -1] + (sides[1].cum[:, -1] if self._finite else mass_above)
+        err = below_err + above_err + sum(s.err for s in sides)
+        if one_column:
+            self.shift, self.total, self.err = (float(v[0]) for v in (lower.shift, total, err))
+        else:
+            self.shift, self.total, self.err = lower.shift, total, err
 
     def cdf(self, t) -> np.ndarray:
-        """Normalized cumulative sum at the points ``t``."""
+        """Normalized cumulative sum at the points ``t`` (one-column laws)."""
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape)
         lower = self._sides[0]
@@ -570,51 +653,101 @@ class PanelLaw:
         below = t <= t0
         above = t >= t_end
         inner = ~(below | above)
-        out[below] = self._mass_below * (np.clip(t[below], 0.0, None) / t0) ** (self._low + 1.0)
+        out[below] = self._mass_below[0] * (np.clip(t[below], 0.0, None) / t0) ** (self._low[0] + 1.0)
         out[inner] = lower.cum_at(t[inner])
+        up = self._up_power[0]
         if self._finite:
             v = np.clip(self._upper - t[above], 0.0, None)
             top = v <= self._up_edge
             rest = np.empty(v.shape)
-            rest[top] = self._mass_above * (v[top] / self._up_edge) ** (self._up_power + 1.0)
+            rest[top] = self._mass_above[0] * (v[top] / self._up_edge) ** (up + 1.0)
             rest[~top] = self._sides[1].cum_at(v[~top])
             out[above] = self.total - rest
-        elif self._up_power is not None:
-            out[above] = self.total - self._mass_above * (t[above] / self._up_edge) ** (
-                self._up_power + 1.0
-            )
+        elif not np.isnan(up):
+            out[above] = self.total - self._mass_above[0] * (t[above] / self._up_edge) ** (up + 1.0)
         else:
             out[above] = self.total
         return np.clip(out / self.total, 0.0, 1.0)
 
     def invert(self, c: np.ndarray) -> np.ndarray:
-        """The points at which the cumulative sum reaches ``c``."""
+        """The points at which the cumulative sum reaches ``c`` (one-column laws)."""
         out = np.empty(c.shape)
+        mass_below, mass_above = self._mass_below[0], self._mass_above[0]
         # strict, so that c = 0 on a law whose mass below the first knot
         # underflowed to 0 is solved in the panels rather than read as 0/0
-        below = c < self._mass_below
-        frac = c[below] / self._mass_below
-        out[below] = self._sides[0].knots[0] * frac ** (1.0 / (self._low + 1.0))
-        top = ~below & (self._mass_above > 0.0) & (c >= self.total - self._mass_above)
+        below = c < mass_below
+        frac = c[below] / mass_below
+        out[below] = self._sides[0].knots[0] * frac ** (1.0 / (self._low[0] + 1.0))
+        top = ~below & (mass_above > 0.0) & (c >= self.total - mass_above)
         if top.any():
-            frac = (self.total - c[top]) / self._mass_above
+            frac = (self.total - c[top]) / mass_above
             with np.errstate(divide="ignore", over="ignore"):
-                far = self._up_edge * frac ** (1.0 / (self._up_power + 1.0))
+                far = self._up_edge * frac ** (1.0 / (self._up_power[0] + 1.0))
             out[top] = self._upper - far if self._finite else far
         rest = ~(below | top)
         if self._finite:
-            high = rest & (c >= self._sides[0].cum[-1])
+            high = rest & (c >= self._sides[0]._first_cum()[-1])
             out[high] = self._upper - self._sides[1].solve(self.total - c[high])
             rest &= ~high
         out[rest] = self._sides[0].solve(c[rest])
         return out
 
 
-# --- the public entry point -------------------------------------------------
+# --- the public entry points ------------------------------------------------
+
+
+def _checked_law(spec: IntegrandSpec, rel_tol: float) -> PanelLaw:
+    """The :class:`PanelLaw` of ``spec`` once its declared powers have passed the slope rule.
+
+    Powers ``spec`` leaves undeclared are measured by the same rule.  A
+    column divergent at an end goes to the shell screen, which raises
+    either way.
+    """
+    if not 0.0 < rel_tol < 1.0:
+        raise QuadratureError("rel_tol must lie in (0, 1)")
+    name = spec.name
+    finite = math.isfinite(spec.upper)
+    scale = min(spec.upper, 1.0) / 2.0 if finite else 0.5
+    log_top = spec.log_f_from_top if finite else spec.log_f
+    if spec.lower_order is None:
+        # nothing declared: the slope rule measures the powers, which need no check
+        low, up = probed_orders(spec.log_f, spec.upper)
+        spec = replace(spec, lower_order=low, upper_order=up)
+    else:
+        # validate declarations before trusting them
+        at_low, at_top = _probe_points(spec.upper)
+        _check_power(_slope(spec.log_f, *at_low, name), spec.lower_order, name, "lower")
+        if spec.upper_order is not None and not np.isnan(spec.upper_order).all():
+            _check_power(_slope(log_top, *at_top, name), spec.upper_order, name, "upper")
+
+    # Declared-divergent endpoints: gather evidence and raise.  Orders
+    # within probe noise of the -1 boundary go to the screen too: an
+    # analytic end piece divides by the power plus one, and an integral that
+    # close to divergent is better reported than summed.
+    def column(log_g, c):
+        return log_g if np.ndim(spec.lower_order) == 0 else (lambda t: log_g(t)[:, c])
+
+    for c, q in enumerate(np.atleast_1d(spec.lower_order)):
+        if q <= -1.0 + _ORDER_EPS:
+            _divergence_screen(
+                column(spec.log_f, c), scale, outward=False, name=name, where="the lower endpoint"
+            )
+    if spec.upper_order is not None:
+        for c, p in enumerate(np.atleast_1d(spec.upper_order)):
+            if finite and p <= -1.0 + _ORDER_EPS:
+                _divergence_screen(
+                    column(log_top, c), scale, outward=False, name=name, where="the upper endpoint"
+                )
+            if not finite and p >= -1.0 - _ORDER_EPS:
+                _divergence_screen(
+                    column(spec.log_f, c), 2.0, outward=True, name=name, where="infinity"
+                )
+
+    return PanelLaw(spec, spec.lower_order, spec.upper_order, rel_tol)
 
 
 def integrate(spec: IntegrandSpec, rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Integrate ``spec`` over its domain with a :class:`PanelLaw`.
+    """Integrate a one-column ``spec`` over its domain with a :class:`PanelLaw`.
 
     ``rel_tol`` bounds each panel's error relative to the panel's mass.
     Returns ``(value, err_est)`` where ``err_est`` is a conservative
@@ -632,41 +765,8 @@ def integrate(spec: IntegrandSpec, rel_tol: float = 1e-10) -> tuple[float, float
         Refinement budgets were exhausted, or the error estimate landed
         far above the requested tolerance.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise QuadratureError("rel_tol must lie in (0, 1)")
     name = spec.name
-    finite = math.isfinite(spec.upper)
-    scale = min(spec.upper, 1.0) / 2.0 if finite else 0.5
-
-    log_f_upper = spec.log_f_from_top if finite else None
-
-    # Validate declarations before trusting them.
-    _check_power(spec.log_f, scale * np.array(_PROBE_OFFSETS), spec.lower_order, name, "lower")
-    if spec.upper_order is not None:
-        if finite:
-            _check_power(
-                log_f_upper, scale * np.array(_PROBE_OFFSETS), spec.upper_order, name, "upper"
-            )
-        else:
-            _check_power(
-                spec.log_f, 1.0 / np.array(_PROBE_OFFSETS), spec.upper_order, name, "upper"
-            )
-
-    # Declared-divergent endpoints: gather evidence and raise.  Orders
-    # within probe noise of the -1 boundary go to the screen too: an
-    # analytic end piece divides by the power plus one, and an integral that
-    # close to divergent is better reported than summed.
-    if spec.lower_order <= -1.0 + _ORDER_EPS:
-        _divergence_screen(spec.log_f, scale, outward=False, name=name, where="the lower endpoint")
-    if spec.upper_order is not None:
-        if finite and spec.upper_order <= -1.0 + _ORDER_EPS:
-            _divergence_screen(
-                log_f_upper, scale, outward=False, name=name, where="the upper endpoint"
-            )
-        if not finite and spec.upper_order >= -1.0 - _ORDER_EPS:
-            _divergence_screen(spec.log_f, 2.0, outward=True, name=name, where="infinity")
-
-    law = PanelLaw(spec, spec.lower_order, spec.upper_order, rel_tol)
+    law = _checked_law(spec, rel_tol)
     with np.errstate(over="ignore"):
         unit = float(np.exp(law.shift))
     value, err = law.total * unit, law.err * unit
@@ -678,3 +778,28 @@ def integrate(spec: IntegrandSpec, rel_tol: float = 1e-10) -> tuple[float, float
             f"tolerance for value {value:.6e}"
         )
     return value, err
+
+
+def log_integrate(spec: IntegrandSpec, rel_tol: float = 1e-10):
+    """The log of each column's integral over the domain, from one :class:`PanelLaw`.
+
+    A float for a one-column ``spec``, else an array of one log per column.
+    An integral inside floating-point range gives the log of its value; one
+    beyond it, the log of the law's total plus its shift, so the result is
+    exact either way.  Raises as :func:`integrate` does, and when a column's
+    integral vanishes.
+    """
+    law = _checked_law(spec, rel_tol)
+    logs = []
+    for total, err, shift in zip(*(np.atleast_1d(v) for v in (law.total, law.err, law.shift))):
+        if err > 50.0 * rel_tol * total:
+            raise QuadratureError(
+                f"{spec.name}: error estimate {err:.3e} is far above the requested "
+                f"tolerance for total {total:.6e} (in units of exp({shift:g}))"
+            )
+        if not total > 0.0:
+            raise QuadratureError(f"{spec.name}: the integral vanished")
+        with np.errstate(over="ignore"):
+            value = total * float(np.exp(shift))
+        logs.append(math.log(value) if 0.0 < value < math.inf else math.log(total) + shift)
+    return _scalar_or_columns(logs[0] if np.ndim(law.total) == 0 else np.array(logs))

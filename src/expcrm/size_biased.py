@@ -41,10 +41,11 @@ from .errors import DomainError, InvalidModelError, RngFaultError, TailBoundErro
 from .exp_family import (
     ExpCrmLikelihood,
     ExpCrmPrior,
+    _COLUMN_TOL,
+    _kernel_logs,
     _kernel_spec,
     as_xi,
     log_conjugate_kernel,
-    log_partition_B,
 )
 from .measures import TraitMeasure, TruncationMeta
 from .quadrature import IntegrandSpec, PanelLaw, integrate, probed_orders
@@ -99,17 +100,9 @@ def rate_M(prior: ExpCrmPrior, m, x) -> float:
     entry = entry_for(prior.likelihood)
     if entry is not None:
         return entry.rate_M(prior.mass, prior.xi, prior.lam, m, x)
-    like = prior.likelihood
-    if not like.in_support(x):
+    if not prior.likelihood.in_support(x):
         return 0.0
-    xi_mx, lam_mx = weight_dist_params(prior, m, x)
-    log_rate = (
-        math.log(prior.mass)
-        + (m - 1) * like.log_h(0)
-        + like.log_h(x)
-        + log_partition_B(like, xi_mx, lam_mx)
-    )
-    return math.exp(log_rate)
+    return float(_round_row(prior, m, [x])[0][0])
 
 
 def round_total(prior: ExpCrmPrior, m, *, rel_tol: float = 1e-9) -> float:
@@ -117,15 +110,38 @@ def round_total(prior: ExpCrmPrior, m, *, rel_tol: float = 1e-9) -> float:
 
     Summing the pmf over x >= 1 gives 1 - l(0|theta), so a family without
     closed forms needs no count-by-count rates: its round total is one
-    quadrature of mass * (1 - l(0|theta)) l(0|theta)^(m-1) kappa, which is
-    also the oracle's reference for the closed forms of the catalog (m = 1
-    is the round-1 trait rate of assumption A2).
+    integral of mass * (1 - l(0|theta)) l(0|theta)^(m-1) kappa, a column of
+    the round's rate row (m = 1 is the round-1 trait rate of assumption A2).
     """
     m, _ = _check_round_count(m, 1)
     entry = entry_for(prior.likelihood)
     if entry is not None:
         return entry.round_total(prior.mass, prior.xi, prior.lam, m)
-    return _literal_integral(prior.likelihood, prior.xi, prior.lam, m, None, prior.mass, rel_tol)
+    return float(_round_row(prior, m, [], rel_tol=rel_tol)[1])
+
+
+def _round_row(
+    prior: ExpCrmPrior, m: int, xs, rel_tol: float = _COLUMN_TOL
+) -> tuple[np.ndarray, float]:
+    """Rates M(m, x) at the counts ``xs``, all in the support, and the round-m total.
+
+    One :class:`~expcrm.quadrature.PanelLaw` sums them all, for a family
+    without closed forms.  The rate integrand l(x) l(0)^(m-1) kappa is
+    h(x) h(0)^(m-1) kappa(.; xi + phi(x) + (m-1) phi(0), lam + m), and the
+    total's (1 - l(0)) l(0)^(m-1) kappa is h(0)^(m-1) (1 - l(0))
+    kappa(.; xi + (m-1) phi(0), lam + m - 1): conjugate kernels, one column
+    each, the total's times the chance of a positive count.
+    """
+    like = prior.likelihood
+    params = [_shifted_params(like, prior.xi, prior.lam, m, int(x)) for x in xs]
+    params.append(_shifted_params(like, prior.xi, prior.lam, m - 1, 0))
+    logs = _kernel_logs(
+        like, [xi for xi, _ in params], [lam for _, lam in params],
+        name=f"round {m} of {like.family}", positive=True, rel_tol=rel_tol,
+    )
+    logs += math.log(prior.mass) + (m - 1) * like.log_h(0)
+    log_h = np.array([like.log_h(int(x)) for x in xs])
+    return np.exp(logs[:-1] + log_h), float(np.exp(logs[-1]))
 
 
 def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
@@ -195,7 +211,8 @@ class RateTable:
     so both samplers read the same rows: the size-biased sampler reads
     rounds 1..m_max at construction, the marginal sampler one more row per
     step.  Each extension is one ``CatalogEntry.rate_table`` call for a
-    catalog family (quadrature per cell otherwise).
+    catalog family; otherwise each round is one quadrature of its whole
+    row, the cells and the round total together.
 
     Construction checks the prior and its hyperparameters.
     """
@@ -228,8 +245,7 @@ class RateTable:
             rows = self.entry.rate_table(p.mass, p.xi, p.lam, ms, self.xs)
             totals = self.entry.round_totals(p.mass, p.xi, p.lam, ms.astype(float))
         else:
-            rows = [[rate_M(p, int(m), int(x)) for x in self.xs] for m in ms]
-            totals = [round_total(p, int(m)) for m in ms]
+            rows, totals = zip(*(_round_row(p, int(m), self.xs) for m in ms))
         if rounds > self._totals.size:
             # grow geometrically, so a stream's one-row extensions stay linear;
             # np.resize keeps the existing rows at the top

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ class TestLogPartition:
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
         want = POISSON_GAMMA.log_B((xi,), lam)
         assert log_partition_B(like, (xi,), lam) == pytest.approx(want, rel=1e-13)
+
+    def test_unregistered_mass_far_above_the_starting_knots(self):
+        # the kernel peaks near 1e6, far above the 2^15 the starting knots
+        # reach: the march raises its shift instead of overflowing
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
+        want = POISSON_GAMMA.log_B((1000.0,), 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_partition_B(like, (1000.0,), 1e-3)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_unregistered_steep_lower_power(self):
+        # exp(-1e5 t) still bends the slope at the probe scales; the check
+        # refines it as the probe does
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
+        want = POISSON_GAMMA.log_B((1e5,), 1e5)
+        assert log_partition_B(like, (1e5,), 1e5) == pytest.approx(want, rel=1e-12)
 
     def test_unregistered_bounded_kernel_without_a_top_evaluator(self):
         # the kernel of Beta(0.5, 0.3), reachable at the top only through 1 - v

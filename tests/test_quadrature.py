@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import betaln, gammaln
 
-from expcrm.errors import DivergenceSuspected, SingularityMismatch
+from expcrm.errors import DivergenceSuspected, QuadratureError, SingularityMismatch
 from expcrm.quadrature import IntegrandSpec, integrate
 
 REL_TOL = 1e-10
@@ -165,3 +165,15 @@ def test_near_boundary_exponents():
     np.testing.assert_allclose(value, math.exp(betaln(0.02, 0.03)), rtol=CORPUS_RTOL)
     value, _ = integrate(beta_prime_spec(0.05, 0.05), rel_tol=REL_TOL)
     np.testing.assert_allclose(value, math.exp(betaln(0.05, 0.05)), rtol=CORPUS_RTOL)
+
+
+def test_undeclared_powers_are_probed():
+    """lower_order None: the slope rule measures both powers, divergent ones still raise."""
+    value, _ = integrate(IntegrandSpec(lambda t: 1.5 * np.log(t) - t, math.inf, None))
+    np.testing.assert_allclose(value, math.exp(gammaln(2.5)), rtol=CORPUS_RTOL)
+    value, _ = integrate(IntegrandSpec(beta_spec(0.5, 2.5).log_f, 1.0, None))
+    np.testing.assert_allclose(value, math.exp(betaln(0.5, 2.5)), rtol=CORPUS_RTOL)
+    with pytest.raises(DivergenceSuspected):
+        integrate(IntegrandSpec(lambda t: -1.5 * np.log(t) - t, math.inf, None))
+    with pytest.raises(QuadratureError):
+        IntegrandSpec(lambda t: -t, math.inf, None, upper_order=-2.0)

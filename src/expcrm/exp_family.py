@@ -130,10 +130,14 @@ class ExpCrmLikelihood:
         domain is closed above and eta diverges at the boundary.
     log_kernel_fn : callable, optional
         Stable override for ``(xi, lam, theta) -> <xi, eta> - lam * A``.
+        The components of ``xi`` and ``lam`` are floats, or arrays aligned
+        with ``theta`` (one parameter set per point, as the batched weight
+        draws pass them).
     log_kernel_upper_fn : callable, optional
         The conjugate kernel as a function of the distance v from a finite
         domain upper bound; lets quadrature evaluate near the boundary
-        without cancellation.
+        without cancellation.  Takes its parameters as ``log_kernel_fn``
+        does.
     sample_fn : callable, optional
         ``(generator, theta_array) -> counts`` fast sampler of the pmf.
     """
@@ -230,6 +234,31 @@ def log_conjugate_kernel(likelihood: ExpCrmLikelihood, xi, lam: float, theta) ->
         return np.asarray(likelihood.log_kernel_fn(xi, lam, th), dtype=float)
     e = np.asarray(likelihood.eta(th), dtype=float).reshape(len(th), likelihood.dim)
     return e @ np.asarray(xi, dtype=float) - lam * np.asarray(likelihood.A(th), dtype=float)
+
+
+def _log_kernel_rows(likelihood: ExpCrmLikelihood, xis, lams, t, from_top: bool = False) -> np.ndarray:
+    """log kappa at each row of points ``t`` with that row's parameters (xis[r], lams[r]).
+
+    ``from_top`` takes ``t`` as distances from the finite top of the weight
+    domain, evaluated by ``log_kernel_upper_fn`` when the likelihood has
+    one.  The kernel overrides get the parameters as arrays aligned with
+    the points; every operation is elementwise, or a sum along one point's
+    xi, so a point's value does not depend on the rows around it.
+    """
+    n, m = t.shape
+    xis = np.repeat(np.asarray(xis, dtype=float).reshape(n, likelihood.dim), m, axis=0)
+    lam = np.repeat(np.asarray(lams, dtype=float), m)
+    flat = t.ravel()
+    if from_top and likelihood.log_kernel_upper_fn is not None:
+        out = likelihood.log_kernel_upper_fn(tuple(xis.T), lam, flat)
+    else:
+        th = likelihood.weight_domain.upper - flat if from_top else flat
+        if likelihood.log_kernel_fn is not None:
+            out = likelihood.log_kernel_fn(tuple(xis.T), lam, th)
+        else:
+            e = np.asarray(likelihood.eta(th), dtype=float).reshape(th.size, likelihood.dim)
+            out = (e * xis).sum(axis=1) - lam * np.asarray(likelihood.A(th), dtype=float)
+    return np.asarray(out, dtype=float).reshape(n, m)
 
 
 # --- registered closed forms -------------------------------------------------

@@ -26,6 +26,15 @@ march toward infinity closes once every column has closed.  A rate row or a
 predictive chunk of an exponential family, whose cells are all
 ``exp(<xi_c, eta(t)> - lam_c A(t))``, is integrated this way in one law.
 
+Inversion (:func:`invert`) runs the other way round: many one-column laws,
+one per weight law of a draw, each with masses to invert.  Masses inside
+the analytic end pieces invert in closed form; all the others, of every
+law and either side of a finite domain, share one Newton loop that evaluates
+the integrands once per iteration at every point, each point inside its
+own law's panel bracket, with its own running sum and shift.  Each point's
+arithmetic is the same in a batch of any size, so a law inverted alone
+gives the bytes it gives in company.
+
 :func:`integrate` validates each declared power against a log-log slope
 probe (a wrong declaration raises :class:`~expcrm.errors.SingularityMismatch`
 instead of silently producing a wrong number), and detects divergent
@@ -56,7 +65,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .errors import DivergenceSuspected, QuadratureError, SingularityMismatch
 
@@ -140,9 +149,37 @@ class IntegrandSpec:
         return self.log_f(self.upper - np.asarray(v, dtype=float))
 
 
+# The Gauss-Legendre rules the engine uses, as scipy.special.roots_legendre
+# computes them (the tests pin the bytes): the positive nodes, ascending, and
+# their weights.  Computing a rule imports scipy.linalg, about 60 ms of a
+# fresh interpreter's first quadrature.
+_GL_HALVES = {
+    6: (
+        (0.23861918608319693, 0.6612093864662645, 0.932469514203152),
+        (0.4679139345726912, 0.36076157304813855, 0.17132449237917016),
+    ),
+    12: (
+        (0.12523340851146897, 0.36783149899818013, 0.5873179542866175, 0.7699026741943047,
+         0.9041172563704749, 0.9815606342467192),
+        (0.2491470458134026, 0.2334925365383547, 0.20316742672306573, 0.16007832854334608,
+         0.10693932599531782, 0.04717533638651319),
+    ),
+    24: (
+        (0.06405689286260563, 0.19111886747361626, 0.31504267969616334, 0.4337935076260452,
+         0.5454214713888395, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+         0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+        (0.12793819534675197, 0.12583745634682822, 0.12167047292780316, 0.11550566805372539,
+         0.10744427011596587, 0.09761865210411405, 0.08619016153195355, 0.07334648141108017,
+         0.05929858491543661, 0.04427743881742018, 0.028531388628932657, 0.012341229799988262),
+    ),
+}
+
+
 @lru_cache(maxsize=2048)
 def _gl_rule(n: int):
-    return roots_legendre(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], for n in ``_GL_HALVES``."""
+    y, w = (np.array(v) for v in _GL_HALVES[n])
+    return np.concatenate([-y[::-1], y]), np.concatenate([w[::-1], w])
 
 
 def _eval_log(log_f, t: np.ndarray, name: str) -> np.ndarray:
@@ -432,54 +469,74 @@ class _Panels:
         self.err = err.sum(axis=1)
 
     def _first_cum(self) -> np.ndarray:
-        """The running sums of the first column: the inverse belongs to one-column laws."""
+        """The running sums of the first column: the cdf and its inverse belong to one-column laws."""
         return self.cum.reshape(-1, self.knots.size)[0]
 
-    def _cum_and_density(self, i: np.ndarray, x: np.ndarray, cum: np.ndarray):
-        """``cum`` at x inside panel i (the partial panel by the main rule) and the density at x.
-
-        Of the first column, whose running sums are ``cum``.
-        """
+    def cum_at(self, x: np.ndarray) -> np.ndarray:
+        """The first column's running sum at the points x, the partial panel by the main rule."""
         if not x.size:
-            return x.copy(), x.copy()
+            return x.copy()
+        cum = self._first_cum()
+        i = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
         y, w = _gl_rule(_GL_NODES)
         a = self.knots[i]
-        pts = np.column_stack([_rule_points(a, x, y), x])
-        f = np.exp(self.log_density(pts)[0] - self.shift[0])
-        return cum[i] + 0.5 * (x - a) * (f[:, :-1] @ w), f[:, -1]
-
-    def cum_at(self, x: np.ndarray) -> np.ndarray:
-        i = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
-        return self._cum_and_density(i, x, self._first_cum())[0]
+        f = np.exp(self.log_density(_rule_points(a, x, y))[0] - self.shift[0])
+        return cum[i] + 0.5 * (x - a) * (f @ w)
 
     def solve(self, c: np.ndarray) -> np.ndarray:
-        """Points x with ``cum_at(x) == c``, by Newton's method inside the panel holding c.
+        """Points x with ``cum_at(x) == c``: the Newton loop of :func:`_newton` on this side alone."""
+        return _newton([self], [c.size], c, lambda rows, pts: self.log_density(pts)[0])
 
-        Each c's panel brackets its root, the bracket shrinks with every
-        iterate, and a step that leaves it becomes a bisection step.
-        """
-        cum = self._first_cum()
-        i = np.clip(np.searchsorted(cum, c, side="right") - 1, 0, self.knots.size - 2)
-        lo, hi = self.knots[i], self.knots[i + 1]
+
+def _newton(sides, sizes, c, log_at) -> np.ndarray:
+    """Points x with ``cum_at(x) == c`` on one-column sides, by Newton's method, all at once.
+
+    The first ``sizes[0]`` masses of ``c`` belong to ``sides[0]``, the next
+    ``sizes[1]`` to ``sides[1]``, and so on; ``log_at(rows, pts)`` is the log
+    density of the entries ``rows`` at their points, one row of points per
+    entry, and the loop evaluates it once per iteration.  Each entry starts
+    in the panel holding its mass, which brackets its root, from a linear
+    interpolation of the panel's running sums.  The mass from the panel's
+    start to x is the main rule on that interval, and its node sum runs row
+    by row (a matrix-vector product would round a row differently with the
+    batch around it), so every entry takes the same iterates in a batch of
+    any size.  The bracket shrinks with every iterate, and a step that
+    leaves it becomes a bisection step.
+    """
+    if not c.size:
+        return np.empty(0)
+    cums = [side._first_cum() for side in sides]
+    parts = np.split(c, np.cumsum(sizes)[:-1])
+    i = np.concatenate([np.searchsorted(cum, part, side="right") for cum, part in zip(cums, parts)])
+    # index each entry's panel in the sides' knots laid end to end
+    lengths = np.array([cum.size for cum in cums], dtype=np.intp)
+    i = np.clip(i - 1, 0, np.repeat(lengths - 2, sizes)) + np.repeat(np.cumsum(lengths) - lengths, sizes)
+    knots = np.concatenate([side.knots for side in sides])
+    cum = np.concatenate(cums)
+    shift = np.repeat([side.shift[0] for side in sides], sizes)
+    a, hi, base = knots[i], knots[i + 1], cum[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (c - base) / (cum[i + 1] - base)
+    x = a + (hi - a) * np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
+    lo = a.copy()
+    y, w = _gl_rule(_GL_NODES)
+    active = np.arange(c.size)
+    for _ in range(_NEWTON_STEPS):
+        if not active.size:
+            break
+        xa, la, ha, aa = x[active], lo[active], hi[active], a[active]
+        pts = np.column_stack([_rule_points(aa, xa, y), xa])
+        f = np.exp(log_at(active, pts) - shift[active, None])
+        g = base[active] + 0.5 * (xa - aa) * np.einsum("ij,j->i", f[:, :-1], w) - c[active]
+        la = np.where(g < 0.0, xa, la)
+        ha = np.where(g > 0.0, xa, ha)
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (c - cum[i]) / (cum[i + 1] - cum[i])
-        x = lo + (hi - lo) * np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
-        active = np.arange(c.size)
-        for _ in range(_NEWTON_STEPS):
-            if not active.size:
-                break
-            xa, la, ha = x[active], lo[active], hi[active]
-            g, f = self._cum_and_density(i[active], xa, cum)
-            g -= c[active]
-            la = np.where(g < 0.0, xa, la)
-            ha = np.where(g > 0.0, xa, ha)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = xa - g / f
-            outside = ~((nxt > la) & (nxt < ha))
-            nxt[outside] = 0.5 * (la[outside] + ha[outside])
-            x[active], lo[active], hi[active] = nxt, la, ha
-            active = active[np.abs(nxt - xa) > 1e-14 * nxt]
-        return x
+            nxt = xa - g / f[:, -1]
+        outside = ~((nxt > la) & (nxt < ha))
+        nxt[outside] = 0.5 * (la[outside] + ha[outside])
+        x[active], lo[active], hi[active] = nxt, la, ha
+        active = active[np.abs(nxt - xa) > 1e-14 * nxt]
+    return x
 
 
 def _power_piece(side: _Panels, ends: np.ndarray, power: np.ndarray):
@@ -524,7 +581,9 @@ class PanelLaw:
     a column) means a smooth finite top, or faster-than-power decay at
     infinity.  Every panel's error bound is held within ``rel_tol`` of its
     mass (or 1e-16 of the total) in every column, and a march toward an
-    infinite top closes at 1e-3 * rel_tol once every column has.
+    infinite top closes once every column has: at a shell within 1e-3 *
+    rel_tol of the mass below it, or, for a power tail, once the analytic
+    piece above is within rel_tol / 2 of it.
 
     After construction ``total`` is the integral and ``err`` bounds its
     error, both in units of ``exp(shift)``, the largest integrand value at
@@ -532,7 +591,7 @@ class PanelLaw:
     that would overflow against it); all three are floats for one column
     and arrays of one entry per column otherwise.  ``cdf`` normalizes the
     cumulative sums of a one-column law; ``invert`` maps cumulative masses
-    in (0, total) back to points.
+    in (0, total) back to points, as :func:`invert` does for many laws.
     """
 
     def __init__(self, spec: IntegrandSpec, low, up, rel_tol: float):
@@ -564,8 +623,9 @@ class PanelLaw:
             # declared power tail also closes once the analytic piece above a
             # shell is accurate: its relative error is at most the shell's
             # log-slope deviation from up over -up - 1, and the error it makes
-            # must be within rel_tol of the mass below.  The march ends at
-            # the first shell by which every column has closed
+            # must be within half of rel_tol of the mass below, which leaves
+            # the other half to the panels.  The march ends at the first
+            # shell by which every column has closed
             mass, err = parts[0]
             n_grid, marched = _KNOTS_PER_SIDE - 1, _MARCH
             p = up[:, None]
@@ -579,7 +639,7 @@ class PanelLaw:
                     above = np.exp(knot_logs[:, 1:] - lower.shift[:, None]) * ends[1:] / (-p - 1.0)
                     with np.errstate(invalid="ignore"):  # underflowed densities close nothing
                         slope = np.diff(knot_logs) / np.diff(np.log(ends))
-                        done |= above * np.abs(slope - p) / (-p - 1.0) <= rel_tol * cum
+                        done |= above * np.abs(slope - p) / (-p - 1.0) <= 0.5 * rel_tol * cum
                 done &= cum > 0.0
                 if done.any(axis=1).all():
                     n = n_grid + int(done.argmax(axis=1).max()) + 1
@@ -670,27 +730,72 @@ class PanelLaw:
         return np.clip(out / self.total, 0.0, 1.0)
 
     def invert(self, c: np.ndarray) -> np.ndarray:
-        """The points at which the cumulative sum reaches ``c`` (one-column laws)."""
-        out = np.empty(c.shape)
-        mass_below, mass_above = self._mass_below[0], self._mass_above[0]
-        # strict, so that c = 0 on a law whose mass below the first knot
-        # underflowed to 0 is solved in the panels rather than read as 0/0
-        below = c < mass_below
-        frac = c[below] / mass_below
-        out[below] = self._sides[0].knots[0] * frac ** (1.0 / (self._low[0] + 1.0))
-        top = ~below & (mass_above > 0.0) & (c >= self.total - mass_above)
-        if top.any():
-            frac = (self.total - c[top]) / mass_above
-            with np.errstate(divide="ignore", over="ignore"):
-                far = self._up_edge * frac ** (1.0 / (self._up_power[0] + 1.0))
-            out[top] = self._upper - far if self._finite else far
-        rest = ~(below | top)
-        if self._finite:
-            high = rest & (c >= self._sides[0]._first_cum()[-1])
-            out[high] = self._upper - self._sides[1].solve(self.total - c[high])
-            rest &= ~high
-        out[rest] = self._sides[0].solve(c[rest])
-        return out
+        """The points at which the cumulative sum reaches ``c``: :func:`invert` of this law alone."""
+        return invert([self], c, np.zeros(c.size, dtype=np.intp))
+
+
+def invert(laws, c: np.ndarray, owner: np.ndarray, log_f=None) -> np.ndarray:
+    """The points at which one-column laws' cumulative sums reach the masses ``c``.
+
+    ``c[i]`` lies in (0, total) of ``laws[owner[i]]``, and the laws share one
+    domain.  A mass inside an analytic end piece inverts it in closed form;
+    every other mass, whatever its law and side, joins one Newton loop,
+    :func:`_newton`.  ``log_f(t, who, from_top)`` is the log integrand of law
+    ``laws[who[r]]`` at the points of row r of ``t`` (distances from a
+    finite top when ``from_top``), one evaluation for all the laws; without
+    it, the one law given evaluates its own spec.
+    """
+    first = laws[0]
+    upper, finite = first._upper, first._finite
+
+    def per_point(values) -> np.ndarray:
+        return np.array(values, dtype=float)[owner]
+
+    mass_below = per_point([law._mass_below[0] for law in laws])
+    mass_above = per_point([law._mass_above[0] for law in laws])
+    total = per_point([law.total for law in laws])
+    out = np.empty(c.shape)
+    # strict, so that c = 0 on a law whose mass below the first knot
+    # underflowed to 0 is solved in the panels rather than read as 0/0
+    below = c < mass_below
+    if below.any():
+        low = per_point([law._low[0] for law in laws])[below]
+        edge = per_point([law._sides[0].knots[0] for law in laws])[below]
+        out[below] = edge * (c[below] / mass_below[below]) ** (1.0 / (low + 1.0))
+    top = ~below & (mass_above > 0.0) & (c >= total - mass_above)
+    if top.any():
+        frac = (total[top] - c[top]) / mass_above[top]
+        power = per_point([law._up_power[0] for law in laws])[top]
+        with np.errstate(divide="ignore", over="ignore"):
+            far = per_point([law._up_edge for law in laws])[top] * frac ** (1.0 / (power + 1.0))
+        out[top] = upper - far if finite else far
+    # the Newton entries sorted by law and side; masses above a finite
+    # lower side are solved from the top
+    rest = np.flatnonzero(~(below | top))
+    key = 2 * owner[rest]
+    if finite:
+        key += c[rest] >= per_point([law._sides[0]._first_cum()[-1] for law in laws])[rest]
+    order = np.argsort(key, kind="stable")
+    rest, key = rest[order], key[order]
+    who, from_top = key // 2, key % 2 == 1
+    target = np.where(from_top, total[rest] - c[rest], c[rest])
+    groups, sizes = np.unique(key, return_counts=True)
+    sides = [laws[k // 2]._sides[k % 2] for k in groups.tolist()]
+    if log_f is None:
+        def log_f(t, _who, at_top):
+            return first._sides[int(at_top)].log_density(t)[0]
+
+    def log_at(rows, pts):
+        logs = np.empty(pts.shape)
+        for side in (False, True):
+            on = from_top[rows] == side
+            if on.any():
+                logs[on] = log_f(pts[on], who[rows[on]], side)
+        return logs
+
+    x = _newton(sides, sizes, target, log_at)
+    out[rest] = np.where(from_top, upper - x, x)
+    return out
 
 
 # --- the public entry points ------------------------------------------------

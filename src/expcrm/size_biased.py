@@ -44,11 +44,12 @@ from .exp_family import (
     _COLUMN_TOL,
     _kernel_logs,
     _kernel_spec,
+    _log_kernel_rows,
     as_xi,
     log_conjugate_kernel,
 )
 from .measures import TraitMeasure, TruncationMeta
-from .quadrature import IntegrandSpec, PanelLaw, integrate, probed_orders
+from .quadrature import IntegrandSpec, PanelLaw, integrate, invert, probed_orders
 from .rng import as_generator
 
 __all__ = [
@@ -443,38 +444,50 @@ class SizeBiasedSampler(_TruncatedSampler):
 
     # -- drawing ----------------------------------------------------------
 
-    def _weights_from_params(self, gen, xi, lam: float, size: int) -> np.ndarray:
-        if self.table.entry is not None:
-            return self.table.entry.sample_weights(gen, xi, lam, size)
+    def _numeric_sampler(self, xi, lam: float) -> "_NumericWeightSampler":
         key = (as_xi(xi), float(lam))
         sampler = self._numeric_samplers.get(key)
         if sampler is None:
-            sampler = _NumericWeightSampler(self.prior.likelihood, key[0], key[1])
+            sampler = _NumericWeightSampler(self.prior.likelihood, *key)
             self._numeric_samplers[key] = sampler
-        return sampler.sample(gen, size)
+        return sampler
+
+    def _weights_from_params(self, gen, xi, lam: float, size: int) -> np.ndarray:
+        if self.table.entry is not None:
+            return self.table.entry.sample_weights(gen, xi, lam, size)
+        return self._numeric_sampler(xi, lam).sample(gen, size)
 
     def _cell_weights(self, gen, cells, rounds, counts) -> np.ndarray:
-        """Weights of atoms sorted by table cell, drawn cell by cell.
+        """Weights of atoms sorted by table cell, in one draw for all cells.
 
         For a catalog family phi(x) = x and phi(0) = 0, so the cell
         parameters of :func:`weight_dist_params` are (xi + x, lam + m) and
-        all cells take one broadcast draw, which consumes the generator
-        exactly like the per-cell draws.
+        all cells take one broadcast draw.  Otherwise each cell's weight law
+        is a :class:`_NumericWeightSampler`, and :func:`_numeric_weights`
+        inverts all the cells' uniforms in one Newton loop.  Either way the
+        draw consumes the generator exactly like one draw per cell in order.
         """
         entry = self.table.entry
         if entry is not None:
             return entry.sample_weights(
                 gen, self.prior.xi[0] + counts, self.prior.lam + rounds, cells.size
             )
-        weights = np.empty(cells.size, dtype=float)
-        pos = 0
-        for n_cell in np.unique(cells, return_counts=True)[1]:
-            xi_mx, lam_mx = weight_dist_params(self.prior, int(rounds[pos]), int(counts[pos]))
-            weights[pos : pos + n_cell] = self._weights_from_params(
-                gen, xi_mx, lam_mx, int(n_cell)
-            )
-            pos += n_cell
-        return weights
+        _, first, sizes = np.unique(cells, return_index=True, return_counts=True)
+        laws = [
+            self._numeric_sampler(*weight_dist_params(self.prior, int(rounds[i]), int(counts[i])))
+            for i in first.tolist()
+        ]
+        return _numeric_weights(gen, laws, sizes)
+
+    def _fixed_weights(self, gen) -> np.ndarray:
+        """One weight per fixed atom, in prior order: one draw for all of them."""
+        fixed = self.prior.fixed_atoms
+        if not fixed:
+            return np.zeros(0)
+        if self.table.entry is not None:
+            return np.array([self._weights_from_params(gen, fa.xi, fa.lam, 1)[0] for fa in fixed])
+        laws = [self._numeric_sampler(fa.xi, fa.lam) for fa in fixed]
+        return _numeric_weights(gen, laws, np.ones(len(laws), dtype=np.int64))
 
     def draw_labeled(self, rng=None) -> LabeledDraw:
         """Draw the ordinary component, keeping round and count labels.
@@ -507,12 +520,11 @@ class SizeBiasedSampler(_TruncatedSampler):
         component; the order is part of the determinism contract.
         """
         gen = self._generator(rng)
-        fixed = self.prior.fixed_atoms
-        fixed_weights = [self._weights_from_params(gen, fa.xi, fa.lam, 1)[0] for fa in fixed]
+        fixed_weights = self._fixed_weights(gen)
         labeled = self.draw_labeled(gen)
         return TraitMeasure.from_arrays(
             fixed_weights,
-            [fa.location.value for fa in fixed],
+            [fa.location.value for fa in self.prior.fixed_atoms],
             labeled.weights,
             labeled.locations,
             self._truncation,
@@ -542,16 +554,17 @@ class _NumericWeightSampler:
     with analytic power pieces at the ends.  So every cumulative sum,
     counted from either end, is within about 1e-10 of itself, as long as
     the 12-node rule is the more accurate of the two; the tests pin the cdf
-    against ``scipy.stats`` to 1e-8.  ``sample`` inverts all of a cell's
-    uniforms at once (Newton's method on the density, bracketed by each
-    panel; the end pieces analytically) and clips the draws into the weight
-    domain.  The oracle suite's weight-law test uses this cdf as its
+    against ``scipy.stats`` to 1e-8.  ``sample`` is :func:`_numeric_weights`
+    of this law alone: Newton's method on the density, bracketed by each
+    panel, the end pieces analytically, and the draws clipped into the
+    weight domain.  The oracle suite's weight-law test uses this cdf as its
     reference, so the endpoint powers are probed here, never taken from
     the catalog.
     """
 
     def __init__(self, likelihood: ExpCrmLikelihood, xi, lam: float):
-        spec = _kernel_spec(likelihood, as_xi(xi), lam, f"weight law for {likelihood.family}")
+        self._likelihood, self._xi, self._lam = likelihood, as_xi(xi), float(lam)
+        spec = _kernel_spec(likelihood, self._xi, self._lam, f"weight law for {likelihood.family}")
         upper = float(likelihood.weight_domain.upper)
         if entry_for(likelihood) is None:
             low, up = spec.lower_order, spec.upper_order  # the spec probed them
@@ -570,11 +583,32 @@ class _NumericWeightSampler:
                 f"{where} (endpoint power {up:.6f})"
             )
         self._law = PanelLaw(spec, low, up, 1e-10)
-        self._domain = likelihood.weight_domain
 
     def cdf(self, t) -> np.ndarray:
         """Normalized cdf of the weight law, from the same panels."""
         return self._law.cdf(t)
 
     def sample(self, gen, size: int) -> np.ndarray:
-        return self._domain.clip(self._law.invert(gen.uniform(size=size) * self._law.total))
+        return _numeric_weights(gen, [self], np.array([size]))
+
+
+def _numeric_weights(gen, laws, sizes) -> np.ndarray:
+    """``sizes[j]`` draws of each :class:`_NumericWeightSampler` ``laws[j]``, in turn.
+
+    One uniform call gives every draw, as one call per law in order would;
+    each uniform, scaled by its law's total, is inverted by
+    :func:`~expcrm.quadrature.invert` in one Newton loop for all the laws,
+    which evaluates each law's kernel at its own parameters.  So a law's
+    draws are the same bytes whatever laws share the loop.
+    """
+    like = laws[0]._likelihood
+    owner = np.repeat(np.arange(len(laws)), sizes)
+    xis = np.array([law._xi for law in laws])
+    lams = np.array([law._lam for law in laws])
+    totals = np.array([law._law.total for law in laws])
+    c = gen.uniform(size=owner.size) * totals[owner]
+
+    def log_f(t, who, from_top):
+        return _log_kernel_rows(like, xis[who], lams[who], t, from_top)
+
+    return like.weight_domain.clip(invert([law._law for law in laws], c, owner, log_f))

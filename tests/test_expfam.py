@@ -19,6 +19,7 @@ from expcrm.errors import (
 )
 from expcrm.exp_family import (
     ExpCrmPrior,
+    _log_kernel_rows,
     FixedAtomParams,
     ValidityResult,
     WeightDomain,
@@ -271,6 +272,50 @@ class TestLogPartition:
         like = dataclasses.replace(base, family="custom_counts2")
         with pytest.raises(DivergenceSuspected):
             log_partition_B(like, (-1.0,), 1.0)
+
+
+class TestPowerTailClosure:
+    @pytest.mark.parametrize("xi, lam", [(-0.3, 24.2), (-0.3, 27.2)])
+    def test_power_tail_at_infinity_closes_within_rel_tol(self, xi, lam):
+        # the beta-prime kernel t^xi (1 + t)^-lam has the tail power xi - lam;
+        # at the default rel_tol of 1e-10 the analytic piece above the march
+        # may spend only half of it, or these points land 1.4e-10 off
+        like = dataclasses.replace(
+            ODDS_BERNOULLI_BETA_PRIME.make_likelihood(), family="custom_odds"
+        )
+        want = ODDS_BERNOULLI_BETA_PRIME.log_B((xi,), lam)
+        assert abs(log_partition_B(like, (xi,), lam) - want) <= 1e-10
+
+
+class TestKernelRows:
+    """Each row of points evaluated at its own parameters, as the batched weight draws need."""
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.family)
+    @pytest.mark.parametrize("override", [True, False], ids=["override", "eta-A"])
+    def test_rows_match_the_kernel_at_their_parameters(self, entry, override):
+        like = entry.make_likelihood()
+        if not override:
+            like = dataclasses.replace(like, log_kernel_fn=None, log_kernel_upper_fn=None)
+        xi, lam, thetas = PROPER_POINT[like.family]
+        params = [(xi[0], lam), (xi[0] + 1.0, lam + 2.0), (xi[0] + 0.5, lam + 1.0)]
+        th = np.array([thetas, thetas[::-1], thetas])
+        got = _log_kernel_rows(like, [[x] for x, _ in params], [l for _, l in params], th)
+        for row, (x, l) in zip(range(3), params):
+            want = log_conjugate_kernel(like, (x,), l, th[row])
+            np.testing.assert_allclose(got[row], want, rtol=1e-13)
+
+    def test_rows_from_the_top_are_distances(self):
+        like = BERNOULLI_BETA.make_likelihood()
+        v = np.array([[1e-9, 1e-3, 0.25], [1e-12, 0.1, 0.4]])
+        xis, lams = [[-0.5], [0.3]], [-1.2, 2.0]
+        stable = _log_kernel_rows(like, xis, lams, v, from_top=True)
+        formed = _log_kernel_rows(
+            dataclasses.replace(like, log_kernel_upper_fn=None), xis, lams, v, from_top=True
+        )
+        for row in range(2):
+            want = log_conjugate_kernel(like, tuple(xis[row]), lams[row], 1.0 - v[row])
+            np.testing.assert_allclose(formed[row], want, rtol=1e-13)
+            np.testing.assert_allclose(stable[row], want, rtol=1e-6)
 
 
 class TestDensities:

@@ -452,3 +452,36 @@ class TestPredictiveWalk:
         got = s._predictive_walk(_FixedUniforms(*us), *_columns(*params))
         assert got.tolist() == [reference_walk(s, u, (x,), lam) for u, (x, lam) in zip(us, params)]
         assert got[0] == 1
+
+
+# clones with a finite top (with and without an exact top evaluator) and with
+# a power tail at infinity; three fixed atoms keep at least three atoms on the
+# books from the first step, so every walk chunk has several atoms walking.
+# The first beta atom's weight law is Beta(0.5, 0.3), with 1.6% of its mass
+# within 1e-6 of the top
+EDGE_ATOMS = _fixed((0.25, -0.5, -1.2), (0.5, 0.5, 2.0), (0.75, 2.0, 3.0))
+EDGE_CLONES = {
+    "beta": unregistered(beta_prior(mass=3.0, atoms=EDGE_ATOMS)),
+    "beta-without-top-evaluator": ExpCrmPrior(
+        dataclasses.replace(
+            BERNOULLI_BETA.make_likelihood(), family="mystery-bernoulli", log_kernel_upper_fn=None
+        ),
+        3.0, (-1.0,), 1.0, EDGE_ATOMS,
+    ),
+    "beta-prime": unregistered(
+        ExpCrmPrior(
+            ODDS_BERNOULLI_BETA_PRIME.make_likelihood(), 2.0, (-1.3,), 1.2,
+            _fixed((0.5, 0.2, 2.0), (0.125, -0.5, 0.9), (0.875, 1.0, 3.0)),
+        )
+    ),
+}
+
+
+class TestCloneWalkAtTheEdges:
+    @pytest.mark.parametrize("name", sorted(EDGE_CLONES))
+    def test_clone_streams_match_per_atom_loop(self, name):
+        s = MarginalSampler(EDGE_CLONES[name], MarginalConfig(x_max=1))
+        for seed in range(2):
+            got = _pairs(s.sample(10, RngState(seed, 3)))
+            assert got == reference_stream(s, RngState(seed, 3).generator(), 10)
+            assert sum(len(step) for step in got) >= 5

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, roots_legendre
 
 from expcrm.errors import DivergenceSuspected, QuadratureError, SingularityMismatch
-from expcrm.quadrature import IntegrandSpec, integrate
+from expcrm.quadrature import IntegrandSpec, _gl_rule, integrate
 
 REL_TOL = 1e-10
 # Validation accuracy demanded of every convergent corpus integral.
@@ -81,6 +85,31 @@ def test_arcsine_is_pi():
 def test_exponential_half():
     value, _ = integrate(gamma_spec(1.0, 2.0), rel_tol=1e-12)
     np.testing.assert_allclose(value, 0.5, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_tabulated_gauss_legendre_rules_are_scipys(n):
+    """The engine's tabulated rules are the bytes roots_legendre computes."""
+    (y, w), (want_y, want_w) = _gl_rule(n), roots_legendre(n)
+    assert y.tobytes() == want_y.tobytes() and w.tobytes() == want_w.tobytes()
+
+
+def test_first_quadrature_loads_no_scipy_linalg():
+    """roots_legendre imports scipy.linalg; the tabulated rules spare a fresh interpreter that."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import math, sys\n"
+        "from expcrm.quadrature import IntegrandSpec, integrate\n"
+        "value, _ = integrate(IntegrandSpec(lambda t: -t, upper=math.inf, lower_order=0.0))\n"
+        "print(round(value, 12), 'scipy.linalg' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1.0", "False"]
 
 
 class TestDivergence:

@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from expcrm import quadrature
 from expcrm.catalog import BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, POISSON_GAMMA, get_entry
-from expcrm.exp_family import ExpCrmPrior
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams
 from expcrm.marginal import predictive_logpmf
+from expcrm.measures import Location
 from expcrm.quadrature import IntegrandSpec, PanelLaw, integrate, log_integrate
-from expcrm.size_biased import RateTable
+from expcrm.rng import RngState
+from expcrm.size_biased import RateTable, SizeBiasedConfig, SizeBiasedSampler
 
 NB = get_entry("negative_binomial", r=2.5)
 
@@ -138,3 +141,38 @@ class TestColumns:
         many = PanelLaw(self.gamma_columns([2.0, 3.0], 1.0), [1.0, 2.0], None, 1e-10)
         assert many.total.shape == many.err.shape == many.shift.shape == (2,)
         np.testing.assert_allclose(many.total * np.exp(many.shift), [1.0, 2.0], rtol=1e-13)
+
+
+class TestOneLoopPerDraw:
+    """A return to a Newton loop per cell fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """``calls(owner, name)``: a list that grows by the arguments of each call of owner.name."""
+
+        def watch(owner, name):
+            made = []
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                made.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+            return made
+
+        return watch
+
+    @pytest.mark.parametrize("atoms", [(), ((0.3, 0.5, 2.0), (0.7, -0.5, 1.0))], ids=["plain", "fixed"])
+    def test_clone_draw_runs_one_loop_for_its_cells(self, calls, atoms):
+        _, unregistered = priors("gamma")
+        fixed = tuple(FixedAtomParams(Location(v), (xi,), lam) for v, xi, lam in atoms)
+        prior = dataclasses.replace(unregistered, mass=6.0, fixed_atoms=fixed)
+        sampler = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=20, x_max=16, eps_tail=1e-5))
+        loops = calls(quadrature, "_newton")
+        for seed in range(3):
+            loops.clear()
+            measure = sampler.draw(RngState(seed))
+            assert len(loops) == (2 if atoms else 1)
+            labeled = sampler.draw_labeled(RngState(seed))
+            assert len(measure.ordinary_atoms) > 1 and np.unique(labeled.rounds).size > 1

@@ -670,3 +670,47 @@ class TestBatchedStreamEquivalence:
         assert ld.weights.tobytes() == first.weights.tobytes()
         assert ld.locations[0] == after
         assert ld.locations[1:].tobytes() == first.locations[1:].tobytes()
+
+
+# clones whose weight laws reach a finite top (with and without an exact top
+# evaluator, the latter closing with the Jacobi cap) or a power tail at
+# infinity; the fixed atoms put mass next to the top (Beta(0.5, 0.05) holds
+# 30% within 1e-10 of it) and far into the tail
+BETA_ATOMS = _fixed((0.25, -0.5, -1.45), (0.75, 0.5, 2.0))
+EDGE_CLONES = {
+    "beta": unregistered(beta_prior(mass=6.0, atoms=BETA_ATOMS)),
+    "beta-without-top-evaluator": ExpCrmPrior(topless_bernoulli(), 6.0, (-1.0,), 1.0, BETA_ATOMS),
+    "beta-prime": unregistered(
+        ExpCrmPrior(
+            ODDS_BERNOULLI_BETA_PRIME.make_likelihood(), 4.0, (-1.3,), 1.2,
+            _fixed((0.5, 0.2, 2.0), (0.125, -0.5, 0.9)),
+        )
+    ),
+}
+
+
+class TestBatchedDrawsAtTheEdges:
+    """One Newton loop for all cells draws the bytes of one loop per cell, at every end piece."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CLONES))
+    def test_batched_draws_match_per_cell_loop(self, name):
+        s = SizeBiasedSampler(EDGE_CLONES[name], SizeBiasedConfig(m_max=4, x_max=1))
+        weights = []
+        for seed in range(8):
+            _assert_labeled_equal(
+                s.draw_labeled(RngState(seed, 1)),
+                reference_draw_labeled(s, RngState(seed, 1).generator()),
+            )
+            measure = s.draw(RngState(seed, 2))
+            fixed, (_, _, ordinary, locations) = reference_draw(s, RngState(seed, 2).generator())
+            assert measure.fixed_weights.tobytes() == fixed.tobytes()
+            assert measure.ordinary_weights.tobytes() == ordinary.tobytes()
+            assert measure.ordinary_locations.tobytes() == locations.tobytes()
+            weights.append(np.concatenate([fixed, ordinary]))
+        weights = np.concatenate(weights)
+        # draws solved from the top, and beyond the outermost knots
+        assert (weights > 0.5).sum() >= 5
+        if name == "beta-prime":
+            assert weights.max() > 1e3
+        else:
+            assert weights.max() > 1.0 - 1e-6

@@ -33,13 +33,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, InvalidModelError, QuadratureError
 from .measures import Location
-from .quadrature import IntegrandSpec, log_integrate, probed_orders, relative_to_peak
+from .quadrature import IntegrandSpec, log_integrate, relative_to_peak
 
 
 def as_xi(xi) -> tuple[float, ...]:
@@ -226,39 +227,36 @@ def pmf(likelihood: ExpCrmLikelihood, x: int, theta) -> "float | np.ndarray":
     return np.exp(likelihood.log_pmf(x, theta))
 
 
-def log_conjugate_kernel(likelihood: ExpCrmLikelihood, xi, lam: float, theta) -> np.ndarray:
-    """log kappa(theta; xi, lam) = <xi, eta(theta)> - lam * A(theta)."""
-    xi = as_xi(xi)
-    th = likelihood._check_theta(np.atleast_1d(theta))
-    if likelihood.log_kernel_fn is not None:
-        return np.asarray(likelihood.log_kernel_fn(xi, lam, th), dtype=float)
-    e = np.asarray(likelihood.eta(th), dtype=float).reshape(len(th), likelihood.dim)
-    return e @ np.asarray(xi, dtype=float) - lam * np.asarray(likelihood.A(th), dtype=float)
+def _log_kernel(likelihood: ExpCrmLikelihood, xi, lam, t, from_top: bool = False) -> np.ndarray:
+    """log kappa(theta; xi, lam) at the points ``t``, which are not checked.
 
-
-def _log_kernel_rows(likelihood: ExpCrmLikelihood, xis, lams, t, from_top: bool = False) -> np.ndarray:
-    """log kappa at each row of points ``t`` with that row's parameters (xis[r], lams[r]).
-
+    Each component of ``xi``, and ``lam``, is a float or an array that
+    broadcasts against ``t``, as ``log_kernel_fn`` takes them: one parameter
+    set for all points, one per row of points, or one per column.
     ``from_top`` takes ``t`` as distances from the finite top of the weight
-    domain, evaluated by ``log_kernel_upper_fn`` when the likelihood has
-    one.  The kernel overrides get the parameters as arrays aligned with
-    the points; every operation is elementwise, or a sum along one point's
-    xi, so a point's value does not depend on the rows around it.
+    domain.  The likelihood's ``log_kernel_upper_fn`` evaluates those when
+    given, its ``log_kernel_fn`` the weights, and eta and A whatever no
+    override covers; every operation is elementwise, or a sum along one
+    point's xi, so a point's value does not depend on the points around it.
     """
-    n, m = t.shape
-    xis = np.repeat(np.asarray(xis, dtype=float).reshape(n, likelihood.dim), m, axis=0)
-    lam = np.repeat(np.asarray(lams, dtype=float), m)
-    flat = t.ravel()
+    t = np.asarray(t, dtype=float)
     if from_top and likelihood.log_kernel_upper_fn is not None:
-        out = likelihood.log_kernel_upper_fn(tuple(xis.T), lam, flat)
+        out = likelihood.log_kernel_upper_fn(xi, lam, t)
     else:
-        th = likelihood.weight_domain.upper - flat if from_top else flat
+        th = likelihood.weight_domain.upper - t if from_top else t
         if likelihood.log_kernel_fn is not None:
-            out = likelihood.log_kernel_fn(tuple(xis.T), lam, th)
+            out = likelihood.log_kernel_fn(xi, lam, th)
         else:
-            e = np.asarray(likelihood.eta(th), dtype=float).reshape(th.size, likelihood.dim)
-            out = (e * xis).sum(axis=1) - lam * np.asarray(likelihood.A(th), dtype=float)
-    return np.asarray(out, dtype=float).reshape(n, m)
+            flat = th.ravel()
+            e = np.asarray(likelihood.eta(flat), dtype=float).reshape(*th.shape, likelihood.dim)
+            a = np.asarray(likelihood.A(flat), dtype=float).reshape(th.shape)
+            out = sum(x * e[..., j] for j, x in enumerate(xi)) - lam * a
+    return np.asarray(out, dtype=float)
+
+
+def log_conjugate_kernel(likelihood: ExpCrmLikelihood, xi, lam: float, theta) -> np.ndarray:
+    """log kappa(theta; xi, lam) = <xi, eta(theta)> - lam * A(theta), at weights in the domain."""
+    return _log_kernel(likelihood, as_xi(xi), lam, likelihood._check_theta(np.atleast_1d(theta)))
 
 
 # --- registered closed forms -------------------------------------------------
@@ -276,85 +274,43 @@ def entry_for(likelihood: ExpCrmLikelihood):
     return _ENTRIES.get(likelihood.family)
 
 
-def _kernel_spec(likelihood: ExpCrmLikelihood, xi, lam: float, name: str) -> IntegrandSpec:
-    """The conjugate kernel at (xi, lam), with the catalog's endpoint powers or probed ones."""
-    def log_k(th):
-        return log_conjugate_kernel(likelihood, xi, lam, th)
-
-    entry = entry_for(likelihood)
-    if entry is not None:
-        low, up = entry.kernel_orders(as_xi(xi), lam)
-    else:
-        low, up = probed_orders(log_k, likelihood.weight_domain.upper)
-    log_f_upper = None
-    if likelihood.log_kernel_upper_fn is not None:
-        xi_t = as_xi(xi)
-        def log_f_upper(v, _xi=xi_t, _lam=lam):
-            return likelihood.log_kernel_upper_fn(_xi, _lam, np.asarray(v, dtype=float))
-    return IntegrandSpec(
-        log_k,
-        upper=likelihood.weight_domain.upper,
-        lower_order=low,
-        upper_order=up,
-        log_f_upper=log_f_upper,
-        name=name,
-    )
-
-
 # Per-panel tolerance of the column laws: at 1e-10 the power tails of
 # beta-prime rate rows close up to 1.5e-10 off their closed forms
 _COLUMN_TOL = 1e-11
 
 
-def _kernel_logs(
-    likelihood: ExpCrmLikelihood, xis, lams, name: str, positive: bool = False,
-    rel_tol: float = _COLUMN_TOL,
-) -> np.ndarray:
-    """log of the integral of the conjugate kernel at each pair (xis[c], lams[c]).
+def _kernel_spec(
+    likelihood: ExpCrmLikelihood, xis, lams, name: str, positive: bool = False
+) -> IntegrandSpec:
+    """The conjugate kernels at the pairs (xis[c], lams[c]), as the columns of one integrand.
 
-    The kernels are the columns of one integrand and one
-    :class:`~expcrm.quadrature.PanelLaw`: column c is
-    ``exp(<xi_c, eta(theta)> - lam_c A(theta))``, so eta and A are evaluated
-    once per point and the columns come from one matrix product.  Near a
-    finite top the likelihood's ``log_kernel_upper_fn``, when given,
-    evaluates each column in the distance from the top.  ``positive``
-    multiplies the last column by 1 - l(0|theta), the chance of a positive
-    count.  The quadrature probes the endpoint powers, all columns at once.
+    Column c is ``kappa(theta; xi_c, lam_c)``; one ``xis`` with a float
+    ``lams`` gives a one-column integrand.  Every column comes from
+    :func:`_log_kernel`, near a finite top in the distance from it when the
+    likelihood has ``log_kernel_upper_fn``.  ``positive`` multiplies the
+    last column by 1 - l(0|theta), the chance of a positive count, where
+    l(0|theta) = h(0) kappa(theta; phi(0), 1).  No powers are declared: the
+    quadrature probes them, all columns at once.
     """
-    lams = np.asarray(lams, dtype=float)
-    xis = np.asarray(xis, dtype=float).reshape(lams.size, likelihood.dim)
-    upper = likelihood.weight_domain.upper
-    phi0, log_h0 = np.asarray(likelihood.phi(0), dtype=float), likelihood.log_h(0)
+    columns = np.ndim(lams) > 0
+    if columns:
+        lam = np.asarray(lams, dtype=float)
+        xi = tuple(np.asarray(xis, dtype=float).reshape(lam.size, likelihood.dim).T)
+    else:
+        xi, lam = as_xi(xis), float(lams)
+    phi0, log_h0 = likelihood.phi(0), likelihood.log_h(0)
 
-    def eta_A(th):
-        e = np.asarray(likelihood.eta(th), dtype=float).reshape(th.size, likelihood.dim)
-        return e, np.asarray(likelihood.A(th), dtype=float)
-
-    def log_seen(e, a):
-        """log(1 - l(0|theta)) from eta and A."""
-        with np.errstate(divide="ignore"):
-            return np.log(-np.expm1(log_h0 + e @ phi0 - a))
-
-    def log_f(th):
-        e, a = eta_A(th)
-        out = e @ xis.T - np.multiply.outer(a, lams)
+    def log_f(t, from_top=False):
+        t = np.asarray(t, dtype=float)
+        out = _log_kernel(likelihood, xi, lam, t[:, None] if columns else t, from_top)
         if positive:
-            out[:, -1] += log_seen(e, a)
+            log_l0 = log_h0 + _log_kernel(likelihood, phi0, 1.0, t, from_top)
+            with np.errstate(divide="ignore"):
+                out[:, -1] += np.log(-np.expm1(log_l0))
         return out
 
-    log_f_upper = None
-    if likelihood.log_kernel_upper_fn is not None:
-        def log_f_upper(v):
-            v = np.asarray(v, dtype=float)
-            out = np.column_stack(
-                [likelihood.log_kernel_upper_fn(tuple(x), l, v) for x, l in zip(xis, lams)]
-            )
-            if positive:
-                out[:, -1] += log_seen(*eta_A(upper - v))
-            return out
-
-    spec = IntegrandSpec(log_f, upper, lower_order=None, log_f_upper=log_f_upper, name=name)
-    return log_integrate(spec, rel_tol)
+    top = None if likelihood.log_kernel_upper_fn is None else partial(log_f, from_top=True)
+    return IntegrandSpec(log_f, likelihood.weight_domain.upper, None, log_f_upper=top, name=name)
 
 
 def log_partition_B(
@@ -367,8 +323,9 @@ def log_partition_B(
 ) -> float:
     """log of the kernel's normalizer at (xi, lam).
 
-    Uses the registered closed form when one exists; otherwise the log of a
-    validated quadrature of the kernel divided by its largest value on the
+    Uses the registered closed form when one exists; otherwise, or with
+    ``force_numeric``, the log of a validated quadrature of the kernel, its
+    endpoint powers probed, divided by its largest value on the
     quadrature's starting knots, with that offset added back, so a B far
     outside floating-point range (posterior-sized parameters) stays exact.
     Raises DomainError at improper parameters with a registered form, and

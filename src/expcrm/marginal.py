@@ -34,8 +34,9 @@ import numpy as np
 
 from .catalog import entry_for
 from .errors import QuadratureError, TailBoundError
-from .exp_family import ExpCrmLikelihood, ExpCrmPrior, _kernel_logs, as_xi, xi_plus
+from .exp_family import _COLUMN_TOL, ExpCrmLikelihood, ExpCrmPrior, _kernel_spec, as_xi, xi_plus
 from .measures import ObservationMeasure
+from .quadrature import log_integrate
 from .size_biased import (
     _check_truncation,
     _locations,
@@ -73,12 +74,13 @@ def predictive_logpmf(likelihood: ExpCrmLikelihood, xi_eff, lam_eff: float, x) -
     if inside.any():
         counts = flat[inside].tolist()
         lam = float(lam_eff)
-        log_B = _kernel_logs(
+        spec = _kernel_spec(
             likelihood,
             [xi_eff] + [xi_plus(xi_eff, likelihood.phi(v)) for v in counts],
             [lam] + [lam + 1.0] * len(counts),
             name=f"B[{likelihood.family}]",
         )
+        log_B = log_integrate(spec, _COLUMN_TOL)
         out[inside] = np.array([likelihood.log_h(v) for v in counts]) + log_B[1:] - log_B[0]
     return out.reshape(xs.shape)
 

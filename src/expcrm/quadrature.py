@@ -45,7 +45,9 @@ contributions that hold steady or grow raise
 divergence (shells grow geometrically) and the marginal logarithmic case
 (shells hold constant), which no fixed growth-factor threshold can see.
 :func:`probed_orders` measures the powers with the same slope rule, so a
-probed power always passes the check.
+probed power always passes the check.  The probe, the check and the panels
+reach a finite top one way, :meth:`IntegrandSpec.log_f_from_top`: through
+the spec's stable top evaluator when it has one.
 
 Evaluators work in log space (``log_f``), and the panels take each column
 relative to its largest value at their first nodes, raised if a march
@@ -115,7 +117,8 @@ class IntegrandSpec:
         Stable evaluator of ``log f(upper - v)`` as a function of the
         distance ``v`` from a finite upper endpoint. Supplying it avoids
         the cancellation in forming ``upper - v`` when f has structure
-        like (1 - t)^p and v is tiny. Ignored when ``upper`` is infinite.
+        like (1 - t)^p and v is tiny; the probe, the check and the panels
+        all use it. Ignored when ``upper`` is infinite.
     name : str
         Label used in error messages.
     """
@@ -237,23 +240,22 @@ def _probe_points(upper: float) -> tuple:
     return (0.5 * _PROBE_OFFSETS, 0.1), (1.0 / _PROBE_OFFSETS, 10.0)
 
 
-def probed_orders(log_f, upper: float) -> tuple:
-    """Measure both endpoint powers of a positive integrand on (0, upper).
+def probed_orders(spec: IntegrandSpec) -> tuple:
+    """Measure both endpoint powers of ``spec``'s integrand, whatever it declares.
 
     Returns (lower_order, upper_order) in the sense of
-    :class:`IntegrandSpec`, one per column of ``log_f``; an
-    infinite-endpoint slope steeper than any reasonable power is reported
-    as ``None`` (faster-than-power decay), or NaN in a column.
+    :class:`IntegrandSpec`, one per column; an infinite-endpoint slope
+    steeper than any reasonable power is reported as ``None``
+    (faster-than-power decay), or NaN in a column.  A finite top is probed
+    through :meth:`IntegrandSpec.log_f_from_top`, the way the declaration
+    check and the panels reach it.
     """
-    upper = float(upper)
-    if not upper > 0.0:
-        raise QuadratureError("probed_orders needs a positive upper endpoint")
-    finite = math.isfinite(upper)
-    log_top = (lambda v: log_f(upper - np.asarray(v, dtype=float))) if finite else log_f
-    at_low, at_top = _probe_points(upper)
-    low, up = _slope(log_f, *at_low, "probe"), _slope(log_top, *at_top, "probe")
+    finite = math.isfinite(spec.upper)
+    at_low, at_top = _probe_points(spec.upper)
+    low = _slope(spec.log_f, *at_low, spec.name)
+    up = _slope(spec.log_f_from_top if finite else spec.log_f, *at_top, spec.name)
     if np.isnan(low).any() or np.isnan(up).any():
-        raise QuadratureError("cannot probe an endpoint power where f is zero")
+        raise QuadratureError(f"{spec.name}: cannot probe an endpoint power where f is zero")
     if not finite:
         up = np.where(up < -40.0, np.nan, up)
     up = _scalar_or_columns(up)
@@ -816,7 +818,7 @@ def _checked_law(spec: IntegrandSpec, rel_tol: float) -> PanelLaw:
     log_top = spec.log_f_from_top if finite else spec.log_f
     if spec.lower_order is None:
         # nothing declared: the slope rule measures the powers, which need no check
-        low, up = probed_orders(spec.log_f, spec.upper)
+        low, up = probed_orders(spec)
         spec = replace(spec, lower_order=low, upper_order=up)
     else:
         # validate declarations before trusting them

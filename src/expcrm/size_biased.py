@@ -42,14 +42,13 @@ from .exp_family import (
     ExpCrmLikelihood,
     ExpCrmPrior,
     _COLUMN_TOL,
-    _kernel_logs,
     _kernel_spec,
-    _log_kernel_rows,
+    _log_kernel,
     as_xi,
     log_conjugate_kernel,
 )
 from .measures import TraitMeasure, TruncationMeta
-from .quadrature import IntegrandSpec, PanelLaw, integrate, invert, probed_orders
+from .quadrature import IntegrandSpec, PanelLaw, integrate, invert, log_integrate, probed_orders
 from .rng import as_generator
 
 __all__ = [
@@ -106,7 +105,7 @@ def rate_M(prior: ExpCrmPrior, m, x) -> float:
     return float(_round_row(prior, m, [x])[0][0])
 
 
-def round_total(prior: ExpCrmPrior, m, *, rel_tol: float = 1e-9) -> float:
+def round_total(prior: ExpCrmPrior, m) -> float:
     """Expected number of round-m atoms, all positive counts combined.
 
     Summing the pmf over x >= 1 gives 1 - l(0|theta), so a family without
@@ -118,12 +117,10 @@ def round_total(prior: ExpCrmPrior, m, *, rel_tol: float = 1e-9) -> float:
     entry = entry_for(prior.likelihood)
     if entry is not None:
         return entry.round_total(prior.mass, prior.xi, prior.lam, m)
-    return float(_round_row(prior, m, [], rel_tol=rel_tol)[1])
+    return float(_round_row(prior, m, [])[1])
 
 
-def _round_row(
-    prior: ExpCrmPrior, m: int, xs, rel_tol: float = _COLUMN_TOL
-) -> tuple[np.ndarray, float]:
+def _round_row(prior: ExpCrmPrior, m: int, xs) -> tuple[np.ndarray, float]:
     """Rates M(m, x) at the counts ``xs``, all in the support, and the round-m total.
 
     One :class:`~expcrm.quadrature.PanelLaw` sums them all, for a family
@@ -136,17 +133,18 @@ def _round_row(
     like = prior.likelihood
     params = [_shifted_params(like, prior.xi, prior.lam, m, int(x)) for x in xs]
     params.append(_shifted_params(like, prior.xi, prior.lam, m - 1, 0))
-    logs = _kernel_logs(
+    spec = _kernel_spec(
         like, [xi for xi, _ in params], [lam for _, lam in params],
-        name=f"round {m} of {like.family}", positive=True, rel_tol=rel_tol,
+        name=f"round {m} of {like.family}", positive=True,
     )
+    logs = log_integrate(spec, _COLUMN_TOL)
     logs += math.log(prior.mass) + (m - 1) * like.log_h(0)
     log_h = np.array([like.log_h(int(x)) for x in xs])
     return np.exp(logs[:-1] + log_h), float(np.exp(logs[-1]))
 
 
-def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
-    """Endpoint powers of ``log_f``, a rate or round-total integrand.
+def _integrand_orders(like, xi, lam: float, m: int, x) -> tuple:
+    """Endpoint powers of a rate or round-total integrand, for a catalog family.
 
     With a count ``x`` the integrand is l(x|theta) l(0|theta)^(m-1)
     kappa(theta; xi, lam), the rate integrand; with ``x = None`` it is
@@ -155,13 +153,13 @@ def _integrand_orders(like, xi, lam: float, m: int, x, log_f) -> tuple:
     h(x) h(0)^(m-1) kappa(theta; xi + phi(x) + (m-1) phi(0), lam + m)
     (m = 0 with x = 0 is kappa itself).  Since 1 - l(0|theta) grows like
     theta at 0 and tends to 1 at the top, the second has the powers of the
-    first at (m - 1, x = 0), plus one at 0.  Other families probe
-    ``log_f``.  Either way :func:`integrate` checks the declared powers
-    against its own slope probes.
+    first at (m - 1, x = 0), plus one at 0, and :func:`integrate` checks
+    both against its slope probes.  Other families get (None, None): the
+    powers are left undeclared, for :func:`integrate` to probe.
     """
     entry = entry_for(like)
     if entry is None:
-        return probed_orders(log_f, like.weight_domain.upper)
+        return None, None
     if x is None:
         low, up = entry.kernel_orders(*_shifted_params(like, xi, lam, m - 1, 0))
         return low + 1.0, up
@@ -176,7 +174,8 @@ def _literal_integral(
     The integrand is built from the likelihood itself, never from a closed
     form: ``x = None`` puts 1 - l(0|theta) in place of l(x|theta) (the
     round-total integrand), and m = 0 with x = 0 is kappa itself.  Its
-    endpoint powers come from :func:`_integrand_orders`.
+    endpoint powers come from :func:`_integrand_orders`, or from the
+    quadrature's probe for a family outside the catalog.
     """
     def log_f(th):
         th = np.asarray(th, dtype=float)
@@ -191,7 +190,7 @@ def _literal_integral(
             out = out + like.log_pmf(x, th)
         return out + (m - 1) * lp0 if m > 1 else out
 
-    low, up = _integrand_orders(like, xi, lam, m, x, log_f)
+    low, up = _integrand_orders(like, xi, lam, m, x)
     factor = "(1 - l(0))" if x is None else f"l({x})"
     spec = IntegrandSpec(
         log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
@@ -565,17 +564,13 @@ class _NumericWeightSampler:
     def __init__(self, likelihood: ExpCrmLikelihood, xi, lam: float):
         self._likelihood, self._xi, self._lam = likelihood, as_xi(xi), float(lam)
         spec = _kernel_spec(likelihood, self._xi, self._lam, f"weight law for {likelihood.family}")
-        upper = float(likelihood.weight_domain.upper)
-        if entry_for(likelihood) is None:
-            low, up = spec.lower_order, spec.upper_order  # the spec probed them
-        else:
-            low, up = probed_orders(spec.log_f, upper)
+        low, up = probed_orders(spec)
         if low <= -1.0 + 1e-7:
             raise DomainError(
                 f"weight density for {likelihood.family} is not normalizable at 0 "
                 f"(endpoint power {low:.6f}); the parameters are improper"
             )
-        finite = math.isfinite(upper)
+        finite = math.isfinite(spec.upper)
         if (up <= -1.0 + 1e-7) if finite else (up is not None and up >= -1.0 - 1e-7):
             where = "its upper boundary" if finite else "infinity"
             raise DomainError(
@@ -609,6 +604,7 @@ def _numeric_weights(gen, laws, sizes) -> np.ndarray:
     c = gen.uniform(size=owner.size) * totals[owner]
 
     def log_f(t, who, from_top):
-        return _log_kernel_rows(like, xis[who], lams[who], t, from_top)
+        # one row of points per entry, at its law's parameters
+        return _log_kernel(like, tuple(xis[who].T[..., None]), lams[who, None], t, from_top)
 
     return like.weight_domain.clip(invert([law._law for law in laws], c, owner, log_f))

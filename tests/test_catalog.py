@@ -275,10 +275,10 @@ class TestRates:
         like = POISSON_GAMMA.make_likelihood()
         # lam + m = -1: the rate integrand grows like e^theta
         with pytest.raises(DivergenceSuspected):
-            _integrand_orders(like, (-1.5,), -3.0, 2, 1, None)
+            _integrand_orders(like, (-1.5,), -3.0, 2, 1)
         # m = 0, x = 0 is the kernel itself, here at lam = -0.5
         with pytest.raises(DivergenceSuspected):
-            _integrand_orders(like, (-1.5,), -0.5, 0, 0, None)
+            _integrand_orders(like, (-1.5,), -0.5, 0, 0)
         with pytest.raises(DivergenceSuspected):
             POISSON_GAMMA.kernel_orders((-1.5,), -0.5)
 
@@ -286,7 +286,7 @@ class TestRates:
         # theta^-1.5 (1 - e^-theta) decays like theta^-1.5 at infinity when
         # lam = 0, so the round-1 rate is finite: Gamma(-1/2) * -1 = 2 sqrt(pi)
         like = POISSON_GAMMA.make_likelihood()
-        assert _integrand_orders(like, (-1.5,), 0.0, 1, None, None) == (-0.5, -1.5)
+        assert _integrand_orders(like, (-1.5,), 0.0, 1, None) == (-0.5, -1.5)
         a2 = check_assumptions(ExpCrmPrior(like, 1.0, (-1.5,), 0.0))[2]
         assert a2.passed, a2.detail
         assert a2.statistic == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-8)
@@ -369,7 +369,7 @@ class TestRoundTotals:
                 log_gap = np.log(-np.expm1(lp0))
             return log_gap + log_conjugate_kernel(like, (xi0,), lam, th)
 
-        lo, _ = _integrand_orders(like, (xi0,), lam, 1, None, log_full)
+        lo, _ = _integrand_orders(like, (xi0,), lam, 1, None)
         spec = IntegrandSpec(log_full, upper=0.5, lower_order=lo, name="nb lower half")
         lower_half, _ = integrate(spec, rel_tol=1e-10)
 

@@ -19,10 +19,11 @@ from expcrm.errors import (
 )
 from expcrm.exp_family import (
     ExpCrmPrior,
-    _log_kernel_rows,
     FixedAtomParams,
     ValidityResult,
     WeightDomain,
+    _kernel_spec,
+    _log_kernel,
     as_xi,
     auto_conjugate,
     entry_for,
@@ -34,7 +35,7 @@ from expcrm.exp_family import (
     xi_plus,
 )
 from expcrm.measures import Location
-from expcrm.quadrature import IntegrandSpec, integrate
+from expcrm.quadrature import IntegrandSpec, integrate, probed_orders
 from expcrm.rng import RngState
 
 NB = get_entry("negative_binomial", r=2.5)
@@ -287,35 +288,74 @@ class TestPowerTailClosure:
         assert abs(log_partition_B(like, (xi,), lam) - want) <= 1e-10
 
 
+def without_overrides(like, override: bool):
+    """``like`` itself, or with eta and A as its only kernel evaluator."""
+    if override:
+        return like
+    return dataclasses.replace(like, log_kernel_fn=None, log_kernel_upper_fn=None)
+
+
 class TestKernelRows:
-    """Each row of points evaluated at its own parameters, as the batched weight draws need."""
+    """One evaluator: each xi component and lam broadcast against the points.
+
+    Every case holds to 1e-13 against ``log_conjugate_kernel`` at one
+    parameter set, with the kernel overrides and without them.
+    """
 
     @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.family)
     @pytest.mark.parametrize("override", [True, False], ids=["override", "eta-A"])
     def test_rows_match_the_kernel_at_their_parameters(self, entry, override):
-        like = entry.make_likelihood()
-        if not override:
-            like = dataclasses.replace(like, log_kernel_fn=None, log_kernel_upper_fn=None)
+        # each row of points at its own parameters, as the batched weight draws need
+        like = without_overrides(entry.make_likelihood(), override)
         xi, lam, thetas = PROPER_POINT[like.family]
-        params = [(xi[0], lam), (xi[0] + 1.0, lam + 2.0), (xi[0] + 0.5, lam + 1.0)]
+        xis = np.array([xi[0], xi[0] + 1.0, xi[0] + 0.5])
+        lams = np.array([lam, lam + 2.0, lam + 1.0])
         th = np.array([thetas, thetas[::-1], thetas])
-        got = _log_kernel_rows(like, [[x] for x, _ in params], [l for _, l in params], th)
-        for row, (x, l) in zip(range(3), params):
-            want = log_conjugate_kernel(like, (x,), l, th[row])
+        got = _log_kernel(like, (xis[:, None],), lams[:, None], th)
+        for row in range(3):
+            want = log_conjugate_kernel(like, (xis[row],), lams[row], th[row])
             np.testing.assert_allclose(got[row], want, rtol=1e-13)
 
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.family)
+    @pytest.mark.parametrize("override", [True, False], ids=["override", "eta-A"])
+    def test_points_against_columns(self, entry, override):
+        # (n, 1) points against (k,) parameters, as a rate row's columns
+        like = without_overrides(entry.make_likelihood(), override)
+        xi, lam, thetas = PROPER_POINT[like.family]
+        xis = np.array([xi[0], xi[0] + 1.0, xi[0] + 0.5, xi[0] + 3.0])
+        lams = np.array([lam, lam + 2.0, lam + 1.0, lam + 4.0])
+        th = np.array(thetas)
+        got = _log_kernel(like, (xis,), lams, th[:, None])
+        assert got.shape == (th.size, xis.size)
+        for c in range(xis.size):
+            want = log_conjugate_kernel(like, (xis[c],), lams[c], th)
+            np.testing.assert_allclose(got[:, c], want, rtol=1e-13)
+
     def test_rows_from_the_top_are_distances(self):
+        # dyadic distances: 1 - v is exact, so the top evaluator and the
+        # weights 1 - v agree to rounding
+        v = np.array([[2.0**-40, 2.0**-10, 0.25], [2.0**-30, 0.125, 0.375]])
+        xis, lams = np.array([-0.5, 0.3]), np.array([-1.2, 2.0])
+        for full in (BERNOULLI_BETA.make_likelihood(), NB.make_likelihood()):
+            for like in (
+                full,
+                dataclasses.replace(full, log_kernel_upper_fn=None),
+                without_overrides(full, False),
+            ):
+                rows = _log_kernel(like, (xis[:, None],), lams[:, None], v, from_top=True)
+                columns = _log_kernel(like, (xis,), lams, v[0][:, None], from_top=True)
+                for r in range(2):
+                    want = log_conjugate_kernel(like, (xis[r],), lams[r], 1.0 - v[r])
+                    np.testing.assert_allclose(rows[r], want, rtol=1e-13)
+                    want = log_conjugate_kernel(like, (xis[r],), lams[r], 1.0 - v[0])
+                    np.testing.assert_allclose(columns[:, r], want, rtol=1e-13)
+
+    def test_top_power_is_probed_through_the_top_evaluator(self):
+        # t^-0.5 (1 - t)^-0.95, the kernel of Beta(0.5, 0.05): probed through
+        # 1 - v, which rounds v to steps of 1.1e-16, the power is about 1e-9 off
         like = BERNOULLI_BETA.make_likelihood()
-        v = np.array([[1e-9, 1e-3, 0.25], [1e-12, 0.1, 0.4]])
-        xis, lams = [[-0.5], [0.3]], [-1.2, 2.0]
-        stable = _log_kernel_rows(like, xis, lams, v, from_top=True)
-        formed = _log_kernel_rows(
-            dataclasses.replace(like, log_kernel_upper_fn=None), xis, lams, v, from_top=True
-        )
-        for row in range(2):
-            want = log_conjugate_kernel(like, tuple(xis[row]), lams[row], 1.0 - v[row])
-            np.testing.assert_allclose(formed[row], want, rtol=1e-13)
-            np.testing.assert_allclose(stable[row], want, rtol=1e-6)
+        _, up = probed_orders(_kernel_spec(like, (-0.5,), -1.45, "Beta(0.5, 0.05) kernel"))
+        assert abs(up + 0.95) <= 1e-10
 
 
 class TestDensities:

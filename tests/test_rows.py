@@ -16,12 +16,12 @@ from scipy.special import gammaln
 
 from expcrm import quadrature
 from expcrm.catalog import BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, POISSON_GAMMA, get_entry
-from expcrm.exp_family import ExpCrmPrior, FixedAtomParams
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, log_partition_B
 from expcrm.marginal import predictive_logpmf
 from expcrm.measures import Location
 from expcrm.quadrature import IntegrandSpec, PanelLaw, integrate, log_integrate
 from expcrm.rng import RngState
-from expcrm.size_biased import RateTable, SizeBiasedConfig, SizeBiasedSampler
+from expcrm.size_biased import RateTable, SizeBiasedConfig, SizeBiasedSampler, round_total
 
 NB = get_entry("negative_binomial", r=2.5)
 
@@ -34,6 +34,9 @@ CLONES = {
     "beta-without-top-evaluator": (BERNOULLI_BETA, -1.0, 1.0, {"log_kernel_upper_fn": None}),
 }
 PREDICTIVE_POINTS = [(0.5, 3.0), (3.0, 10.0), (20.0, 40.0)]
+# Bernoulli kernels t^xi (1 - t)^(lam - xi) of top power -0.95: the weight
+# laws Beta(0.5, 0.05), Beta(1.5, 0.05) and Beta(2.5, 0.05)
+STEEP_TOP_POINTS = [(-0.5, -1.45), (0.5, -0.45), (1.5, 0.55)]
 
 
 def clone(entry, **fields):
@@ -64,6 +67,29 @@ def test_predictive_matches_the_catalog(name, xi, lam):
     want = predictive_logpmf(entry.make_likelihood(), (xi,), lam, xs)
     got = predictive_logpmf(clone(entry, **fields), (xi,), lam, xs)
     np.testing.assert_allclose(np.exp(got), np.exp(want), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CLONES))
+def test_round_total_is_the_rows_total(name):
+    _, unregistered = priors(name)
+    totals = RateTable(unregistered, 16, 1e-6).totals(5)
+    for m in range(1, 6):
+        assert round_total(unregistered, m) == pytest.approx(totals[m - 1], rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("xi, lam", STEEP_TOP_POINTS)
+def test_steep_top_is_reached_through_the_top_evaluator(xi, lam):
+    # the probe, the declaration check and the panels all reach the top
+    # through log_kernel_upper_fn; a probe through 1 - v is 1e-9 off the
+    # power, and the predictive law then fails its error bound
+    like = clone(BERNOULLI_BETA)
+    xs = np.arange(2)
+    want = predictive_logpmf(BERNOULLI_BETA.make_likelihood(), (xi,), lam, xs)
+    got = predictive_logpmf(like, (xi,), lam, xs)
+    np.testing.assert_allclose(np.exp(got), np.exp(want), rtol=1e-9, atol=0.0)
+    assert log_partition_B(like, (xi,), lam) == pytest.approx(
+        BERNOULLI_BETA.log_B((xi,), lam), rel=0.0, abs=1e-9
+    )
 
 
 def test_predictive_out_of_support_is_log_zero():

@@ -65,6 +65,7 @@ from .exp_family import (
     WeightDomain,
     as_xi,
     entry_for,  # noqa: F401  (re-exported: the catalog's lookup API)
+    family_of,  # noqa: F401  (re-exported: importing it from here registers the entries)
     hyperparam_valid,  # noqa: F401  (re-exported)
 )
 from .measures import Location
@@ -149,7 +150,13 @@ class CatalogEntry:
     def log_h_vec(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def log_B(self, xi, lam: float) -> float:
+    def log_B(self, xi, lam: float, rel_tol: float = 0.0) -> float:
+        """B at (xi, lam), DomainError where it is infinite; ``rel_tol`` is for quadrature's sake."""
+        if not self.proper(xi, lam):
+            raise DomainError(
+                f"B is infinite at (xi={as_xi(xi)}, lam={lam}) for {self.family}: "
+                "the kernel is not normalizable there"
+            )
         return float(self._log_B0(_xi0(xi), lam))
 
     def proper(self, xi, lam: float) -> bool:
@@ -160,7 +167,7 @@ class CatalogEntry:
 
         The top power is None for faster-than-power decay.  The orders of
         every rate, total and predictive integrand follow from these by
-        conjugacy (see ``expcrm.size_biased._integrand_orders``).
+        conjugacy (see ``expcrm.checks._integrand_orders``).
         """
         raise NotImplementedError
 
@@ -192,6 +199,23 @@ class CatalogEntry:
         )
 
     # -- rates and predictive -------------------------------------------------
+
+    chunk = 64  # counts per predictive-walk chunk
+
+    def rate_rows(self, prior: ExpCrmPrior, ms, xs) -> tuple[np.ndarray, np.ndarray]:
+        """A prior's rates at rounds ``ms`` (rows) and counts ``xs`` (columns), and the round totals."""
+        return (
+            self.rate_table(prior.mass, prior.xi, prior.lam, ms, xs),
+            self.round_totals(prior.mass, prior.xi, prior.lam, np.asarray(ms, dtype=float)),
+        )
+
+    def predictive_rows(self, xi: np.ndarray, lam: np.ndarray, xs: np.ndarray, log_h: np.ndarray):
+        """:meth:`predictive_logpmf` at ``xs`` of the atoms (xi[i], lam[i]), one row each."""
+        return self.predictive_logpmf(xi[:, :1], lam[:, None], xs, log_h=log_h)
+
+    def draw_weights(self, generator, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """One weight per row of the atoms x 1 ``xi`` and entry of ``lam``, in one draw."""
+        return self.sample_weights(generator, xi[:, 0], lam, lam.size)
 
     def rate_table(self, mass: float, xi, lam: float, m: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Atom rates for rounds ``m`` (rows) and counts ``x`` (columns).

@@ -31,21 +31,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, smirnov
 
-from .catalog import entry_for
+from .catalog import entry_for, family_of
 from .errors import DivergenceSuspected, DomainError, QuadratureError
 from .exp_family import (
     ExpCrmPrior,
+    QuadratureFamily,
+    _shifted_params,
     as_xi,
+    log_conjugate_kernel,
     log_partition_B,
 )
 from .marginal import MarginalConfig, MarginalSampler, predictive_logpmf
+from .quadrature import IntegrandSpec, integrate
 from .rng import RngState
 from .size_biased import (
     RateTable,
     SizeBiasedConfig,
     SizeBiasedSampler,
-    _literal_integral,
-    _NumericWeightSampler,
     rate_M,
     round_total,
     weight_dist_params,
@@ -155,7 +157,7 @@ def _check_a0(prior: ExpCrmPrior) -> CheckReport:
 def _check_a1(prior: ExpCrmPrior) -> CheckReport:
     name = "A1: ordinary component has infinite mass"
     try:
-        b = log_partition_B(prior.likelihood, prior.xi, prior.lam, force_numeric=True)
+        b = QuadratureFamily(prior.likelihood).log_B(prior.xi, prior.lam)
     except DivergenceSuspected as err:
         return _report_geq(name, math.inf, math.inf, f"divergence confirmed at {err.endpoint}")
     except QuadratureError as err:
@@ -458,12 +460,69 @@ def chi_square_two_sample(
 # --- oracle checks ------------------------------------------------------------
 
 
+def _integrand_orders(like, xi, lam: float, m: int, x) -> tuple:
+    """Endpoint powers of a rate or round-total integrand, for a catalog family.
+
+    With a count ``x`` the integrand is l(x|theta) l(0|theta)^(m-1)
+    kappa(theta; xi, lam), the rate integrand; with ``x = None`` it is
+    (1 - l(0|theta)) l(0|theta)^(m-1) kappa(theta; xi, lam), the round
+    total.  For a catalog family both follow from conjugacy: the first is
+    h(x) h(0)^(m-1) kappa(theta; xi + phi(x) + (m-1) phi(0), lam + m)
+    (m = 0 with x = 0 is kappa itself).  Since 1 - l(0|theta) grows like
+    theta at 0 and tends to 1 at the top, the second has the powers of the
+    first at (m - 1, x = 0), plus one at 0, and :func:`integrate` checks
+    both against its slope probes.  Other families get (None, None): the
+    powers are left undeclared, for :func:`integrate` to probe.
+    """
+    entry = entry_for(like)
+    if entry is None:
+        return None, None
+    if x is None:
+        low, up = entry.kernel_orders(*_shifted_params(like, xi, lam, m - 1, 0))
+        return low + 1.0, up
+    return entry.kernel_orders(*_shifted_params(like, xi, lam, m, x))
+
+
+def _literal_integral(
+    like, xi, lam: float, m: int, x, mass: float = 1.0, rel_tol: float = 1e-9
+) -> float:
+    """mass times the integral of l(x|theta) l(0|theta)^(m-1) kappa(theta; xi, lam).
+
+    The integrand is built from the likelihood itself, never from a closed
+    form: ``x = None`` puts 1 - l(0|theta) in place of l(x|theta) (the
+    round-total integrand), and m = 0 with x = 0 is kappa itself.  Its
+    endpoint powers come from :func:`_integrand_orders`, or from the
+    quadrature's probe for a family outside the catalog.
+    """
+    def log_f(th):
+        th = np.asarray(th, dtype=float)
+        out = log_conjugate_kernel(like, xi, lam, th)
+        if m == 0 and x == 0:
+            return out
+        lp0 = like.log_pmf(0, th)
+        if x is None:
+            with np.errstate(divide="ignore"):
+                out = out + np.log(-np.expm1(lp0))
+        else:
+            out = out + like.log_pmf(x, th)
+        return out + (m - 1) * lp0 if m > 1 else out
+
+    low, up = _integrand_orders(like, xi, lam, m, x)
+    factor = "(1 - l(0))" if x is None else f"l({x})"
+    spec = IntegrandSpec(
+        log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
+        name=f"{factor} l(0)^{m - 1} kappa for {like.family}",
+    )
+    value, _ = integrate(spec, rel_tol=rel_tol)
+    return mass * value
+
+
 def oracle_log_partition(prior: ExpCrmPrior, xi, lam: float, rel_tol: float = 1e-9) -> CheckReport:
-    """Primary log-partition path against forced quadrature."""
+    """Primary log-partition path against quadrature of the kernel."""
     like = prior.likelihood
     xi = as_xi(xi)
     primary = log_partition_B(like, xi, lam)
-    numeric = log_partition_B(like, xi, lam, rel_tol=rel_tol, force_numeric=True)
+    numeric = QuadratureFamily(like).log_B(xi, lam, rel_tol=rel_tol)
     err = abs(primary - numeric) / max(abs(numeric), 1.0)
     path = "closed form" if entry_for(like) is not None else "same quadrature (no closed form)"
     return _report_leq(
@@ -553,13 +612,9 @@ def oracle_weight_law(
     """
     like = prior.likelihood
     xi = as_xi(xi)
-    entry = entry_for(like)
     gen = RngState(seed, stream=17).generator()
-    if entry is not None:
-        draws = entry.sample_weights(gen, xi, lam, reps)
-    else:
-        draws = _NumericWeightSampler(like, xi, lam).sample(gen, reps)
-    cdf = _NumericWeightSampler(like, xi, lam).cdf(np.sort(draws))
+    draws = family_of(like).draw_weights(gen, np.tile(xi, (reps, 1)), np.full(reps, float(lam)))
+    cdf = QuadratureFamily(like).weight_law(xi, lam).cdf(np.sort(draws))
     n = cdf.size
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)

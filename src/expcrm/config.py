@@ -222,7 +222,7 @@ class ModelConfig:
                 rho, sigma = par
                 try:
                     xi, lam = entry.native_fixed_atom(rho, sigma)
-                except Exception as err:
+                except DomainError as err:
                     raise InvalidModelError(str(err)) from err
             else:
                 xi = par

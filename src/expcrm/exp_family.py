@@ -23,9 +23,11 @@ predictive probabilities are ratios of exponentials of B at shifted
 arguments.
 
 This module defines the likelihood and prior containers and the generic
-operations on them; closed forms for particular families are registered by
-:mod:`expcrm.catalog`, and ``log_partition_B`` falls back to validated
-quadrature for families without one.
+operations on them.  :func:`family_of` gives the object that answers a
+family's B, rate rows, predictive pmfs and weight draws: the closed forms
+registered by :mod:`expcrm.catalog`, or, for a family without them, a
+:class:`QuadratureFamily` that answers the same calls by validated
+quadrature of the kernel.
 """
 
 from __future__ import annotations
@@ -38,9 +40,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidModelError, QuadratureError
+from .errors import DomainError, ExpCrmError, InvalidModelError, QuadratureError
 from .measures import Location
-from .quadrature import IntegrandSpec, log_integrate, relative_to_peak
+from .quadrature import (
+    IntegrandSpec,
+    PanelLaw,
+    invert,
+    log_integrate,
+    probed_orders,
+    relative_to_peak,
+)
 
 
 def as_xi(xi) -> tuple[float, ...]:
@@ -262,10 +271,8 @@ def log_conjugate_kernel(likelihood: ExpCrmLikelihood, xi, lam: float, theta) ->
 # --- registered closed forms -------------------------------------------------
 
 # Catalog entries by likelihood family id.  Each ``expcrm.catalog.CatalogEntry``
-# adds itself on construction; an entry supplies ``log_B``/``proper`` (the
-# analytic log normalizer and where it is finite), ``kernel_orders`` (the
-# kernel's endpoint powers for quadrature), and the validity checks
-# ``hyperparam_valid``/``fixed_atom_valid``.
+# adds itself on construction, and answers from closed forms every call a
+# ``QuadratureFamily`` answers.
 _ENTRIES: dict = {}
 
 
@@ -274,8 +281,10 @@ def entry_for(likelihood: ExpCrmLikelihood):
     return _ENTRIES.get(likelihood.family)
 
 
-# Per-panel tolerance of the column laws: at 1e-10 the power tails of
-# beta-prime rate rows close up to 1.5e-10 off their closed forms
+# Per-panel tolerance of the column laws.  The power tails of a beta-prime
+# clone's rate rows and totals (mass 2, xi -1.3, lam 1.2; 60 rounds of 16
+# counts) close at most 6.7e-11 off their closed forms at 1e-10, and 6.2e-12
+# at 1e-11
 _COLUMN_TOL = 1e-11
 
 
@@ -313,35 +322,186 @@ def _kernel_spec(
     return IntegrandSpec(log_f, likelihood.weight_domain.upper, None, log_f_upper=top, name=name)
 
 
-def log_partition_B(
-    likelihood: ExpCrmLikelihood,
-    xi,
-    lam: float,
-    *,
-    rel_tol: float = 1e-10,
-    force_numeric: bool = False,
-) -> float:
-    """log of the kernel's normalizer at (xi, lam).
+def _shifted_params(likelihood: ExpCrmLikelihood, xi, lam: float, m: int, x: int):
+    """(xi + phi(x) + (m - 1) phi(0), lam + m): the kernel of l(x|.) l(0|.)^(m-1) kappa(.; xi, lam)."""
+    phis = zip(xi, likelihood.phi(x), likelihood.phi(0))
+    return tuple(xj + float(px) + (m - 1) * float(p0) for xj, px, p0 in phis), lam + float(m)
 
-    Uses the registered closed form when one exists; otherwise, or with
-    ``force_numeric``, the log of a validated quadrature of the kernel, its
-    endpoint powers probed, divided by its largest value on the
-    quadrature's starting knots, with that offset added back, so a B far
-    outside floating-point range (posterior-sized parameters) stays exact.
-    Raises DomainError at improper parameters with a registered form, and
-    DivergenceSuspected when quadrature finds the improperness itself.
+
+class QuadratureFamily:
+    """The calls a catalog entry answers from closed forms, answered by quadrature.
+
+    Every B, rate, round total and predictive pmf is an integral of the
+    conjugate kernel at shifted parameters, so a call integrates what it
+    needs as the columns of one :class:`~expcrm.quadrature.PanelLaw`: a
+    round's rates and total, or an atom's base B and a predictive chunk's
+    B.  A weight law is one kernel's law, built on first use and kept.
     """
-    xi = as_xi(xi)
-    entry = entry_for(likelihood)
-    if entry is not None and not force_numeric:
-        if not entry.proper(xi, lam):
+
+    chunk = 8  # counts per predictive-walk chunk; each is one law per atom
+
+    def __init__(self, likelihood: ExpCrmLikelihood):
+        self.likelihood = likelihood
+        self._laws: dict = {}  # weight laws by (xi, lam)
+
+    def log_B(self, xi, lam: float, rel_tol: float = 1e-10) -> float:
+        """log of a validated quadrature of the kernel, its endpoint powers probed.
+
+        Relative to the kernel's largest value on the starting knots, so a
+        B far outside floating-point range (posterior-sized parameters)
+        stays exact.  DivergenceSuspected when the kernel is improper.
+        """
+        like = self.likelihood
+        spec, offset = relative_to_peak(_kernel_spec(like, as_xi(xi), lam, name=f"B[{like.family}]"))
+        return log_integrate(spec, rel_tol=rel_tol) + offset
+
+    def hyperparam_valid(self, mass: float, xi, lam: float) -> "ValidityResult":
+        """Valid, with a warning: only the numeric checks can speak for the ordinary component."""
+        return ValidityResult(True, warnings=(
+            f"family {self.likelihood.family!r} is not in the catalog; "
+            "run the numeric assumption checks to validate the ordinary component",
+        ))
+
+    def fixed_atom_valid(self, xi, lam: float) -> "ValidityResult":
+        """Whether the kernel at (xi, lam) normalizes, by quadrature to 1e-6."""
+        try:
+            self.log_B(xi, lam, rel_tol=1e-6)
+        except ExpCrmError as exc:
+            return ValidityResult(False, f"the weight law is not normalizable: {exc}")
+        return ValidityResult(True)
+
+    def log_h_vec(self, xs) -> np.ndarray:
+        """log h at the counts ``xs``, -inf outside the support."""
+        like = self.likelihood
+        xs = np.asarray(xs, dtype=np.int64)
+        logs = [like.log_h(v) if like.in_support(v) else -math.inf for v in xs.reshape(-1).tolist()]
+        return np.array(logs, dtype=float).reshape(xs.shape)
+
+    def _round_row(self, mass: float, xi, lam: float, m: int, xs) -> tuple[np.ndarray, float]:
+        """Rates M(m, x) at the counts ``xs``, all in the support, and the round-m total, in one law.
+
+        The rate integrand l(x) l(0)^(m-1) kappa is h(x) h(0)^(m-1)
+        kappa(.; xi + phi(x) + (m-1) phi(0), lam + m), and the total's
+        (1 - l(0)) l(0)^(m-1) kappa is h(0)^(m-1) (1 - l(0))
+        kappa(.; xi + (m-1) phi(0), lam + m - 1): conjugate kernels, one
+        column each, the total's times the chance of a positive count.
+        """
+        like = self.likelihood
+        xs = np.asarray(xs, dtype=np.int64).tolist()
+        params = [_shifted_params(like, xi, lam, m, x) for x in xs]
+        params.append(_shifted_params(like, xi, lam, m - 1, 0))
+        spec = _kernel_spec(
+            like, [p for p, _ in params], [q for _, q in params],
+            name=f"round {m} of {like.family}", positive=True,
+        )
+        logs = log_integrate(spec, _COLUMN_TOL)
+        logs += math.log(mass) + (m - 1) * like.log_h(0)
+        return np.exp(logs[:-1] + self.log_h_vec(xs)), float(np.exp(logs[-1]))
+
+    def rate_rows(self, prior: "ExpCrmPrior", ms, xs) -> tuple[np.ndarray, np.ndarray]:
+        """A prior's rates at rounds ``ms`` (rows) and counts ``xs`` (columns), and the round totals."""
+        ms = np.asarray(ms, dtype=np.int64).tolist()
+        rows = [self._round_row(prior.mass, prior.xi, prior.lam, m, xs) for m in ms]
+        return np.array([r for r, _ in rows]).reshape(len(ms), len(xs)), np.array([t for _, t in rows])
+
+    def rate_M(self, mass: float, xi, lam: float, m: int, x: int) -> float:
+        """M(m, x): 0 outside the support, else a column of the round's law."""
+        if not self.likelihood.in_support(x):
+            return 0.0
+        return float(self._round_row(mass, xi, lam, m, [x])[0][0])
+
+    def round_total(self, mass: float, xi, lam: float, m: int) -> float:
+        """The round-m total, the one column of a law without counts."""
+        return self._round_row(mass, xi, lam, m, [])[1]
+
+    def predictive_rows(self, xi: np.ndarray, lam: np.ndarray, xs: np.ndarray, log_h: np.ndarray):
+        """log pmf of the next count at ``xs``, one row per atom (xi[i], lam[i]).
+
+        ``h(x) exp(B(xi + phi(x), lam + 1) - B(xi, lam))``, with ``log_h``
+        the log h of ``xs``; counts outside the support get -inf.  An
+        atom's base B and the B of every count are the columns of one law.
+        """
+        like = self.likelihood
+        inside = np.array([like.in_support(v) for v in xs.tolist()], dtype=bool)
+        out = np.full((lam.size, xs.size), -math.inf)
+        phis = [like.phi(v) for v in xs[inside].tolist()]
+        if phis:
+            for row, x, l in zip(out, xi.tolist(), lam.tolist()):
+                x = as_xi(x)
+                xis, lams = [x] + [xi_plus(x, p) for p in phis], [l] + [l + 1.0] * len(phis)
+                log_B = log_integrate(_kernel_spec(like, xis, lams, f"B[{like.family}]"), _COLUMN_TOL)
+                row[inside] = log_h[inside] + log_B[1:] - log_B[0]
+        return out
+
+    def weight_law(self, xi, lam: float) -> PanelLaw:
+        """The panel law of the kernel at (xi, lam), each panel's error bound within 1e-10 of its mass.
+
+        So every cumulative sum, from either end, is within about 1e-10 of
+        itself.  The endpoint powers are probed, never taken from a catalog:
+        the oracle's weight-law test uses this cdf as its reference.
+        DomainError when a power makes the law improper.
+        """
+        key = (as_xi(xi), float(lam))
+        law = self._laws.get(key)
+        if law is not None:
+            return law
+        like = self.likelihood
+        spec = _kernel_spec(like, *key, f"weight law for {like.family}")
+        low, up = probed_orders(spec)
+        if low <= -1.0 + 1e-7:
             raise DomainError(
-                f"B is infinite at (xi={xi}, lam={lam}) for {likelihood.family}: "
-                "the kernel is not normalizable there"
+                f"weight density for {like.family} is not normalizable at 0 "
+                f"(endpoint power {low:.6f}); the parameters are improper"
             )
-        return float(entry.log_B(xi, lam))
-    spec, offset = relative_to_peak(_kernel_spec(likelihood, xi, lam, name=f"B[{likelihood.family}]"))
-    return log_integrate(spec, rel_tol=rel_tol) + offset
+        finite = math.isfinite(spec.upper)
+        if (up <= -1.0 + 1e-7) if finite else (up is not None and up >= -1.0 - 1e-7):
+            where = "its upper boundary" if finite else "infinity"
+            raise DomainError(
+                f"weight density for {like.family} is not normalizable at "
+                f"{where} (endpoint power {up:.6f})"
+            )
+        law = self._laws[key] = PanelLaw(spec, low, up, 1e-10)
+        return law
+
+    def draw_weights(self, generator, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """One weight per row of the atoms x dim ``xi`` and entry of ``lam``, by inverse cdf.
+
+        Equal rows share one :meth:`weight_law`.  One uniform call gives
+        every draw, as one call per atom would; :func:`~expcrm.quadrature.invert`
+        inverts them all in one Newton loop, each at its own law's
+        parameters, so an atom draws the same bytes in any company.
+        """
+        like = self.likelihood
+        params, owner = np.unique(np.column_stack([xi, lam]), axis=0, return_inverse=True)
+        owner = owner.reshape(-1)
+        xis, lams = params[:, :-1], params[:, -1]
+        laws = [self.weight_law(x, l) for x, l in zip(xis.tolist(), lams.tolist())]
+        totals = np.array([law.total for law in laws])
+        c = generator.uniform(size=owner.size) * totals[owner]
+
+        def log_f(t, who, from_top):
+            # one row of points per entry, at its law's parameters
+            return _log_kernel(like, tuple(xis[who].T[..., None]), lams[who, None], t, from_top)
+
+        return like.weight_domain.clip(invert(laws, c, owner, log_f))
+
+
+def family_of(likelihood: ExpCrmLikelihood):
+    """The catalog entry of a registered family, else a :class:`QuadratureFamily` over its kernel.
+
+    The one place the package chooses between closed forms and quadrature.
+    """
+    entry = entry_for(likelihood)
+    return QuadratureFamily(likelihood) if entry is None else entry
+
+
+def log_partition_B(likelihood: ExpCrmLikelihood, xi, lam: float, *, rel_tol: float = 1e-10) -> float:
+    """log of the kernel's normalizer at (xi, lam), from :func:`family_of`.
+
+    A closed form raises DomainError at improper parameters; quadrature, at
+    ``rel_tol``, raises DivergenceSuspected when it finds them improper.
+    """
+    return family_of(likelihood).log_B(as_xi(xi), lam, rel_tol=rel_tol)
 
 
 # --- prior containers --------------------------------------------------------
@@ -435,29 +595,17 @@ def fixed_atom_density(likelihood: ExpCrmLikelihood, xi, lam: float, theta) -> "
 def hyperparam_valid(prior: ExpCrmPrior) -> "ValidityResult":
     """Validity of a prior's hyperparameters, fixed atoms included.
 
-    For catalog families this checks the analytic region; for unknown
-    families only the fixed atoms are checked (numerically) and a warning
-    notes that the ordinary-component assumptions need the numeric suite.
+    The family's own checks, from :func:`family_of`: for catalog families
+    the analytic region; for unknown families only the fixed atoms are
+    checked (numerically) and a warning notes that the ordinary-component
+    assumptions need the numeric suite.
     """
-    entry = entry_for(prior.likelihood)
-    if entry is None:
-        for k, atom in enumerate(prior.fixed_atoms):
-            try:
-                log_partition_B(prior.likelihood, atom.xi, atom.lam, rel_tol=1e-6)
-            except Exception as exc:
-                return ValidityResult(False, f"fixed atom {k} is not normalizable: {exc}")
-        return ValidityResult(
-            True,
-            warnings=(
-                f"family {prior.likelihood.family!r} is not in the catalog; "
-                "run the numeric assumption checks to validate the ordinary component",
-            ),
-        )
-    res = entry.hyperparam_valid(prior.mass, prior.xi, prior.lam)
+    family = family_of(prior.likelihood)
+    res = family.hyperparam_valid(prior.mass, prior.xi, prior.lam)
     if not res.ok:
         return res
     for k, atom in enumerate(prior.fixed_atoms):
-        fres = entry.fixed_atom_valid(atom.xi, atom.lam)
+        fres = family.fixed_atom_valid(atom.xi, atom.lam)
         if not fres.ok:
             return ValidityResult(False, f"fixed atom {k}: {fres.reason}")
     return ValidityResult(True, warnings=res.warnings)

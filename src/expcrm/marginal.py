@@ -20,31 +20,26 @@ compute from the emitted observations.
 Step n's new-atom rates are row n of the sampler's
 :class:`~expcrm.size_biased.RateTable`, the table the size-biased sampler
 draws from; a row is computed the first time a stream reaches its step and
-shared by every later stream.  The neglected-rate budget is tracked per
-stream, since each stream is one realization.
+shared by every later stream.  The table's family (a catalog entry, or a
+:class:`~expcrm.exp_family.QuadratureFamily` for a family without closed
+forms) answers the predictive pmfs of the walk, and the table gives the
+newborn atoms' parameters, so the stream never asks which family it has.
+The neglected-rate budget is tracked per stream, since each stream is one
+realization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .catalog import entry_for
+from .catalog import family_of
 from .errors import QuadratureError, TailBoundError
-from .exp_family import _COLUMN_TOL, ExpCrmLikelihood, ExpCrmPrior, _kernel_spec, as_xi, xi_plus
+from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi
 from .measures import ObservationMeasure
-from .quadrature import log_integrate
-from .size_biased import (
-    _check_truncation,
-    _locations,
-    _positive_int,
-    _TruncatedSampler,
-    rate_M,
-    weight_dist_params,
-)
+from .size_biased import _check_truncation, _locations, _positive_int, _TruncatedSampler, rate_M
 
 __all__ = [
     "MarginalConfig",
@@ -60,29 +55,17 @@ def predictive_logpmf(likelihood: ExpCrmLikelihood, xi_eff, lam_eff: float, x) -
 
     ``h(x) * exp(B(xi_eff + phi(x), lam_eff + 1) - B(xi_eff, lam_eff))``;
     proper ``(xi_eff, lam_eff)`` make this a normalized pmf over the
-    count support (zero included).  Without closed forms, the base B and
-    the B of every count in the support are the columns of one quadrature.
+    count support (zero included).  It is one row of the family's
+    ``predictive_rows``: without closed forms, the base B and the B of
+    every count in the support are the columns of one quadrature.
     """
-    xi_eff = as_xi(xi_eff)
     xs = np.asarray(x, dtype=np.int64)
-    entry = entry_for(likelihood)
-    if entry is not None:
-        return entry.predictive_logpmf(xi_eff[0], float(lam_eff), xs)
     flat = xs.reshape(-1)
-    inside = np.array([likelihood.in_support(int(v)) for v in flat], dtype=bool)
-    out = np.full(flat.shape, -math.inf)
-    if inside.any():
-        counts = flat[inside].tolist()
-        lam = float(lam_eff)
-        spec = _kernel_spec(
-            likelihood,
-            [xi_eff] + [xi_plus(xi_eff, likelihood.phi(v)) for v in counts],
-            [lam] + [lam + 1.0] * len(counts),
-            name=f"B[{likelihood.family}]",
-        )
-        log_B = log_integrate(spec, _COLUMN_TOL)
-        out[inside] = np.array([likelihood.log_h(v) for v in counts]) + log_B[1:] - log_B[0]
-    return out.reshape(xs.shape)
+    family = family_of(likelihood)
+    row = family.predictive_rows(
+        np.array([as_xi(xi_eff)]), np.array([float(lam_eff)]), flat, family.log_h_vec(flat)
+    )
+    return row[0].reshape(xs.shape)[()]
 
 
 def new_atom_rate(prior: ExpCrmPrior, step, x) -> float:
@@ -142,33 +125,25 @@ class MarginalSampler(_TruncatedSampler):
         in row order, from a single draw (none when there are no atoms),
         and walk their cdfs together, one chunk of counts at a time; each
         row sums its own chunks, so it returns the count a walk of that
-        atom alone would.  For catalog families log h of a chunk's counts
-        is computed once per sampler.
+        atom alone would.  The family sets the chunk length, and log h of
+        a chunk's counts is computed once per sampler.
         """
         out = np.empty(lam.size, dtype=np.int64)
         if lam.size == 0:
             return out
         u = gen.uniform(size=lam.size)[:, None]
-        like = self.prior.likelihood
-        entry = self.table.entry
-        bound = like.support_bound
-        chunk = 64 if entry is not None else 8
+        family = self.table.family
+        bound = self.prior.likelihood.support_bound
         rows = np.arange(lam.size)
-        lam = lam[:, None]
         acc = 0.0
         start = 0
         while True:
-            stop = start + chunk if bound is None else min(start + chunk, bound + 1)
+            stop = start + family.chunk if bound is None else min(start + family.chunk, bound + 1)
             xs = np.arange(start, stop)
-            if entry is not None:
-                log_h = self._log_h.get(start)
-                if log_h is None:
-                    log_h = self._log_h[start] = entry.log_h_vec(xs)
-                logpmf = entry.predictive_logpmf(xi[:, :1], lam, xs, log_h=log_h)
-            else:
-                logpmf = np.array(
-                    [predictive_logpmf(like, x, l, xs) for x, l in zip(xi, lam[:, 0])]
-                )
+            log_h = self._log_h.get(start)
+            if log_h is None:
+                log_h = self._log_h[start] = family.log_h_vec(xs)
+            logpmf = family.predictive_rows(xi, lam, xs, log_h)
             cum = acc + np.cumsum(np.exp(logpmf), axis=1)
             idx = (cum <= u).sum(axis=1)  # a right-sided searchsorted per row
             out[rows] = start + idx
@@ -194,14 +169,10 @@ class MarginalSampler(_TruncatedSampler):
         the tail check are :meth:`stream`'s.
         """
         gen = self._generator(rng)
-        prior = self.prior
-        like = prior.likelihood
+        like = self.prior.likelihood
         # the atoms on the books as columns, fixed atoms first, then the
         # new atoms of each step in birth order
-        fixed = prior.fixed_atoms
-        values = np.array([fa.location.value for fa in fixed], dtype=float)
-        xi = np.array([fa.xi for fa in fixed], dtype=float).reshape(len(fixed), like.dim)
-        lam = np.array([fa.lam for fa in fixed], dtype=float)
+        values, xi, lam = self._fixed_values, self._fixed_xi.copy(), self._fixed_lam.copy()
         taken = set(values.tolist())
         neglected = 0.0
         n = 0
@@ -232,9 +203,9 @@ class MarginalSampler(_TruncatedSampler):
                 new_values = _locations(gen, k, taken)
                 taken.update(new_values.tolist())
                 values = np.concatenate([values, new_values])
-                params = [weight_dist_params(prior, n, c) for c in born.tolist()]
-                xi = np.concatenate([xi, np.array([p for p, _ in params])])
-                lam = np.concatenate([lam, [q for _, q in params]])
+                new_xi, new_lam = self.table.weight_params(np.full(k, n), born)
+                xi = np.concatenate([xi, new_xi])
+                lam = np.concatenate([lam, new_lam])
                 counts = np.concatenate([counts, born])
             hit = np.flatnonzero(counts)
             order = hit[np.argsort(values[hit])]

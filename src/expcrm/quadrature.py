@@ -8,8 +8,8 @@ where f is smooth and positive inside the interval but may blow up or vanish
 like a power at the endpoints: f(t) ~ c * t^q as t -> 0, and at a finite
 upper endpoint f(t) ~ c * (U - t)^p, or f(t) ~ c * t^p as t -> infinity.
 Callers declare those powers in an :class:`IntegrandSpec`.  One engine,
-:class:`PanelLaw`, sums them all, and the numeric weight samplers invert
-its cumulative sums.  It tiles (0, U) with 12-node Gauss-Legendre panels,
+:class:`PanelLaw`, sums them all, and the quadrature family's weight
+draws invert its cumulative sums.  It tiles (0, U) with 12-node Gauss-Legendre panels,
 graded geometrically from 1e-12 of the scale at each end (in the distance
 from a finite top) and marched in quarter-octaves toward infinity; each
 panel is bisected until its distance from a 6-node companion rule is within
@@ -485,10 +485,6 @@ class _Panels:
         f = np.exp(self.log_density(_rule_points(a, x, y))[0] - self.shift[0])
         return cum[i] + 0.5 * (x - a) * (f @ w)
 
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        """Points x with ``cum_at(x) == c``: the Newton loop of :func:`_newton` on this side alone."""
-        return _newton([self], [c.size], c, lambda rows, pts: self.log_density(pts)[0])
-
 
 def _newton(sides, sizes, c, log_at) -> np.ndarray:
     """Points x with ``cum_at(x) == c`` on one-column sides, by Newton's method, all at once.
@@ -592,8 +588,8 @@ class PanelLaw:
     the first nodes (raised where a march toward infinity found values
     that would overflow against it); all three are floats for one column
     and arrays of one entry per column otherwise.  ``cdf`` normalizes the
-    cumulative sums of a one-column law; ``invert`` maps cumulative masses
-    in (0, total) back to points, as :func:`invert` does for many laws.
+    cumulative sums of a one-column law; :func:`invert` maps cumulative
+    masses in (0, total) of one-column laws back to points.
     """
 
     def __init__(self, spec: IntegrandSpec, low, up, rel_tol: float):
@@ -730,10 +726,6 @@ class PanelLaw:
         else:
             out[above] = self.total
         return np.clip(out / self.total, 0.0, 1.0)
-
-    def invert(self, c: np.ndarray) -> np.ndarray:
-        """The points at which the cumulative sum reaches ``c``: :func:`invert` of this law alone."""
-        return invert([self], c, np.zeros(c.size, dtype=np.intp))
 
 
 def invert(laws, c: np.ndarray, owner: np.ndarray, log_f=None) -> np.ndarray:

@@ -12,11 +12,13 @@ proper conjugate density with the shifted parameters above.  Truncating at
 be drawn exactly by superposition.
 
 The rates, round totals and count-tail gaps live in one :class:`RateTable`
-per sampler, grown by round.  Round m of the size-biased representation is
-step m of the marginal process, so :class:`~expcrm.marginal.MarginalSampler`
-reads its new-atom rates from the same kind of table, one row per step,
-and both samplers share the configuration check, the rng handling and the
-location draws defined here.
+per sampler, grown by round, whose family (from
+:func:`~expcrm.exp_family.family_of`: closed forms or quadrature, which
+answer the same calls) computes them.  Round m of the size-biased
+representation is step m of the marginal process, so
+:class:`~expcrm.marginal.MarginalSampler` reads its new-atom rates from the
+same kind of table, one row per step, and both samplers share the
+configuration check, the rng handling and the location draws defined here.
 
 Truncation honesty cuts two ways here.  The count side is certified: the
 neglected per-round count tail (round total minus the tabulated row sum) is
@@ -33,22 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .catalog import entry_for, hyperparam_valid
+from .catalog import family_of, hyperparam_valid
 from .errors import DomainError, InvalidModelError, RngFaultError, TailBoundError
-from .exp_family import (
-    ExpCrmLikelihood,
-    ExpCrmPrior,
-    _COLUMN_TOL,
-    _kernel_spec,
-    _log_kernel,
-    as_xi,
-    log_conjugate_kernel,
-)
+from .exp_family import ExpCrmPrior, _shifted_params
 from .measures import TraitMeasure, TruncationMeta
-from .quadrature import IntegrandSpec, PanelLaw, integrate, invert, log_integrate, probed_orders
 from .rng import as_generator
 
 __all__ = [
@@ -75,14 +69,6 @@ def _check_round_count(m, x) -> tuple[int, int]:
     return _positive_int("round", m), _positive_int("count", x)
 
 
-def _shifted_params(likelihood: ExpCrmLikelihood, xi, lam: float, m: int, x: int):
-    """(xi + phi(x) + (m - 1) phi(0), lam + m): the kernel of l(x|.) l(0|.)^(m-1) kappa(.; xi, lam)."""
-    phi0 = likelihood.phi(0)
-    phix = likelihood.phi(x)
-    shifted = tuple(xj + float(px) + (m - 1) * float(p0) for xj, px, p0 in zip(xi, phix, phi0))
-    return shifted, lam + float(m)
-
-
 def weight_dist_params(prior: ExpCrmPrior, m, x) -> tuple[tuple[float, ...], float]:
     """Hyperparameters of the weight law for a round-m atom with count x.
 
@@ -97,12 +83,7 @@ def weight_dist_params(prior: ExpCrmPrior, m, x) -> tuple[tuple[float, ...], flo
 def rate_M(prior: ExpCrmPrior, m, x) -> float:
     """Expected number of round-m ordinary atoms first observed with count x."""
     m, x = _check_round_count(m, x)
-    entry = entry_for(prior.likelihood)
-    if entry is not None:
-        return entry.rate_M(prior.mass, prior.xi, prior.lam, m, x)
-    if not prior.likelihood.in_support(x):
-        return 0.0
-    return float(_round_row(prior, m, [x])[0][0])
+    return family_of(prior.likelihood).rate_M(prior.mass, prior.xi, prior.lam, m, x)
 
 
 def round_total(prior: ExpCrmPrior, m) -> float:
@@ -114,90 +95,7 @@ def round_total(prior: ExpCrmPrior, m) -> float:
     the round's rate row (m = 1 is the round-1 trait rate of assumption A2).
     """
     m, _ = _check_round_count(m, 1)
-    entry = entry_for(prior.likelihood)
-    if entry is not None:
-        return entry.round_total(prior.mass, prior.xi, prior.lam, m)
-    return float(_round_row(prior, m, [])[1])
-
-
-def _round_row(prior: ExpCrmPrior, m: int, xs) -> tuple[np.ndarray, float]:
-    """Rates M(m, x) at the counts ``xs``, all in the support, and the round-m total.
-
-    One :class:`~expcrm.quadrature.PanelLaw` sums them all, for a family
-    without closed forms.  The rate integrand l(x) l(0)^(m-1) kappa is
-    h(x) h(0)^(m-1) kappa(.; xi + phi(x) + (m-1) phi(0), lam + m), and the
-    total's (1 - l(0)) l(0)^(m-1) kappa is h(0)^(m-1) (1 - l(0))
-    kappa(.; xi + (m-1) phi(0), lam + m - 1): conjugate kernels, one column
-    each, the total's times the chance of a positive count.
-    """
-    like = prior.likelihood
-    params = [_shifted_params(like, prior.xi, prior.lam, m, int(x)) for x in xs]
-    params.append(_shifted_params(like, prior.xi, prior.lam, m - 1, 0))
-    spec = _kernel_spec(
-        like, [xi for xi, _ in params], [lam for _, lam in params],
-        name=f"round {m} of {like.family}", positive=True,
-    )
-    logs = log_integrate(spec, _COLUMN_TOL)
-    logs += math.log(prior.mass) + (m - 1) * like.log_h(0)
-    log_h = np.array([like.log_h(int(x)) for x in xs])
-    return np.exp(logs[:-1] + log_h), float(np.exp(logs[-1]))
-
-
-def _integrand_orders(like, xi, lam: float, m: int, x) -> tuple:
-    """Endpoint powers of a rate or round-total integrand, for a catalog family.
-
-    With a count ``x`` the integrand is l(x|theta) l(0|theta)^(m-1)
-    kappa(theta; xi, lam), the rate integrand; with ``x = None`` it is
-    (1 - l(0|theta)) l(0|theta)^(m-1) kappa(theta; xi, lam), the round
-    total.  For a catalog family both follow from conjugacy: the first is
-    h(x) h(0)^(m-1) kappa(theta; xi + phi(x) + (m-1) phi(0), lam + m)
-    (m = 0 with x = 0 is kappa itself).  Since 1 - l(0|theta) grows like
-    theta at 0 and tends to 1 at the top, the second has the powers of the
-    first at (m - 1, x = 0), plus one at 0, and :func:`integrate` checks
-    both against its slope probes.  Other families get (None, None): the
-    powers are left undeclared, for :func:`integrate` to probe.
-    """
-    entry = entry_for(like)
-    if entry is None:
-        return None, None
-    if x is None:
-        low, up = entry.kernel_orders(*_shifted_params(like, xi, lam, m - 1, 0))
-        return low + 1.0, up
-    return entry.kernel_orders(*_shifted_params(like, xi, lam, m, x))
-
-
-def _literal_integral(
-    like, xi, lam: float, m: int, x, mass: float = 1.0, rel_tol: float = 1e-9
-) -> float:
-    """mass times the integral of l(x|theta) l(0|theta)^(m-1) kappa(theta; xi, lam).
-
-    The integrand is built from the likelihood itself, never from a closed
-    form: ``x = None`` puts 1 - l(0|theta) in place of l(x|theta) (the
-    round-total integrand), and m = 0 with x = 0 is kappa itself.  Its
-    endpoint powers come from :func:`_integrand_orders`, or from the
-    quadrature's probe for a family outside the catalog.
-    """
-    def log_f(th):
-        th = np.asarray(th, dtype=float)
-        out = log_conjugate_kernel(like, xi, lam, th)
-        if m == 0 and x == 0:
-            return out
-        lp0 = like.log_pmf(0, th)
-        if x is None:
-            with np.errstate(divide="ignore"):
-                out = out + np.log(-np.expm1(lp0))
-        else:
-            out = out + like.log_pmf(x, th)
-        return out + (m - 1) * lp0 if m > 1 else out
-
-    low, up = _integrand_orders(like, xi, lam, m, x)
-    factor = "(1 - l(0))" if x is None else f"l({x})"
-    spec = IntegrandSpec(
-        log_f, upper=like.weight_domain.upper, lower_order=low, upper_order=up,
-        name=f"{factor} l(0)^{m - 1} kappa for {like.family}",
-    )
-    value, _ = integrate(spec, rel_tol=rel_tol)
-    return mass * value
+    return family_of(prior.likelihood).round_total(prior.mass, prior.xi, prior.lam, m)
 
 
 class RateTable:
@@ -210,9 +108,9 @@ class RateTable:
     marginal process is a round-n trait of the size-biased representation,
     so both samplers read the same rows: the size-biased sampler reads
     rounds 1..m_max at construction, the marginal sampler one more row per
-    step.  Each extension is one ``CatalogEntry.rate_table`` call for a
-    catalog family; otherwise each round is one quadrature of its whole
-    row, the cells and the round total together.
+    step.  Each extension is one ``rate_rows`` call of the family: one
+    ``CatalogEntry.rate_table`` call, or one quadrature per round of its
+    whole row, the cells and the round total together.
 
     Construction checks the prior and its hyperparameters.
     """
@@ -228,7 +126,7 @@ class RateTable:
         self.validity_warnings = res.warnings
         bound = prior.likelihood.support_bound
         self.count_cap = x_max if bound is None else min(x_max, bound)
-        self.entry = entry_for(prior.likelihood)
+        self.family = family_of(prior.likelihood)
         self.xs = np.arange(1, self.count_cap + 1)
         self._rounds = 0  # rows tabulated so far, at the top of the buffers
         self._rates = np.empty((0, self.count_cap))
@@ -239,13 +137,7 @@ class RateTable:
         have = self._rounds
         if rounds <= have:
             return
-        p = self.prior
-        ms = np.arange(have + 1, rounds + 1)
-        if self.entry is not None:
-            rows = self.entry.rate_table(p.mass, p.xi, p.lam, ms, self.xs)
-            totals = self.entry.round_totals(p.mass, p.xi, p.lam, ms.astype(float))
-        else:
-            rows, totals = zip(*(_round_row(p, int(m), self.xs) for m in ms))
+        rows, totals = self.family.rate_rows(self.prior, np.arange(have + 1, rounds + 1), self.xs)
         if rounds > self._totals.size:
             # grow geometrically, so a stream's one-row extensions stay linear;
             # np.resize keeps the existing rows at the top
@@ -255,6 +147,22 @@ class RateTable:
         self._rates[have:rounds] = rows
         self._totals[have:rounds] = totals
         self._rounds = rounds
+
+    @cached_property
+    def _phi(self) -> np.ndarray:
+        """phi of the counts 0..count_cap, one row each, built by the first draw."""
+        like = self.prior.likelihood
+        return np.array([like.phi(x) for x in range(self.count_cap + 1)], dtype=float).reshape(-1, like.dim)
+
+    def weight_params(self, rounds: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`weight_dist_params` of the atoms of rounds ``rounds`` and counts ``counts``.
+
+        One row of xi and one lam per atom, summed in the scalar order; the
+        counts lie in 1..count_cap.
+        """
+        p, phi = self.prior, self._phi
+        xi = np.asarray(p.xi) + phi[counts] + (rounds - 1)[:, None] * phi[0]
+        return xi, p.lam + rounds
 
     def rates(self, rounds: int) -> np.ndarray:
         """M(m, x) for rounds m = 1..rounds (rows) and counts 1..count_cap."""
@@ -376,6 +284,11 @@ class _TruncatedSampler:
         self.count_cap = self.table.count_cap
         self.validity_warnings = self.table.validity_warnings
         self._gen = None if rng is None else as_generator(rng)
+        # the fixed atoms' location values, xi rows and lam, in prior order
+        fixed, dim = prior.fixed_atoms, prior.likelihood.dim
+        self._fixed_values = np.array([a.location.value for a in fixed], dtype=float)
+        self._fixed_xi = np.array([a.xi for a in fixed], dtype=float).reshape(len(fixed), dim)
+        self._fixed_lam = np.array([a.lam for a in fixed], dtype=float)
 
     def _generator(self, rng) -> np.random.Generator:
         if rng is not None:
@@ -431,8 +344,7 @@ class SizeBiasedSampler(_TruncatedSampler):
             )
         self._cdf = np.cumsum(self.table.rates(m_max))
         self._grand_total = float(self._cdf[-1])
-        self._numeric_samplers: dict = {}
-        self._fixed_locations = frozenset(a.location.value for a in prior.fixed_atoms)
+        self._fixed_locations = frozenset(self._fixed_values.tolist())
         self._truncation = TruncationMeta("truncated", rounds=m_max, count_cap=self.count_cap)
 
     # -- certification ---------------------------------------------------
@@ -443,50 +355,11 @@ class SizeBiasedSampler(_TruncatedSampler):
 
     # -- drawing ----------------------------------------------------------
 
-    def _numeric_sampler(self, xi, lam: float) -> "_NumericWeightSampler":
-        key = (as_xi(xi), float(lam))
-        sampler = self._numeric_samplers.get(key)
-        if sampler is None:
-            sampler = _NumericWeightSampler(self.prior.likelihood, *key)
-            self._numeric_samplers[key] = sampler
-        return sampler
-
-    def _weights_from_params(self, gen, xi, lam: float, size: int) -> np.ndarray:
-        if self.table.entry is not None:
-            return self.table.entry.sample_weights(gen, xi, lam, size)
-        return self._numeric_sampler(xi, lam).sample(gen, size)
-
-    def _cell_weights(self, gen, cells, rounds, counts) -> np.ndarray:
-        """Weights of atoms sorted by table cell, in one draw for all cells.
-
-        For a catalog family phi(x) = x and phi(0) = 0, so the cell
-        parameters of :func:`weight_dist_params` are (xi + x, lam + m) and
-        all cells take one broadcast draw.  Otherwise each cell's weight law
-        is a :class:`_NumericWeightSampler`, and :func:`_numeric_weights`
-        inverts all the cells' uniforms in one Newton loop.  Either way the
-        draw consumes the generator exactly like one draw per cell in order.
-        """
-        entry = self.table.entry
-        if entry is not None:
-            return entry.sample_weights(
-                gen, self.prior.xi[0] + counts, self.prior.lam + rounds, cells.size
-            )
-        _, first, sizes = np.unique(cells, return_index=True, return_counts=True)
-        laws = [
-            self._numeric_sampler(*weight_dist_params(self.prior, int(rounds[i]), int(counts[i])))
-            for i in first.tolist()
-        ]
-        return _numeric_weights(gen, laws, sizes)
-
     def _fixed_weights(self, gen) -> np.ndarray:
         """One weight per fixed atom, in prior order: one draw for all of them."""
-        fixed = self.prior.fixed_atoms
-        if not fixed:
+        if not self._fixed_lam.size:
             return np.zeros(0)
-        if self.table.entry is not None:
-            return np.array([self._weights_from_params(gen, fa.xi, fa.lam, 1)[0] for fa in fixed])
-        laws = [self._numeric_sampler(fa.xi, fa.lam) for fa in fixed]
-        return _numeric_weights(gen, laws, np.ones(len(laws), dtype=np.int64))
+        return self.table.family.draw_weights(gen, self._fixed_xi, self._fixed_lam)
 
     def draw_labeled(self, rng=None) -> LabeledDraw:
         """Draw the ordinary component, keeping round and count labels.
@@ -508,7 +381,9 @@ class SizeBiasedSampler(_TruncatedSampler):
         rounds, counts = np.divmod(cells.astype(np.int64), self.count_cap)
         rounds += 1
         counts += 1
-        weights = self._cell_weights(gen, cells, rounds, counts)
+        # one draw for all cells, which consumes the generator exactly like
+        # one draw per cell in order
+        weights = self.table.family.draw_weights(gen, *self.table.weight_params(rounds, counts))
         return LabeledDraw(rounds, counts, weights, _locations(gen, k, self._fixed_locations))
 
     def draw(self, rng=None) -> TraitMeasure:
@@ -523,7 +398,7 @@ class SizeBiasedSampler(_TruncatedSampler):
         labeled = self.draw_labeled(gen)
         return TraitMeasure.from_arrays(
             fixed_weights,
-            [fa.location.value for fa in self.prior.fixed_atoms],
+            self._fixed_values,
             labeled.weights,
             labeled.locations,
             self._truncation,
@@ -539,72 +414,3 @@ def sample_size_biased(prior: ExpCrmPrior, rng, config: SizeBiasedConfig | None 
     on the prior and the config.
     """
     return SizeBiasedSampler(prior, config=config).draw(rng)
-
-
-# --- weight draws without a catalog law --------------------------------------
-
-
-class _NumericWeightSampler:
-    """Inverse-cdf weight sampler for families without a catalog law.
-
-    The cdf is the :class:`~expcrm.quadrature.PanelLaw` of the conjugate
-    kernel, held to 1e-10 per panel: composite Gauss-Legendre panels whose
-    companion-rule error bounds are each within 1e-10 of the panel's mass,
-    with analytic power pieces at the ends.  So every cumulative sum,
-    counted from either end, is within about 1e-10 of itself, as long as
-    the 12-node rule is the more accurate of the two; the tests pin the cdf
-    against ``scipy.stats`` to 1e-8.  ``sample`` is :func:`_numeric_weights`
-    of this law alone: Newton's method on the density, bracketed by each
-    panel, the end pieces analytically, and the draws clipped into the
-    weight domain.  The oracle suite's weight-law test uses this cdf as its
-    reference, so the endpoint powers are probed here, never taken from
-    the catalog.
-    """
-
-    def __init__(self, likelihood: ExpCrmLikelihood, xi, lam: float):
-        self._likelihood, self._xi, self._lam = likelihood, as_xi(xi), float(lam)
-        spec = _kernel_spec(likelihood, self._xi, self._lam, f"weight law for {likelihood.family}")
-        low, up = probed_orders(spec)
-        if low <= -1.0 + 1e-7:
-            raise DomainError(
-                f"weight density for {likelihood.family} is not normalizable at 0 "
-                f"(endpoint power {low:.6f}); the parameters are improper"
-            )
-        finite = math.isfinite(spec.upper)
-        if (up <= -1.0 + 1e-7) if finite else (up is not None and up >= -1.0 - 1e-7):
-            where = "its upper boundary" if finite else "infinity"
-            raise DomainError(
-                f"weight density for {likelihood.family} is not normalizable at "
-                f"{where} (endpoint power {up:.6f})"
-            )
-        self._law = PanelLaw(spec, low, up, 1e-10)
-
-    def cdf(self, t) -> np.ndarray:
-        """Normalized cdf of the weight law, from the same panels."""
-        return self._law.cdf(t)
-
-    def sample(self, gen, size: int) -> np.ndarray:
-        return _numeric_weights(gen, [self], np.array([size]))
-
-
-def _numeric_weights(gen, laws, sizes) -> np.ndarray:
-    """``sizes[j]`` draws of each :class:`_NumericWeightSampler` ``laws[j]``, in turn.
-
-    One uniform call gives every draw, as one call per law in order would;
-    each uniform, scaled by its law's total, is inverted by
-    :func:`~expcrm.quadrature.invert` in one Newton loop for all the laws,
-    which evaluates each law's kernel at its own parameters.  So a law's
-    draws are the same bytes whatever laws share the loop.
-    """
-    like = laws[0]._likelihood
-    owner = np.repeat(np.arange(len(laws)), sizes)
-    xis = np.array([law._xi for law in laws])
-    lams = np.array([law._lam for law in laws])
-    totals = np.array([law._law.total for law in laws])
-    c = gen.uniform(size=owner.size) * totals[owner]
-
-    def log_f(t, who, from_top):
-        # one row of points per entry, at its law's parameters
-        return _log_kernel(like, tuple(xis[who].T[..., None]), lams[who, None], t, from_top)
-
-    return like.weight_domain.clip(invert([law._law for law in laws], c, owner, log_f))

@@ -17,7 +17,7 @@ from expcrm.catalog import (
     map_bp_params,
     map_bp_params_inverse,
 )
-from expcrm.checks import check_assumptions
+from expcrm.checks import _integrand_orders, _literal_integral, check_assumptions
 from expcrm.errors import DivergenceSuspected, DomainError
 from expcrm.exp_family import (
     ExpCrmPrior,
@@ -29,7 +29,6 @@ from expcrm.exp_family import (
 from expcrm.measures import Location
 from expcrm.quadrature import IntegrandSpec, integrate
 from expcrm.rng import RngState
-from expcrm.size_biased import _integrand_orders, _literal_integral
 
 NB = get_entry("negative_binomial", r=2.5)
 

@@ -171,6 +171,29 @@ class TestNativeParams:
         assert atom.xi == (1.0,)
         assert atom.lam == 3.0
 
+    def test_native_fixed_atom_errors(self, monkeypatch):
+        def cfg(rho):
+            return model_config_from_dict(
+                {
+                    "likelihood": "bernoulli",
+                    "native": {"mass": 1.0, "alpha": 0.5, "theta": 1.0},
+                    "fixed_atoms": [{"loc": 0.125, "rho": rho, "sigma": 3.0}],
+                }
+            )
+
+        # a law outside the native region is the model's fault ...
+        with pytest.raises(InvalidModelError, match="rho > 0"):
+            cfg(-1.0).build_prior()
+
+        # ... and any other error is a bug, which reaches the caller as it is
+        def broken(self, rho, sigma):
+            raise TypeError("bug in the native map")
+
+        config = cfg(2.0)
+        monkeypatch.setattr(type(config.entry), "native_fixed_atom", broken)
+        with pytest.raises(TypeError, match="bug in the native map"):
+            config.build_prior()
+
     def test_native_atoms_rejected_for_gamma(self):
         with pytest.raises(ConfigError, match="native fixed-atom"):
             model_config_from_dict(

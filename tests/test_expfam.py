@@ -20,6 +20,7 @@ from expcrm.errors import (
 from expcrm.exp_family import (
     ExpCrmPrior,
     FixedAtomParams,
+    QuadratureFamily,
     ValidityResult,
     WeightDomain,
     _kernel_spec,
@@ -219,7 +220,7 @@ class TestLogPartition:
         rng = np.random.default_rng(20240817)
         for xi0, lam in sample_proper(entry, rng, 20):
             analytic = log_partition_B(like, (xi0,), lam)
-            numeric = log_partition_B(like, (xi0,), lam, force_numeric=True)
+            numeric = QuadratureFamily(like).log_B((xi0,), lam)
             assert numeric == pytest.approx(analytic, abs=2e-9), (xi0, lam)
 
     def test_improper_raises_with_closed_form(self):
@@ -438,6 +439,25 @@ class TestAutoConjugate:
         bad = FixedAtomParams(Location(0.5), (-1.5,), 1.0)
         with pytest.raises(InvalidModelError, match="fixed atom"):
             auto_conjugate(POISSON_GAMMA.make_likelihood(), 1.0, -1.5, 1.0, (bad,))
+
+    def test_improper_unregistered_fixed_atom_rejected(self):
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
+        bad = FixedAtomParams(Location(0.5), (-1.5,), 1.0)
+        with pytest.raises(InvalidModelError, match="fixed atom 0: the weight law is not normalizable"):
+            auto_conjugate(like, 1.0, -1.5, 1.0, (bad,))
+
+    def test_a_bug_in_a_users_eta_reaches_the_caller(self):
+        # the fixed atom's quadrature calls eta; its TypeError is the
+        # caller's bug, not an improper model
+        def eta(th):
+            raise TypeError("bug in user eta")
+
+        like = dataclasses.replace(
+            POISSON_GAMMA.make_likelihood(), family="custom_counts", eta=eta, log_kernel_fn=None
+        )
+        atom = FixedAtomParams(Location(0.5), (-0.5,), 1.0)
+        with pytest.raises(TypeError, match="bug in user eta"):
+            auto_conjugate(like, 1.0, -1.5, 1.0, (atom,))
 
 
 def test_validity_result_truthiness():

@@ -285,6 +285,44 @@ class TestOneQuadratureEngine:
         assert quadrature_engine_names(path.read_text(encoding="utf-8")) == []
 
 
+def names_read(source: str, name: str) -> list[int]:
+    """Lines where ``source`` imports, reads or defines ``name``, or reads it as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [node.lineno for alias in node.names if alias.name.split(".")[-1] == name]
+        elif isinstance(node, ast.Name) and node.id == name:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+# the modules that may ask the catalog for a family's entry: the registry,
+# ``family_of`` and the oracle's declared orders and report label
+ENTRY_LOOKUPS = ("catalog.py", "checks.py", "exp_family.py")
+
+
+class TestOneFamilyDecision:
+    def test_scan_sees_imports_reads_and_attributes(self):
+        source = (
+            "from .catalog import entry_for as lookup\n"
+            "import expcrm.catalog\n"
+            "x = expcrm.catalog.entry_for(like)\n"
+            "y = entry_for\n"
+            "z = 'entry_for'\n"
+        )
+        assert names_read(source, "entry_for") == [1, 3, 4]
+
+    @pytest.mark.parametrize(
+        "path", [p for p in MODULES if p.name not in ENTRY_LOOKUPS], ids=lambda p: p.name
+    )
+    def test_only_family_of_chooses_closed_forms_or_quadrature(self, path):
+        assert names_read(path.read_text(encoding="utf-8"), "entry_for") == []
+
+
 class TestExportTable:
     def test_all_is_pinned(self):
         assert expcrm.__all__ == PUBLIC

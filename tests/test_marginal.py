@@ -9,7 +9,7 @@ from scipy import stats
 
 from expcrm.catalog import BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, POISSON_GAMMA, get_entry
 from expcrm.errors import DomainError, InvalidModelError, TailBoundError
-from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, xi_plus
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, QuadratureFamily, xi_plus
 from expcrm.marginal import (
     MarginalConfig,
     MarginalSampler,
@@ -262,7 +262,7 @@ def reference_walk(sampler, u, xi, lam):
     """The per-atom inverse-cdf walk: one atom, one uniform, chunks of counts."""
     like = sampler.prior.likelihood
     bound = like.support_bound
-    chunk = 64 if sampler.table.entry is not None else 8
+    chunk = 8 if isinstance(sampler.table.family, QuadratureFamily) else 64
     acc = 0.0
     start = 0
     while True:

@@ -20,17 +20,16 @@ from expcrm.errors import (
     RngFaultError,
     TailBoundError,
 )
-from expcrm.exp_family import ExpCrmPrior, FixedAtomParams
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, QuadratureFamily
 from expcrm.marginal import MarginalConfig, MarginalSampler
 from expcrm.measures import Location
-from expcrm.quadrature import _Panels
+from expcrm.quadrature import _newton, _Panels, invert
 from expcrm.rng import RngState
 from expcrm.size_biased import (
     LabeledDraw,
     SizeBiasedConfig,
     SizeBiasedSampler,
     _locations,
-    _NumericWeightSampler,
     rate_M,
     round_total,
     sample_size_biased,
@@ -52,6 +51,16 @@ def unregistered(prior):
     """The same model wearing a family id the catalog does not know."""
     like = dataclasses.replace(prior.likelihood, family="mystery-" + prior.likelihood.family)
     return dataclasses.replace(prior, likelihood=like)
+
+
+def weight_law(like, xi, lam):
+    """The quadrature weight law of ``like`` at (xi, lam)."""
+    return QuadratureFamily(like).weight_law(xi, lam)
+
+
+def numeric_draws(like, xi, lam, gen, n):
+    """n draws of that law, in one call."""
+    return QuadratureFamily(like).draw_weights(gen, np.tile(xi, (n, 1)), np.full(n, lam))
 
 
 def topless_bernoulli():
@@ -337,36 +346,34 @@ class TestLocationHygiene:
 class TestNumericWeightSampler:
     def test_gamma_clone_matches_gamma_law(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (-0.5,), 2.0)
-        draws = nws.sample(RngState(31).generator(), 3000)
+        draws = numeric_draws(like, (-0.5,), 2.0, RngState(31).generator(), 3000)
         res = stats.kstest(draws, stats.gamma(a=0.5, scale=0.5).cdf)
         assert res.pvalue > 0.01
 
     def test_beta_clone_matches_beta_law(self):
         like = dataclasses.replace(BERNOULLI_BETA.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (-0.4,), 1.2)
-        draws = nws.sample(RngState(32).generator(), 3000)
+        draws = numeric_draws(like, (-0.4,), 1.2, RngState(32).generator(), 3000)
         assert (draws > 0).all() and (draws < 1).all()
         res = stats.kstest(draws, stats.beta(0.6, 2.6).cdf)
         assert res.pvalue > 0.01
 
     def test_beta_prime_clone_matches_power_tail_law(self):
         like = dataclasses.replace(ODDS_BERNOULLI_BETA_PRIME.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (-0.3,), 1.8)
-        draws = nws.sample(RngState(33).generator(), 3000)
+        draws = numeric_draws(like, (-0.3,), 1.8, RngState(33).generator(), 3000)
         res = stats.kstest(draws, stats.betaprime(0.7, 1.1).cdf)
         assert res.pvalue > 0.01
 
     def test_quantiles_match_reference(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (-0.5,), 2.0)
+        law = weight_law(like, (-0.5,), 2.0)
         ref = stats.gamma(a=0.5, scale=0.5)
         u = np.array([1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999])
-        np.testing.assert_allclose(nws._law.invert(u * nws._law.total), ref.ppf(u), rtol=1e-8)
+        got = invert([law], u * law.total, np.zeros(u.size, dtype=np.intp))
+        np.testing.assert_allclose(got, ref.ppf(u), rtol=1e-8)
 
     def test_cdf_matches_reference(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (-0.5,), 2.0)
+        nws = weight_law(like, (-0.5,), 2.0)
         ref = stats.gamma(a=0.5, scale=0.5)
         ts = np.array([1e-9, 1e-3, 0.05, 0.3, 1.0, 3.0, 50.0])
         np.testing.assert_allclose(nws.cdf(ts), ref.cdf(ts), rtol=1e-8, atol=1e-12)
@@ -374,7 +381,7 @@ class TestNumericWeightSampler:
     def test_interior_cdf_error_is_pinned(self):
         # Gamma(1, rate 2), the oracle suite's weight law for the gamma model
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (0.0,), 2.0)
+        nws = weight_law(like, (0.0,), 2.0)
         ts = np.concatenate([np.geomspace(1e-12, 1.0, 2000), np.linspace(0.0, 20.0, 200_001)])
         err = np.abs(nws.cdf(ts) - stats.gamma(a=1.0, scale=0.5).cdf(ts)).max()
         assert err <= 1e-8
@@ -388,7 +395,7 @@ class TestNumericWeightSampler:
     def test_steep_bounded_laws_build(self, entry, xi, lam):
         # weight laws that fall to zero like (1 - t)^p, p >= 3.5, at the top
         # of (0, 1): the panels next to 1 are integrated in the distance to it
-        nws = _NumericWeightSampler(entry.make_likelihood(), (xi,), lam)
+        nws = weight_law(entry.make_likelihood(), (xi,), lam)
         b = lam * entry.r + 1.0 if entry is NB else lam - xi + 1.0
         ts = np.concatenate(
             [np.linspace(0.0, 1.0, 20_001), np.geomspace(1e-12, 1e-3, 200), 1.0 - np.geomspace(1e-12, 1e-3, 200)]
@@ -418,7 +425,7 @@ class TestNumericWeightSampler:
     )
     def test_edge_laws_match_reference(self, entry, xi, lam, ref):
         like = dataclasses.replace(entry.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (xi,), lam)
+        nws = weight_law(like, (xi,), lam)
         quantiles = ref.ppf(np.linspace(0.0, 1.0, 2001))
         ts = np.concatenate([np.geomspace(1e-300, 1e12, 3000), np.linspace(0.0, 20.0, 20_001), quantiles])
         assert np.abs(nws.cdf(ts) - ref.cdf(ts)).max() <= 1e-8
@@ -426,7 +433,7 @@ class TestNumericWeightSampler:
     def test_bounded_law_without_a_top_evaluator(self):
         # Beta(0.5, 0.3): 1.6% of its mass lies within 1e-6 of the top, where
         # 1 - v is too coarse for the panels and a Jacobi cap closes the law
-        nws = _NumericWeightSampler(topless_bernoulli(), (-0.5,), -1.2)
+        nws = weight_law(topless_bernoulli(), (-0.5,), -1.2)
         ts = np.concatenate(
             [np.linspace(0.0, 1.0, 20_001), np.geomspace(1e-12, 1e-3, 200), 1.0 - np.geomspace(1e-12, 1e-3, 200)]
         )
@@ -439,13 +446,13 @@ class TestNumericWeightSampler:
         panels = _Panels(lambda t: 20.0 * np.log(t), np.array([0.0, 1.0]), "t^20")
         panels.cum = np.array([0.0, 1.0 / 21.0])
         u = np.array([1e-6, 0.1, 0.5, 0.9])
-        np.testing.assert_allclose(panels.solve(u / 21.0), u ** (1.0 / 21.0), rtol=1e-12)
+        got = _newton([panels], [u.size], u / 21.0, lambda rows, pts: panels.log_density(pts)[0])
+        np.testing.assert_allclose(got, u ** (1.0 / 21.0), rtol=1e-12)
 
     def test_sample_draws_one_uniform_per_weight(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
-        nws = _NumericWeightSampler(like, (-0.5,), 2.0)
         gen, twin = RngState(34).generator(), RngState(34).generator()
-        nws.sample(gen, 17)
+        numeric_draws(like, (-0.5,), 2.0, gen, 17)
         twin.uniform(size=17)
         assert gen.bit_generator.state == twin.bit_generator.state
 
@@ -457,7 +464,7 @@ class TestNumericWeightSampler:
                                    family="mystery")
         gen = RngState(5).generator()
         n = 20_000
-        draws = _NumericWeightSampler(like, (-0.5,), -9.5).sample(gen, n)
+        draws = numeric_draws(like, (-0.5,), -9.5, gen, n)
         assert draws.max() == np.nextafter(1.0, 0.0)
         p = stats.beta(0.5, 0.05).sf(1.0 - 1e-10)
         assert abs(np.mean(draws >= 1.0 - 1e-10) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
@@ -466,9 +473,9 @@ class TestNumericWeightSampler:
     def test_improper_parameters_rejected(self):
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery")
         with pytest.raises(DomainError, match="not normalizable"):
-            _NumericWeightSampler(like, (-1.0,), 1.0)
+            weight_law(like, (-1.0,), 1.0)
         with pytest.raises(DomainError, match="infinity"):
-            _NumericWeightSampler(like, (-0.5,), 0.0)
+            weight_law(like, (-0.5,), 0.0)
 
 
 class TestEndToEndUnregistered:
@@ -514,9 +521,9 @@ class TestEndToEndUnregistered:
 
 def _reference_cell_weights(sampler, gen, xi, lam, n):
     """Per-cell weight draw: the catalog laws, edge values clipped to the nearest double inside."""
-    entry = sampler.table.entry
-    if entry is None:
-        return sampler._weights_from_params(gen, xi, lam, n)
+    entry = sampler.table.family
+    if isinstance(entry, QuadratureFamily):
+        return entry.draw_weights(gen, np.tile(xi, (n, 1)), np.full(n, lam))
     xi0 = xi[0]
     family = entry.likelihood_id
     big = sys.float_info.max

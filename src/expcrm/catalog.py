@@ -403,20 +403,28 @@ class PoissonGamma(CatalogEntry):
         """mass * Gamma(s) * ((lam+m-1)^-s - (lam+m)^-s), s = xi + 1.
 
         Written through expm1 so nothing cancels as s -> 0, where the
-        correct limit mass * log((lam+m)/(lam+m-1)) takes over exactly.
+        correct limit mass * log((lam+m)/(lam+m-1)) takes over exactly.  At
+        lam + m - 1 = 0 the total is finite only for s < 0, where
+        (lam+m-1)^-s vanishes and -mass * Gamma(s) * (lam+m)^-s is left.
         """
         xi0 = _xi0(xi)
         s = xi0 + 1.0
         m = np.asarray(m, dtype=float)
         a = lam + m - 1.0
         b = lam + m
-        if np.any(a <= 0.0):
-            raise DomainError("round totals need lam + m - 1 > 0")
+        edge = a == 0.0
+        if np.any(a < 0.0) or (s >= 0.0 and np.any(edge)):
+            raise DomainError("round totals need lam + m - 1 > 0, or lam + m - 1 = 0 with xi < -1")
+        a = np.where(edge, b, a)  # any positive stand-in: the edge entries are replaced below
         log_ratio = np.log(b / a)
         if s == 0.0:
             return mass * log_ratio
         core = -np.expm1(-s * log_ratio)  # 1 - (a/b)^s, sign-safe for s < 0
-        return (mass * math.exp(gammaln(s + 1.0)) / s) * np.exp(-s * np.log(a)) * core
+        scale = mass * math.exp(gammaln(s + 1.0)) / s
+        total = scale * np.exp(-s * np.log(a)) * core
+        if edge.any():
+            total = np.where(edge, -scale * np.exp(-s * np.log(b)), total)
+        return total
 
     def _draw_weights(self, generator, xi0, lam):
         return generator.gamma(xi0 + 1.0, 1.0 / lam)

@@ -40,16 +40,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ExpCrmError, InvalidModelError, QuadratureError
-from .measures import Location
-from .quadrature import (
-    IntegrandSpec,
-    PanelLaw,
-    invert,
-    log_integrate,
-    probed_orders,
-    relative_to_peak,
+from .errors import (
+    DivergenceSuspected, DomainError, ExpCrmError, InvalidModelError, QuadratureError,
 )
+from .measures import Location
+from .quadrature import IntegrandSpec, PanelLaw, checked_law, invert, log_integrate
 
 
 def as_xi(xi) -> tuple[float, ...]:
@@ -347,13 +342,12 @@ class QuadratureFamily:
     def log_B(self, xi, lam: float, rel_tol: float = 1e-10) -> float:
         """log of a validated quadrature of the kernel, its endpoint powers probed.
 
-        Relative to the kernel's largest value on the starting knots, so a
-        B far outside floating-point range (posterior-sized parameters)
-        stays exact.  DivergenceSuspected when the kernel is improper.
+        A B far outside floating-point range (posterior-sized parameters)
+        stays exact through the law's shift.  DivergenceSuspected when the
+        kernel is improper.
         """
         like = self.likelihood
-        spec, offset = relative_to_peak(_kernel_spec(like, as_xi(xi), lam, name=f"B[{like.family}]"))
-        return log_integrate(spec, rel_tol=rel_tol) + offset
+        return log_integrate(_kernel_spec(like, as_xi(xi), lam, f"B[{like.family}]"), rel_tol)
 
     def hyperparam_valid(self, mass: float, xi, lam: float) -> "ValidityResult":
         """Valid, with a warning: only the numeric checks can speak for the ordinary component."""
@@ -434,33 +428,27 @@ class QuadratureFamily:
         return out
 
     def weight_law(self, xi, lam: float) -> PanelLaw:
-        """The panel law of the kernel at (xi, lam), each panel's error bound within 1e-10 of its mass.
+        """The kernel's law at (xi, lam) from :func:`~expcrm.quadrature.checked_law`, kept once built.
 
-        So every cumulative sum, from either end, is within about 1e-10 of
-        itself.  The endpoint powers are probed, never taken from a catalog:
-        the oracle's weight-law test uses this cdf as its reference.
-        DomainError when a power makes the law improper.
+        Each panel's error bound is held within 1e-10 of its mass, but the
+        law's total is not certified: a Bernoulli-beta clone without
+        ``log_kernel_upper_fn`` builds Beta(a, 0.05) laws whose bound is
+        some 400 times that tolerance, and draws from them all the same.
+        The endpoint powers are probed, never taken from a catalog: the
+        oracle's weight-law test uses this cdf as its reference.
+        DomainError when the kernel is not normalizable.
         """
         key = (as_xi(xi), float(lam))
         law = self._laws.get(key)
-        if law is not None:
-            return law
-        like = self.likelihood
-        spec = _kernel_spec(like, *key, f"weight law for {like.family}")
-        low, up = probed_orders(spec)
-        if low <= -1.0 + 1e-7:
-            raise DomainError(
-                f"weight density for {like.family} is not normalizable at 0 "
-                f"(endpoint power {low:.6f}); the parameters are improper"
-            )
-        finite = math.isfinite(spec.upper)
-        if (up <= -1.0 + 1e-7) if finite else (up is not None and up >= -1.0 - 1e-7):
-            where = "its upper boundary" if finite else "infinity"
-            raise DomainError(
-                f"weight density for {like.family} is not normalizable at "
-                f"{where} (endpoint power {up:.6f})"
-            )
-        law = self._laws[key] = PanelLaw(spec, low, up, 1e-10)
+        if law is None:
+            like = self.likelihood
+            try:
+                law = checked_law(_kernel_spec(like, *key, f"weight law for {like.family}"), 1e-10)
+            except DivergenceSuspected as err:
+                raise DomainError(
+                    f"weight density for {like.family} is not normalizable at {err.endpoint}"
+                ) from err
+            self._laws[key] = law
         return law
 
     def draw_weights(self, generator, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -49,13 +49,17 @@ probed power always passes the check.  The probe, the check and the panels
 reach a finite top one way, :meth:`IntegrandSpec.log_f_from_top`: through
 the spec's stable top evaluator when it has one.
 
+Every law passes one gate, :func:`checked_law`: the slope rule checks the
+declared powers or measures the undeclared ones, the shell screens meet
+every divergent end, and only then is the :class:`PanelLaw` built.
+:func:`integrate` and :func:`log_integrate` certify its totals by one rule,
+and weight draws invert its laws uncertified.
+
 Evaluators work in log space (``log_f``), and the panels take each column
 relative to its largest value at their first nodes, raised if a march
 toward infinity finds far larger values, so kernels with huge dynamic range
 never overflow.  :func:`log_integrate` returns the logs of the integrals,
-which may lie outside floating-point range; :func:`relative_to_peak` divides
-an integrand by its peak on the starting knots for a caller that keeps the
-offset itself.
+which may lie outside floating-point range.
 """
 
 from __future__ import annotations
@@ -375,25 +379,6 @@ def _start_knots(spec: IntegrandSpec) -> list:
     return [(spec.log_f, grid), (spec.log_f_from_top, top)]
 
 
-def relative_to_peak(spec: IntegrandSpec) -> tuple[IntegrandSpec, float]:
-    """``spec`` divided by ``exp(offset)``, and the offset.
-
-    The offset is the largest ``log f`` on the starting knots of a
-    :class:`PanelLaw` over ``spec`` (0 where f is zero on all of them), so
-    the divided integrand stays in floating-point range near its peak, and
-    the log of the integral is that of the divided one plus the offset.
-    """
-    peak = max(float(np.max(_eval_log(g, k, spec.name))) for g, k in _start_knots(spec))
-    offset = peak if math.isfinite(peak) else 0.0
-    top = spec.log_f_upper
-    divided = replace(
-        spec,
-        log_f=lambda t: spec.log_f(t) - offset,
-        log_f_upper=None if top is None else (lambda v: top(v) - offset),
-    )
-    return divided, offset
-
-
 def _rule_points(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The points a + (b - a)(1 + y)/2, one row per interval [a, b]."""
     return a[:, None] + np.multiply.outer(b - a, 0.5 * (1.0 + y))
@@ -573,15 +558,17 @@ def _jacobi_cap(side: _Panels, p: np.ndarray, e: float):
 class PanelLaw:
     """Certified panel sums of a positive integrand, with their cdf and its inverse.
 
-    ``low`` and ``up`` are the endpoint powers of ``spec`` in the sense of
-    :class:`IntegrandSpec`, both convergent: floats for an integrand of one
-    column, arrays of one power per column otherwise.  ``up`` None (NaN in
-    a column) means a smooth finite top, or faster-than-power decay at
-    infinity.  Every panel's error bound is held within ``rel_tol`` of its
-    mass (or 1e-16 of the total) in every column, and a march toward an
-    infinite top closes once every column has: at a shell within 1e-3 *
-    rel_tol of the mass below it, or, for a power tail, once the analytic
-    piece above is within rel_tol / 2 of it.
+    ``spec`` declares both endpoint powers, in the sense of
+    :class:`IntegrandSpec`, and both are convergent: floats for an
+    integrand of one column, arrays of one power per column otherwise.  An
+    upper power of None (NaN in a column) means a smooth finite top, or
+    faster-than-power decay at infinity; :func:`checked_law` builds every
+    law once it has checked or probed the powers.  Every panel's error
+    bound is held within ``rel_tol`` of its mass (or 1e-16 of the total)
+    in every column, and a march toward an infinite top closes once every
+    column has: at a shell within 1e-3 * rel_tol of the mass below it, or,
+    for a power tail, once the analytic piece above is within rel_tol / 2
+    of it.
 
     After construction ``total`` is the integral and ``err`` bounds its
     error, both in units of ``exp(shift)``, the largest integrand value at
@@ -592,8 +579,8 @@ class PanelLaw:
     masses in (0, total) of one-column laws back to points.
     """
 
-    def __init__(self, spec: IntegrandSpec, low, up, rel_tol: float):
-        name = spec.name
+    def __init__(self, spec: IntegrandSpec, rel_tol: float):
+        name, low, up = spec.name, spec.lower_order, spec.upper_order
         self._upper = float(spec.upper)
         self._finite = math.isfinite(self._upper)
         one_column = np.ndim(low) == 0
@@ -728,7 +715,7 @@ class PanelLaw:
         return np.clip(out / self.total, 0.0, 1.0)
 
 
-def invert(laws, c: np.ndarray, owner: np.ndarray, log_f=None) -> np.ndarray:
+def invert(laws, c: np.ndarray, owner: np.ndarray, log_f) -> np.ndarray:
     """The points at which one-column laws' cumulative sums reach the masses ``c``.
 
     ``c[i]`` lies in (0, total) of ``laws[owner[i]]``, and the laws share one
@@ -736,8 +723,7 @@ def invert(laws, c: np.ndarray, owner: np.ndarray, log_f=None) -> np.ndarray:
     every other mass, whatever its law and side, joins one Newton loop,
     :func:`_newton`.  ``log_f(t, who, from_top)`` is the log integrand of law
     ``laws[who[r]]`` at the points of row r of ``t`` (distances from a
-    finite top when ``from_top``), one evaluation for all the laws; without
-    it, the one law given evaluates its own spec.
+    finite top when ``from_top``), one evaluation for all the laws.
     """
     first = laws[0]
     upper, finite = first._upper, first._finite
@@ -775,9 +761,6 @@ def invert(laws, c: np.ndarray, owner: np.ndarray, log_f=None) -> np.ndarray:
     target = np.where(from_top, total[rest] - c[rest], c[rest])
     groups, sizes = np.unique(key, return_counts=True)
     sides = [laws[k // 2]._sides[k % 2] for k in groups.tolist()]
-    if log_f is None:
-        def log_f(t, _who, at_top):
-            return first._sides[int(at_top)].log_density(t)[0]
 
     def log_at(rows, pts):
         logs = np.empty(pts.shape)
@@ -795,12 +778,14 @@ def invert(laws, c: np.ndarray, owner: np.ndarray, log_f=None) -> np.ndarray:
 # --- the public entry points ------------------------------------------------
 
 
-def _checked_law(spec: IntegrandSpec, rel_tol: float) -> PanelLaw:
+def checked_law(spec: IntegrandSpec, rel_tol: float) -> PanelLaw:
     """The :class:`PanelLaw` of ``spec`` once its declared powers have passed the slope rule.
 
-    Powers ``spec`` leaves undeclared are measured by the same rule.  A
-    column divergent at an end goes to the shell screen, which raises
-    either way.
+    The gate every law passes.  Powers ``spec`` leaves undeclared are
+    measured by the same rule.  A column divergent at an end, or within
+    probe noise of it, goes to the shell screen, which raises either way.
+    The law's totals are not certified here: :func:`integrate` and
+    :func:`log_integrate` do that.
     """
     if not 0.0 < rel_tol < 1.0:
         raise QuadratureError("rel_tol must lie in (0, 1)")
@@ -842,7 +827,17 @@ def _checked_law(spec: IntegrandSpec, rel_tol: float) -> PanelLaw:
                     column(spec.log_f, c), 2.0, outward=True, name=name, where="infinity"
                 )
 
-    return PanelLaw(spec, spec.lower_order, spec.upper_order, rel_tol)
+    return PanelLaw(spec, rel_tol)
+
+
+def _certified(law: PanelLaw, rel_tol: float, name: str) -> None:
+    """Raise unless every column's error bound is within 50 ``rel_tol`` of its total."""
+    for total, err, shift in zip(*(np.atleast_1d(v) for v in (law.total, law.err, law.shift))):
+        if err > 50.0 * rel_tol * total:
+            raise QuadratureError(
+                f"{name}: error estimate {err:.3e} is far above the requested "
+                f"tolerance for total {total:.6e} (in units of exp({shift:g}))"
+            )
 
 
 def integrate(spec: IntegrandSpec, rel_tol: float = 1e-10) -> tuple[float, float]:
@@ -862,20 +857,15 @@ def integrate(spec: IntegrandSpec, rel_tol: float = 1e-10) -> tuple[float, float
         (contributions toward the endpoint fail to decay).
     QuadratureError
         Refinement budgets were exhausted, or the error estimate landed
-        far above the requested tolerance.
+        above 50 ``rel_tol`` of the total.
     """
-    name = spec.name
-    law = _checked_law(spec, rel_tol)
+    law = checked_law(spec, rel_tol)
+    _certified(law, rel_tol, spec.name)
     with np.errstate(over="ignore"):
         unit = float(np.exp(law.shift))
     value, err = law.total * unit, law.err * unit
     if not math.isfinite(value):
-        raise QuadratureError(f"{name}: overflow inside an interior panel")
-    if err > 50.0 * rel_tol * max(abs(value), 1e-300):
-        raise QuadratureError(
-            f"{name}: error estimate {err:.3e} is far above the requested "
-            f"tolerance for value {value:.6e}"
-        )
+        raise QuadratureError(f"{spec.name}: overflow inside an interior panel")
     return value, err
 
 
@@ -888,14 +878,10 @@ def log_integrate(spec: IntegrandSpec, rel_tol: float = 1e-10):
     exact either way.  Raises as :func:`integrate` does, and when a column's
     integral vanishes.
     """
-    law = _checked_law(spec, rel_tol)
+    law = checked_law(spec, rel_tol)
+    _certified(law, rel_tol, spec.name)
     logs = []
-    for total, err, shift in zip(*(np.atleast_1d(v) for v in (law.total, law.err, law.shift))):
-        if err > 50.0 * rel_tol * total:
-            raise QuadratureError(
-                f"{spec.name}: error estimate {err:.3e} is far above the requested "
-                f"tolerance for total {total:.6e} (in units of exp({shift:g}))"
-            )
+    for total, shift in zip(*(np.atleast_1d(v) for v in (law.total, law.shift))):
         if not total > 0.0:
             raise QuadratureError(f"{spec.name}: the integral vanished")
         with np.errstate(over="ignore"):

@@ -389,8 +389,12 @@ class TestRoundTotals:
         assert closed == pytest.approx(numeric, rel=1e-8)
 
     def test_domain_guards(self):
+        # at lam + m - 1 = 0 the gamma total is finite for xi < -1 (2 sqrt(pi)
+        # here) and infinite from xi = -1 up
+        got = POISSON_GAMMA.round_total(1.0, (-1.5,), 0.0, 1)
+        assert got == pytest.approx(total_by_quadrature(POISSON_GAMMA, 1.0, (-1.5,), 0.0, 1), rel=1e-9)
         with pytest.raises(DomainError):
-            POISSON_GAMMA.round_total(1.0, (-1.5,), 0.0, 1)
+            POISSON_GAMMA.round_total(1.0, (-1.0,), 0.0, 1)
         with pytest.raises(DomainError):
             NB.round_total(1.0, (-1.5,), -0.5, 1)
 

@@ -102,7 +102,7 @@ def test_bench_seed_outputs_match_the_digest_table(workload, tmp_path):
 
 VERIFY_REPORTS = {
     "assumptions": "2a4a56fc70916d5bc81f520eb086aebeda8f17902157ac5242d7fd960e974cc0",
-    "oracle": "b02a2ac5284d600cbf7aaef76d0f2bddc3500326ee5913505fea675793ed59f4",
+    "oracle": "26d62371ed857e0c07e77adffd65b4f6156b4adb27a2c2a6769d28c9fa401153",
     "equivalence": "d5f71211711ff25248dddb848932e10cab418096e79a9d639da62128039da848",
 }
 

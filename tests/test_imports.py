@@ -10,7 +10,9 @@ scan keeps every module from importing ``scipy.stats`` or either solver
 package at any level, and a third from reading or assigning a generator's
 ``bit_generator.state``: draws read the stream forward only.  A fourth
 keeps Gauss rules and private ``quadrature`` names inside ``quadrature.py``,
-so the package has one quadrature engine.
+so the package has one quadrature engine, and a fifth keeps every call of
+``PanelLaw`` and ``probed_orders`` there too, so every law passes its gate,
+``checked_law``.
 """
 
 import ast
@@ -283,6 +285,44 @@ class TestOneQuadratureEngine:
     )
     def test_only_quadrature_builds_rules(self, path):
         assert quadrature_engine_names(path.read_text(encoding="utf-8")) == []
+
+
+# the engine calls only ``quadrature.checked_law`` makes
+GATED = ("PanelLaw", "probed_orders")
+
+
+def calls_to(source: str, names) -> list[str]:
+    """The calls in ``source`` of any of ``names``, bare or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in names:
+                found.append(called)
+    return sorted(found)
+
+
+class TestOneQuadratureGate:
+    def test_scan_sees_bare_and_attribute_calls(self):
+        source = (
+            "from .quadrature import PanelLaw, probed_orders\n"
+            "from . import quadrature\n"
+            "def f(spec) -> PanelLaw:\n"
+            "    low, up = probed_orders(spec)\n"
+            "    return PanelLaw(spec, 1e-10), quadrature.PanelLaw(spec, 1e-10)\n"
+        )
+        assert calls_to(source, GATED) == ["PanelLaw", "PanelLaw", "probed_orders"]
+
+    @pytest.mark.parametrize(
+        "path", [p for p in MODULES if p.name != "quadrature.py"], ids=lambda p: p.name
+    )
+    def test_only_the_gate_builds_laws(self, path):
+        assert calls_to(path.read_text(encoding="utf-8"), GATED) == []
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_no_second_way_to_shift_a_kernel(self, path):
+        assert names_read(path.read_text(encoding="utf-8"), "relative_to_peak") == []
 
 
 def names_read(source: str, name: str) -> list[int]:

@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from expcrm import quadrature
 from expcrm.catalog import BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, POISSON_GAMMA, get_entry
-from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, log_partition_B
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, QuadratureFamily, log_partition_B
 from expcrm.marginal import predictive_logpmf
 from expcrm.measures import Location
 from expcrm.quadrature import IntegrandSpec, PanelLaw, integrate, log_integrate
@@ -92,6 +92,18 @@ def test_steep_top_is_reached_through_the_top_evaluator(xi, lam):
     )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: reached only through 1 - v, the top power -0.95 is probed about "
+    "1e-9 off, so the weight law's error bound is 397-451 rel_tol of its total, above the 50 "
+    "rel_tol log_integrate enforces, and draw_weights draws from it without a word",
+)
+@pytest.mark.parametrize("xi, lam", STEEP_TOP_POINTS)
+def test_weight_law_without_the_top_evaluator_meets_its_tolerance(xi, lam):
+    law = QuadratureFamily(clone(BERNOULLI_BETA, log_kernel_upper_fn=None)).weight_law((xi,), lam)
+    assert law.err <= 50.0 * 1e-10 * law.total
+
+
 def test_predictive_out_of_support_is_log_zero():
     got = predictive_logpmf(clone(BERNOULLI_BETA), (0.5,), 3.0, np.array([[0, 2], [1, 3]]))
     assert got.shape == (2, 2)
@@ -162,9 +174,9 @@ class TestColumns:
         np.testing.assert_allclose(log_integrate(self.gamma_columns(shapes, rate)), want, rtol=1e-12)
 
     def test_one_column_gives_floats_and_columns_give_arrays(self):
-        one = PanelLaw(IntegrandSpec(lambda t: np.log(t) - t, math.inf, 1.0), 1.0, None, 1e-10)
+        one = PanelLaw(IntegrandSpec(lambda t: np.log(t) - t, math.inf, 1.0), 1e-10)
         assert all(type(v) is float for v in (one.shift, one.total, one.err))
-        many = PanelLaw(self.gamma_columns([2.0, 3.0], 1.0), [1.0, 2.0], None, 1e-10)
+        many = PanelLaw(self.gamma_columns([2.0, 3.0], 1.0), 1e-10)
         assert many.total.shape == many.err.shape == many.shift.shape == (2,)
         np.testing.assert_allclose(many.total * np.exp(many.shift), [1.0, 2.0], rtol=1e-13)
 

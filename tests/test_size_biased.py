@@ -20,7 +20,7 @@ from expcrm.errors import (
     RngFaultError,
     TailBoundError,
 )
-from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, QuadratureFamily
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, QuadratureFamily, _kernel_spec
 from expcrm.marginal import MarginalConfig, MarginalSampler
 from expcrm.measures import Location
 from expcrm.quadrature import _newton, _Panels, invert
@@ -368,7 +368,12 @@ class TestNumericWeightSampler:
         law = weight_law(like, (-0.5,), 2.0)
         ref = stats.gamma(a=0.5, scale=0.5)
         u = np.array([1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999])
-        got = invert([law], u * law.total, np.zeros(u.size, dtype=np.intp))
+        spec = _kernel_spec(like, (-0.5,), 2.0, "gamma kernel")
+
+        def log_f(t, _who, from_top):
+            return (spec.log_f_from_top if from_top else spec.log_f)(t)
+
+        got = invert([law], u * law.total, np.zeros(u.size, dtype=np.intp), log_f)
         np.testing.assert_allclose(got, ref.ppf(u), rtol=1e-8)
 
     def test_cdf_matches_reference(self):

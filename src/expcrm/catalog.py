@@ -589,6 +589,12 @@ class OddsBernoulliBetaPrime(CatalogEntry):
 # --- negative_binomial(r) / beta -----------------------------------------------
 
 
+def _nb_family(r: float) -> str:
+    """The family id of shape ``r``: its %g form when that reads back as ``r``, else its repr."""
+    short = format(r, "g")
+    return f"negative_binomial({short if float(short) == r else repr(r)})"
+
+
 class NegativeBinomialBeta(_NativeBeta):
     """Counts are NB(r, theta); weights on (0, 1) with kernel exponent lam*r."""
 
@@ -609,7 +615,7 @@ class NegativeBinomialBeta(_NativeBeta):
 
     @property
     def family(self) -> str:
-        return f"negative_binomial({format(self.r, 'g')})"
+        return _nb_family(self.r)
 
     def _likelihood_fields(self) -> dict:
         r = self.r
@@ -725,8 +731,7 @@ def get_entry(likelihood_id: str, r: float | None = None) -> CatalogEntry:
     if likelihood_id == "negative_binomial":
         if r is None:
             raise DomainError("negative_binomial needs the shape parameter r")
-        key = f"negative_binomial({format(float(r), 'g')})"
-        return _ENTRIES.get(key) or NegativeBinomialBeta(r)
+        return _ENTRIES.get(_nb_family(float(r))) or NegativeBinomialBeta(r)
     if r is not None:
         raise DomainError(f"family {likelihood_id!r} takes no shape parameter")
     entry = _ENTRIES.get(likelihood_id)

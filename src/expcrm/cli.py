@@ -16,6 +16,9 @@ Subcommands
 ``verify --model model.json [--suite assumptions|oracle|equivalence] [--seed S] [--reps R] [--report report.json]``
     Run one verification suite; exit 0 only if every check passes.
 
+Every ``--model`` also takes a ``posterior --out`` file: ``sample-marginal``
+on one draws from the posterior predictive.
+
 Exit codes: 0 success, 1 validation failure (bad hyperparameters, counts
 outside support, truncation budget exceeded, failed verification), 2 I/O
 failure (unreadable files, malformed JSON, schema violations).
@@ -106,19 +109,6 @@ def _cmd_posterior(args) -> int:
     ]
     post = posterior_update(prior, observations)
 
-    # the posterior block is itself a loadable model config
-    model = {
-        "likelihood": cfg.family,
-        **({"r": cfg.r} if cfg.r is not None else {}),
-        "prior": cfg.entry.prior_id,
-        "params": {"mass": post.mass, "xi": list(post.xi), "lam": post.lam},
-        "fixed_atoms": [
-            {"loc": a.location.value, "xi": list(a.xi), "lam": a.lam}
-            for a in post.fixed_atoms
-        ],
-        "truncation": cfg.to_jsonable()["truncation"],
-        "seed": cfg.seed,
-    }
     out = {
         "header": _header(
             "posterior",
@@ -128,7 +118,7 @@ def _cmd_posterior(args) -> int:
             None,  # the update is exact; nothing was truncated
         ),
         "n_obs": post.n_obs,
-        "model": model,
+        "model": cfg.with_prior(post).to_jsonable(),
     }
     _write_json(args.out, out)
     return 0

@@ -22,7 +22,8 @@ must name the conjugate pair's prior.  In place of ``params``, families
 with a classical parametrization (bernoulli, negative_binomial) accept
 ``"native": {"mass": g, "alpha": a, "theta": t}``, and their fixed
 atoms accept ``{"loc": l, "rho": p, "sigma": s}``; conversion goes
-through the catalog so the two spellings build the same prior.
+through the catalog so the two spellings build the same prior.  The
+``model`` block of a ``posterior --out`` file is one, from ``with_prior``.
 
 Schema violations (wrong types, unknown keys, unparseable JSON) raise
 ``ConfigError``: the file itself is broken.  A well-formed file whose
@@ -43,12 +44,11 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .catalog import CatalogEntry, get_entry, hyperparam_valid
+from .catalog import CatalogEntry, get_entry
 from .errors import ConfigError, DomainError, InvalidModelError
-from .exp_family import ExpCrmPrior, FixedAtomParams
-from .measures import Location
+from .exp_family import ExpCrmPrior, FixedAtomParams, auto_conjugate
 
 __all__ = ["ModelConfig", "parse_model_config"]
 
@@ -132,8 +132,8 @@ def _parse_family(data: dict) -> tuple[str, float | None]:
     return fam, None
 
 
-def _parse_fixed_atom(entry: CatalogEntry, row, i: int):
-    """One atom spec in either coordinate system -> (loc, xi, lam, echo)."""
+def _parse_fixed_atom(entry: CatalogEntry, row, i: int) -> dict:
+    """One atom spec in either coordinate system, as its normalized row."""
     where = f"fixed_atoms[{i}]"
     row = _require_object(row, where)
     if "loc" not in row:
@@ -141,10 +141,8 @@ def _parse_fixed_atom(entry: CatalogEntry, row, i: int):
     loc = _number(row, "loc", where)
     keys = set(row) - {"loc"}
     if keys == {"xi", "lam"}:
-        xi = _parse_xi(row["xi"], where)
-        lam = _number(row, "lam", where)
-        echo = {"loc": loc, "xi": list(xi), "lam": lam}
-        return loc, xi, lam, echo
+        xi = list(_parse_xi(row["xi"], where))
+        return {"loc": loc, "xi": xi, "lam": _number(row, "lam", where)}
     if keys == {"rho", "sigma"}:
         if not hasattr(entry, "native_fixed_atom"):
             raise ConfigError(
@@ -152,9 +150,7 @@ def _parse_fixed_atom(entry: CatalogEntry, row, i: int):
                 "parametrization; use 'xi' and 'lam'"
             )
         rho = _number(row, "rho", where)
-        sigma = _number(row, "sigma", where)
-        echo = {"loc": loc, "rho": rho, "sigma": sigma}
-        return loc, (rho, sigma), None, echo  # converted at build time
+        return {"loc": loc, "rho": rho, "sigma": _number(row, "sigma", where)}
     raise ConfigError(
         f"{where} must carry exactly 'loc' plus either ('xi', 'lam') or "
         f"('rho', 'sigma'), got keys {sorted(row)}"
@@ -166,16 +162,16 @@ class ModelConfig:
     """A parsed, schema-checked model description.
 
     Parsing checks shape only; :meth:`build_prior` checks meaning.  The
-    ``native`` echo keeps whatever coordinate system the file used, so
-    the config hash distinguishes the spelling but the built prior does
-    not.
+    ``native`` echo and the ``fixed_atoms`` rows keep whatever coordinate
+    system the file used, so the config hash distinguishes the spelling
+    but the built prior does not.
     """
 
     family: str
     r: float | None
     params: dict | None
     native: dict | None
-    fixed_atoms: tuple
+    fixed_atoms: tuple[dict, ...]
     rounds: int
     x_max: int
     eps_tail: float
@@ -194,7 +190,7 @@ class ModelConfig:
             out["params"] = self.params
         if self.native is not None:
             out["native"] = self.native
-        out["fixed_atoms"] = [echo for (_, _, _, echo) in self.fixed_atoms]
+        out["fixed_atoms"] = list(self.fixed_atoms)
         out["truncation"] = {
             "rounds": self.rounds,
             "x_max": self.x_max,
@@ -207,6 +203,18 @@ class ModelConfig:
         blob = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    def with_prior(self, prior: ExpCrmPrior) -> ModelConfig:
+        """This config carrying ``prior``, of its family, in exponential coordinates."""
+        return replace(
+            self,
+            params={"mass": prior.mass, "xi": list(prior.xi), "lam": prior.lam},
+            native=None,
+            fixed_atoms=tuple(
+                {"loc": a.location.value, "xi": list(a.xi), "lam": a.lam}
+                for a in prior.fixed_atoms
+            ),
+        )
+
     def build_prior(self) -> ExpCrmPrior:
         """Construct and validate the prior this config describes.
 
@@ -216,31 +224,22 @@ class ModelConfig:
         names via the catalog's converters.
         """
         entry = self.entry
-        atoms = []
-        for loc, par, lam, _echo in self.fixed_atoms:
-            if lam is None:
-                rho, sigma = par
-                try:
-                    xi, lam = entry.native_fixed_atom(rho, sigma)
-                except DomainError as err:
-                    raise InvalidModelError(str(err)) from err
-            else:
-                xi = par
-            atoms.append(FixedAtomParams(Location(loc), xi, lam))
-        if self.native is not None:
-            try:
+        try:
+            atoms = [
+                FixedAtomParams(row["loc"], row["xi"], row["lam"])
+                if "lam" in row
+                else FixedAtomParams(row["loc"], *entry.native_fixed_atom(row["rho"], row["sigma"]))
+                for row in self.fixed_atoms
+            ]
+            if self.native is not None:
                 mass, xi, lam = entry.native_params(
                     self.native["mass"], self.native["alpha"], self.native["theta"]
                 )
-            except DomainError as err:
-                raise InvalidModelError(str(err)) from err
-        else:
-            mass, xi, lam = self.params["mass"], tuple(self.params["xi"]), self.params["lam"]
-        prior = ExpCrmPrior(entry.make_likelihood(), mass, xi, lam, tuple(atoms))
-        res = hyperparam_valid(prior)
-        if not res.ok:
-            raise InvalidModelError(res.reason)
-        return prior
+            else:
+                mass, xi, lam = self.params["mass"], self.params["xi"], self.params["lam"]
+        except DomainError as err:
+            raise InvalidModelError(str(err)) from err
+        return auto_conjugate(entry.make_likelihood(), mass, xi, lam, atoms)
 
 
 def _parse_truncation(data) -> tuple[int, int, float]:
@@ -334,7 +333,7 @@ def model_config_from_dict(data) -> ModelConfig:
 
 
 def parse_model_config(path) -> ModelConfig:
-    """Read and schema-check a model config file."""
+    """Read and schema-check a model config file, or a ``posterior --out`` file's model."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -344,4 +343,6 @@ def parse_model_config(path) -> ModelConfig:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: malformed JSON: {err}") from err
+    if isinstance(data, dict) and data.keys() == {"header", "n_obs", "model"}:
+        data = data["model"]
     return model_config_from_dict(data)

@@ -4,6 +4,9 @@ Observing N count measures against a conjugate prior returns another
 model of the same shape: every touched location becomes (or updates) a
 fixed atom whose hyperparameters absorb the sufficient statistics, and
 the ordinary component keeps its own kernel with shifted parameters.
+So a ``PosteriorCrm`` is an ``ExpCrmPrior``: every sampler, rate table
+and check that takes a prior takes a posterior, and conditioning it on
+more data continues the update.
 The update is exchangeable, so feeding observations one at a time or
 all at once lands on the same posterior; ``iterated_equals_batch``
 checks that identity on concrete data.
@@ -34,28 +37,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PosteriorCrm:
-    """A posterior trait-measure model: prior shape plus the data count.
+class PosteriorCrm(ExpCrmPrior):
+    """A posterior trait-measure model: an ``ExpCrmPrior`` that counts its data.
 
     ``fixed_atoms`` lists the prior's atoms first (updated in place),
     then the locations the data introduced, in ascending location order.
     """
 
-    likelihood: ExpCrmLikelihood
-    mass: float
-    xi: tuple[float, ...]
-    lam: float
-    fixed_atoms: tuple[FixedAtomParams, ...]
-    n_obs: int
+    n_obs: int = 0  # a default only because the prior's last field has one
 
     def __post_init__(self):
         if isinstance(self.n_obs, bool) or not isinstance(self.n_obs, int) or self.n_obs < 0:
             raise DomainError(f"n_obs must be an integer >= 0, got {self.n_obs!r}")
-        # reuse the prior validation for everything else
-        self.as_prior()
+        super().__post_init__()
 
     def as_prior(self) -> ExpCrmPrior:
-        """The same model viewed as a prior for further observations."""
+        """The same model without its observation count."""
         return ExpCrmPrior(self.likelihood, self.mass, self.xi, self.lam, self.fixed_atoms)
 
     def atom_at(self, location: Location) -> FixedAtomParams:
@@ -90,23 +87,20 @@ def _shifted(
     return xi_new, lam + float(n)
 
 
-def posterior_update(model, observations) -> PosteriorCrm:
+def posterior_update(model: ExpCrmPrior, observations) -> PosteriorCrm:
     """Condition a model on a batch of observation measures.
 
-    ``model`` may be an ``ExpCrmPrior`` or an earlier ``PosteriorCrm``;
-    in the latter case the observation counter keeps accumulating.
-    Every location some observation touches gets a fixed atom; a count
-    of zero at a touched-elsewhere location still contributes phi(0)
-    and one unit of lam, exactly like an explicit zero observation.
+    ``model`` may be any ``ExpCrmPrior``; when it is a ``PosteriorCrm``
+    the observation counter keeps accumulating.  Every location some
+    observation touches gets a fixed atom; a count of zero at a
+    touched-elsewhere location still contributes phi(0) and one unit of
+    lam, exactly like an explicit zero observation.
     """
-    if isinstance(model, PosteriorCrm):
-        base, n_seen = model.as_prior(), model.n_obs
-    elif isinstance(model, ExpCrmPrior):
-        base, n_seen = model, 0
-    else:
+    if not isinstance(model, ExpCrmPrior):
         raise DomainError(f"model must be a prior or posterior, got {type(model).__name__}")
+    n_seen = model.n_obs if isinstance(model, PosteriorCrm) else 0
     observations = tuple(observations)
-    like = base.likelihood
+    like = model.likelihood
     n = len(observations)
 
     for i, obs in enumerate(observations):
@@ -133,17 +127,17 @@ def posterior_update(model, observations) -> PosteriorCrm:
     counts_at = {v: grouped[a:b] for v, a, b in zip(keys.tolist(), starts.tolist(), ends)}
 
     # the prior's fixed atoms in their order, then the fresh locations, ascending
-    known = {atom.location.value for atom in base.fixed_atoms}
-    sites = [(atom.location, atom.xi, atom.lam) for atom in base.fixed_atoms]
-    sites += [(Location(v), base.xi, base.lam) for v in counts_at if v not in known]
+    known = {atom.location.value for atom in model.fixed_atoms}
+    sites = [(atom.location, atom.xi, atom.lam) for atom in model.fixed_atoms]
+    sites += [(Location(v), model.xi, model.lam) for v in counts_at if v not in known]
     atoms = tuple(
         FixedAtomParams(loc, *_shifted(like, xi, lam, counts_at.get(loc.value, []), n))
         for loc, xi, lam in sites
     )
 
     # ordinary component: N zero-count observations everywhere else
-    mass_new = base.mass * math.exp(n * like.log_h(0))
-    xi_ord, lam_ord = _shifted(like, base.xi, base.lam, [], n)
+    mass_new = model.mass * math.exp(n * like.log_h(0))
+    xi_ord, lam_ord = _shifted(like, model.xi, model.lam, [], n)
     return PosteriorCrm(like, mass_new, xi_ord, lam_ord, atoms, n_seen + n)
 
 

@@ -85,6 +85,35 @@ class TestRegistry:
         families = [e.family for e in list_entries()]
         assert families == ["poisson", "bernoulli", "odds_bernoulli", "negative_binomial(1)"]
 
+    def test_nearby_shapes_get_their_own_entries(self):
+        # %g keeps six digits: both shapes once wrote negative_binomial(2.5)
+        near = get_entry("negative_binomial", 2.50000001)
+        assert near.r == 2.50000001
+        assert near.family == "negative_binomial(2.50000001)"
+        assert get_entry("negative_binomial", 2.5).r == 2.5
+
+    def test_a_new_shape_leaves_other_entries_in_place(self):
+        from expcrm.catalog import NegativeBinomialBeta
+
+        NegativeBinomialBeta(2.5000004)
+        assert entry_for(NB.make_likelihood()).r == 2.5
+        assert entry_for(get_entry("negative_binomial", 2.5000004).make_likelihood()).r == 2.5000004
+
+    @pytest.mark.parametrize(
+        "r, family",
+        [
+            (1.0, "negative_binomial(1)"),
+            (2.5, "negative_binomial(2.5)"),
+            (1e-7, "negative_binomial(1e-07)"),
+            (1 / 3, "negative_binomial(0.3333333333333333)"),
+            (123456.7, "negative_binomial(123456.7)"),
+        ],
+    )
+    def test_family_id_reads_back_as_its_shape(self, r, family):
+        entry = get_entry("negative_binomial", r)
+        assert entry.family == family
+        assert float(family[len("negative_binomial("):-1]) == r
+
 
 def closed_form_log_h(entry, x):
     if entry.likelihood_id == "poisson":

@@ -327,6 +327,37 @@ class TestPosterior:
         assert prior.lam == 2.0
         assert prior.fixed_atoms[0].location.value == 0.125
 
+    def _posterior_file(self, model, tmp_path):
+        """A ``posterior --out`` file from three sampled observations of ``model``."""
+        data, out = tmp_path / "data.jsonl", tmp_path / "post.json"
+        assert main(["sample-marginal", "--model", str(model), "--n", "3", "--out", str(data)]) == 0
+        assert main(["posterior", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+        return out
+
+    def test_posterior_file_is_a_model(self, gamma_model, tmp_path):
+        from expcrm.config import model_config_from_dict
+
+        post = self._posterior_file(gamma_model, tmp_path)
+        doc = json.loads(post.read_text())
+        predictive = tmp_path / "predictive.jsonl"
+        argv = ["sample-marginal", "--model", str(post), "--n", "4", "--out", str(predictive)]
+        assert main(argv) == 0
+        header = read_jsonl(predictive)[0]
+        assert header["config_sha256"] == model_config_from_dict(doc["model"]).config_hash()
+        assert header["config_sha256"] != doc["header"]["config_sha256"]
+        draws = tmp_path / "draws.jsonl"
+        argv = ["sample-prior", "--model", str(post), "--rounds", "5", "--out", str(draws)]
+        assert main(argv) == 0
+        assert main(["verify", "--model", str(post), "--suite", "assumptions"]) == 0
+
+    def test_posterior_file_with_an_extra_key_exit_2(self, gamma_model, tmp_path, capsys):
+        post = self._posterior_file(gamma_model, tmp_path)
+        doc = json.loads(post.read_text())
+        post.write_text(json.dumps({**doc, "note": "hand-edited"}))
+        argv = ["sample-marginal", "--model", str(post), "--n", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "unknown key(s)" in capsys.readouterr().err
+
     def test_consumes_sampler_output(self, gamma_model, tmp_path):
         data = tmp_path / "data.jsonl"
         assert main(

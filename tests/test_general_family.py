@@ -150,6 +150,23 @@ def test_posterior_shifts_by_phi0_and_scales_mass_by_h0():
     assert post.mass == pytest.approx(MASS * C**n, rel=1e-14)
 
 
+def test_posterior_rounds_continue_the_prior_rounds():
+    """After N observations, round m of the posterior is round N + m of the prior.
+
+    The posterior's mass carries h(0)^N = c^N and its xi N phi(0), which the
+    prior's round N + m gets from its factor h(0)^(N + m - 1) and its shift.
+    """
+    observations = MarginalSampler(prior(), MarginalConfig(x_max=16, eps_tail=1e-5)).sample(
+        5, RngState(4)
+    )
+    post = posterior_update(prior(), observations)
+    n = post.n_obs
+    for m in (1, 2, 5):
+        assert round_total(post, m) == pytest.approx(round_total(prior(), n + m), rel=1e-12)
+        for x in (1, 2, 4):
+            assert rate_M(post, m, x) == pytest.approx(rate_M(prior(), n + m, x), rel=1e-12)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=QuadratureError,

@@ -12,7 +12,8 @@ package at any level, and a third from reading or assigning a generator's
 keeps Gauss rules and private ``quadrature`` names inside ``quadrature.py``,
 so the package has one quadrature engine, and a fifth keeps every call of
 ``PanelLaw`` and ``probed_orders`` there too, so every law passes its gate,
-``checked_law``.
+``checked_law``.  A sixth keeps the model schema's ``"fixed_atoms"`` key, as a dict key or
+an index, in ``config.py``: the one module that reads and writes model blocks.
 """
 
 import ast
@@ -361,6 +362,50 @@ class TestOneFamilyDecision:
     )
     def test_only_family_of_chooses_closed_forms_or_quadrature(self, path):
         assert names_read(path.read_text(encoding="utf-8"), "entry_for") == []
+
+
+def json_keys(source: str, key: str) -> list[int]:
+    """Lines where ``source`` writes or reads ``key`` as a dict key, outside ``_descriptor`` values.
+
+    A key counts in a dict display or as the index of a subscript.  A
+    catalog entry's ``_descriptor`` is its ``families list`` text, whose
+    ``fixed_atoms`` line states where a fixed atom is valid: it describes
+    the family, not a model.
+    """
+    tree = ast.parse(source)
+    described = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_descriptor" for t in node.targets)
+        for inner in ast.walk(node.value)
+    }
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and id(node) not in described:
+            keys += node.keys
+        elif isinstance(node, ast.Subscript):
+            keys.append(node.slice)
+    return sorted(k.lineno for k in keys if isinstance(k, ast.Constant) and k.value == key)
+
+
+class TestOneModelWriter:
+    def test_scan_sees_keys_and_skips_descriptors(self):
+        source = (
+            "model = {'fixed_atoms': []}\n"
+            "class Entry:\n"
+            "    _descriptor = {'fixed_atoms': 'xi_fix > -1'}\n"
+            "rows = model['fixed_atoms']\n"
+            "object.__setattr__(model, 'fixed_atoms', rows)\n"
+            "note = {'note': 'fixed_atoms'}\n"
+        )
+        assert json_keys(source, "fixed_atoms") == [1, 4]
+
+    @pytest.mark.parametrize(
+        "path", [p for p in MODULES if p.name != "config.py"], ids=lambda p: p.name
+    )
+    def test_only_config_writes_a_model_block(self, path):
+        assert json_keys(path.read_text(encoding="utf-8"), "fixed_atoms") == []
 
 
 class TestExportTable:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,16 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from expcrm.catalog import BERNOULLI_BETA, POISSON_GAMMA, get_entry
+from expcrm.catalog import BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, POISSON_GAMMA, get_entry
+from expcrm.checks import run_suite
 from expcrm.errors import DomainError, InvalidObservationError
 from expcrm.exp_family import ExpCrmPrior, FixedAtomParams
-from expcrm.measures import Location, ObservationAtom, ObservationMeasure
+from expcrm.marginal import MarginalSampler
+from expcrm.measures import (
+    Location,
+    ObservationAtom,
+    ObservationMeasure,
+    observation_jsonl_line,
+    trait_jsonl_line,
+)
 from expcrm.posterior import (
     PosteriorCrm,
     iterated_equals_batch,
     posterior_fixed_atom_density,
     posterior_update,
 )
+from expcrm.rng import RngState
+from expcrm.size_biased import SizeBiasedConfig, SizeBiasedSampler, rate_M, round_total
 
 NB = get_entry("negative_binomial", r=2.5)
 
@@ -270,3 +281,77 @@ def test_fixed_atoms_match_per_atom_reference(clone):
     post = posterior_update(prior, observations)
     got = [(a.location.value, a.xi, a.lam) for a in post.fixed_atoms]
     assert got == per_atom_reference(prior, observations)
+
+
+# --- a posterior is a prior -----------------------------------------------------
+
+# (entry, mass, xi, lam): each catalog family, given the fixed atom FIXED
+FAMILIES = {
+    "gamma": (POISSON_GAMMA, 2.0, -1.5, 1.0),
+    "beta": (BERNOULLI_BETA, 2.0, -1.0, 1.0),
+    "beta-prime": (ODDS_BERNOULLI_BETA_PRIME, 2.0, -1.3, 1.2),
+    "negative-binomial": (NB, 2.0, -1.5, 3.0),
+}
+FIXED = FixedAtomParams(Location(0.625), (0.5,), 2.0)
+N_OBS = 6
+
+
+def catalog_posterior(name, seed, like=None):
+    """A catalog prior with one fixed atom, and its posterior after N_OBS of its own observations.
+
+    ``like`` replaces the prior's likelihood (an unregistered clone of it)
+    after the observations are drawn.
+    """
+    entry, mass, xi, lam = FAMILIES[name]
+    prior = ExpCrmPrior(entry.make_likelihood(), mass, (xi,), lam, (FIXED,))
+    data = MarginalSampler(prior).sample(N_OBS, RngState(seed, 0))
+    if like is not None:
+        prior = dataclasses.replace(prior, likelihood=like)
+    return prior, posterior_update(prior, data)
+
+
+def test_posterior_declares_only_its_count():
+    extra = {f.name for f in dataclasses.fields(PosteriorCrm)}
+    extra -= {f.name for f in dataclasses.fields(ExpCrmPrior)}
+    assert extra == {"n_obs"}
+    assert isinstance(posterior_update(gamma_prior(), [obs([(0.3, 1)])]), ExpCrmPrior)
+
+
+def outputs(model, seed):
+    """One size-biased draw, a five-step marginal stream and the assumption reports, as text."""
+    draw = SizeBiasedSampler(model, SizeBiasedConfig(m_max=20)).draw(RngState(seed, 1))
+    stream = MarginalSampler(model).sample(5, RngState(seed, 2))
+    reports = [r.to_jsonable() for r in run_suite(model, "assumptions")]
+    return (
+        trait_jsonl_line(0, draw),
+        "".join(observation_jsonl_line(0, n, o.counts, o.locations) for n, o in enumerate(stream)),
+        json.dumps(reports),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_samplers_and_checks_take_a_posterior(name, seed):
+    _, post = catalog_posterior(name, seed)
+    assert len(post.fixed_atoms) > 1
+    assert outputs(post, seed) == outputs(post.as_prior(), seed)
+
+
+def assert_rounds_continue(prior, post, rel):
+    """Round m of the posterior's ordinary component is round N + m of the prior's."""
+    bound = prior.likelihood.support_bound or 3
+    n = post.n_obs
+    for m in (1, 2, 5):
+        assert round_total(post, m) == pytest.approx(round_total(prior, n + m), rel=rel)
+        for x in range(1, bound + 1):
+            assert rate_M(post, m, x) == pytest.approx(rate_M(prior, n + m, x), rel=rel)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_posterior_rounds_continue_the_prior_rounds(name):
+    assert_rounds_continue(*catalog_posterior(name, 0), rel=1e-13)
+
+
+def test_clone_posterior_rounds_continue_the_prior_rounds():
+    like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery-poisson")
+    assert_rounds_continue(*catalog_posterior("gamma", 0, like), rel=1e-12)

@@ -215,6 +215,8 @@ class CatalogEntry:
 
     def draw_weights(self, generator, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """One weight per row of the atoms x 1 ``xi`` and entry of ``lam``, in one draw."""
+        if not lam.size:
+            return np.empty(0)
         return self.sample_weights(generator, xi[:, 0], lam, lam.size)
 
     def rate_table(self, mass: float, xi, lam: float, m: np.ndarray, x: np.ndarray) -> np.ndarray:

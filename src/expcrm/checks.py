@@ -17,7 +17,7 @@ Three kinds of evidence, each reported as a :class:`CheckReport`:
 * **Equivalence checks** compare the two generative processes, which must
   agree in law: per round n, the joint distribution of (number of new
   atoms, their count sum) under the size-biased sampler against the same
-  statistic read off the marginal stream's first appearances.
+  statistic of the atoms born at the marginal stream's step n.
 
 Nothing here is proof; everything here is loud.  A failed report carries
 the statistic, the threshold it broke, and enough detail to reproduce.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import chdtrc, smirnov
@@ -670,7 +671,7 @@ def equivalence_run(
     """Compare the two generative processes on their common statistics.
 
     For each round n <= n_steps, the size-biased sampler's round-n atoms
-    and the marginal stream's step-n first appearances must share the
+    and the atoms born at the marginal stream's step n must share the
     joint law of (atom count, count sum); each round gets a two-sample
     chi-square report.  Both samplers run under the same truncation so
     the comparison is exact, not asymptotic.
@@ -679,7 +680,6 @@ def equivalence_run(
         raise DomainError("equivalence needs at least 100 replicates per sampler")
     sb = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=n_steps, x_max=x_max, eps_tail=eps_tail))
     mg = MarginalSampler(prior, MarginalConfig(x_max=x_max, eps_tail=eps_tail))
-    fixed_locs = {a.location.value for a in prior.fixed_atoms}
     sb_stats: list[list] = [[] for _ in range(n_steps)]
     mg_stats: list[list] = [[] for _ in range(n_steps)]
     for r in range(reps):
@@ -687,12 +687,9 @@ def equivalence_run(
         for n in range(1, n_steps + 1):
             mask = labeled.rounds == n
             sb_stats[n - 1].append((int(mask.sum()), int(labeled.counts[mask].sum())))
-        seen = set(fixed_locs)
-        for n, obs in enumerate(mg.sample(n_steps, RngState(seed, stream=2 * r + 1)), start=1):
-            values = obs.locations.tolist()
-            births = [c for c, v in zip(obs.counts.tolist(), values) if v not in seen]
-            mg_stats[n - 1].append((len(births), sum(births)))
-            seen.update(values)
+        steps = islice(mg._steps(RngState(seed, stream=2 * r + 1)), n_steps)
+        for stats, (_, _, born) in zip(mg_stats, steps):
+            stats.append((born.size, int(born.sum())))
     return [
         chi_square_two_sample(
             sb_stats[n - 1],
@@ -740,8 +737,9 @@ def suite_truncation(
     """(policy, certificate) of the truncation ``run_suite`` applies to ``suite``.
 
     The equivalence suite compares rounds 1-3 at ``x_max`` and ``eps_tail``;
-    the certificate holds what its two samplers' shared rate table neglects
-    over them.  The assumption and oracle suites truncate nothing.
+    the certificate holds what each of its two samplers neglects over them,
+    read from a rate table like the one each sampler builds for itself.
+    The assumption and oracle suites truncate nothing.
     """
     if suite != "equivalence":
         return None, None

@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 from .catalog import CatalogEntry, get_entry
 from .errors import ConfigError, DomainError, InvalidModelError
 from .exp_family import ExpCrmPrior, FixedAtomParams, auto_conjugate
+from .posterior import PosteriorCrm
 
 __all__ = ["ModelConfig", "parse_model_config"]
 
@@ -164,7 +165,9 @@ class ModelConfig:
     Parsing checks shape only; :meth:`build_prior` checks meaning.  The
     ``native`` echo and the ``fixed_atoms`` rows keep whatever coordinate
     system the file used, so the config hash distinguishes the spelling
-    but the built prior does not.
+    but the built prior does not.  ``n_obs`` counts the observations the
+    model has absorbed, as a ``posterior --out`` file records them beside
+    its ``model`` block; it is no part of the block or its hash.
     """
 
     family: str
@@ -176,6 +179,7 @@ class ModelConfig:
     x_max: int
     eps_tail: float
     seed: int
+    n_obs: int = 0
 
     @property
     def entry(self) -> CatalogEntry:
@@ -221,7 +225,8 @@ class ModelConfig:
         Raises ``InvalidModelError`` naming the violated assumption when
         the (converted) hyperparameters fall outside the family's valid
         region; native-coordinate violations surface under their own
-        names via the catalog's converters.
+        names via the catalog's converters.  A config with observations
+        builds a :class:`~expcrm.posterior.PosteriorCrm` that counts them.
         """
         entry = self.entry
         try:
@@ -239,7 +244,10 @@ class ModelConfig:
                 mass, xi, lam = self.params["mass"], self.params["xi"], self.params["lam"]
         except DomainError as err:
             raise InvalidModelError(str(err)) from err
-        return auto_conjugate(entry.make_likelihood(), mass, xi, lam, atoms)
+        prior = auto_conjugate(entry.make_likelihood(), mass, xi, lam, atoms)
+        if not self.n_obs:
+            return prior
+        return PosteriorCrm(prior.likelihood, mass, xi, lam, atoms, self.n_obs)
 
 
 def _parse_truncation(data) -> tuple[int, int, float]:
@@ -344,5 +352,8 @@ def parse_model_config(path) -> ModelConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: malformed JSON: {err}") from err
     if isinstance(data, dict) and data.keys() == {"header", "n_obs", "model"}:
-        data = data["model"]
+        n_obs = data["n_obs"]
+        if isinstance(n_obs, bool) or not isinstance(n_obs, int) or n_obs < 0:
+            raise ConfigError(f"n_obs must be an integer >= 0, got {n_obs!r}")
+        return replace(model_config_from_dict(data["model"]), n_obs=n_obs)
     return model_config_from_dict(data)

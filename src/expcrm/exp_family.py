@@ -459,6 +459,8 @@ class QuadratureFamily:
         inverts them all in one Newton loop, each at its own law's
         parameters, so an atom draws the same bytes in any company.
         """
+        if not lam.size:
+            return np.empty(0)
         like = self.likelihood
         params, owner = np.unique(np.column_stack([xi, lam]), axis=0, return_inverse=True)
         owner = owner.reshape(-1)

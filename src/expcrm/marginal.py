@@ -19,13 +19,14 @@ compute from the emitted observations.
 
 Step n's new-atom rates are row n of the sampler's
 :class:`~expcrm.size_biased.RateTable`, the table the size-biased sampler
-draws from; a row is computed the first time a stream reaches its step and
-shared by every later stream.  The table's family (a catalog entry, or a
-:class:`~expcrm.exp_family.QuadratureFamily` for a family without closed
-forms) answers the predictive pmfs of the walk, and the table gives the
-newborn atoms' parameters, so the stream never asks which family it has.
-The neglected-rate budget is tracked per stream, since each stream is one
-realization.
+draws from, and its newborn atoms come from the same superposition draw,
+over that one row; a row is computed the first time a stream reaches its
+step and shared by every later stream.  The table's family (a catalog
+entry, or a :class:`~expcrm.exp_family.QuadratureFamily` for a family
+without closed forms) answers the predictive pmfs of the walk, and the
+table gives the newborn atoms' parameters, so the stream never asks which
+family it has.  The neglected-rate budget is tracked per stream, since
+each stream is one realization.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .catalog import family_of
 from .errors import QuadratureError, TailBoundError
 from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi
 from .measures import ObservationMeasure
-from .size_biased import _check_truncation, _locations, _positive_int, _TruncatedSampler, rate_M
+from .size_biased import _check_truncation, _locations, _positive_int, _superpose, _TruncatedSampler, rate_M
 
 __all__ = [
     "MarginalConfig",
@@ -163,10 +164,10 @@ class MarginalSampler(_TruncatedSampler):
 
         Yields ``(counts, values, born)`` per step: the step's nonzero
         counts (int64) and their location values (float64), both sorted
-        by location, and the number of atoms born at the step.  Every
-        newborn atom emits a count of at least 1, so ``born`` is also the
-        number of locations no earlier step touched.  The rng order and
-        the tail check are :meth:`stream`'s.
+        by location, and the counts of the atoms born at the step (int64,
+        ascending).  Every newborn atom emits a count of at least 1, so
+        ``born`` holds the counts at exactly the locations no earlier step
+        touched.  The rng order and the tail check are :meth:`stream`'s.
         """
         gen = self._generator(rng)
         like = self.prior.likelihood
@@ -192,24 +193,18 @@ class MarginalSampler(_TruncatedSampler):
                 # every count, zero included, updates its atom's parameters
                 xi += np.array([like.phi(x) for x in counts.tolist()])
                 lam += 1.0
-            total = float(cdf[-1])
-            k = int(gen.poisson(total))
-            if k > 0:
-                u = gen.uniform(0.0, total, size=k)
-                born = self.table.xs[
-                    np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-                ]
-                born.sort()
-                new_values = _locations(gen, k, taken)
+            born = self.table.xs[_superpose(gen, cdf)]
+            if born.size:
+                new_values = _locations(gen, born.size, taken)
                 taken.update(new_values.tolist())
                 values = np.concatenate([values, new_values])
-                new_xi, new_lam = self.table.weight_params(np.full(k, n), born)
+                new_xi, new_lam = self.table.weight_params(np.full(born.size, n), born)
                 xi = np.concatenate([xi, new_xi])
                 lam = np.concatenate([lam, new_lam])
                 counts = np.concatenate([counts, born])
             hit = np.flatnonzero(counts)
             order = hit[np.argsort(values[hit])]
-            yield counts[order], values[order], k
+            yield counts[order], values[order], born
 
     def stream(self, rng=None):
         """Yield one ObservationMeasure per step, forever.

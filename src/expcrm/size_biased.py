@@ -17,8 +17,9 @@ per sampler, grown by round, whose family (from
 answer the same calls) computes them.  Round m of the size-biased
 representation is step m of the marginal process, so
 :class:`~expcrm.marginal.MarginalSampler` reads its new-atom rates from the
-same kind of table, one row per step, and both samplers share the
-configuration check, the rng handling and the location draws defined here.
+same kind of table, one row per step.  Both samplers share the
+configuration check, the rng handling and the draws of newborn atoms' cells
+(:func:`_superpose`, over all rounds or one step's row) and locations.
 
 Truncation honesty cuts two ways here.  The count side is certified: the
 neglected per-round count tail (round total minus the tabulated row sum) is
@@ -128,25 +129,18 @@ class RateTable:
         self.count_cap = x_max if bound is None else min(x_max, bound)
         self.family = family_of(prior.likelihood)
         self.xs = np.arange(1, self.count_cap + 1)
-        self._rounds = 0  # rows tabulated so far, at the top of the buffers
-        self._rates = np.empty((0, self.count_cap))
-        self._totals = np.empty(0)
+        self._rates: list[np.ndarray] = []  # the rows of each rate_rows call, in round order
+        self._totals: list[float] = []  # one per round tabulated
+        self._unstepped: list[np.ndarray] = []  # blocks of rows no step has read yet
         self._steps: list[tuple[np.ndarray, float]] = []  # (cumulative row, gap)
 
     def _extend(self, rounds: int) -> None:
-        have = self._rounds
-        if rounds <= have:
-            return
-        rows, totals = self.family.rate_rows(self.prior, np.arange(have + 1, rounds + 1), self.xs)
-        if rounds > self._totals.size:
-            # grow geometrically, so a stream's one-row extensions stay linear;
-            # np.resize keeps the existing rows at the top
-            size = max(rounds, 2 * self._totals.size)
-            self._rates = np.resize(self._rates, (size, self.count_cap))
-            self._totals = np.resize(self._totals, size)
-        self._rates[have:rounds] = rows
-        self._totals[have:rounds] = totals
-        self._rounds = rounds
+        have = len(self._totals)
+        if rounds > have:
+            rows, totals = self.family.rate_rows(self.prior, np.arange(have + 1, rounds + 1), self.xs)
+            self._rates.append(rows)
+            self._unstepped.append(rows)
+            self._totals += totals.tolist()
 
     @cached_property
     def _phi(self) -> np.ndarray:
@@ -167,47 +161,44 @@ class RateTable:
     def rates(self, rounds: int) -> np.ndarray:
         """M(m, x) for rounds m = 1..rounds (rows) and counts 1..count_cap."""
         self._extend(rounds)
-        return self._rates[:rounds].copy()
+        return np.concatenate(self._rates)[:rounds]
 
     def totals(self, rounds: int) -> np.ndarray:
         """Expected atoms of rounds 1..rounds, all positive counts combined."""
         self._extend(rounds)
-        return self._totals[:rounds].copy()
+        return np.array(self._totals[:rounds])
 
     def step(self, n: int) -> tuple[np.ndarray, float]:
         """(cumulative rate row, neglected gap) of new atoms at marginal step n."""
         self._extend(n)
-        for m in range(len(self._steps) + 1, n + 1):
-            cdf = np.cumsum(self._rates[m - 1])
-            self._steps.append((cdf, max(float(self._totals[m - 1]) - float(cdf[-1]), 0.0)))
+        for rows in self._unstepped:
+            for row in rows:
+                cdf = np.cumsum(row)
+                self._steps.append((cdf, max(self._totals[len(self._steps)] - float(cdf[-1]), 0.0)))
+        self._unstepped.clear()
         return self._steps[n - 1]
+
+    def _certificate(self, unit: str, n: int, gaps, neglected) -> dict:
+        worst = int(np.argmax(gaps))
+        return {
+            f"{unit}s": n,
+            "count_cap": int(self.count_cap),
+            "eps_tail": float(self.eps_tail),
+            "neglected_rate": float(neglected),
+            f"worst_{unit}": worst + 1,
+            f"worst_{unit}_rate": float(gaps[worst]),
+        }
 
     def draw_certificate(self, rounds: int) -> dict:
         """What the count cap neglects across rounds 1..rounds of one draw."""
         gaps = np.maximum(self.totals(rounds) - self.rates(rounds).sum(axis=1), 0.0)
-        worst = int(np.argmax(gaps))
-        return {
-            "rounds": rounds,
-            "count_cap": int(self.count_cap),
-            "eps_tail": float(self.eps_tail),
-            "neglected_rate": float(gaps.sum()),
-            "worst_round": worst + 1,
-            "worst_round_rate": float(gaps[worst]),
-        }
+        return self._certificate("round", rounds, gaps, gaps.sum())
 
     def stream_certificate(self, steps: int) -> dict:
         """What the count cap neglects across steps 1..steps of one stream."""
         self.step(steps)
         gaps = [gap for _, gap in self._steps[:steps]]
-        worst = int(np.argmax(gaps))
-        return {
-            "steps": steps,
-            "count_cap": int(self.count_cap),
-            "eps_tail": float(self.eps_tail),
-            "neglected_rate": float(sum(gaps)),
-            "worst_step": worst + 1,
-            "worst_step_rate": float(gaps[worst]),
-        }
+        return self._certificate("step", steps, gaps, sum(gaps))
 
 
 def _check_truncation(config) -> None:
@@ -242,6 +233,21 @@ class SizeBiasedConfig:
 
     def __post_init__(self):
         _check_truncation(self)
+
+
+def _superpose(gen, cdf: np.ndarray) -> np.ndarray:
+    """The cells of one Poisson process whose cell rates have cumulative sums ``cdf``.
+
+    One Poisson count over the total, then one uniform per atom placed by a
+    right-sided search among the cells' upper edges but the last, so one
+    that rounding puts at the top lands in the last cell: int64 indices,
+    ascending, none when the count is zero.
+    """
+    total = float(cdf[-1])
+    u = gen.uniform(0.0, total, size=int(gen.poisson(total)))
+    cells = cdf[:-1].searchsorted(u, side="right")
+    cells.sort()
+    return cells
 
 
 def _locations(gen, k: int, taken) -> np.ndarray:
@@ -355,12 +361,6 @@ class SizeBiasedSampler(_TruncatedSampler):
 
     # -- drawing ----------------------------------------------------------
 
-    def _fixed_weights(self, gen) -> np.ndarray:
-        """One weight per fixed atom, in prior order: one draw for all of them."""
-        if not self._fixed_lam.size:
-            return np.zeros(0)
-        return self.table.family.draw_weights(gen, self._fixed_xi, self._fixed_lam)
-
     def draw_labeled(self, rng=None) -> LabeledDraw:
         """Draw the ordinary component, keeping round and count labels.
 
@@ -369,22 +369,13 @@ class SizeBiasedSampler(_TruncatedSampler):
         in a schedule-independent order.
         """
         gen = self._generator(rng)
-        k = int(gen.poisson(self._grand_total))
-        if k == 0:
-            empty_i = np.zeros(0, dtype=np.int64)
-            empty_f = np.zeros(0, dtype=float)
-            return LabeledDraw(empty_i, empty_i.copy(), empty_f, empty_f.copy())
-        u = gen.uniform(0.0, self._grand_total, size=k)
-        cells = np.searchsorted(self._cdf, u, side="right")
-        cells = np.minimum(cells, self._cdf.size - 1)
-        cells.sort()
-        rounds, counts = np.divmod(cells.astype(np.int64), self.count_cap)
+        rounds, counts = np.divmod(_superpose(gen, self._cdf), self.count_cap)
         rounds += 1
         counts += 1
         # one draw for all cells, which consumes the generator exactly like
         # one draw per cell in order
         weights = self.table.family.draw_weights(gen, *self.table.weight_params(rounds, counts))
-        return LabeledDraw(rounds, counts, weights, _locations(gen, k, self._fixed_locations))
+        return LabeledDraw(rounds, counts, weights, _locations(gen, rounds.size, self._fixed_locations))
 
     def draw(self, rng=None) -> TraitMeasure:
         """One truncated realization of the full trait measure.
@@ -394,7 +385,7 @@ class SizeBiasedSampler(_TruncatedSampler):
         component; the order is part of the determinism contract.
         """
         gen = self._generator(rng)
-        fixed_weights = self._fixed_weights(gen)
+        fixed_weights = self.table.family.draw_weights(gen, self._fixed_xi, self._fixed_lam)
         labeled = self.draw_labeled(gen)
         return TraitMeasure.from_arrays(
             fixed_weights,

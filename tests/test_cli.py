@@ -350,6 +350,32 @@ class TestPosterior:
         assert main(argv) == 0
         assert main(["verify", "--model", str(post), "--suite", "assumptions"]) == 0
 
+    def test_chained_posteriors_count_every_observation(self, gamma_model, tmp_path):
+        from expcrm.config import model_config_from_dict, parse_model_config
+        from expcrm.posterior import PosteriorCrm
+
+        post = self._posterior_file(gamma_model, tmp_path)
+        first = json.loads(post.read_text())
+        prior = parse_model_config(post).build_prior()
+        assert isinstance(prior, PosteriorCrm) and prior.n_obs == 3
+        again = tmp_path / "again.json"
+        data = tmp_path / "data.jsonl"
+        argv = ["posterior", "--model", str(post), "--data", str(data), "--out", str(again)]
+        assert main(argv) == 0
+        doc = json.loads(again.read_text())
+        assert doc["n_obs"] == 6
+        assert doc["model"]["params"]["lam"] == 7.0  # lam + 3 + 3
+        assert doc["header"]["config_sha256"] == model_config_from_dict(first["model"]).config_hash()
+
+    @pytest.mark.parametrize("n_obs", [-1, 2.5, True, "3"])
+    def test_posterior_file_with_a_bad_count_exit_2(self, gamma_model, tmp_path, capsys, n_obs):
+        post = self._posterior_file(gamma_model, tmp_path)
+        doc = json.loads(post.read_text())
+        post.write_text(json.dumps({**doc, "n_obs": n_obs}))
+        argv = ["sample-marginal", "--model", str(post), "--n", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "n_obs must be an integer >= 0" in capsys.readouterr().err
+
     def test_posterior_file_with_an_extra_key_exit_2(self, gamma_model, tmp_path, capsys):
         post = self._posterior_file(gamma_model, tmp_path)
         doc = json.loads(post.read_text())

@@ -14,6 +14,9 @@ so the package has one quadrature engine, and a fifth keeps every call of
 ``PanelLaw`` and ``probed_orders`` there too, so every law passes its gate,
 ``checked_law``.  A sixth keeps the model schema's ``"fixed_atoms"`` key, as a dict key or
 an index, in ``config.py``: the one module that reads and writes model blocks.
+A seventh finds one ``.poisson(`` call in the package, in ``size_biased.py``:
+both samplers draw their newborn atoms through it (a likelihood's
+``sample_fn``, which draws observed counts, is exempt).
 """
 
 import ast
@@ -406,6 +409,43 @@ class TestOneModelWriter:
     )
     def test_only_config_writes_a_model_block(self, path):
         assert json_keys(path.read_text(encoding="utf-8"), "fixed_atoms") == []
+
+
+def poisson_calls(source: str) -> list[int]:
+    """Lines where ``source`` calls ``.poisson(``, outside a likelihood's ``sample_fn`` lambda.
+
+    A catalog likelihood's ``sample_fn`` draws observed counts, not atoms.
+    """
+    tree = ast.parse(source)
+    exempt = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "sample_fn"
+        and isinstance(node.value, ast.Lambda)
+        for inner in ast.walk(node.value)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "poisson"
+        and id(node) not in exempt
+    )
+
+
+class TestOneNewbornDraw:
+    def test_scan_sees_calls_and_skips_sample_fn(self):
+        source = (
+            "k = gen.poisson(total)\n"
+            "like = Likelihood(sample_fn=lambda gen, th: gen.poisson(th))\n"
+            "draw = lambda gen: gen.poisson(1.0)\n"
+            "n = np.random.default_rng(0).poisson(lam=2.0, size=3)\n"
+        )
+        assert poisson_calls(source) == [1, 3, 4]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_only_the_superposition_draws_an_atom_count(self, path):
+        calls = poisson_calls(path.read_text(encoding="utf-8"))
+        assert len(calls) == (path.name == "size_biased.py")
 
 
 class TestExportTable:

@@ -407,7 +407,9 @@ class TestColumnarOutput:
         for counts, values, born in islice(s._steps(RngState(1, 0)), 30):
             assert counts.dtype == np.int64 and values.dtype == np.float64
             assert (counts > 0).all() and (np.diff(values) > 0).all()
-            assert born == len(set(values.tolist()) - taken)
+            new = [v not in taken for v in values.tolist()]
+            assert born.size == sum(new)
+            assert born.sum() == counts[new].sum()
             taken.update(values.tolist())
 
 

@@ -12,6 +12,7 @@ from expcrm.catalog import (
     BERNOULLI_BETA,
     ODDS_BERNOULLI_BETA_PRIME,
     POISSON_GAMMA,
+    family_of,
     get_entry,
 )
 from expcrm.errors import (
@@ -30,6 +31,7 @@ from expcrm.size_biased import (
     SizeBiasedConfig,
     SizeBiasedSampler,
     _locations,
+    _superpose,
     rate_M,
     round_total,
     sample_size_biased,
@@ -314,6 +316,53 @@ class TestDrawing:
         cfg = SizeBiasedConfig(m_max=20)
         direct = SizeBiasedSampler(gamma_prior(), cfg).draw(RngState(21))
         assert sample_size_biased(gamma_prior(), RngState(21), cfg) == direct
+
+
+class TestZeroAtoms:
+    """No atoms is no special case: every step of a draw runs on empty columns."""
+
+    @pytest.mark.parametrize("registered", [True, False], ids=["catalog", "clone"])
+    def test_no_rows_draw_nothing(self, registered):
+        like = gamma_prior().likelihood
+        if not registered:
+            like = unregistered(gamma_prior()).likelihood
+        gen = RngState(7).generator()
+        weights = family_of(like).draw_weights(gen, np.empty((0, 1)), np.empty(0))
+        assert weights.dtype == np.float64 and weights.shape == (0,)
+        assert gen.uniform(size=4).tobytes() == RngState(7).generator().uniform(size=4).tobytes()
+
+    def test_clone_draw_without_atoms_has_typed_empty_columns(self):
+        s = SizeBiasedSampler(unregistered(gamma_prior()), SizeBiasedConfig(m_max=3))
+        ld = s.draw_labeled(RngState(18))  # Poisson(log 4) draws 0 atoms at this state
+        columns = (ld.rounds, ld.counts, ld.weights, ld.locations)
+        assert [c.shape for c in columns] == [(0,)] * 4
+        assert [c.dtype for c in columns] == [np.int64, np.int64, np.float64, np.float64]
+        measure = s.draw(RngState(18))
+        assert measure.ordinary_atoms == ()
+
+
+class _EdgeGen:
+    """Stand-in generator: a fixed atom count, then uniforms at the given points."""
+
+    def __init__(self, points):
+        self.points = np.array(points)
+
+    def poisson(self, lam):
+        return self.points.size
+
+    def uniform(self, low, high, size):
+        assert (low, size) == (0.0, self.points.size)
+        return self.points.copy()
+
+
+def test_superposition_places_edges_ties_and_the_top():
+    # the middle cell has rate zero, and the last point sits on the total
+    cdf = np.array([1.0, 1.0, 3.0])
+    points = [3.0, 0.0, 1.0, 2.5, 0.5]
+    want = np.minimum(np.searchsorted(cdf, points, side="right"), cdf.size - 1)
+    got = _superpose(_EdgeGen(points), cdf)
+    assert got.dtype == np.int64
+    assert got.tolist() == sorted(want.tolist()) == [0, 0, 2, 2, 2]
 
 
 class _ScriptedGen:

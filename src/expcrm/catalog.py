@@ -150,8 +150,8 @@ class CatalogEntry:
     def log_h_vec(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def log_B(self, xi, lam: float, rel_tol: float = 0.0) -> float:
-        """B at (xi, lam), DomainError where it is infinite; ``rel_tol`` is for quadrature's sake."""
+    def log_B(self, xi, lam: float) -> float:
+        """B at (xi, lam), DomainError where it is infinite."""
         if not self.proper(xi, lam):
             raise DomainError(
                 f"B is infinite at (xi={as_xi(xi)}, lam={lam}) for {self.family}: "

@@ -206,24 +206,49 @@ class ExpCrmLikelihood:
         return float(out[0]) if scalar else out
 
     def sample(self, generator: np.random.Generator, theta: np.ndarray) -> np.ndarray:
-        """Draw one count per weight. Falls back to an inverse-cdf walk."""
+        """Draw one count per weight. Falls back to :func:`walk_counts`."""
         th = self._check_theta(np.atleast_1d(theta))
         if self.sample_fn is not None:
             return np.asarray(self.sample_fn(generator, th), dtype=np.int64)
-        out = np.empty(len(th), dtype=np.int64)
-        for i, t in enumerate(th):
-            u = generator.random()
-            acc = 0.0
-            x = 0
-            while True:
-                acc += math.exp(self.log_pmf(x, float(t)))
-                if u <= acc or (self.support_bound is not None and x >= self.support_bound):
-                    break
-                x += 1
-                if x > 10**7:
-                    raise QuadratureError("pmf walk failed to accumulate to 1")
-            out[i] = x
+
+        def log_pmf(xs, th):
+            return np.stack([self.log_pmf(x, th) for x in xs.tolist()], axis=1)
+
+        return walk_counts(generator, log_pmf, family_of(self).chunk, self.support_bound, th)
+
+
+def walk_counts(gen, log_pmf, chunk: int, bound, *columns) -> np.ndarray:
+    """One count per row by inverse-cdf walk: the package's one cdf inversion.
+
+    ``log_pmf(xs, *cols)`` gives each row's log pmf at the counts ``xs``,
+    with ``cols`` the ``columns`` narrowed to the rows still walking.  The
+    rows take one uniform each, in row order, from one draw (none for no
+    rows), and walk ``chunk`` counts at a time; each row sums its own
+    chunks, so it gets the first count whose cdf exceeds its uniform, as a
+    walk of that row alone would.  A uniform at or above a bounded cdf's
+    float total gets ``bound``; QuadratureError past 10^7 counts.
+    """
+    out = np.empty(len(columns[0]), dtype=np.int64)
+    if out.size == 0:
         return out
+    u = gen.uniform(size=out.size)[:, None]
+    rows, acc, start = np.arange(out.size), 0.0, 0
+    while True:
+        stop = start + chunk if bound is None else min(start + chunk, bound + 1)
+        xs = np.arange(start, stop)
+        cum = acc + np.cumsum(np.exp(log_pmf(xs, *columns)), axis=1)
+        idx = (cum <= u).sum(axis=1)  # a right-sided searchsorted per row
+        out[rows] = start + idx
+        if idx.max() < xs.size:
+            return out
+        going = idx == xs.size
+        rows, u, acc, columns = rows[going], u[going], cum[going, -1:], [c[going] for c in columns]
+        if bound is not None and stop > bound:
+            out[rows] = bound
+            return out
+        start = stop
+        if start > 10**7:
+            raise QuadratureError("count walk failed to accumulate to 1")
 
 
 def pmf(likelihood: ExpCrmLikelihood, x: int, theta) -> "float | np.ndarray":
@@ -485,13 +510,13 @@ def family_of(likelihood: ExpCrmLikelihood):
     return QuadratureFamily(likelihood) if entry is None else entry
 
 
-def log_partition_B(likelihood: ExpCrmLikelihood, xi, lam: float, *, rel_tol: float = 1e-10) -> float:
+def log_partition_B(likelihood: ExpCrmLikelihood, xi, lam: float) -> float:
     """log of the kernel's normalizer at (xi, lam), from :func:`family_of`.
 
-    A closed form raises DomainError at improper parameters; quadrature, at
-    ``rel_tol``, raises DivergenceSuspected when it finds them improper.
+    A closed form raises DomainError at improper parameters; quadrature
+    raises DivergenceSuspected when it finds them improper.
     """
-    return family_of(likelihood).log_B(as_xi(xi), lam, rel_tol=rel_tol)
+    return family_of(likelihood).log_B(as_xi(xi), lam)
 
 
 # --- prior containers --------------------------------------------------------

@@ -23,10 +23,10 @@ draws from, and its newborn atoms come from the same superposition draw,
 over that one row; a row is computed the first time a stream reaches its
 step and shared by every later stream.  The table's family (a catalog
 entry, or a :class:`~expcrm.exp_family.QuadratureFamily` for a family
-without closed forms) answers the predictive pmfs of the walk, and the
-table gives the newborn atoms' parameters, so the stream never asks which
-family it has.  The neglected-rate budget is tracked per stream, since
-each stream is one realization.
+without closed forms) answers the predictive pmfs that the package's one
+count walk, :func:`~expcrm.exp_family.walk_counts`, inverts; the table
+gives newborn atoms' parameters, so the stream never asks which family it
+has.  A stream, one realization, keeps its own neglected-rate budget.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from itertools import islice
 import numpy as np
 
 from .catalog import family_of
-from .errors import QuadratureError, TailBoundError
-from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi
+from .errors import TailBoundError
+from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi, walk_counts
 from .measures import ObservationMeasure
 from .size_biased import _check_truncation, _locations, _positive_int, _superpose, _TruncatedSampler, rate_M
 
@@ -119,45 +119,16 @@ class MarginalSampler(_TruncatedSampler):
     # -- drawing ----------------------------------------------------------
 
     def _predictive_walk(self, gen, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """One exact draw from each atom's predictive pmf by inverse-cdf walk.
-
-        Row i of the atoms x dim array ``xi`` and entry i of ``lam`` hold
-        atom i's accumulated parameters.  The atoms take one uniform each,
-        in row order, from a single draw (none when there are no atoms),
-        and walk their cdfs together, one chunk of counts at a time; each
-        row sums its own chunks, so it returns the count a walk of that
-        atom alone would.  The family sets the chunk length, and log h of
-        a chunk's counts is computed once per sampler.
-        """
-        out = np.empty(lam.size, dtype=np.int64)
-        if lam.size == 0:
-            return out
-        u = gen.uniform(size=lam.size)[:, None]
+        """One draw per row of the atoms x dim ``xi`` and entry of ``lam`` from its predictive
+        pmf, by :func:`~expcrm.exp_family.walk_counts` in the family's chunks."""
         family = self.table.family
-        bound = self.prior.likelihood.support_bound
-        rows = np.arange(lam.size)
-        acc = 0.0
-        start = 0
-        while True:
-            stop = start + family.chunk if bound is None else min(start + family.chunk, bound + 1)
-            xs = np.arange(start, stop)
-            log_h = self._log_h.get(start)
-            if log_h is None:
-                log_h = self._log_h[start] = family.log_h_vec(xs)
-            logpmf = family.predictive_rows(xi, lam, xs, log_h)
-            cum = acc + np.cumsum(np.exp(logpmf), axis=1)
-            idx = (cum <= u).sum(axis=1)  # a right-sided searchsorted per row
-            out[rows] = start + idx
-            if idx.max() < xs.size:
-                return out
-            going = idx == xs.size
-            rows, xi, lam, u, acc = rows[going], xi[going], lam[going], u[going], cum[going, -1:]
-            if bound is not None and stop > bound:
-                out[rows] = bound  # u fell in the last float ulp of the cdf
-                return out
-            start = stop
-            if start > 10**6:
-                raise QuadratureError("predictive walk failed to accumulate to 1")
+
+        def log_pmf(xs, xi, lam):
+            if int(xs[0]) not in self._log_h:
+                self._log_h[int(xs[0])] = family.log_h_vec(xs)
+            return family.predictive_rows(xi, lam, xs, self._log_h[int(xs[0])])
+
+        return walk_counts(gen, log_pmf, family.chunk, self.prior.likelihood.support_bound, xi, lam)
 
     def _steps(self, rng=None):
         """The stream's steps as columns, forever.

@@ -115,6 +115,10 @@ def _atom_columns(what: str, values, locations, *, counts=False) -> tuple[np.nda
     """Read-only, checked copies of one group's weights (float64, positive, finite)
     or, with ``counts``, counts (int64, >= 1), and its locations (float64, in [0, 1))."""
     name = "counts" if counts else "weights"
+    if counts and np.asarray(values).dtype.kind != "i":  # an int past int64 wraps or makes floats
+        wide = [v for v in np.asarray(values, dtype=object).ravel().tolist() if type(v) is int and abs(v) >= 2**63]
+        if wide:
+            raise DomainError(f"{what}: counts must be integers in 1..{2**63 - 1}, got {wide[0]}")
     value_column = (values, "iu", np.int64) if counts else (values, "fiu", float)
     out = []
     for arr, kinds, dtype in (value_column, (locations, "fiu", float)):

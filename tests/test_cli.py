@@ -416,10 +416,15 @@ class TestPosterior:
             ([{"x": 1, "loc": "0.5"}, {"x": 2, "loc": "0.5"}], "distinct locations"),
             ([{"x": 0, "loc": "0.5"}], ">= 1, got 0"),
             ([{"x": -3, "loc": "0.5"}], ">= 1, got -3"),
+            ([{"x": 2**63, "loc": "0.5"}], f"1..{2**63 - 1}, got {2**63}\n"),
+            ([{"x": 10**20, "loc": "0.5"}], f"1..{2**63 - 1}, got {10**20}\n"),
             ([{"x": 1, "loc": "1.5"}], "got 1.5"),
             ([{"x": 1, "loc": "nan"}], "got nan"),
         ],
-        ids=["repeated-location", "zero-count", "negative-count", "location-1.5", "location-nan"],
+        ids=[
+            "repeated-location", "zero-count", "negative-count", "count-2**63", "count-1e20",
+            "location-1.5", "location-nan",
+        ],
     )
     def test_data_outside_the_domain_exit_1(self, gamma_model, tmp_path, capsys, atoms, fault):
         data = tmp_path / "data.jsonl"

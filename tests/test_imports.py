@@ -448,6 +448,60 @@ class TestOneNewbornDraw:
         assert len(calls) == (path.name == "size_biased.py")
 
 
+def exp_running_sums(source: str) -> list[str]:
+    """The functions of ``source`` that keep a running sum of exponentiated values, once per sum.
+
+    ``cumsum(exp(...))`` or ``+= exp(...)``: the cdf of a pmf given in logs,
+    which only an inverse-cdf count walk needs.
+    """
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        )
+
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (calls(node, "cumsum") and node.args and calls(node.args[0], "exp")) or (
+            isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            and calls(node.value, "exp")
+        ):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestOneCountWalk:
+    def test_scan_sees_both_sums_and_names_their_functions(self):
+        source = (
+            "def chunked(p, acc):\n"
+            "    return acc + np.cumsum(np.exp(p), axis=1)\n"
+            "def scalar(p):\n"
+            "    acc = 0.0\n"
+            "    for v in p:\n"
+            "        acc += math.exp(v)\n"
+            "def neither(p, x):\n"
+            "    x += 1\n"
+            "    return np.cumsum(p), np.exp(p).sum(), x\n"
+            "class Walker:\n"
+            "    def bare(self, p):\n"
+            "        return cumsum(exp(p))\n"
+            "top = np.cumsum(np.exp([0.0]))\n"
+        )
+        assert exp_running_sums(source) == ["chunked", "scalar", "bare", None]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_only_the_count_walk_sums_a_pmf(self, path):
+        found = exp_running_sums(path.read_text(encoding="utf-8"))
+        assert found == (["walk_counts"] if path.name == "exp_family.py" else [])
+
+
 class TestExportTable:
     def test_all_is_pinned(self):
         assert expcrm.__all__ == PUBLIC

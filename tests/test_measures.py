@@ -421,6 +421,22 @@ def test_observation_from_jsonable_rejects_malformed(data):
         observation_from_jsonable(data)
 
 
+@pytest.mark.parametrize("x", [2**63, 10**20, -(2**63) - 1])
+@pytest.mark.parametrize("first", [[], [{"x": 1, "loc": "0.1"}]], ids=["alone", "after-a-count"])
+def test_observation_count_past_int64_is_named(x, first):
+    # at 2**63 the int64 cast wrapped it to -2**63, and past 2**64 it made an
+    # object array, which read as a malformed record
+    with pytest.raises(DomainError, match=f"counts must be integers in 1..{2**63 - 1}, got {x}$"):
+        observation_from_jsonable({"atoms": first + [{"x": x, "loc": "0.5"}]})
+
+
+def test_observation_count_at_the_int64_top_is_kept_and_an_unsigned_one_above_it_named():
+    obs = observation_from_jsonable({"atoms": [{"x": 2**63 - 1, "loc": "0.5"}]})
+    assert obs.counts.tolist() == [2**63 - 1]
+    with pytest.raises(DomainError, match=f"got {2**63}$"):
+        ObservationMeasure.from_arrays(np.array([3, 2**63], dtype=np.uint64), np.array([0.1, 0.5]))
+
+
 class TestJsonl:
     def test_round_trip_and_byte_determinism(self, tmp_path):
         records = [{"a": 1, "b": float_repr(0.1)}, {"c": [1, 2, 3]}]

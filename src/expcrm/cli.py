@@ -41,7 +41,7 @@ import json
 import multiprocessing
 import os
 import sys
-from itertools import islice
+from itertools import islice, starmap
 
 from .catalog import list_entries
 from .config import ModelConfig, model_config_from_dict, parse_model_config
@@ -172,14 +172,13 @@ def _pool_worker(task):
     return _WORKER["run"](seed, rep)
 
 
-def _fan_out(initializer, initargs, seed: int, reps: int):
-    """Replicate results in index order, yielded as they come; fanned across
-    processes when worth it."""
+def _fan_out(run, initializer, initargs, seed: int, reps: int):
+    """Replicate results ``run(seed, rep)`` in index order, yielded as they come; fanned
+    across processes, each set up by ``initializer(*initargs)``, when worth it."""
     tasks = [(seed, rep) for rep in range(reps)]
     workers = min(os.cpu_count() or 1, reps)
     if reps < _POOL_THRESHOLD or workers < 2:
-        initializer(*initargs)
-        yield from map(_pool_worker, tasks)
+        yield from starmap(run, tasks)
         return
     with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
         yield from pool.imap(_pool_worker, tasks, chunksize=max(1, reps // (4 * workers)))
@@ -226,7 +225,10 @@ def _cmd_sample_prior(args) -> int:
     with _replacing(args.out) as out:
         out.write(jsonl_line(header))
         out.writelines(
-            _fan_out(_init_prior_worker, (cfg.to_jsonable(), rounds, x_max), seed, args.reps)
+            _fan_out(
+                lambda seed, rep: _prior_line(sampler, seed, rep),
+                _init_prior_worker, (cfg.to_jsonable(), rounds, x_max), seed, args.reps,
+            )
         )
     return 0
 
@@ -255,7 +257,8 @@ def _cmd_sample_marginal(args) -> int:
             summary = csv.writer(summary_fh, lineterminator="\n")
             summary.writerow(["rep", "n", "atoms_total", "atoms_new", "sum_counts"])
         results = _fan_out(
-            _init_marginal_worker, (cfg.to_jsonable(), x_max, args.n), seed, args.reps
+            lambda seed, rep: _marginal_lines(sampler, args.n, seed, rep),
+            _init_marginal_worker, (cfg.to_jsonable(), x_max, args.n), seed, args.reps,
         )
         for lines, rows in results:
             out.write(lines)

@@ -26,7 +26,9 @@ entry, or a :class:`~expcrm.exp_family.QuadratureFamily` for a family
 without closed forms) answers the predictive pmfs that the package's one
 count walk, :func:`~expcrm.exp_family.walk_counts`, inverts; the table
 gives newborn atoms' parameters, so the stream never asks which family it
-has.  A stream, one realization, keeps its own neglected-rate budget.
+has.  The table also checks the count-cap budget, for this sampler and the
+size-biased one alike: a stream's budget is the running sum of its steps'
+gaps, the same for every stream, and a certificate over budget raises.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from itertools import islice
 import numpy as np
 
 from .catalog import family_of
-from .errors import TailBoundError
 from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi, walk_counts
 from .measures import ObservationMeasure
 from .size_biased import _check_truncation, _locations, _positive_int, _superpose, _TruncatedSampler, rate_M
@@ -86,8 +87,9 @@ class MarginalConfig:
 
     New-atom counts above ``x_max`` are dropped from each step's rate row
     (clipped to the support bound when that is smaller); ``eps_tail`` caps
-    the neglected rate accumulated over one stream.  Existing atoms are
-    exact and need no knobs.
+    the running sum of the steps' neglected gaps, which the rate table
+    checks at every step and which is the same for every stream.  Existing
+    atoms are exact and need no knobs.
     """
 
     x_max: int = 50
@@ -113,7 +115,8 @@ class MarginalSampler(_TruncatedSampler):
         self._log_h: dict[int, np.ndarray] = {}  # log h of each walk chunk, by its first count
 
     def tail_certificate(self, n_steps: int) -> dict:
-        """JSON-ready record of what an n-step stream's truncation neglects."""
+        """JSON-ready record of what an n-step stream's truncation neglects;
+        raises :class:`~expcrm.errors.TailBoundError` when it is over budget."""
         return self.table.stream_certificate(_positive_int("n_steps", n_steps))
 
     # -- drawing ----------------------------------------------------------
@@ -146,19 +149,10 @@ class MarginalSampler(_TruncatedSampler):
         # new atoms of each step in birth order
         values, xi, lam = self._fixed_values, self._fixed_xi.copy(), self._fixed_lam.copy()
         taken = set(values.tolist())
-        neglected = 0.0
         n = 0
         while True:
             n += 1
-            cdf, gap = self.table.step(n)
-            neglected += gap
-            if neglected > self.config.eps_tail:
-                raise TailBoundError(
-                    f"marginal stream reached step {n} with cumulative neglected "
-                    f"new-atom rate {neglected:.3e} > eps_tail = "
-                    f"{self.config.eps_tail:.3e}; raise x_max or loosen eps_tail",
-                    certificate=self.tail_certificate(n),
-                )
+            cdf, _ = self.table.step(n)
             counts = self._predictive_walk(gen, xi, lam)
             if counts.size:
                 # every count, zero included, updates its atom's parameters
@@ -184,8 +178,8 @@ class MarginalSampler(_TruncatedSampler):
         atom already on the books (fixed atoms in prior order, then
         earlier-born atoms in birth order), then the new-atom count
         (Poisson), counts, and locations.  The stream raises
-        :class:`~expcrm.errors.TailBoundError` at the step where the
-        cumulative neglected new-atom rate would pass ``eps_tail``.
+        :class:`~expcrm.errors.TailBoundError`, from the rate table, at the
+        first step whose running sum of neglected gaps passes ``eps_tail``.
         """
         for counts, values, _ in self._steps(rng):
             yield ObservationMeasure.from_arrays(counts, values)

@@ -23,13 +23,13 @@ configuration check, the rng handling and the draws of newborn atoms' cells
 
 Truncation honesty cuts two ways here.  The count side is certified: the
 neglected per-round count tail (round total minus the tabulated row sum) is
-bounded at construction, and the sampler refuses to run when the bound
-exceeds ``eps_tail``.  The round side cannot be certified the same way,
-because for a valid model the per-round totals are *not* summable (infinite
-ordinary mass is the point of assumption A1); what the missing rounds cost
-is an empirical question, answered by comparing against the marginal
-sampler.  Every draw carries :class:`~expcrm.measures.TruncationMeta`
-recording both caps.
+bounded, and the rate table refuses, once for both samplers, a draw's
+rounds or a stream's steps whose neglected rate exceeds ``eps_tail``.  The
+round side cannot be certified the same way, because for a valid model the
+per-round totals are *not* summable (infinite ordinary mass is the point of
+assumption A1); what the missing rounds cost is an empirical question,
+answered by comparing against the marginal sampler.  Every draw carries
+:class:`~expcrm.measures.TruncationMeta` recording both caps.
 """
 
 from __future__ import annotations
@@ -133,6 +133,7 @@ class RateTable:
         self._totals: list[float] = []  # one per round tabulated
         self._unstepped: list[np.ndarray] = []  # blocks of rows no step has read yet
         self._steps: list[tuple[np.ndarray, float]] = []  # (cumulative row, gap)
+        self._neglected = [0.0]  # _neglected[n] sums the gaps of steps 1..n
 
     def _extend(self, rounds: int) -> None:
         have = len(self._totals)
@@ -169,18 +170,31 @@ class RateTable:
         return np.array(self._totals[:rounds])
 
     def step(self, n: int) -> tuple[np.ndarray, float]:
-        """(cumulative rate row, neglected gap) of new atoms at marginal step n."""
+        """(cumulative rate row, neglected gap) of new atoms at marginal step n; raises
+        where :meth:`stream_certificate` does, since every stream's budget is the table's."""
+        steps = self._stepped(n)
+        if not self._neglected[n] <= self.eps_tail:
+            self.stream_certificate(n)  # raises
+        return steps[n - 1]
+
+    def _stepped(self, n: int) -> list[tuple[np.ndarray, float]]:
+        """The (cumulative row, gap) of every step tabulated, steps 1..n at least."""
         self._extend(n)
         for rows in self._unstepped:
             for row in rows:
                 cdf = np.cumsum(row)
-                self._steps.append((cdf, max(self._totals[len(self._steps)] - float(cdf[-1]), 0.0)))
+                gap = max(self._totals[len(self._steps)] - float(cdf[-1]), 0.0)
+                self._steps.append((cdf, gap))
+                self._neglected.append(self._neglected[-1] + gap)
         self._unstepped.clear()
-        return self._steps[n - 1]
+        return self._steps
 
     def _certificate(self, unit: str, n: int, gaps, neglected) -> dict:
+        """What the count cap neglects across ``n`` rounds or steps.  The one check of the
+        count-cap budget: :class:`~expcrm.errors.TailBoundError` carries the certificate
+        unless ``neglected`` is within ``eps_tail`` (so a NaN raises)."""
         worst = int(np.argmax(gaps))
-        return {
+        certificate = {
             f"{unit}s": n,
             "count_cap": int(self.count_cap),
             "eps_tail": float(self.eps_tail),
@@ -188,6 +202,14 @@ class RateTable:
             f"worst_{unit}": worst + 1,
             f"worst_{unit}_rate": float(gaps[worst]),
         }
+        if not neglected <= self.eps_tail:
+            raise TailBoundError(
+                f"counts above {self.count_cap} keep rate {neglected:.3e} > "
+                f"eps_tail = {self.eps_tail:.3e} across {n} {unit}s; "
+                "raise x_max or loosen eps_tail",
+                certificate=certificate,
+            )
+        return certificate
 
     def draw_certificate(self, rounds: int) -> dict:
         """What the count cap neglects across rounds 1..rounds of one draw."""
@@ -195,10 +217,9 @@ class RateTable:
         return self._certificate("round", rounds, gaps, gaps.sum())
 
     def stream_certificate(self, steps: int) -> dict:
-        """What the count cap neglects across steps 1..steps of one stream."""
-        self.step(steps)
-        gaps = [gap for _, gap in self._steps[:steps]]
-        return self._certificate("step", steps, gaps, sum(gaps))
+        """What the count cap neglects across steps 1..steps of a stream: the gaps' running sum."""
+        gaps = [gap for _, gap in self._stepped(steps)[:steps]]
+        return self._certificate("step", steps, gaps, self._neglected[steps])
 
 
 def _check_truncation(config) -> None:
@@ -222,9 +243,9 @@ class SizeBiasedConfig:
     ``m_max`` rounds are generated; counts above ``x_max`` are dropped from
     the rate table (the cap is further clipped to the likelihood's support
     bound when that is smaller).  ``eps_tail`` caps the total rate of the
-    dropped counts across all generated rounds: construction of a sampler
-    fails with :class:`~expcrm.errors.TailBoundError` when the bound cannot
-    be met.
+    dropped counts across all generated rounds: the rate table, which
+    checks this budget for both samplers, fails the sampler's construction
+    with :class:`~expcrm.errors.TailBoundError` when it cannot be met.
     """
 
     m_max: int = 1000
@@ -241,10 +262,13 @@ def _superpose(gen, cdf: np.ndarray) -> np.ndarray:
     One Poisson count over the total, then one uniform per atom placed by a
     right-sided search among the cells' upper edges but the last, so one
     that rounding puts at the top lands in the last cell: int64 indices,
-    ascending, none when the count is zero.
+    ascending, none when the count is zero, which then reads no uniform.
     """
     total = float(cdf[-1])
-    u = gen.uniform(0.0, total, size=int(gen.poisson(total)))
+    k = int(gen.poisson(total))
+    if not k:
+        return np.empty(0, dtype=np.int64)
+    u = gen.uniform(0.0, total, size=k)
     cells = cdf[:-1].searchsorted(u, side="right")
     cells.sort()
     return cells
@@ -340,14 +364,6 @@ class SizeBiasedSampler(_TruncatedSampler):
         super().__init__(prior, config, rng, SizeBiasedConfig)
         m_max = self.config.m_max
         self._certificate = self.table.draw_certificate(m_max)
-        neglected = self._certificate["neglected_rate"]
-        if not neglected <= self.config.eps_tail:
-            raise TailBoundError(
-                f"counts above {self.count_cap} keep rate {neglected:.3e} > "
-                f"eps_tail = {self.config.eps_tail:.3e} across {m_max} rounds; "
-                "raise x_max or loosen eps_tail",
-                certificate=self._certificate,
-            )
         self._cdf = np.cumsum(self.table.rates(m_max))
         self._grand_total = float(self._cdf[-1])
         self._fixed_locations = frozenset(self._fixed_values.tolist())

@@ -24,7 +24,6 @@ from expcrm.checks import (
     chi_square_two_sample,
     equivalence_run,
     kolmogorov_sf,
-    log1mexp,
     oracle_log_partition,
     oracle_predictive_pmf,
     oracle_rate_M,
@@ -77,19 +76,6 @@ class TestCheckReport:
         r = CheckReport("demo", True, math.inf, math.inf, ">=")
         back = json.loads(json.dumps(r.to_jsonable(), allow_nan=False))
         assert back["statistic"] == "inf"
-
-
-class TestLog1mexp:
-    def test_inverse_identity_across_regimes(self):
-        a = np.geomspace(1e-12, 50.0, 300)
-        lhs = np.expm1(log1mexp(a))
-        np.testing.assert_allclose(lhs, -np.exp(-a), rtol=1e-13)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            log1mexp(0.0)
-        with pytest.raises(DomainError):
-            log1mexp(np.array([1.0, -2.0]))
 
 
 class TestAssumptionChecks:

@@ -289,6 +289,41 @@ class TestSampleMarginal:
         ) == 0
         assert out.exists()
 
+    def test_tail_budget_violation_exit_1(self, gamma_model, tmp_path, capsys):
+        argv = [
+            "sample-marginal", "--model", str(gamma_model), "--n", "3", "--xmax", "1",
+            "--out", str(tmp_path / "data.jsonl"), "--summary", str(tmp_path / "summary.csv"),
+        ]
+        assert main(argv) == 1
+        assert "counts above 1 keep rate" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+class TestOneSamplerInProcess:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sample-prior", "--reps", "3"], "SizeBiasedSampler"),
+            (["sample-marginal", "--n", "2", "--reps", "3"], "MarginalSampler"),
+        ],
+    )
+    def test_the_command_draws_from_the_sampler_it_built(
+        self, gamma_model, tmp_path, monkeypatch, argv, name
+    ):
+        built = []
+        real = getattr(cli, name)
+
+        class Counted(real):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, Counted)
+        out = tmp_path / "out.jsonl"
+        assert main(argv + ["--model", str(gamma_model), "--out", str(out)]) == 0
+        assert len(built) == 1
+        assert len(read_jsonl(out)) > 1
+
 
 class TestPosterior:
     def test_update_from_handwritten_data(self, gamma_model, tmp_path):

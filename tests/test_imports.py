@@ -16,7 +16,10 @@ so the package has one quadrature engine, and a fifth keeps every call of
 an index, in ``config.py``: the one module that reads and writes model blocks.
 A seventh finds one ``.poisson(`` call in the package, in ``size_biased.py``:
 both samplers draw their newborn atoms through it (a likelihood's
-``sample_fn``, which draws observed counts, is exempt).
+``sample_fn``, which draws observed counts, is exempt).  An eighth finds
+one running sum of exponentiated log pmfs, in ``walk_counts``, and a ninth
+one ``TailBoundError`` built, in ``RateTable._certificate``: the table
+checks the count-cap budget for both samplers.
 """
 
 import ast
@@ -500,6 +503,48 @@ class TestOneCountWalk:
     def test_only_the_count_walk_sums_a_pmf(self, path):
         found = exp_running_sums(path.read_text(encoding="utf-8"))
         assert found == (["walk_counts"] if path.name == "exp_family.py" else [])
+
+
+def tail_bound_errors(source: str) -> list[str | None]:
+    """Where ``source`` builds a ``TailBoundError``: ``Class.function`` (or the
+    function, or None at module level), once per call."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name if owner is None else f"{owner}.{node.name}"
+        if isinstance(node, ast.Call) and "TailBoundError" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestOneCountCapBudget:
+    def test_scan_sees_every_construction_and_names_its_function(self):
+        source = (
+            "class TailBoundError(ValueError):\n"
+            "    pass\n"
+            "class Table:\n"
+            "    def check(self, cert):\n"
+            "        raise TailBoundError('over', certificate=cert)\n"
+            "def stream(n):\n"
+            "    try:\n"
+            "        pass\n"
+            "    except TailBoundError:\n"
+            "        raise errors.TailBoundError('again')\n"
+            "error = TailBoundError('top')\n"
+        )
+        assert tail_bound_errors(source) == ["Table.check", "stream", None]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_only_the_rate_table_checks_the_budget(self, path):
+        found = tail_bound_errors(path.read_text(encoding="utf-8"))
+        assert found == (["RateTable._certificate"] if path.name == "size_biased.py" else [])
 
 
 class TestExportTable:

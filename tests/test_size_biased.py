@@ -365,6 +365,23 @@ def test_superposition_places_edges_ties_and_the_top():
     assert got.tolist() == sorted(want.tolist()) == [0, 0, 2, 2, 2]
 
 
+class _CountOnlyGen:
+    """Stand-in generator that draws no atoms and has no uniforms to give."""
+
+    def poisson(self, lam):
+        return 0
+
+
+def test_superposition_without_atoms_reads_only_the_count():
+    cdf = np.array([1e-4, 3e-4])
+    assert _superpose(_CountOnlyGen(), cdf).dtype == np.int64
+    gen, fresh = np.random.default_rng(4), np.random.default_rng(4)
+    got = _superpose(gen, cdf)
+    assert fresh.poisson(float(cdf[-1])) == 0
+    assert got.dtype == np.int64 and got.size == 0
+    assert gen.bit_generator.state == fresh.bit_generator.state
+
+
 class _ScriptedGen:
     """Stand-in generator whose uniforms follow a script, then repeat its last value."""
 

@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "marginal": (
         "MarginalConfig", "MarginalSampler", "new_atom_rate", "predictive_logpmf",
-        "sample_marginal",
     ),
     "measures": (
         "Atom", "Location", "ObservationAtom", "ObservationMeasure", "TraitMeasure",
@@ -55,7 +54,7 @@ _EXPORTS = {
     "rng": ("RngState", "as_generator"),
     "size_biased": (
         "LabeledDraw", "SizeBiasedConfig", "SizeBiasedSampler", "rate_M", "round_total",
-        "sample_size_biased", "weight_dist_params",
+        "weight_dist_params",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

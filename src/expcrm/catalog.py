@@ -50,6 +50,7 @@ theta_c > -alpha has xi = -alpha - 1, lam = (theta_c + alpha - 1) / r).
 from __future__ import annotations
 
 import math
+import re
 from typing import Optional
 
 import numpy as np
@@ -57,7 +58,6 @@ from scipy.special import betaln, digamma, gammaln, polygamma
 
 from .errors import DivergenceSuspected, DomainError
 from .exp_family import (
-    _ENTRIES,
     ExpCrmLikelihood,
     ExpCrmPrior,
     FixedAtomParams,
@@ -65,12 +65,15 @@ from .exp_family import (
     WeightDomain,
     as_xi,
     entry_for,  # noqa: F401  (re-exported: the catalog's lookup API)
-    family_of,  # noqa: F401  (re-exported: importing it from here registers the entries)
+    family_of,  # noqa: F401  (re-exported)
     hyperparam_valid,  # noqa: F401  (re-exported)
 )
 from .measures import Location
 
 _OK = ValidityResult(True)
+
+# catalog entries by likelihood family id; each CatalogEntry adds itself on construction
+_ENTRIES: dict = {}
 
 
 def _xi0(xi) -> float:
@@ -591,10 +594,27 @@ class OddsBernoulliBetaPrime(CatalogEntry):
 # --- negative_binomial(r) / beta -----------------------------------------------
 
 
+_NB_ID = re.compile(r"^negative_binomial\(([^)]+)\)$")
+
+
 def _nb_family(r: float) -> str:
     """The family id of shape ``r``: its %g form when that reads back as ``r``, else its repr."""
     short = format(r, "g")
     return f"negative_binomial({short if float(short) == r else repr(r)})"
+
+
+def _entry_by_id(family: str) -> CatalogEntry | None:
+    """The entry whose family id is ``family``, if any; an id that :func:`_nb_family`
+    writes for a valid shape r names the negative binomial at r, built on first use."""
+    entry = _ENTRIES.get(family)
+    hit = _NB_ID.match(family) if entry is None else None
+    try:
+        r = float(hit.group(1)) if hit else math.nan
+    except ValueError:
+        r = math.nan
+    if math.isfinite(r) and r > 0.0 and _nb_family(r) == family:
+        return get_entry("negative_binomial", r)
+    return entry
 
 
 class NegativeBinomialBeta(_NativeBeta):

@@ -46,6 +46,8 @@ from .marginal import MarginalConfig, MarginalSampler, predictive_logpmf
 from .quadrature import IntegrandSpec, integrate
 from .rng import RngState
 from .size_biased import (
+    DEFAULT_EPS_TAIL,
+    DEFAULT_X_MAX,
     RateTable,
     SizeBiasedConfig,
     SizeBiasedSampler,
@@ -651,8 +653,8 @@ def equivalence_run(
     n_steps: int = EQUIVALENCE_ROUNDS,
     reps: int = 2000,
     seed: int = 0,
-    x_max: int = 50,
-    eps_tail: float = 1e-6,
+    x_max: int = DEFAULT_X_MAX,
+    eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> list[CheckReport]:
     """Compare the two generative processes on their common statistics.
 
@@ -697,8 +699,8 @@ def run_suite(
     suite: str,
     seed: int = 0,
     reps: int = 2000,
-    x_max: int = 50,
-    eps_tail: float = 1e-6,
+    x_max: int = DEFAULT_X_MAX,
+    eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> list[CheckReport]:
     """Run one named verification suite and return its reports.
 
@@ -714,7 +716,7 @@ def run_suite(
 
 
 def suite_truncation(
-    prior: ExpCrmPrior, suite: str, x_max: int = 50, eps_tail: float = 1e-6
+    prior: ExpCrmPrior, suite: str, x_max: int = DEFAULT_X_MAX, eps_tail: float = DEFAULT_EPS_TAIL
 ) -> tuple[dict | None, dict | None]:
     """(policy, certificate) of the truncation ``run_suite`` applies to ``suite``.
 

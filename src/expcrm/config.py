@@ -43,20 +43,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, replace
 
-from .catalog import CatalogEntry, get_entry
+from .catalog import _NB_ID, CatalogEntry, get_entry
 from .errors import ConfigError, DomainError, InvalidModelError
 from .exp_family import ExpCrmPrior, FixedAtomParams, auto_conjugate
 from .posterior import PosteriorCrm
+from .size_biased import DEFAULT_EPS_TAIL, DEFAULT_M_MAX, DEFAULT_X_MAX
 
 __all__ = ["ModelConfig", "parse_model_config"]
 
-_NB_ID = re.compile(r"^negative_binomial\(([^)]+)\)$")
 _PLAIN_IDS = ("poisson", "bernoulli", "odds_bernoulli")
 
-_TRUNC_DEFAULTS = {"rounds": 1000, "x_max": 50, "eps_tail": 1e-6}
+_TRUNC_DEFAULTS = {"rounds": DEFAULT_M_MAX, "x_max": DEFAULT_X_MAX, "eps_tail": DEFAULT_EPS_TAIL}
 
 
 def _require_object(data, where: str) -> dict:

@@ -288,19 +288,6 @@ def log_conjugate_kernel(likelihood: ExpCrmLikelihood, xi, lam: float, theta) ->
     return _log_kernel(likelihood, as_xi(xi), lam, likelihood._check_theta(np.atleast_1d(theta)))
 
 
-# --- registered closed forms -------------------------------------------------
-
-# Catalog entries by likelihood family id.  Each ``expcrm.catalog.CatalogEntry``
-# adds itself on construction, and answers from closed forms every call a
-# ``QuadratureFamily`` answers.
-_ENTRIES: dict = {}
-
-
-def entry_for(likelihood: ExpCrmLikelihood):
-    """The registered catalog entry matching a likelihood's family id, if any."""
-    return _ENTRIES.get(likelihood.family)
-
-
 # Per-panel tolerance of the column laws.  The power tails of a beta-prime
 # clone's rate rows and totals (mass 2, xi -1.3, lam 1.2; 60 rounds of 16
 # counts) close at most 6.7e-11 off their closed forms at 1e-10, and 6.2e-12
@@ -499,6 +486,15 @@ class QuadratureFamily:
             return _log_kernel(like, tuple(xis[who].T[..., None]), lams[who, None], t, from_top)
 
         return like.weight_domain.clip(invert(laws, c, owner, log_f))
+
+
+def entry_for(likelihood: ExpCrmLikelihood):
+    """The catalog entry matching a likelihood's family id, if any: it answers from closed
+    forms every call a ``QuadratureFamily`` answers.  The answer does not depend on what was
+    imported or built before (:func:`expcrm.catalog._entry_by_id`)."""
+    from .catalog import _entry_by_id  # the catalog imports this module
+
+    return _entry_by_id(likelihood.family)
 
 
 def family_of(likelihood: ExpCrmLikelihood):

@@ -41,14 +41,15 @@ import numpy as np
 from .catalog import family_of
 from .exp_family import ExpCrmLikelihood, ExpCrmPrior, as_xi, walk_counts
 from .measures import ObservationMeasure
-from .size_biased import _check_truncation, _locations, _positive_int, _superpose, _TruncatedSampler, rate_M
+from .rng import as_generator
+from .size_biased import DEFAULT_EPS_TAIL, DEFAULT_X_MAX, _check_truncation, _locations, _positive_int
+from .size_biased import _superpose, _TruncatedSampler, rate_M
 
 __all__ = [
     "MarginalConfig",
     "MarginalSampler",
     "new_atom_rate",
     "predictive_logpmf",
-    "sample_marginal",
 ]
 
 
@@ -92,8 +93,8 @@ class MarginalConfig:
     atoms are exact and need no knobs.
     """
 
-    x_max: int = 50
-    eps_tail: float = 1e-6
+    x_max: int = DEFAULT_X_MAX
+    eps_tail: float = DEFAULT_EPS_TAIL
 
     def __post_init__(self):
         _check_truncation(self)
@@ -104,14 +105,13 @@ class MarginalSampler(_TruncatedSampler):
 
     One stream = one realization; :meth:`stream` yields one
     :class:`~expcrm.measures.ObservationMeasure` per step (positive counts
-    only, atoms sorted by location).  The rng can be fixed at construction
-    or passed per stream, and a stream's output is a deterministic
-    function of the rng state, with the first n steps independent of how
-    many more are consumed.
+    only, atoms sorted by location).  Every stream takes its rng, and its
+    output is a deterministic function of the rng state, with the first n
+    steps independent of how many more are consumed.
     """
 
-    def __init__(self, prior: ExpCrmPrior, config: MarginalConfig | None = None, rng=None):
-        super().__init__(prior, config, rng, MarginalConfig)
+    def __init__(self, prior: ExpCrmPrior, config: MarginalConfig | None = None):
+        super().__init__(prior, config, MarginalConfig)
         self._log_h: dict[int, np.ndarray] = {}  # log h of each walk chunk, by its first count
 
     def tail_certificate(self, n_steps: int) -> dict:
@@ -133,7 +133,7 @@ class MarginalSampler(_TruncatedSampler):
 
         return walk_counts(gen, log_pmf, family.chunk, self.prior.likelihood.support_bound, xi, lam)
 
-    def _steps(self, rng=None):
+    def _steps(self, rng):
         """The stream's steps as columns, forever.
 
         Yields ``(counts, values, born)`` per step: the step's nonzero
@@ -143,7 +143,7 @@ class MarginalSampler(_TruncatedSampler):
         ``born`` holds the counts at exactly the locations no earlier step
         touched.  The rng order and the tail check are :meth:`stream`'s.
         """
-        gen = self._generator(rng)
+        gen = as_generator(rng)
         like = self.prior.likelihood
         # the atoms on the books as columns, fixed atoms first, then the
         # new atoms of each step in birth order
@@ -171,8 +171,8 @@ class MarginalSampler(_TruncatedSampler):
             order = hit[np.argsort(values[hit])]
             yield counts[order], values[order], born
 
-    def stream(self, rng=None):
-        """Yield one ObservationMeasure per step, forever.
+    def stream(self, rng):
+        """Yield one ObservationMeasure per step, forever, drawn from ``rng`` alone.
 
         Per step, the rng is consumed in a fixed order: one uniform per
         atom already on the books (fixed atoms in prior order, then
@@ -184,13 +184,7 @@ class MarginalSampler(_TruncatedSampler):
         for counts, values, _ in self._steps(rng):
             yield ObservationMeasure.from_arrays(counts, values)
 
-    def sample(self, n_steps: int, rng=None) -> list[ObservationMeasure]:
+    def sample(self, n_steps: int, rng) -> list[ObservationMeasure]:
         """The first ``n_steps`` observations of one stream."""
         return list(islice(self.stream(rng), _positive_int("n_steps", n_steps)))
 
-
-def sample_marginal(
-    prior: ExpCrmPrior, n_steps: int, rng, config: MarginalConfig | None = None
-) -> list[ObservationMeasure]:
-    """Build a sampler and generate one n-step observation sequence."""
-    return MarginalSampler(prior, config=config).sample(n_steps, rng)

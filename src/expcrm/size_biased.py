@@ -18,8 +18,8 @@ answer the same calls) computes them.  Round m of the size-biased
 representation is step m of the marginal process, so
 :class:`~expcrm.marginal.MarginalSampler` reads its new-atom rates from the
 same kind of table, one row per step.  Both samplers share the
-configuration check, the rng handling and the draws of newborn atoms' cells
-(:func:`_superpose`, over all rounds or one step's row) and locations.
+configuration check and the draws of newborn atoms' cells (:func:`_superpose`,
+over all rounds or one step's row) and locations, from each call's rng.
 
 Truncation honesty cuts two ways here.  The count side is certified: the
 neglected per-round count tail (round total minus the tabulated row sum) is
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "SizeBiasedSampler",
     "rate_M",
     "round_total",
-    "sample_size_biased",
     "weight_dist_params",
 ]
 
@@ -180,12 +180,12 @@ class RateTable:
     def _stepped(self, n: int) -> list[tuple[np.ndarray, float]]:
         """The (cumulative row, gap) of every step tabulated, steps 1..n at least."""
         self._extend(n)
-        for rows in self._unstepped:
-            for row in rows:
-                cdf = np.cumsum(row)
-                gap = max(self._totals[len(self._steps)] - float(cdf[-1]), 0.0)
-                self._steps.append((cdf, gap))
-                self._neglected.append(self._neglected[-1] + gap)
+        for rows in self._unstepped:  # one cumsum per block, the same doubles as one per row
+            first = len(self._steps)
+            cdfs = np.cumsum(rows, axis=1)
+            gaps = np.maximum(np.array(self._totals[first : first + len(rows)]) - cdfs[:, -1], 0.0).tolist()
+            self._steps += zip(cdfs, gaps)
+            self._neglected += list(accumulate(gaps, initial=self._neglected[-1]))[1:]
         self._unstepped.clear()
         return self._steps
 
@@ -222,6 +222,12 @@ class RateTable:
         return self._certificate("step", steps, gaps, self._neglected[steps])
 
 
+# the default truncation of both samplers, of a config file and of the checks
+DEFAULT_M_MAX = 1000
+DEFAULT_X_MAX = 50
+DEFAULT_EPS_TAIL = 1e-6
+
+
 def _check_truncation(config) -> None:
     """Validate a truncation config in place: integer fields >= 1, then eps_tail."""
     for f in fields(config):
@@ -248,9 +254,9 @@ class SizeBiasedConfig:
     with :class:`~expcrm.errors.TailBoundError` when it cannot be met.
     """
 
-    m_max: int = 1000
-    x_max: int = 50
-    eps_tail: float = 1e-6
+    m_max: int = DEFAULT_M_MAX
+    x_max: int = DEFAULT_X_MAX
+    eps_tail: float = DEFAULT_EPS_TAIL
 
     def __post_init__(self):
         _check_truncation(self)
@@ -299,9 +305,9 @@ def _locations(gen, k: int, taken) -> np.ndarray:
 
 
 class _TruncatedSampler:
-    """What both samplers share: the config check, the rate table, the rng."""
+    """What both samplers share: the config check, the rate table, the fixed atoms; no rng."""
 
-    def __init__(self, prior, config, rng, config_type):
+    def __init__(self, prior, config, config_type):
         if config is None:
             config = config_type()
         elif not isinstance(config, config_type):
@@ -313,19 +319,11 @@ class _TruncatedSampler:
         self.config = config
         self.count_cap = self.table.count_cap
         self.validity_warnings = self.table.validity_warnings
-        self._gen = None if rng is None else as_generator(rng)
         # the fixed atoms' location values, xi rows and lam, in prior order
         fixed, dim = prior.fixed_atoms, prior.likelihood.dim
         self._fixed_values = np.array([a.location.value for a in fixed], dtype=float)
         self._fixed_xi = np.array([a.xi for a in fixed], dtype=float).reshape(len(fixed), dim)
         self._fixed_lam = np.array([a.lam for a in fixed], dtype=float)
-
-    def _generator(self, rng) -> np.random.Generator:
-        if rng is not None:
-            return as_generator(rng)
-        if self._gen is None:
-            raise DomainError("no rng available: pass one to this call or at construction")
-        return self._gen
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,13 +353,13 @@ class SizeBiasedSampler(_TruncatedSampler):
     count tail against ``config.eps_tail``.  Each draw then costs one
     Poisson variate, a cdf search per atom, and batched weight draws.
 
-    The rng can be fixed at construction or passed per draw; passing an
-    :class:`~expcrm.rng.RngState` per draw makes each replicate
-    independently reproducible no matter how draws are scheduled.
+    Every draw takes its rng; passing ``RngState(seed, stream=r)`` to
+    replicate r makes each replicate independently reproducible no matter
+    how draws are scheduled.
     """
 
-    def __init__(self, prior: ExpCrmPrior, config: SizeBiasedConfig | None = None, rng=None):
-        super().__init__(prior, config, rng, SizeBiasedConfig)
+    def __init__(self, prior: ExpCrmPrior, config: SizeBiasedConfig | None = None):
+        super().__init__(prior, config, SizeBiasedConfig)
         m_max = self.config.m_max
         self._certificate = self.table.draw_certificate(m_max)
         self._cdf = np.cumsum(self.table.rates(m_max))
@@ -377,14 +375,14 @@ class SizeBiasedSampler(_TruncatedSampler):
 
     # -- drawing ----------------------------------------------------------
 
-    def draw_labeled(self, rng=None) -> LabeledDraw:
+    def draw_labeled(self, rng) -> LabeledDraw:
         """Draw the ordinary component, keeping round and count labels.
 
         Atoms are ordered by table cell (round-major), and the weight
         draws follow that order, so the draw consumes generator output
         in a schedule-independent order.
         """
-        gen = self._generator(rng)
+        gen = as_generator(rng)
         rounds, counts = np.divmod(_superpose(gen, self._cdf), self.count_cap)
         rounds += 1
         counts += 1
@@ -393,14 +391,14 @@ class SizeBiasedSampler(_TruncatedSampler):
         weights = self.table.family.draw_weights(gen, *self.table.weight_params(rounds, counts))
         return LabeledDraw(rounds, counts, weights, _locations(gen, rounds.size, self._fixed_locations))
 
-    def draw(self, rng=None) -> TraitMeasure:
+    def draw(self, rng) -> TraitMeasure:
         """One truncated realization of the full trait measure.
 
         Fixed-atom weights come first, in the order the prior lists them
         (their laws are proper by validation), then the ordinary
         component; the order is part of the determinism contract.
         """
-        gen = self._generator(rng)
+        gen = as_generator(rng)
         fixed_weights = self.table.family.draw_weights(gen, self._fixed_xi, self._fixed_lam)
         labeled = self.draw_labeled(gen)
         return TraitMeasure.from_arrays(
@@ -411,13 +409,3 @@ class SizeBiasedSampler(_TruncatedSampler):
             self._truncation,
         )
 
-
-def sample_size_biased(prior: ExpCrmPrior, rng, config: SizeBiasedConfig | None = None) -> TraitMeasure:
-    """Build a sampler and draw once.
-
-    Anything drawing repeatedly should construct one
-    :class:`SizeBiasedSampler` and call :meth:`~SizeBiasedSampler.draw`
-    per replicate; the rate table is the expensive part and depends only
-    on the prior and the config.
-    """
-    return SizeBiasedSampler(prior, config=config).draw(rng)

@@ -11,6 +11,7 @@ from expcrm.catalog import (
     ODDS_BERNOULLI_BETA_PRIME,
     POISSON_GAMMA,
     entry_for,
+    family_of,
     get_entry,
     hyperparam_valid,
     list_entries,
@@ -22,6 +23,7 @@ from expcrm.errors import DivergenceSuspected, DomainError
 from expcrm.exp_family import (
     ExpCrmPrior,
     FixedAtomParams,
+    QuadratureFamily,
     fixed_atom_density,
     log_conjugate_kernel,
     weight_rate_density,
@@ -70,6 +72,18 @@ class TestRegistry:
 
         custom = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="other")
         assert entry_for(custom) is None
+
+    @pytest.mark.parametrize(
+        "family",
+        ["negative_binomial(3.0)", "negative_binomial(-1)", "negative_binomial(x)",
+         "negative_binomial(nan)", "negative_binomial(inf)", "negative_binomial"],
+    )
+    def test_an_id_the_catalog_never_writes_gets_quadrature(self, family):
+        import dataclasses
+
+        like = dataclasses.replace(NB.make_likelihood(), family=family)
+        assert entry_for(like) is None
+        assert isinstance(family_of(like), QuadratureFamily)
 
     def test_list_entries_and_describe(self):
         entries = list_entries()

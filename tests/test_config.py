@@ -1,11 +1,15 @@
 """Tests for model config parsing, normalization, and hashing."""
 
+import inspect
 import json
 
 import pytest
 
+from expcrm import checks
 from expcrm.config import ModelConfig, model_config_from_dict, parse_model_config
 from expcrm.errors import ConfigError, InvalidModelError
+from expcrm.marginal import MarginalConfig
+from expcrm.size_biased import SizeBiasedConfig
 
 
 def gamma_dict(**over):
@@ -15,6 +19,18 @@ def gamma_dict(**over):
     }
     data.update(over)
     return data
+
+
+def test_every_truncation_default_is_the_same():
+    cfg = model_config_from_dict(gamma_dict())
+    size_biased, marginal = SizeBiasedConfig(), MarginalConfig()
+    assert (cfg.rounds, cfg.x_max, cfg.eps_tail) == (
+        size_biased.m_max, size_biased.x_max, size_biased.eps_tail
+    )
+    assert (marginal.x_max, marginal.eps_tail) == (cfg.x_max, cfg.eps_tail)
+    for function in (checks.equivalence_run, checks.run_suite, checks.suite_truncation):
+        params = inspect.signature(function).parameters
+        assert (params["x_max"].default, params["eps_tail"].default) == (cfg.x_max, cfg.eps_tail)
 
 
 class TestSchema:

@@ -3,15 +3,18 @@
 A marginal stream's budget is the running sum of its steps' gaps, the same
 for every stream: it raises at the first step whose sum passes
 ``eps_tail``, as the size-biased sampler does at construction when its
-rounds' gaps do, and with the same message.
+rounds' gaps do, and with the same message.  The table tabulates its steps
+one block of rows at a time, with the doubles of one cumsum per row.
 """
+
+import dataclasses
 
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from expcrm.catalog import POISSON_GAMMA
+from expcrm.catalog import BERNOULLI_BETA, POISSON_GAMMA
 from expcrm.errors import TailBoundError
 from expcrm.exp_family import ExpCrmPrior
 from expcrm.marginal import MarginalConfig, MarginalSampler
@@ -101,3 +104,48 @@ def test_a_nan_total_raises_in_both_samplers(monkeypatch):
     with pytest.raises(TailBoundError, match="keep rate nan") as exc:
         sampler.sample(1, RngState(0))
     assert exc.value.certificate["steps"] == 1
+
+
+def per_row_steps(table, n):
+    """(cumulative row, gap, running sum of gaps) of steps 1..n, one ``np.cumsum`` per row."""
+    steps, neglected = [], 0.0
+    for row, total in zip(table.rates(n), table.totals(n).tolist()):
+        cdf = np.cumsum(row)
+        gap = max(total - float(cdf[-1]), 0.0)
+        neglected += gap
+        steps.append((cdf, gap, neglected))
+    return steps
+
+
+STEPPED = {
+    "gamma": (gamma_prior(), 40),
+    "ibp": (ExpCrmPrior(BERNOULLI_BETA.make_likelihood(), 2.0, (-1.0,), -1.0), 40),
+    "clone": (
+        dataclasses.replace(
+            gamma_prior(),
+            likelihood=dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="mystery-poisson"),
+        ),
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STEPPED)
+def test_steps_are_the_doubles_of_one_cumsum_per_row(name):
+    prior, n = STEPPED[name]
+    at_once, one_by_one, reference = (RateTable(prior, 30, 1.0) for _ in range(3))
+    at_once.totals(3)  # two blocks of rows wait for the first step
+    at_once.step(n)
+    for k in range(1, n + 1):
+        one_by_one.step(k)
+    for k, (cdf, gap, neglected) in enumerate(per_row_steps(reference, n), start=1):
+        for table in (at_once, one_by_one):
+            got_cdf, got_gap = table.step(k)
+            assert (got_cdf.tobytes(), got_gap) == (cdf.tobytes(), gap)
+            assert table.stream_certificate(k)["neglected_rate"] == neglected
+
+
+def test_a_draw_tabulates_no_steps():
+    table = RateTable(gamma_prior(), 30, 1.0)
+    table.draw_certificate(50)
+    assert table._steps == [] and len(table._unstepped) == 1

@@ -3,7 +3,8 @@
 An ``ast`` scan keeps every module free of imports it never reads.  The
 export table in ``expcrm/__init__.py`` is checked against a pinned copy
 of the public names, each name against the object its module defines,
-and, in fresh interpreters, that ``import expcrm`` loads no submodule
+and, in fresh interpreters, that ``import expcrm`` loads no submodule,
+that the catalog lookup answers alike before and after the catalog loads,
 and that no command, each ``verify`` suite included, loads ``scipy.stats``,
 ``scipy.interpolate`` or ``scipy.optimize`` through the package.  A second
 scan keeps every module from importing ``scipy.stats`` or either solver
@@ -19,7 +20,9 @@ both samplers draw their newborn atoms through it (a likelihood's
 ``sample_fn``, which draws observed counts, is exempt).  An eighth finds
 one running sum of exponentiated log pmfs, in ``walk_counts``, and a ninth
 one ``TailBoundError`` built, in ``RateTable._certificate``: the table
-checks the count-cap budget for both samplers.
+checks the count-cap budget for both samplers.  A tenth finds, in the two
+samplers, no ``rng`` parameter with a default and no generator a sampler
+holds: every draw takes its rng.
 """
 
 import ast
@@ -49,7 +52,7 @@ PUBLIC = [
     "get_entry", "hyperparam_valid", "iterated_equals_batch", "list_entries",
     "log_conjugate_kernel", "log_partition_B", "new_atom_rate", "parse_model_config",
     "posterior_update", "predictive_logpmf", "rate_M", "round_total", "run_suite",
-    "sample_marginal", "sample_size_biased", "weight_dist_params", "weight_rate_density",
+    "weight_dist_params", "weight_rate_density",
 ]
 # every submodule the package namespace offered when it imported them all
 SUBMODULES = [
@@ -547,6 +550,62 @@ class TestOneCountCapBudget:
         assert found == (["RateTable._certificate"] if path.name == "size_biased.py" else [])
 
 
+def defaulted_rngs(source: str) -> list[str]:
+    """The functions of ``source`` with a parameter named ``rng`` that has a default, once each."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+            ]
+            if any(arg.arg == "rng" for arg in defaulted):
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+# the modules that draw: the two samplers
+SAMPLERS = [p for p in MODULES if p.name in ("marginal.py", "size_biased.py")]
+
+
+class TestOneWayToDraw:
+    def test_scan_sees_positional_keyword_and_lambda_defaults(self):
+        source = (
+            "def draw(self, rng=None):\n"
+            "    pass\n"
+            "def sample(n, rng, *, seed=0):\n"
+            "    pass\n"
+            "def stream(*, rng=None, other=None):\n"
+            "    pass\n"
+            "def kw(*, rng, tail=1):\n"
+            "    pass\n"
+            "pick = lambda rng=0: rng\n"
+            "def late(a, rng, b=1):\n"
+            "    pass\n"
+        )
+        assert defaulted_rngs(source) == ["draw", "stream", "<lambda>"]
+
+    @pytest.mark.parametrize("path", SAMPLERS, ids=lambda p: p.name)
+    def test_every_draw_takes_its_rng(self, path):
+        assert defaulted_rngs(path.read_text(encoding="utf-8")) == []
+
+    @pytest.mark.parametrize("path", SAMPLERS, ids=lambda p: p.name)
+    def test_no_sampler_holds_a_generator(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert (names_read(source, "_gen"), names_read(source, "_generator")) == ([], [])
+
+    def test_scan_sees_a_held_generator(self):
+        source = (
+            "class Sampler:\n"
+            "    def __init__(self, rng):\n"
+            "        self._gen = rng\n"
+            "    def _generator(self, rng):\n"
+            "        return rng or self._gen\n"
+        )
+        assert (names_read(source, "_gen"), names_read(source, "_generator")) == ([3, 5], [4])
+
+
 class TestExportTable:
     def test_all_is_pinned(self):
         assert expcrm.__all__ == PUBLIC
@@ -589,6 +648,26 @@ class TestLazyLoading:
             tmp_path,
         )
         assert json.loads(line) == []
+
+    def test_catalog_lookup_ignores_what_was_imported_or_built_before(self, tmp_path):
+        # no catalog module yet, and no entry of shape 3
+        (line,) = run_python(
+            "import dataclasses, math, sys\n"
+            "import numpy as np\n"
+            "from expcrm.exp_family import ExpCrmLikelihood, WeightDomain, family_of\n"
+            "like = ExpCrmLikelihood('poisson', lambda x: -math.lgamma(x + 1.0),\n"
+            "    lambda x: (float(x),), lambda th: np.log(th)[:, None], lambda th: th,\n"
+            "    None, WeightDomain(math.inf))\n"
+            "loaded = 'expcrm.catalog' in sys.modules\n"
+            "entry = family_of(like)\n"
+            "from expcrm import catalog\n"
+            "unbuilt = 'negative_binomial(3)' not in catalog._ENTRIES\n"
+            "nb = family_of(dataclasses.replace(like, family='negative_binomial(3)'))\n"
+            "print(loaded, entry is catalog.POISSON_GAMMA, unbuilt,\n"
+            "      nb is catalog.get_entry('negative_binomial', 3))\n",
+            tmp_path,
+        )
+        assert line.split() == ["False", "True", "True", "True"]
 
     def test_submodule_attribute_loads_on_first_read(self, tmp_path):
         (line,) = run_python(

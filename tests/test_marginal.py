@@ -15,7 +15,6 @@ from expcrm.marginal import (
     MarginalSampler,
     new_atom_rate,
     predictive_logpmf,
-    sample_marginal,
 )
 from expcrm import cli
 from expcrm.measures import Location, ObservationMeasure, jsonl_line, observation_to_jsonable
@@ -85,11 +84,6 @@ class TestSamplerConstruction:
     def test_count_cap_clipped_for_binary(self):
         assert MarginalSampler(beta_prior()).count_cap == 1
 
-    def test_stream_needs_an_rng_somewhere(self):
-        s = MarginalSampler(gamma_prior())
-        with pytest.raises(DomainError, match="rng"):
-            next(s.stream())
-
     def test_certificate_is_jsonable(self):
         s = MarginalSampler(gamma_prior())
         cert = json.loads(json.dumps(s.tail_certificate(5)))
@@ -133,18 +127,6 @@ class TestStreams:
         s = MarginalSampler(gamma_prior(), MarginalConfig(x_max=30))
         assert s.sample(4, RngState(9)) == s.sample(4, RngState(9))
         assert s.sample(4, RngState(10)) != s.sample(4, RngState(9))
-
-    def test_per_call_rng_leaves_construction_stream_alone(self):
-        s1 = MarginalSampler(gamma_prior(), rng=RngState(3))
-        s2 = MarginalSampler(gamma_prior(), rng=RngState(3))
-        first = s1.sample(3)
-        s2.sample(3, RngState(99))
-        assert s2.sample(3) == first
-
-    def test_one_shot_convenience_matches_sampler(self):
-        cfg = MarginalConfig(x_max=30)
-        want = MarginalSampler(gamma_prior(), cfg).sample(4, RngState(21))
-        assert sample_marginal(gamma_prior(), 4, RngState(21), cfg) == want
 
     def test_observation_structure(self):
         atoms = (FixedAtomParams(Location(0.5), (0.5,), 2.0),)

@@ -34,7 +34,6 @@ from expcrm.size_biased import (
     _superpose,
     rate_M,
     round_total,
-    sample_size_biased,
     weight_dist_params,
 )
 
@@ -233,11 +232,6 @@ class TestSamplerConstruction:
         s = SizeBiasedSampler(beta_prior(xi=-0.5, lam=2.0), SizeBiasedConfig(m_max=5))
         assert any("alias" in w for w in s.validity_warnings)
 
-    def test_draw_needs_an_rng_somewhere(self):
-        s = SizeBiasedSampler(gamma_prior(), SizeBiasedConfig(m_max=5))
-        with pytest.raises(DomainError, match="rng"):
-            s.draw()
-
 
 class TestDrawing:
     def test_draw_deterministic_per_state(self):
@@ -246,15 +240,6 @@ class TestDrawing:
         b = s.draw(RngState(11))
         assert a == b
         assert s.draw(RngState(12)) != a
-
-    def test_per_call_rng_leaves_construction_stream_alone(self):
-        cfg = SizeBiasedConfig(m_max=50, x_max=30)
-        s1 = SizeBiasedSampler(gamma_prior(), cfg, rng=RngState(3))
-        s2 = SizeBiasedSampler(gamma_prior(), cfg, rng=RngState(3))
-        first = s1.draw()
-        s2.draw(RngState(99))
-        assert s2.draw() == first
-        assert s1.draw() != first  # the construction stream advances
 
     def test_trait_measure_structure(self):
         atoms = (
@@ -311,11 +296,6 @@ class TestDrawing:
         res = stats.kstest(np.array(collected), stats.gamma(a=1.0, scale=0.5).cdf)
         assert len(collected) > 400
         assert res.pvalue > 0.01
-
-    def test_one_shot_convenience_matches_sampler(self):
-        cfg = SizeBiasedConfig(m_max=20)
-        direct = SizeBiasedSampler(gamma_prior(), cfg).draw(RngState(21))
-        assert sample_size_biased(gamma_prior(), RngState(21), cfg) == direct
 
 
 class TestZeroAtoms:

@@ -204,6 +204,7 @@ class CatalogEntry:
     # -- rates and predictive -------------------------------------------------
 
     chunk = 64  # counts per predictive-walk chunk
+    round_block = 1  # rounds per rate_rows block: closed forms tabulate any rounds alike
 
     def rate_rows(self, prior: ExpCrmPrior, ms, xs) -> tuple[np.ndarray, np.ndarray]:
         """A prior's rates at rounds ``ms`` (rows) and counts ``xs`` (columns), and the round totals."""

@@ -237,6 +237,9 @@ def _cmd_sample_prior(args) -> int:
 
 
 def _cmd_sample_marginal(args) -> int:
+    if args.summary is not None and os.path.realpath(args.summary) == os.path.realpath(args.out):
+        # both would be written through one temporary file
+        raise ConfigError(f"--out and --summary name the same file: {args.out}")
     cfg = parse_model_config(args.model)
     x_max = cfg.x_max if args.xmax is None else args.xmax
     seed = _effective_seed(cfg, args)

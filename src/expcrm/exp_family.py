@@ -296,17 +296,17 @@ _COLUMN_TOL = 1e-11
 
 
 def _kernel_spec(
-    likelihood: ExpCrmLikelihood, xis, lams, name: str, positive: bool = False
+    likelihood: ExpCrmLikelihood, xis, lams, name: str, positive: int = 0
 ) -> IntegrandSpec:
     """The conjugate kernels at the pairs (xis[c], lams[c]), as the columns of one integrand.
 
     Column c is ``kappa(theta; xi_c, lam_c)``; one ``xis`` with a float
     ``lams`` gives a one-column integrand.  Every column comes from
     :func:`_log_kernel`, near a finite top in the distance from it when the
-    likelihood has ``log_kernel_upper_fn``.  ``positive`` multiplies the
-    last column by 1 - l(0|theta), the chance of a positive count, where
-    l(0|theta) = h(0) kappa(theta; phi(0), 1).  No powers are declared: the
-    quadrature probes them, all columns at once.
+    likelihood has ``log_kernel_upper_fn``.  A ``positive`` of k multiplies
+    the last column of every k by 1 - l(0|theta), the chance of a positive
+    count, where l(0|theta) = h(0) kappa(theta; phi(0), 1).  No powers are
+    declared: the quadrature probes them, all columns at once.
     """
     columns = np.ndim(lams) > 0
     if columns:
@@ -322,7 +322,7 @@ def _kernel_spec(
         if positive:
             log_l0 = log_h0 + _log_kernel(likelihood, phi0, 1.0, t, from_top)
             with np.errstate(divide="ignore"):
-                out[:, -1] += np.log(-np.expm1(log_l0))
+                out[:, positive - 1 :: positive] += np.log(-np.expm1(log_l0))[:, None]
         return out
 
     top = None if likelihood.log_kernel_upper_fn is None else partial(log_f, from_top=True)
@@ -340,12 +340,14 @@ class QuadratureFamily:
 
     Every B, rate, round total and predictive pmf is an integral of the
     conjugate kernel at shifted parameters, so a call integrates what it
-    needs as the columns of one :class:`~expcrm.quadrature.PanelLaw`: a
-    round's rates and total, or an atom's base B and a predictive chunk's
-    B.  A weight law is one kernel's law, built on first use and kept.
+    needs as the columns of one :class:`~expcrm.quadrature.PanelLaw`: the
+    rates and totals of a block of ``round_block`` rounds, or an atom's base
+    B and a predictive chunk's B.  A weight law is one kernel's law, built
+    on first use and kept.
     """
 
     chunk = 8  # counts per predictive-walk chunk; each is one law per atom
+    round_block = 4  # rounds per rate-row law
 
     def __init__(self, likelihood: ExpCrmLikelihood):
         self.likelihood = likelihood
@@ -383,42 +385,59 @@ class QuadratureFamily:
         logs = [like.log_h(v) if like.in_support(v) else -math.inf for v in xs.reshape(-1).tolist()]
         return np.array(logs, dtype=float).reshape(xs.shape)
 
-    def _round_row(self, mass: float, xi, lam: float, m: int, xs) -> tuple[np.ndarray, float]:
-        """Rates M(m, x) at the counts ``xs``, all in the support, and the round-m total, in one law.
+    def _round_rows(self, mass: float, xi, lam: float, ms: list, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Rates M(m, x) at the rounds ``ms`` (rows) and counts ``xs``, all in the support, and the
+        round totals, in one law.
 
         The rate integrand l(x) l(0)^(m-1) kappa is h(x) h(0)^(m-1)
         kappa(.; xi + phi(x) + (m-1) phi(0), lam + m), and the total's
         (1 - l(0)) l(0)^(m-1) kappa is h(0)^(m-1) (1 - l(0))
         kappa(.; xi + (m-1) phi(0), lam + m - 1): conjugate kernels, one
         column each, the total's times the chance of a positive count.
+        Each round's columns are its rates, then its total.
         """
         like = self.likelihood
         xs = np.asarray(xs, dtype=np.int64).tolist()
-        params = [_shifted_params(like, xi, lam, m, x) for x in xs]
-        params.append(_shifted_params(like, xi, lam, m - 1, 0))
+        params = []
+        for m in ms:
+            params += [_shifted_params(like, xi, lam, m, x) for x in xs]
+            params.append(_shifted_params(like, xi, lam, m - 1, 0))
+        rounds = f"round {ms[0]}" if len(ms) == 1 else f"rounds {ms[0]}-{ms[-1]}"
         spec = _kernel_spec(
             like, [p for p, _ in params], [q for _, q in params],
-            name=f"round {m} of {like.family}", positive=True,
+            name=f"{rounds} of {like.family}", positive=len(xs) + 1,
         )
-        logs = log_integrate(spec, _COLUMN_TOL)
-        logs += math.log(mass) + (m - 1) * like.log_h(0)
-        return np.exp(logs[:-1] + self.log_h_vec(xs)), float(np.exp(logs[-1]))
+        logs = log_integrate(spec, _COLUMN_TOL).reshape(len(ms), len(xs) + 1)
+        logs += math.log(mass) + (np.array(ms) - 1)[:, None] * like.log_h(0)
+        return np.exp(logs[:, :-1] + self.log_h_vec(xs)), np.exp(logs[:, -1])
 
     def rate_rows(self, prior: "ExpCrmPrior", ms, xs) -> tuple[np.ndarray, np.ndarray]:
-        """A prior's rates at rounds ``ms`` (rows) and counts ``xs`` (columns), and the round totals."""
+        """A prior's rates at rounds ``ms`` (rows) and counts ``xs`` (columns), and the round totals.
+
+        The rounds are integrated in consecutive blocks of ``round_block``
+        from the first, one law each, so a row's bytes depend on where its
+        block starts: a :class:`~expcrm.size_biased.RateTable` asks for
+        whole blocks from round 1.
+        """
         ms = np.asarray(ms, dtype=np.int64).tolist()
-        rows = [self._round_row(prior.mass, prior.xi, prior.lam, m, xs) for m in ms]
-        return np.array([r for r, _ in rows]).reshape(len(ms), len(xs)), np.array([t for _, t in rows])
+        if not ms:
+            return np.empty((0, len(xs))), np.empty(0)
+        step = self.round_block
+        blocks = [
+            self._round_rows(prior.mass, prior.xi, prior.lam, ms[i : i + step], xs)
+            for i in range(0, len(ms), step)
+        ]
+        return np.concatenate([r for r, _ in blocks]), np.concatenate([t for _, t in blocks])
 
     def rate_M(self, mass: float, xi, lam: float, m: int, x: int) -> float:
         """M(m, x): 0 outside the support, else a column of the round's law."""
         if not self.likelihood.in_support(x):
             return 0.0
-        return float(self._round_row(mass, xi, lam, m, [x])[0][0])
+        return float(self._round_rows(mass, xi, lam, [m], [x])[0][0, 0])
 
     def round_total(self, mass: float, xi, lam: float, m: int) -> float:
         """The round-m total, the one column of a law without counts."""
-        return self._round_row(mass, xi, lam, m, [])[1]
+        return float(self._round_rows(mass, xi, lam, [m], [])[1][0])
 
     def predictive_rows(self, xi: np.ndarray, lam: np.ndarray, xs: np.ndarray, log_h: np.ndarray):
         """log pmf of the next count at ``xs``, one row per atom (xi[i], lam[i]).

@@ -21,7 +21,8 @@ Step n's new-atom rates are row n of the sampler's
 :class:`~expcrm.size_biased.RateTable`, the table the size-biased sampler
 draws from, and its newborn atoms come from the same superposition draw,
 over that one row; a row is computed the first time a stream reaches its
-step and shared by every later stream.  The table's family (a catalog
+step and shared by every later stream, and by every live sampler of the
+same prior and truncation, size-biased ones included.  The table's family (a catalog
 entry, or a :class:`~expcrm.exp_family.QuadratureFamily` for a family
 without closed forms) answers the predictive pmfs that the package's one
 count walk, :func:`~expcrm.exp_family.walk_counts`, inverts; the table

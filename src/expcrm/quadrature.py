@@ -206,8 +206,8 @@ def _scalar_or_columns(values):
 # --- the slope rule ---------------------------------------------------------
 
 
-def _slope(log_f, points: np.ndarray, finer: float, name: str):
-    """Log-log slope of ``f`` at ``points``, refined by one Richardson step.
+def _slope(log_f, probe: tuple, name: str):
+    """Log-log slope of ``f`` at a probe of :func:`_probe_points`, refined by one Richardson step.
 
     A least-squares fit at one scale is contaminated by the analytic factor
     of the integrand, linearly in the probe scale; fits at scales s and
@@ -215,33 +215,46 @@ def _slope(log_f, points: np.ndarray, finer: float, name: str):
     endpoint, > 1 toward infinity.  One slope per column of ``log_f``; NaN
     for a column that is zero at a probe point.
     """
-    n = points.size
-    both = np.concatenate([points, finer * points])
+    both, scales, finer = probe
     values = _eval_log(log_f, both, name)
     zero = ~np.isfinite(values).all(axis=0)
     if zero.any():
         values = np.where(zero, 0.0, values)
-    fits = []
-    for pts, vals in ((both[:n], values[:n]), (both[n:], values[n:])):
-        x = np.log(pts)
-        x = x - x.mean()
-        fits.append(np.dot(x, vals - vals.mean(axis=0)) / np.dot(x, x))
+    n = both.size // 2
+    fits = [
+        np.dot(x, vals - vals.mean(axis=0)) / xx
+        for (x, xx), vals in zip(scales, (values[:n], values[n:]))
+    ]
     # contaminant shrinks by k moving toward the endpoint
     k = finer if finer < 1.0 else 1.0 / finer
     return np.where(zero, np.nan, (fits[1] - k * fits[0]) / (1.0 - k))
 
 
+def _probe(points: np.ndarray, finer: float) -> tuple:
+    """The slope rule's probe at ``points`` and ``finer`` times them: both sets of points,
+    each set's centred log points with their squared norm, and ``finer``."""
+    both = np.concatenate([points, finer * points])
+    both.flags.writeable = False  # every law with this domain reads these points
+    scales = []
+    for pts in (both[: points.size], both[points.size :]):
+        x = np.log(pts)
+        x = x - x.mean()
+        scales.append((x, np.dot(x, x)))
+    return both, tuple(scales), finer
+
+
+@lru_cache(maxsize=256)
 def _probe_points(upper: float) -> tuple:
-    """(points, refinement) of the slope rule at 0 and at the top.
+    """The probes of the slope rule at 0 and at the top, each from :func:`_probe`.
 
     Probes sit at 1e-4 to 1e-7 of half the scale, refined ten times closer
     to a finite end; toward infinity at 1e4 to 1e7, refined ten times
-    farther out.
+    farther out.  Every law over a domain probes the same points.
     """
     if math.isfinite(upper):
-        pts = min(upper, 1.0) / 2.0 * _PROBE_OFFSETS
-        return (pts, 0.1), (pts, 0.1)
-    return (0.5 * _PROBE_OFFSETS, 0.1), (1.0 / _PROBE_OFFSETS, 10.0)
+        probe = _probe(min(upper, 1.0) / 2.0 * _PROBE_OFFSETS, 0.1)
+        return probe, probe
+    return _probe(0.5 * _PROBE_OFFSETS, 0.1), _probe(1.0 / _PROBE_OFFSETS, 10.0)
 
 
 def probed_orders(spec: IntegrandSpec) -> tuple:
@@ -256,8 +269,8 @@ def probed_orders(spec: IntegrandSpec) -> tuple:
     """
     finite = math.isfinite(spec.upper)
     at_low, at_top = _probe_points(spec.upper)
-    low = _slope(spec.log_f, *at_low, spec.name)
-    up = _slope(spec.log_f_from_top if finite else spec.log_f, *at_top, spec.name)
+    low = _slope(spec.log_f, at_low, spec.name)
+    up = _slope(spec.log_f_from_top if finite else spec.log_f, at_top, spec.name)
     if np.isnan(low).any() or np.isnan(up).any():
         raise QuadratureError(f"{spec.name}: cannot probe an endpoint power where f is zero")
     if not finite:
@@ -344,6 +357,8 @@ def _divergence_screen(log_g, hi0: float, outward: bool, name: str, where: str) 
 # distance from it is the panel's error bound
 _GL_NODES = 12
 _GL_COMPANION = 6
+# the nodes of both rules, as every panel evaluates them
+_BOTH_RULES = np.concatenate([_gl_rule(_GL_NODES)[0], _gl_rule(_GL_COMPANION)[0]])
 # a panel is refined until its error bound is within rel_tol of its mass, or
 # _ABS_TOL of the total; _MAX_PANELS caps the refinement per side
 _ABS_TOL = 1e-16
@@ -413,12 +428,12 @@ class _Panels:
 
     def node_logs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """log density at the nodes of both rules on the panels [a, b]."""
-        y = np.concatenate([_gl_rule(_GL_NODES)[0], _gl_rule(_GL_COMPANION)[0]])
-        return self.log_density(_rule_points(a, b, y))
+        return self.log_density(_rule_points(a, b, _BOTH_RULES))
 
     def masses(self, logs: np.ndarray, a: np.ndarray, b: np.ndarray):
         """Each panel's mass by the main rule, and its distance from the companion's."""
-        f = np.exp(logs - self.shift[:, None, None])
+        f = logs - self.shift[:, None, None]
+        np.exp(f, out=f)  # in place: a law of many columns faults in fresh pages for every array
         half = 0.5 * (b - a)
         main = half * (f[..., :_GL_NODES] @ _gl_rule(_GL_NODES)[1])
         companion = half * (f[..., _GL_NODES:] @ _gl_rule(_GL_COMPANION)[1])
@@ -800,9 +815,9 @@ def checked_law(spec: IntegrandSpec, rel_tol: float) -> PanelLaw:
     else:
         # validate declarations before trusting them
         at_low, at_top = _probe_points(spec.upper)
-        _check_power(_slope(spec.log_f, *at_low, name), spec.lower_order, name, "lower")
+        _check_power(_slope(spec.log_f, at_low, name), spec.lower_order, name, "lower")
         if spec.upper_order is not None and not np.isnan(spec.upper_order).all():
-            _check_power(_slope(log_top, *at_top, name), spec.upper_order, name, "upper")
+            _check_power(_slope(log_top, at_top, name), spec.upper_order, name, "upper")
 
     # Declared-divergent endpoints: gather evidence and raise.  Orders
     # within probe noise of the -1 boundary go to the screen too: an
@@ -832,12 +847,14 @@ def checked_law(spec: IntegrandSpec, rel_tol: float) -> PanelLaw:
 
 def _certified(law: PanelLaw, rel_tol: float, name: str) -> None:
     """Raise unless every column's error bound is within 50 ``rel_tol`` of its total."""
-    for total, err, shift in zip(*(np.atleast_1d(v) for v in (law.total, law.err, law.shift))):
-        if err > 50.0 * rel_tol * total:
-            raise QuadratureError(
-                f"{name}: error estimate {err:.3e} is far above the requested "
-                f"tolerance for total {total:.6e} (in units of exp({shift:g}))"
-            )
+    total, err, shift = (np.atleast_1d(v) for v in (law.total, law.err, law.shift))
+    over = np.flatnonzero(err > 50.0 * rel_tol * total)
+    if over.size:
+        c = over[0]
+        raise QuadratureError(
+            f"{name}: error estimate {err[c]:.3e} is far above the requested "
+            f"tolerance for total {total[c]:.6e} (in units of exp({shift[c]:g}))"
+        )
 
 
 def integrate(spec: IntegrandSpec, rel_tol: float = 1e-10) -> tuple[float, float]:
@@ -880,11 +897,13 @@ def log_integrate(spec: IntegrandSpec, rel_tol: float = 1e-10):
     """
     law = checked_law(spec, rel_tol)
     _certified(law, rel_tol, spec.name)
-    logs = []
-    for total, shift in zip(*(np.atleast_1d(v) for v in (law.total, law.shift))):
-        if not total > 0.0:
-            raise QuadratureError(f"{spec.name}: the integral vanished")
-        with np.errstate(over="ignore"):
-            value = total * float(np.exp(shift))
-        logs.append(math.log(value) if 0.0 < value < math.inf else math.log(total) + shift)
+    totals, shifts = np.atleast_1d(law.total), np.atleast_1d(law.shift)
+    if not (totals > 0.0).all():
+        raise QuadratureError(f"{spec.name}: the integral vanished")
+    with np.errstate(over="ignore"):
+        values = totals * np.exp(shifts)
+    logs = [
+        math.log(value) if 0.0 < value < math.inf else math.log(total) + shift
+        for value, total, shift in zip(values.tolist(), totals.tolist(), shifts.tolist())
+    ]
     return _scalar_or_columns(logs[0] if np.ndim(law.total) == 0 else np.array(logs))

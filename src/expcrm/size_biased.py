@@ -11,8 +11,9 @@ proper conjugate density with the shifted parameters above.  Truncating at
 ``m_max`` rounds and a count cap leaves a finite Poisson intensity that can
 be drawn exactly by superposition.
 
-The rates, round totals and count-tail gaps live in one :class:`RateTable`
-per sampler, grown by round, whose family (from
+The rates, round totals and count-tail gaps live in a :class:`RateTable`,
+grown by round, that samplers of one prior and truncation share while any
+of them lives, and whose family (from
 :func:`~expcrm.exp_family.family_of`: closed forms or quadrature, which
 answer the same calls) computes them.  Round m of the size-biased
 representation is step m of the marginal process, so
@@ -35,6 +36,7 @@ answered by comparing against the marginal sampler.  Every draw carries
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate
@@ -100,7 +102,7 @@ def round_total(prior: ExpCrmPrior, m) -> float:
 
 
 class RateTable:
-    """Atom rates of one prior by round, tabulated as far as a sampler reads.
+    """Atom rates of one prior by round, tabulated as far as its samplers read.
 
     Row m holds M(m, x) for counts x = 1..count_cap, where ``count_cap`` is
     ``x_max`` clipped to the likelihood's support bound; ``totals`` hold the
@@ -109,9 +111,12 @@ class RateTable:
     marginal process is a round-n trait of the size-biased representation,
     so both samplers read the same rows: the size-biased sampler reads
     rounds 1..m_max at construction, the marginal sampler one more row per
-    step.  Each extension is one ``rate_rows`` call of the family: one
-    ``CatalogEntry.rate_table`` call, or one quadrature per round of its
-    whole row, the cells and the round total together.
+    step.  Each extension is one ``rate_rows`` call of the family, over
+    whole blocks of its ``round_block`` rounds from round 1: one
+    ``CatalogEntry.rate_table`` call, or one quadrature per block of four
+    rounds, their cells and round totals together.  Samplers built while
+    another of the same prior, ``x_max`` and ``eps_tail`` lives read its
+    table, so a size-biased sampler's rows serve a marginal stream too.
 
     Construction checks the prior and its hyperparameters.
     """
@@ -138,6 +143,7 @@ class RateTable:
     def _extend(self, rounds: int) -> None:
         have = len(self._totals)
         if rounds > have:
+            rounds = -(-rounds // self.family.round_block) * self.family.round_block  # whole blocks
             rows, totals = self.family.rate_rows(self.prior, np.arange(have + 1, rounds + 1), self.xs)
             self._rates.append(rows)
             self._unstepped.append(rows)
@@ -304,6 +310,20 @@ def _locations(gen, k: int, taken) -> np.ndarray:
     raise RngFaultError("100 location draws in a row collided")
 
 
+# the rate table of each (prior, x_max, eps_tail) that some sampler holds
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _rate_table(prior: ExpCrmPrior, x_max: int, eps_tail: float) -> RateTable:
+    """The table a sampler of ``prior`` reads: one that a live sampler of the same prior and
+    truncation already holds, so its rows are integrated once, else a new one."""
+    key = (prior, x_max, eps_tail)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = RateTable(prior, x_max, eps_tail)
+    return table
+
+
 class _TruncatedSampler:
     """What both samplers share: the config check, the rate table, the fixed atoms; no rng."""
 
@@ -314,7 +334,7 @@ class _TruncatedSampler:
             raise DomainError(
                 f"config must be a {config_type.__name__}, got {type(config).__name__}"
             )
-        self.table = RateTable(prior, config.x_max, config.eps_tail)
+        self.table = _rate_table(prior, config.x_max, config.eps_tail)
         self.prior = prior
         self.config = config
         self.count_cap = self.table.count_cap

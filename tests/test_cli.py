@@ -282,6 +282,25 @@ class TestSampleMarginal:
         assert main(argv) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
+    @pytest.mark.parametrize("older", [None, "older output\n"])
+    def test_summary_naming_the_out_file_exit_2(self, gamma_model, tmp_path, capsys, monkeypatch, older):
+        target = tmp_path / "x"
+        if older is not None:
+            target.write_text(older)
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "sample-marginal", "--model", str(gamma_model), "--n", "5", "--reps", "2",
+            "--out", str(target), "--summary", "x",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--summary" in err
+        if older is None:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "x"]
+            assert target.read_text() == older
+
     def test_summary_is_optional(self, gamma_model, tmp_path):
         out = tmp_path / "data.jsonl"
         assert main(

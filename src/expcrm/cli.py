@@ -25,8 +25,9 @@ failure (unreadable files, malformed JSON, schema violations).
 
 Determinism: replicate ``r`` of any sampling command draws from the
 stream ``RngState(seed, stream=r)``, so outputs are byte-identical for
-identical (config, seed) no matter how replicates are scheduled.  Every
-output file starts with a header record carrying the config hash, the
+identical (config, seed) however replicates are scheduled: in a process
+pool, with BLAS on one thread unless the caller sets OPENBLAS_NUM_THREADS.
+Every output file starts with a header record carrying the config hash, the
 effective seed, and the truncation policy with its certificate; in CSV
 files the header rides in a leading ``#`` comment line above the
 mandatory column row.
@@ -34,12 +35,16 @@ mandatory column row.
 
 from __future__ import annotations
 
+import os
+
+# before numpy loads: an idle OpenBLAS worker busy-waits, and replicates use the pool instead
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import contextlib
 import csv
 import json
 import multiprocessing
-import os
 import sys
 from itertools import islice, starmap
 
@@ -176,7 +181,8 @@ def _fan_out(run, initializer, initargs, seed: int, reps: int):
     """Replicate results ``run(seed, rep)`` in index order, yielded as they come; fanned
     across processes, each set up by ``initializer(*initargs)``, when worth it."""
     tasks = [(seed, rep) for rep in range(reps)]
-    workers = min(os.cpu_count() or 1, reps)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, reps)
     if reps < _POOL_THRESHOLD or workers < 2:
         yield from starmap(run, tasks)
         return

@@ -15,6 +15,12 @@ from expcrm.errors import RngFaultError
 from expcrm.measures import read_jsonl
 
 
+def use_cpus(monkeypatch, n: int) -> None:
+    """Let the process use ``n`` CPUs, as its affinity and as the machine's count."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: n)
+
+
 @pytest.fixture
 def gamma_model(tmp_path):
     path = tmp_path / "model.json"
@@ -150,11 +156,29 @@ class TestSamplePrior:
         serial = tmp_path / "serial.jsonl"
         argv = ["sample-prior", "--model", str(gamma_model), "--reps", "12"]
         # force the worker pool even on a one-core machine
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        use_cpus(monkeypatch, 4)
         assert main(argv + ["--out", str(pooled)]) == 0
         monkeypatch.setattr(cli, "_POOL_THRESHOLD", 10**9)
         assert main(argv + ["--out", str(serial)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_one_usable_cpu_runs_serially(self, gamma_model, tmp_path, monkeypatch):
+        pooled = tmp_path / "pooled.jsonl"
+        serial = tmp_path / "serial.jsonl"
+        argv = ["sample-prior", "--model", str(gamma_model), "--reps", str(cli._POOL_THRESHOLD)]
+        with monkeypatch.context() as patched:
+            use_cpus(patched, 2)
+            assert main(argv + ["--out", str(pooled)]) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool on one usable CPU")
+
+        # confined to one of the machine's four CPUs, as by taskset or a cpuset
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+        assert main(argv + ["--out", str(serial)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_leaves_no_output(
@@ -168,7 +192,7 @@ class TestSamplePrior:
             return real(sampler, seed, rep)
 
         monkeypatch.setattr(cli, "_prior_line", failing)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: workers)
+        use_cpus(monkeypatch, workers)
         fresh = tmp_path / "fresh.jsonl"
         older = tmp_path / "older.jsonl"
         older.write_text("an older run\n")
@@ -258,7 +282,7 @@ class TestSampleMarginal:
         pooled = tmp_path / "p.jsonl"
         serial = tmp_path / "s.jsonl"
         argv = ["sample-marginal", "--model", str(gamma_model), "--n", "2", "--reps", "10"]
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        use_cpus(monkeypatch, 4)
         assert main(argv + ["--out", str(pooled)]) == 0
         monkeypatch.setattr(cli, "_POOL_THRESHOLD", 10**9)
         assert main(argv + ["--out", str(serial)]) == 0
@@ -274,7 +298,7 @@ class TestSampleMarginal:
             return real(sampler, n_steps, seed, rep)
 
         monkeypatch.setattr(cli, "_marginal_lines", failing)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: workers)
+        use_cpus(monkeypatch, workers)
         argv = [
             "sample-marginal", "--model", str(gamma_model), "--n", "2", "--reps", "10",
             "--out", str(tmp_path / "data.jsonl"), "--summary", str(tmp_path / "summary.csv"),

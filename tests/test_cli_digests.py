@@ -10,6 +10,9 @@ output bytes moved.
 The three ``verify`` reports of the ``verify-gamma`` workload at its first
 verify seed are pinned here instead: their headers state the truncation each
 suite used, and their quadrature statistics come from ``PanelLaw``.
+
+The CLI runs BLAS on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``:
+the pooled draws and the oracle report keep their digests with two.
 """
 
 import hashlib
@@ -24,6 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "bench" / "README.md"
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
+
+import expcrm.cli as cli  # noqa: E402
 
 SEED = 0
 
@@ -40,11 +45,11 @@ def _digest_table() -> dict:
     return table
 
 
-def _cli(*args: str) -> None:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def _cli(*args: str, environ=os.environ) -> None:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "expcrm.cli", *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
@@ -62,10 +67,13 @@ def _model(tmp_path, params_key, params) -> str:
     return str(model)
 
 
-def _run_prior(tmp_path) -> dict:
+def _run_prior(tmp_path, environ=os.environ) -> dict:
     model = _model(tmp_path, "params", workloads.STABLE_GAMMA)
     out = tmp_path / "draws.jsonl"
-    _cli("sample-prior", "--model", model, "--reps", str(workloads.PRIOR_REPS), "--out", str(out))
+    _cli(
+        "sample-prior", "--model", model, "--reps", str(workloads.PRIOR_REPS), "--out", str(out),
+        environ=environ,
+    )
     return {"draws.jsonl": out}
 
 
@@ -115,3 +123,20 @@ def test_verify_reports_are_pinned(suite, tmp_path):
     report = tmp_path / f"report-{suite}.json"
     _cli("verify", "--model", str(model), "--suite", suite, "--report", str(report))
     assert _sha256(report) == VERIFY_REPORTS[suite]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the oracle report's quadrature runs through BLAS, and the draws through the pool
+    assert workloads.PRIOR_REPS >= cli._POOL_THRESHOLD
+    environ = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    draws = _run_prior(tmp_path, environ)["draws.jsonl"]
+    assert _sha256(draws) == _digest_table()[("prior-stable-gamma", SEED, "draws.jsonl")]
+    model = tmp_path / "verify.json"
+    cfg = workloads.model_config("params", workloads.GAMMA, workloads.VERIFY_SEEDS[SEED])
+    workloads.write_config(model, cfg)
+    report = tmp_path / "report-oracle.json"
+    _cli(
+        "verify", "--model", str(model), "--suite", "oracle", "--report", str(report),
+        environ=environ,
+    )
+    assert _sha256(report) == VERIFY_REPORTS["oracle"]

@@ -22,7 +22,8 @@ one running sum of exponentiated log pmfs, in ``walk_counts``, and a ninth
 one ``TailBoundError`` built, in ``RateTable._certificate``: the table
 checks the count-cap budget for both samplers.  A tenth finds, in the two
 samplers, no ``rng`` parameter with a default and no generator a sampler
-holds: every draw takes its rng.
+holds: every draw takes its rng.  Last, in fresh interpreters again, no
+command leaves a BLAS worker thread running unless the caller asks for one.
 """
 
 import ast
@@ -144,13 +145,13 @@ def quadrature_engine_names(source: str) -> list[str]:
     return sorted(found)
 
 
-def run_python(code: str, cwd) -> list[str]:
-    """Run ``code`` in a fresh interpreter on this package; its stdout lines."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def run_python(code: str, cwd, environ=os.environ) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this package, in ``environ``; its stdout lines."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
@@ -165,8 +166,8 @@ COMMANDS = [
 ]
 
 
-def cli_modules(tmp_path, command: str) -> tuple[int, list[str]]:
-    """Run one CLI command in a fresh interpreter: its exit code and the scipy modules it loaded."""
+def cli_argv(tmp_path, command: str) -> list[str]:
+    """The arguments of one of ``COMMANDS``, with the files it reads written to ``tmp_path``."""
     model = tmp_path / "model.json"
     model.write_text(
         json.dumps(
@@ -180,7 +181,7 @@ def cli_modules(tmp_path, command: str) -> tuple[int, list[str]]:
     )
     data = tmp_path / "data.jsonl"
     data.write_text(json.dumps({"atoms": [{"x": 1, "loc": "0.25"}]}) + "\n")
-    argv = {
+    return {
         "families": ["families", "list"],
         # fewer than 8 replicates run in this process, not in a pool
         "sample-prior": ["sample-prior", "--model", "model.json", "--reps", "3",
@@ -196,15 +197,41 @@ def cli_modules(tmp_path, command: str) -> tuple[int, list[str]]:
             for suite in ("assumptions", "oracle", "equivalence")
         },
     }[command]
+
+
+def cli_modules(tmp_path, command: str) -> tuple[int, list[str]]:
+    """Run one CLI command in a fresh interpreter: its exit code and the scipy modules it loaded."""
     lines = run_python(
         "import json, sys\n"
         "from expcrm.cli import main\n"
-        f"code = main({argv!r})\n"
+        f"code = main({cli_argv(tmp_path, command)!r})\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy.'))]))\n",
         tmp_path,
     )
     code, modules = json.loads(lines[-1])
     return code, modules
+
+
+def cli_threads(tmp_path, command: str, blas_threads: str | None = None) -> list:
+    """Run one CLI command in a fresh interpreter: its exit code, the OS threads the process
+    holds when ``main`` returns, and ``OPENBLAS_NUM_THREADS`` then.
+
+    The caller's environment goes in without ``OPENBLAS_NUM_THREADS``, or with it set to
+    ``blas_threads``: importing ``expcrm.cli`` in this process has put it in ``os.environ``.
+    """
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        environ["OPENBLAS_NUM_THREADS"] = blas_threads
+    lines = run_python(
+        "import json, os\n"
+        "from expcrm.cli import main\n"
+        f"code = main({cli_argv(tmp_path, command)!r})\n"
+        "print(json.dumps([code, len(os.listdir('/proc/self/task')),\n"
+        "    os.environ.get('OPENBLAS_NUM_THREADS')]))\n",
+        tmp_path,
+        environ,
+    )
+    return json.loads(lines[-1])
 
 
 class TestUnusedImports:
@@ -686,3 +713,20 @@ class TestLazyLoading:
     def test_command_loads_no_scipy_solver(self, tmp_path, command):
         code, modules = cli_modules(tmp_path, command)
         assert (code, scipy_solvers(modules)) == (0, [])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread /proc entries")
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread: an OpenBLAS worker busy-waits after it starts and
+    after every threaded call, and the CLI spreads replicates over processes instead."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_starts_a_blas_thread(self, tmp_path, command):
+        assert cli_threads(tmp_path, command) == [0, 1, "1"]
+
+    def test_a_callers_blas_thread_count_is_kept(self, tmp_path):
+        code, threads, blas_threads = cli_threads(tmp_path, "posterior", "2")
+        assert (code, blas_threads) == (0, "2")
+        if len(os.sched_getaffinity(0)) > 1:
+            # the thread count sees BLAS workers where they can start
+            assert threads > 1

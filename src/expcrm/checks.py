@@ -694,6 +694,14 @@ def equivalence_run(
 _SUITES = ("assumptions", "oracle", "equivalence")
 
 
+def suite_reps(suite: str, reps: int) -> int:
+    """The replicates :func:`run_suite` runs ``suite`` with when asked for ``reps``.
+
+    The oracle suite's KS test draws at least 1,000 weights; every other suite runs ``reps``.
+    """
+    return max(reps, 1000) if suite == "oracle" else reps
+
+
 def run_suite(
     prior: ExpCrmPrior,
     suite: str,
@@ -709,7 +717,7 @@ def run_suite(
     if suite == "assumptions":
         return check_assumptions(prior)
     if suite == "oracle":
-        return oracle_suite(prior, seed=seed, reps=max(reps, 1000))
+        return oracle_suite(prior, seed=seed, reps=suite_reps(suite, reps))
     if suite == "equivalence":
         return equivalence_run(prior, reps=reps, seed=seed, x_max=x_max, eps_tail=eps_tail)
     raise DomainError(f"unknown suite {suite!r}; choose one of {', '.join(_SUITES)}")

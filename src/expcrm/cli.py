@@ -281,7 +281,7 @@ def _cmd_sample_marginal(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the verification layer, which no other command needs
-    from .checks import run_suite, suite_truncation
+    from .checks import run_suite, suite_reps, suite_truncation
 
     cfg = parse_model_config(args.model)
     prior = cfg.build_prior()
@@ -297,7 +297,7 @@ def _cmd_verify(args) -> int:
         out = {
             "header": _header("verify", cfg, seed, policy, certificate),
             "suite": args.suite,
-            "reps": args.reps,
+            "reps": suite_reps(args.suite, args.reps),
             "passed": passed,
             "reports": [r.to_jsonable() for r in reports],
         }

@@ -11,8 +11,11 @@ Callers declare those powers in an :class:`IntegrandSpec`.  One engine,
 :class:`PanelLaw`, sums them all, and the quadrature family's weight
 draws invert its cumulative sums.  It tiles (0, U) with 12-node Gauss-Legendre panels,
 graded geometrically from 1e-12 of the scale at each end (in the distance
-from a finite top) and marched in quarter-octaves toward infinity; each
-panel is bisected until its distance from a 6-node companion rule is within
+from a finite top) and marched in quarter-octaves toward infinity until the
+tail closes: a law that decays faster than a power marches first to 2^2,
+and each later batch doubles the panels marched so far, while a declared
+power tail marches 60 panels at a time (to 2^15, 2^30, ...).  Each panel
+is bisected until its distance from a 6-node companion rule is within
 ``rel_tol`` of its mass.  Beyond the outermost knots f is a pure power to
 leading order, so those pieces are analytic.  A finite top without an exact
 evaluator stops at 1e-6 of the scale, since U - v rounds v to steps of
@@ -56,10 +59,11 @@ every divergent end, and only then is the :class:`PanelLaw` built.
 and weight draws invert its laws uncertified.
 
 Evaluators work in log space (``log_f``), and the panels take each column
-relative to its largest value at their first nodes, raised if a march
-toward infinity finds far larger values, so kernels with huge dynamic range
-never overflow.  :func:`log_integrate` returns the logs of the integrals,
-which may lie outside floating-point range.
+relative to its largest value at their first nodes (those of the first
+march toward infinity), raised if a later batch of the march finds values
+more than half the exponent range above it, so kernels with huge dynamic
+range never overflow.  :func:`log_integrate` returns the logs of the
+integrals, which may lie outside floating-point range.
 """
 
 from __future__ import annotations
@@ -373,10 +377,19 @@ _CAP_NODES = 24
 _KNOTS_PER_SIDE = 96
 _SIDE_GRID = np.geomspace(_EDGE, 0.5, _KNOTS_PER_SIDE)
 _CAP_GRID = np.geomspace(_CAP_EDGE, 0.5, _KNOTS_PER_SIDE)
-# quarter-octave knots above 1 toward an infinite top, _MARCH per log-density call
+# quarter-octave knots above 1 toward an infinite top.  A law that decays
+# faster than a power starts with the first _MARCH (up to 2^2), and each later
+# batch doubles the knots marched so far.  A declared power tail closes only
+# once its log-slope has settled, often past 2^30, where doubling from 2^2
+# would cost it more passes than it saves, so it marches _POWER_MARCH at a
+# time (to 2^15, 2^30, ...)
 _MARCH_KNOTS = 2.0 ** (0.25 * np.arange(1, 1201))
-_MARCH = 60
-_INFINITE_START = np.concatenate([np.geomspace(_EDGE, 1.0, _KNOTS_PER_SIDE), _MARCH_KNOTS[:_MARCH]])
+_MARCH = 8
+_POWER_MARCH = 60
+_INFINITE_START = {
+    m: np.concatenate([np.geomspace(_EDGE, 1.0, _KNOTS_PER_SIDE), _MARCH_KNOTS[:m]])
+    for m in (_MARCH, _POWER_MARCH)
+}
 # the largest log whose exp is a finite double
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -388,7 +401,8 @@ def _start_knots(spec: IntegrandSpec) -> list:
     in the distance from the top.
     """
     if not math.isfinite(spec.upper):
-        return [(spec.log_f, _INFINITE_START)]
+        power = spec.upper_order is not None and not np.isnan(spec.upper_order).all()
+        return [(spec.log_f, _INFINITE_START[_POWER_MARCH if power else _MARCH])]
     grid = spec.upper * _SIDE_GRID
     top = grid if spec.log_f_upper is not None else spec.upper * _CAP_GRID
     return [(spec.log_f, grid), (spec.log_f_from_top, top)]
@@ -583,15 +597,20 @@ class PanelLaw:
     in every column, and a march toward an infinite top closes once every
     column has: at a shell within 1e-3 * rel_tol of the mass below it, or,
     for a power tail, once the analytic piece above is within rel_tol / 2
-    of it.
+    of it.  Without a power tail, that march starts with the quarter-octave
+    panels up to 2^2 and goes on in batches that double the panels marched
+    so far (to 2^4, 2^8, 2^16, ...), so a law whose mass lies low evaluates
+    no panel far above it; a power tail, which closes only once its
+    log-slope has settled, marches 60 panels at a time (to 2^15, 2^30, ...).
 
     After construction ``total`` is the integral and ``err`` bounds its
     error, both in units of ``exp(shift)``, the largest integrand value at
-    the first nodes (raised where a march toward infinity found values
-    that would overflow against it); all three are floats for one column
-    and arrays of one entry per column otherwise.  ``cdf`` normalizes the
-    cumulative sums of a one-column law; :func:`invert` maps cumulative
-    masses in (0, total) of one-column laws back to points.
+    the first nodes, those of the first march toward infinity (raised where
+    a later batch of the march found values more than half the exponent
+    range above it); all three are floats for one column and arrays of one
+    entry per column otherwise.  ``cdf`` normalizes the cumulative sums of
+    a one-column law; :func:`invert` maps cumulative masses in (0, total)
+    of one-column laws back to points.
     """
 
     def __init__(self, spec: IntegrandSpec, rel_tol: float):
@@ -617,17 +636,19 @@ class PanelLaw:
         mass_below, below_err = _power_piece(lower, lower.knots[:2], low)
 
         if not self._finite:
-            # march in quarter-octaves until a shell stops mattering; shells
-            # can grow at first when the mass sits above the initial grid,
-            # and a shell closes nothing while no mass has been found.  A
-            # declared power tail also closes once the analytic piece above a
-            # shell is accurate: its relative error is at most the shell's
-            # log-slope deviation from up over -up - 1, and the error it makes
-            # must be within half of rel_tol of the mass below, which leaves
-            # the other half to the panels.  The march ends at the first
-            # shell by which every column has closed
+            # march in quarter-octaves, in the batches described at
+            # _MARCH_KNOTS, until a shell stops mattering; shells can grow at
+            # first when the mass sits above the initial grid, and a shell
+            # closes nothing while no mass has been found.  A declared power
+            # tail also closes once the analytic piece above a shell is
+            # accurate: its relative error is at most the shell's log-slope
+            # deviation from up over -up - 1, and the error it makes must be
+            # within half of rel_tol of the mass below, which leaves the other
+            # half to the panels.  The march ends at the first shell by which
+            # every column has closed
             mass, err = parts[0]
-            n_grid, marched = _KNOTS_PER_SIDE - 1, _MARCH
+            n_grid = _KNOTS_PER_SIDE - 1
+            marched = lower.knots.size - _KNOTS_PER_SIDE
             p = up[:, None]
             if any_power:
                 knot_logs = lower.log_density(lower.knots[n_grid:])
@@ -649,15 +670,18 @@ class PanelLaw:
                     raise QuadratureError(
                         f"{name}: tail failed to close after {_MARCH_KNOTS.size} quarter-octaves"
                     )
-                b = _MARCH_KNOTS[marched : marched + _MARCH]
+                b = _MARCH_KNOTS[marched : marched + (_POWER_MARCH if any_power else marched)]
                 a = np.concatenate([lower.knots[-1:], b[:-1]])
                 new_logs = lower.node_logs(a, b)
                 peak = new_logs.max(axis=(1, 2))
-                over = peak - lower.shift > _LOG_MAX
+                over = peak - lower.shift > 0.5 * _LOG_MAX
                 if over.any():
                     # the mass lies far above the nodes that set the shift:
                     # rescale what is summed so far and raise the shift to
-                    # the new peak, so the new shells stay in range
+                    # the new peak.  Half the exponent range is the trigger,
+                    # not all of it: the other half holds the panel widths
+                    # (at most 2^300) and the sums and tail pieces built on
+                    # them, which must stay in range too
                     raised = np.where(over, peak, lower.shift)
                     scale = np.exp(lower.shift - raised)
                     mass, err = mass * scale[:, None], err * scale[:, None]
@@ -669,7 +693,7 @@ class PanelLaw:
                 err = np.concatenate([err, more_err], axis=1)
                 if any_power:
                     knot_logs = np.concatenate([knot_logs, lower.log_density(b)], axis=1)
-                marched += _MARCH
+                marched += b.size
 
         if self._finite:
             top = sides[1]

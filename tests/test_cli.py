@@ -589,6 +589,21 @@ class TestVerify:
         assert doc["suite"] == "oracle"
         assert len(doc["reports"]) == 13
 
+    @pytest.mark.parametrize("reps, drawn", [(5, 1000), (1200, 1200)])
+    def test_oracle_report_states_the_weights_it_drew(self, gamma_model, tmp_path, reps, drawn):
+        # the KS test draws at least 1,000 weights, whatever --reps asks
+        report = tmp_path / "report.json"
+        code = main(
+            ["verify", "--model", str(gamma_model), "--suite", "oracle",
+             "--reps", str(reps), "--report", str(report)]
+        )
+        assert code == 0
+        doc = json.loads(report.read_text())
+        weight_law = doc["reports"][-1]
+        assert weight_law["name"].startswith("weight law")
+        assert weight_law["detail"].startswith(f"n = {drawn}, ")
+        assert doc["reps"] == drawn
+
     def test_oracle_suite_on_a_heavy_power_tail(self, tmp_path):
         # the round-1 weight law is Beta-prime(0.5, 0.05), tail power -1.05
         model = tmp_path / "odds.json"

@@ -245,13 +245,42 @@ class TestLogPartition:
         assert log_partition_B(like, (xi,), lam) == pytest.approx(want, rel=1e-13)
 
     def test_unregistered_mass_far_above_the_starting_knots(self):
-        # the kernel peaks near 1e6, far above the 2^15 the starting knots
-        # reach: the march raises its shift instead of overflowing
+        # the kernel peaks near 1e6, far above the 2^2 the first march
+        # reaches: the march raises its shift instead of overflowing
         like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
         want = POISSON_GAMMA.log_B((1000.0,), 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = log_partition_B(like, (1000.0,), 1e-3)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("xi", [5.0, 30.0, 150.0, 600.0, 2000.0, 1e4])
+    def test_unregistered_peaks_above_the_first_march(self, xi):
+        # peaks xi / lam from 2^2.5 to 2^15 in half-octaves: the shift is
+        # taken at the nodes up to 2^2, and a later batch of the march can
+        # start up to about 709 nats above it
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(5, 31):
+                lam = xi / 2.0 ** (k / 2)
+                want = POISSON_GAMMA.log_B((xi,), lam)
+                assert log_partition_B(like, (xi,), lam) == pytest.approx(want, rel=1e-12), k
+
+    @pytest.mark.parametrize(
+        "xi, log2_peak",
+        [(96.5, 14.0), (106.0, 13.0), (121.0, 11.875), (137.5, 10.875), (384.0, 12.0), (589.0, 5.0)],
+    )
+    def test_unregistered_peaks_just_short_of_overflow(self, xi, log2_peak):
+        # a later batch of the march peaks 596-709 nats above the shift: its
+        # values alone stay finite, but its panel masses, each a value times
+        # a panel width, and their sums overflow unless the shift is raised
+        like = dataclasses.replace(POISSON_GAMMA.make_likelihood(), family="custom_counts")
+        lam = xi / 2.0**log2_peak
+        want = POISSON_GAMMA.log_B((xi,), lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = log_partition_B(like, (xi,), lam)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_unregistered_steep_lower_power(self):

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import betaln, gammaln, roots_legendre
 
 from expcrm.errors import DivergenceSuspected, QuadratureError, SingularityMismatch
-from expcrm.quadrature import IntegrandSpec, _gl_rule, integrate
+from expcrm.quadrature import IntegrandSpec, PanelLaw, _gl_rule, integrate
 
 REL_TOL = 1e-10
 # Validation accuracy demanded of every convergent corpus integral.
@@ -206,3 +206,82 @@ def test_undeclared_powers_are_probed():
         integrate(IntegrandSpec(lambda t: -1.5 * np.log(t) - t, math.inf, None))
     with pytest.raises(QuadratureError):
         IntegrandSpec(lambda t: -t, math.inf, None, upper_order=-2.0)
+
+
+# Every panel evaluates the nodes of the 12-node rule and its 6-node
+# companion; an infinite domain starts with 95 graded panels below 1 and the
+# first march of 8 quarter-octave panels, up to 2^2
+PANEL_NODES = 18
+GRID_PANELS = 95
+FIRST_MARCH = 8
+
+
+@pytest.mark.parametrize(
+    "xi, lam, batches",
+    [
+        (0.5, 11.0, []),  # mass below 2^2: the first march closes it
+        (0.5, 1.1, [8, 16]),  # closes near 2^5.25, in the batch to 2^8
+        (1000.0, 1e-3, [8, 16, 32, 64]),  # mass near 2^20, closed in the batch to 2^32
+    ],
+)
+def test_march_evaluates_only_the_batches_it_needs(xi, lam, batches):
+    """The march toward infinity doubles what it has marched, and stops at the batch that closes.
+
+    The evaluator sees the start grid with the first march, the lower power
+    piece's two knots, one call per later batch, and then the bisections,
+    two new panels each; nothing above the last batch's top knot.
+    """
+    sizes, tops = [], []
+
+    def log_f(t):
+        sizes.append(t.size)
+        tops.append(t.max())
+        return xi * np.log(t) - lam * t
+
+    law = PanelLaw(IntegrandSpec(log_f, math.inf, xi, None, name="gamma kernel"), REL_TOL)
+    marched = FIRST_MARCH + sum(batches)
+    assert sizes[:2] == [PANEL_NODES * (GRID_PANELS + FIRST_MARCH), 2]
+    assert sizes[2 : 2 + len(batches)] == [PANEL_NODES * b for b in batches]
+    assert max(tops) < 2.0 ** (marched / 4)
+    knots = law._sides[0].knots
+    kept = round(4 * math.log2(knots[-1]))  # the march closed at its kept-th knot, 2^(kept/4)
+    assert 0 < kept <= marched
+    bisections = sizes[2 + len(batches) :]
+    assert all(n % (2 * PANEL_NODES) == 0 for n in bisections)
+    assert sum(bisections) // (2 * PANEL_NODES) == knots.size - 1 - GRID_PANELS - kept
+    log_total = math.log(law.total) + law.shift
+    assert log_total == pytest.approx(gammaln(xi + 1.0) - (xi + 1.0) * math.log(lam), rel=0.0, abs=1e-12)
+
+
+def test_march_stops_at_its_last_knot():
+    """A tail that never closes marches in doubling batches to 2^300, the 1,200th knot, then raises."""
+    sizes = []
+
+    def log_f(t):
+        sizes.append(t.size)
+        return -1.01 * np.log1p(t)  # declared faster than a power, which it is not
+
+    with pytest.raises(QuadratureError, match="tail failed to close after 1200 quarter-octaves"):
+        PanelLaw(IntegrandSpec(log_f, math.inf, 0.0, None, name="slow tail"), REL_TOL)
+    batches = [8, 16, 32, 64, 128, 256, 512, 1200 - 1024]
+    assert sizes[2:] == [PANEL_NODES * b for b in batches]
+
+
+def test_power_tail_marches_sixty_panels_at_a_time():
+    """A declared power tail closes only where its log-slope has settled, here past 2^33, in batches of 60.
+
+    The evaluator sees the start grid with the first 60 march panels, the
+    lower power piece's two knots, the 61 knots the tail test reads, each
+    later batch's nodes and its 60 knots, and the upper power piece's two.
+    """
+    a, b = 0.5, 0.1
+    sizes = []
+
+    def log_f(t):
+        sizes.append(t.size)
+        return (a - 1.0) * np.log(t) - (a + b) * np.log1p(t)
+
+    law = PanelLaw(IntegrandSpec(log_f, math.inf, a - 1.0, -1.0 - b, name="beta prime kernel"), REL_TOL)
+    assert sizes == [PANEL_NODES * (GRID_PANELS + 60), 2, 61] + [PANEL_NODES * 60, 60] * 2 + [2]
+    assert law._sides[0].knots[-1] == 2.0 ** (135 / 4)
+    assert math.log(law.total) + law.shift == pytest.approx(betaln(a, b), rel=0.0, abs=1e-10)

@@ -241,20 +241,9 @@ class CatalogEntry:
         )
         return np.exp(log_rate)
 
-    def rate_M(self, mass: float, xi, lam: float, m: int, x: int) -> float:
-        if x < 1 or m < 1:
-            raise DomainError("round and count must be >= 1")
-        like = self.make_likelihood()
-        if not like.in_support(x):
-            return 0.0
-        return float(self.rate_table(mass, xi, lam, np.array([m]), np.array([x]))[0, 0])
-
     def round_totals(self, mass: float, xi, lam: float, m: np.ndarray) -> np.ndarray:
         """Expected atoms per round, summed over all positive counts."""
         raise NotImplementedError
-
-    def round_total(self, mass: float, xi, lam: float, m: int) -> float:
-        return float(self.round_totals(mass, xi, lam, np.array([m], dtype=float))[0])
 
     def predictive_logpmf(self, xi0_eff, lam_eff, x: np.ndarray, *, log_h=None) -> np.ndarray:
         """log pmf of the next count at an atom with accumulated (xi, lam).

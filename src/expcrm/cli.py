@@ -48,7 +48,7 @@ import multiprocessing
 import sys
 from itertools import islice, starmap
 
-from .catalog import list_entries
+from .catalog import hyperparam_valid, list_entries
 from .config import ModelConfig, model_config_from_dict, parse_model_config
 from .errors import ConfigError, ExpCrmError
 from .marginal import MarginalConfig, MarginalSampler
@@ -92,6 +92,15 @@ def _effective_seed(cfg: ModelConfig, args) -> int:
     return cfg.seed if args.seed is None else args.seed
 
 
+def _build_prior(cfg: ModelConfig):
+    """The config's prior, each warning of its validity check printed once to stderr
+    (pool workers build theirs with ``cfg.build_prior`` and print nothing)."""
+    prior = cfg.build_prior()
+    for warning in hyperparam_valid(prior).warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return prior
+
+
 # --- families ------------------------------------------------------------------
 
 
@@ -105,7 +114,7 @@ def _cmd_families(args) -> int:
 
 def _cmd_posterior(args) -> int:
     cfg = parse_model_config(args.model)
-    prior = cfg.build_prior()
+    prior = _build_prior(cfg)
     records = read_jsonl(args.data)
     observations = [
         observation_from_jsonable(rec)
@@ -223,7 +232,7 @@ def _cmd_sample_prior(args) -> int:
     seed = _effective_seed(cfg, args)
     # construct once up front: validates the model and prices the truncation
     sampler = SizeBiasedSampler(
-        cfg.build_prior(), SizeBiasedConfig(m_max=rounds, x_max=x_max, eps_tail=cfg.eps_tail)
+        _build_prior(cfg), SizeBiasedConfig(m_max=rounds, x_max=x_max, eps_tail=cfg.eps_tail)
     )
     policy = {"rounds": rounds, "x_max": x_max, "eps_tail": cfg.eps_tail}
     header = _header("sample-prior", cfg, seed, policy, sampler.tail_certificate())
@@ -250,7 +259,7 @@ def _cmd_sample_marginal(args) -> int:
     x_max = cfg.x_max if args.xmax is None else args.xmax
     seed = _effective_seed(cfg, args)
     sampler = MarginalSampler(
-        cfg.build_prior(), MarginalConfig(x_max=x_max, eps_tail=cfg.eps_tail)
+        _build_prior(cfg), MarginalConfig(x_max=x_max, eps_tail=cfg.eps_tail)
     )
     policy = {"x_max": x_max, "eps_tail": cfg.eps_tail}
     header = _header("sample-marginal", cfg, seed, policy, sampler.tail_certificate(args.n))
@@ -284,7 +293,7 @@ def _cmd_verify(args) -> int:
     from .checks import run_suite, suite_reps, suite_truncation
 
     cfg = parse_model_config(args.model)
-    prior = cfg.build_prior()
+    prior = _build_prior(cfg)
     seed = _effective_seed(cfg, args)
     reports = run_suite(
         prior, args.suite, seed=seed, reps=args.reps, x_max=cfg.x_max, eps_tail=cfg.eps_tail
@@ -315,10 +324,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonneg_int(text: str) -> int:
+def _seed(text: str) -> int:
+    """A seed in [0, 2**64), the range a config's ``seed`` accepts."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
     return value
 
 
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     post.add_argument("--model", required=True, help="model config JSON")
     post.add_argument("--data", required=True, help="observations JSONL")
     post.add_argument("--out", required=True, help="posterior JSON to write")
-    post.add_argument("--seed", type=_nonneg_int, default=None, help="override config seed")
+    post.add_argument("--seed", type=_seed, default=None, help="override config seed")
     post.set_defaults(func=_cmd_posterior)
 
     sp = sub.add_parser("sample-prior", help="draw truncated trait measures")
@@ -345,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rounds", type=_positive_int, default=None, help="override truncation rounds")
     sp.add_argument("--xmax", type=_positive_int, default=None, help="override count cap")
     sp.add_argument("--reps", type=_positive_int, default=1, help="number of draws")
-    sp.add_argument("--seed", type=_nonneg_int, default=None, help="override config seed")
+    sp.add_argument("--seed", type=_seed, default=None, help="override config seed")
     sp.add_argument("--out", required=True, help="draws JSONL to write")
     sp.set_defaults(func=_cmd_sample_prior)
 
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--model", required=True, help="model config JSON")
     sm.add_argument("--n", type=_positive_int, required=True, help="observations per replicate")
     sm.add_argument("--reps", type=_positive_int, default=1, help="number of replicates")
-    sm.add_argument("--seed", type=_nonneg_int, default=None, help="override config seed")
+    sm.add_argument("--seed", type=_seed, default=None, help="override config seed")
     sm.add_argument("--xmax", type=_positive_int, default=None, help="override count cap")
     sm.add_argument("--out", required=True, help="observations JSONL to write")
     sm.add_argument("--summary", default=None, help="per-step summary CSV to write")
@@ -367,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="assumptions",
         help="which checks to run; equivalence compares rounds 1-3 whatever the config's rounds",
     )
-    ver.add_argument("--seed", type=_nonneg_int, default=None, help="override config seed")
+    ver.add_argument("--seed", type=_seed, default=None, help="override config seed")
     ver.add_argument("--reps", type=_positive_int, default=2000, help="Monte Carlo replicates")
     ver.add_argument("--report", default=None, help="report JSON to write")
     ver.set_defaults(func=_cmd_verify)

@@ -429,16 +429,6 @@ class QuadratureFamily:
         ]
         return np.concatenate([r for r, _ in blocks]), np.concatenate([t for _, t in blocks])
 
-    def rate_M(self, mass: float, xi, lam: float, m: int, x: int) -> float:
-        """M(m, x): 0 outside the support, else a column of the round's law."""
-        if not self.likelihood.in_support(x):
-            return 0.0
-        return float(self._round_rows(mass, xi, lam, [m], [x])[0][0, 0])
-
-    def round_total(self, mass: float, xi, lam: float, m: int) -> float:
-        """The round-m total, the one column of a law without counts."""
-        return float(self._round_rows(mass, xi, lam, [m], [])[1][0])
-
     def predictive_rows(self, xi: np.ndarray, lam: np.ndarray, xs: np.ndarray, log_h: np.ndarray):
         """log pmf of the next count at ``xs``, one row per atom (xi[i], lam[i]).
 

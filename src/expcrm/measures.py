@@ -98,12 +98,11 @@ class TruncationMeta:
         if self.kind not in ("truncated", "exact-finite"):
             raise DomainError(f"truncation kind must be 'truncated' or 'exact-finite', got {self.kind!r}")
         if self.kind == "truncated":
-            if self.rounds is None or int(self.rounds) < 1:
-                raise DomainError(f"truncated measures need rounds >= 1, got {self.rounds}")
-            if self.count_cap is None or int(self.count_cap) < 1:
-                raise DomainError(f"truncated measures need count_cap >= 1, got {self.count_cap}")
-            object.__setattr__(self, "rounds", int(self.rounds))
-            object.__setattr__(self, "count_cap", int(self.count_cap))
+            for name in ("rounds", "count_cap"):
+                v = getattr(self, name)
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                    raise DomainError(f"truncated measures need an integer {name} >= 1, got {v!r}")
+                object.__setattr__(self, name, int(v))
         elif self.rounds is not None or self.count_cap is not None:
             raise DomainError("exact-finite measures carry no rounds/count_cap")
 
@@ -402,6 +401,11 @@ def trait_from_jsonable(data: dict) -> TraitMeasure:
         ordinary = data["ordinary"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"trait measure record missing field: {exc}") from exc
+    if not isinstance(trunc_data, dict):
+        raise ConfigError(f"trait measure record: trunc must be an object, got {trunc_data!r}")
+    for key in ("rounds", "count_cap"):
+        if trunc_data.get(key) is not None and type(trunc_data[key]) is not int:
+            raise ConfigError(f"trunc.{key} must be an integer, got {trunc_data[key]!r}")
     trunc = TruncationMeta(
         trunc_data.get("kind", "exact-finite"),
         trunc_data.get("rounds"),

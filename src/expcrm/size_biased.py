@@ -84,9 +84,12 @@ def weight_dist_params(prior: ExpCrmPrior, m, x) -> tuple[tuple[float, ...], flo
 
 
 def rate_M(prior: ExpCrmPrior, m, x) -> float:
-    """Expected number of round-m ordinary atoms first observed with count x."""
+    """Expected number of round-m ordinary atoms first observed with count x: 0 outside
+    the likelihood's support, else the one cell of a one-round ``rate_rows`` call."""
     m, x = _check_round_count(m, x)
-    return family_of(prior.likelihood).rate_M(prior.mass, prior.xi, prior.lam, m, x)
+    if not prior.likelihood.in_support(x):
+        return 0.0
+    return float(family_of(prior.likelihood).rate_rows(prior, [m], [x])[0][0, 0])
 
 
 def round_total(prior: ExpCrmPrior, m) -> float:
@@ -94,11 +97,12 @@ def round_total(prior: ExpCrmPrior, m) -> float:
 
     Summing the pmf over x >= 1 gives 1 - l(0|theta), so a family without
     closed forms needs no count-by-count rates: its round total is one
-    integral of mass * (1 - l(0|theta)) l(0|theta)^(m-1) kappa, a column of
-    the round's rate row (m = 1 is the round-1 trait rate of assumption A2).
+    integral of mass * (1 - l(0|theta)) l(0|theta)^(m-1) kappa.  It is the
+    total of a one-round ``rate_rows`` call at no counts (m = 1 is the
+    round-1 trait rate of assumption A2).
     """
     m, _ = _check_round_count(m, 1)
-    return family_of(prior.likelihood).round_total(prior.mass, prior.xi, prior.lam, m)
+    return float(family_of(prior.likelihood).rate_rows(prior, [m], [])[1][0])
 
 
 class RateTable:

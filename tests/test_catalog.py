@@ -31,8 +31,19 @@ from expcrm.exp_family import (
 from expcrm.measures import Location
 from expcrm.quadrature import IntegrandSpec, integrate
 from expcrm.rng import RngState
+from expcrm.size_biased import rate_M
 
 NB = get_entry("negative_binomial", r=2.5)
+
+
+def closed_rate(entry, mass, xi, lam, m, x):
+    """M(m, x) from the entry's ``rate_table``, one cell of what ``rate_rows`` tabulates."""
+    return float(entry.rate_table(mass, xi, lam, np.array([m]), np.array([x]))[0, 0])
+
+
+def closed_total(entry, mass, xi, lam, m):
+    """The round-m total from the entry's ``round_totals``, as ``rate_rows`` reads it."""
+    return float(entry.round_totals(mass, xi, lam, np.array([m], dtype=float))[0])
 
 
 def rate_by_quadrature(entry, mass, xi, lam, m, x, rel_tol=1e-10):
@@ -264,30 +275,32 @@ class TestLogB:
 class TestRates:
     def test_gamma_known_values(self):
         # B(0, 2) = -log 2 so the round-1 count-1 rate is exactly 1/2
-        assert POISSON_GAMMA.rate_M(1.0, (-1.0,), 1.0, 1, 1) == pytest.approx(0.5, rel=1e-14)
+        assert closed_rate(POISSON_GAMMA, 1.0, (-1.0,), 1.0, 1, 1) == pytest.approx(0.5, rel=1e-14)
         # m=2, x=3: h(3) exp(B(2, 3)) = (1/6)(2/27)
-        assert POISSON_GAMMA.rate_M(1.0, (-1.0,), 1.0, 2, 3) == pytest.approx(
+        assert closed_rate(POISSON_GAMMA, 1.0, (-1.0,), 1.0, 2, 3) == pytest.approx(
             0.01234567901234567901234568, rel=1e-13
         )
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_binary_special_point_rates(self, m):
         # at (xi, lam) = (-1, -1) the count-1 rate is mass/m
-        got = BERNOULLI_BETA.rate_M(1.7, (-1.0,), -1.0, m, 1)
+        got = closed_rate(BERNOULLI_BETA, 1.7, (-1.0,), -1.0, m, 1)
         assert got == pytest.approx(1.7 / m, rel=1e-13)
 
     def test_frozen_anchor_rates(self):
-        got = ODDS_BERNOULLI_BETA_PRIME.rate_M(0.8, (-1.6,), 0.5, 3, 1)
+        got = closed_rate(ODDS_BERNOULLI_BETA_PRIME, 0.8, (-1.6,), 0.5, 3, 1)
         assert got == pytest.approx(1.1734354721890377, rel=1e-12)
-        got = NB.rate_M(1.1, (-1.5,), 0.3, 2, 3)
+        got = closed_rate(NB, 1.1, (-1.5,), 0.3, 2, 3)
         assert got == pytest.approx(0.06290563388768598, rel=1e-12)
 
     def test_argument_validation(self):
+        gamma = ExpCrmPrior(POISSON_GAMMA.make_likelihood(), 1.0, (-1.0,), 1.0)
         with pytest.raises(DomainError):
-            POISSON_GAMMA.rate_M(1.0, (-1.0,), 1.0, 0, 1)
+            rate_M(gamma, 0, 1)
         with pytest.raises(DomainError):
-            POISSON_GAMMA.rate_M(1.0, (-1.0,), 1.0, 1, 0)
-        assert BERNOULLI_BETA.rate_M(1.0, (-1.0,), -1.0, 1, 2) == 0.0
+            rate_M(gamma, 1, 0)
+        beta = ExpCrmPrior(BERNOULLI_BETA.make_likelihood(), 1.0, (-1.0,), -1.0)
+        assert rate_M(beta, 1, 2) == 0.0
 
     def test_rate_table_matches_pointwise(self):
         m = np.array([1, 2, 3])
@@ -296,7 +309,7 @@ class TestRates:
         assert table.shape == (3, 3)
         for i, mi in enumerate(m):
             for j, xj in enumerate(x):
-                want = POISSON_GAMMA.rate_M(1.3, (-1.35,), 0.8, int(mi), int(xj))
+                want = closed_rate(POISSON_GAMMA, 1.3, (-1.35,), 0.8, int(mi), int(xj))
                 assert table[i, j] == pytest.approx(want, rel=1e-14)
 
     QUAD_CASES = [
@@ -309,7 +322,7 @@ class TestRates:
 
     @pytest.mark.parametrize("entry,mass,xi0,lam,m,x", QUAD_CASES, ids=lambda v: str(v)[:18])
     def test_rates_against_quadrature(self, entry, mass, xi0, lam, m, x):
-        closed = entry.rate_M(mass, (xi0,), lam, m, x)
+        closed = closed_rate(entry, mass, (xi0,), lam, m, x)
         numeric = rate_by_quadrature(entry, mass, (xi0,), lam, m, x)
         assert closed == pytest.approx(numeric, rel=1e-8)
 
@@ -337,7 +350,7 @@ class TestRates:
 class TestRoundTotals:
     def test_gamma_unit_point(self):
         # integral of t^-1 e^-t (1 - e^-t) dt = log 2
-        got = POISSON_GAMMA.round_total(1.0, (-1.0,), 1.0, 1)
+        got = closed_total(POISSON_GAMMA, 1.0, (-1.0,), 1.0, 1)
         assert got == pytest.approx(0.6931471805599453094172321, rel=1e-13)
 
     def test_gamma_digamma_free_branch(self):
@@ -346,25 +359,25 @@ class TestRoundTotals:
         np.testing.assert_allclose(got, 2.0 * np.log([2.0, 3.0 / 2.0]), rtol=1e-14)
 
     def test_binary_matches_x1_rate(self):
-        got = BERNOULLI_BETA.round_total(1.5, (-1.3,), 0.2, 2)
-        assert got == pytest.approx(BERNOULLI_BETA.rate_M(1.5, (-1.3,), 0.2, 2, 1), rel=1e-14)
-        got = ODDS_BERNOULLI_BETA_PRIME.round_total(0.8, (-1.6,), 0.5, 3)
+        got = closed_total(BERNOULLI_BETA, 1.5, (-1.3,), 0.2, 2)
+        assert got == pytest.approx(closed_rate(BERNOULLI_BETA, 1.5, (-1.3,), 0.2, 2, 1), rel=1e-14)
+        got = closed_total(ODDS_BERNOULLI_BETA_PRIME, 0.8, (-1.6,), 0.5, 3)
         assert got == pytest.approx(
-            ODDS_BERNOULLI_BETA_PRIME.rate_M(0.8, (-1.6,), 0.5, 3, 1), rel=1e-14
+            closed_rate(ODDS_BERNOULLI_BETA_PRIME, 0.8, (-1.6,), 0.5, 3, 1), rel=1e-14
         )
 
     def test_nb_frozen_anchors(self):
         # continuation with opposite-sign Gamma factors
-        got = get_entry("negative_binomial", r=1.0).round_total(1.0, (-1.9,), -0.8, 1)
+        got = closed_total(get_entry("negative_binomial", r=1.0), 1.0, (-1.9,), -0.8, 1)
         assert got == pytest.approx(14.5993714927648299428731, rel=1e-12)
         # continuation where both Gamma factors are negative
-        got = get_entry("negative_binomial", r=0.3).round_total(1.0, (-1.6,), -2.5, 1)
+        got = closed_total(get_entry("negative_binomial", r=0.3), 1.0, (-1.6,), -2.5, 1)
         assert got == pytest.approx(3.098076010603295214858524, rel=1e-12)
         # s = 0 digamma branch
-        got = NB.round_total(1.0, (-1.0,), 0.4, 2)
+        got = closed_total(NB, 1.0, (-1.0,), 0.4, 2)
         assert got == pytest.approx(0.4839134087389382378820833, rel=1e-12)
         # plain branch
-        got = NB.round_total(1.1, (-1.5,), 0.3, 2)
+        got = closed_total(NB, 1.1, (-1.5,), 0.3, 2)
         assert got == pytest.approx(2.251362151220441, rel=1e-12)
 
     def test_nb_vector_mixes_sign_branches(self):
@@ -372,7 +385,7 @@ class TestRoundTotals:
         arr = nb1.round_totals(1.0, (-1.9,), -0.8, np.array([1.0, 2.0, 3.0]))
         assert arr[0] == pytest.approx(14.5993714927648299428731, rel=1e-12)
         for k, m in enumerate([1, 2, 3]):
-            assert arr[k] == pytest.approx(nb1.round_total(1.0, (-1.9,), -0.8, m), rel=1e-14)
+            assert arr[k] == pytest.approx(closed_total(nb1, 1.0, (-1.9,), -0.8, m), rel=1e-14)
 
     QUAD_CASES = [
         (POISSON_GAMMA, 1.0, -1.4, 0.7, 3, 1.0),
@@ -385,7 +398,7 @@ class TestRoundTotals:
 
     @pytest.mark.parametrize("entry,mass,xi0,lam,m,r", QUAD_CASES, ids=lambda v: str(v)[:18])
     def test_totals_against_quadrature(self, entry, mass, xi0, lam, m, r):
-        closed = entry.round_total(mass, (xi0,), lam, m)
+        closed = closed_total(entry, mass, (xi0,), lam, m)
         numeric = total_by_quadrature(entry, mass, (xi0,), lam, m)
         assert closed == pytest.approx(numeric, rel=1e-8)
 
@@ -393,7 +406,7 @@ class TestRoundTotals:
         # r = 1 keeps the upper-endpoint factor (1 - v) polynomial, so the
         # generic integrand goes straight through the panels
         nb1 = get_entry("negative_binomial", r=1.0)
-        closed = nb1.round_total(1.0, (-1.9,), -0.8, 1)
+        closed = closed_total(nb1, 1.0, (-1.9,), -0.8, 1)
         assert closed == pytest.approx(total_by_quadrature(nb1, 1.0, (-1.9,), -0.8, 1), rel=1e-8)
 
     def test_nb_continuation_against_split_quadrature(self):
@@ -428,18 +441,18 @@ class TestRoundTotals:
             pieces.append(val)
 
         numeric = lower_half + pieces[0] - pieces[1]
-        closed = nb03.round_total(1.0, (xi0,), lam, 1)
+        closed = closed_total(nb03, 1.0, (xi0,), lam, 1)
         assert closed == pytest.approx(numeric, rel=1e-8)
 
     def test_domain_guards(self):
         # at lam + m - 1 = 0 the gamma total is finite for xi < -1 (2 sqrt(pi)
         # here) and infinite from xi = -1 up
-        got = POISSON_GAMMA.round_total(1.0, (-1.5,), 0.0, 1)
+        got = closed_total(POISSON_GAMMA, 1.0, (-1.5,), 0.0, 1)
         assert got == pytest.approx(total_by_quadrature(POISSON_GAMMA, 1.0, (-1.5,), 0.0, 1), rel=1e-9)
         with pytest.raises(DomainError):
-            POISSON_GAMMA.round_total(1.0, (-1.0,), 0.0, 1)
+            closed_total(POISSON_GAMMA, 1.0, (-1.0,), 0.0, 1)
         with pytest.raises(DomainError):
-            NB.round_total(1.0, (-1.5,), -0.5, 1)
+            closed_total(NB, 1.0, (-1.5,), -0.5, 1)
 
 
 class TestPredictive:

@@ -6,11 +6,16 @@ output files, and the stdout/stderr streams.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import expcrm.cli as cli
 from expcrm.cli import main
+from expcrm.config import parse_model_config
 from expcrm.errors import RngFaultError
 from expcrm.measures import read_jsonl
 
@@ -50,6 +55,37 @@ def beta_model(tmp_path):
         )
     )
     return path
+
+
+@pytest.fixture
+def alias_model(tmp_path):
+    """A Bernoulli prior valid only under the literal native-parameter alias: valid, with a warning."""
+    path = tmp_path / "alias_model.json"
+    path.write_text(
+        json.dumps({"likelihood": "bernoulli", "params": {"mass": 1.0, "xi": -0.5, "lam": 0.0}})
+    )
+    return path
+
+
+def data_file(tmp_path):
+    """One handwritten observation with count 1, in the support of every family."""
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps({"atoms": [{"x": 1, "loc": "0.25"}]}) + "\n")
+    return data
+
+
+def command_argv(command: str, model, tmp_path) -> list[str]:
+    """A short run of ``command`` on ``model``, writing ``out`` in ``tmp_path``."""
+    out = str(tmp_path / "out")
+    return {
+        "posterior": ["posterior", "--model", str(model), "--data", str(data_file(tmp_path)), "--out", out],
+        "sample-prior": ["sample-prior", "--model", str(model), "--rounds", "5", "--out", out],
+        "sample-marginal": ["sample-marginal", "--model", str(model), "--n", "3", "--out", out],
+        "verify": ["verify", "--model", str(model), "--suite", "assumptions", "--report", out],
+    }[command]
+
+
+MODEL_COMMANDS = ["posterior", "sample-prior", "sample-marginal", "verify"]
 
 
 # `families list`, byte for byte
@@ -686,9 +722,58 @@ class TestVerify:
         assert "[PASS]" in capsys.readouterr().out
 
 
+class TestValidityWarnings:
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_alias_range_prior_warns_once(self, alias_model, tmp_path, capsys, command):
+        # the kernel has finite ordinary mass here, so the numeric A1 check fails
+        assert main(command_argv(command, alias_model, tmp_path)) == (1 if command == "verify" else 0)
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "literal native-parameter alias" in warnings[0]
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_gamma_prior_prints_no_warning(self, gamma_model, tmp_path, capsys, command):
+        assert main(command_argv(command, gamma_model, tmp_path)) == 0
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_pool_workers_print_nothing(self, alias_model, tmp_path):
+        # a fresh interpreter whose stderr is a pipe, so a forked worker's print would reach it
+        out = tmp_path / "draws.jsonl"
+        code = (
+            "import sys\n"
+            "import expcrm.cli as cli\n"
+            "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"sys.exit(cli.main(['sample-prior', '--model', {str(alias_model)!r}, '--rounds', '5',"
+            f" '--reps', '8', '--out', {str(out)!r}]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(":")[0] for line in proc.stderr.splitlines()] == ["warning"]
+        assert len(read_jsonl(out)) == 9
+
+
 class TestPlumbing:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize("seed", [2**64, 2**70, -1])
+    def test_seed_outside_the_config_range_exits_2(self, gamma_model, tmp_path, capsys, command, seed):
+        assert main(command_argv(command, gamma_model, tmp_path) + ["--seed", str(seed)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_is_accepted(self, gamma_model, tmp_path):
+        seed = 2**64 - 1
+        assert main(command_argv("posterior", gamma_model, tmp_path) + ["--seed", str(seed)]) == 0
+        doc = json.loads((tmp_path / "out").read_text())
+        assert doc["header"]["seed"] == seed
+        assert parse_model_config(tmp_path / "out").seed == 3  # the model keeps the config's seed
 
     def test_bad_flag_value_exits_2(self, gamma_model, tmp_path, capsys):
         code = main(

@@ -22,7 +22,10 @@ one running sum of exponentiated log pmfs, in ``walk_counts``, and a ninth
 one ``TailBoundError`` built, in ``RateTable._certificate``: the table
 checks the count-cap budget for both samplers.  A tenth finds, in the two
 samplers, no ``rng`` parameter with a default and no generator a sampler
-holds: every draw takes its rng.  Last, in fresh interpreters again, no
+holds: every draw takes its rng.  An eleventh finds no ``rate_M`` or
+``round_total`` on a family class in ``catalog.py`` or ``exp_family.py``:
+the helpers of those names in ``size_biased.py`` each read one
+``rate_rows`` call.  Last, in fresh interpreters again, no
 command leaves a BLAS worker thread running unless the caller asks for one.
 """
 
@@ -631,6 +634,61 @@ class TestOneWayToDraw:
             "        return rng or self._gen\n"
         )
         assert (names_read(source, "_gen"), names_read(source, "_generator")) == ([3, 5], [4])
+
+
+def class_members(source: str, names) -> list[str]:
+    """``Class.name`` for each method or class attribute of ``source`` named in ``names``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    members = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    members = []
+                found += [f"{node.name}.{m}" for m in members if m in names]
+    return found
+
+
+def attribute_calls(source: str, function: str, attr: str) -> int:
+    """How many ``.attr(...)`` calls the module-level ``function`` of ``source`` makes."""
+    (node,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr
+        for n in ast.walk(node)
+    )
+
+
+PER_CELL = ("rate_M", "round_total")
+FAMILY_MODULES = [p for p in MODULES if p.name in ("catalog.py", "exp_family.py")]
+
+
+class TestOneFamilyProtocol:
+    def test_scan_sees_methods_and_class_attributes(self):
+        source = (
+            "def rate_M(prior, m, x):\n"
+            "    pass\n"
+            "class Family:\n"
+            "    def rate_M(self, m, x):\n"
+            "        pass\n"
+            "    class Inner:\n"
+            "        round_total = staticmethod(total)\n"
+            "    def rate_rows(self, ms, xs):\n"
+            "        round_total = 0\n"
+        )
+        assert class_members(source, PER_CELL) == ["Family.rate_M", "Inner.round_total"]
+
+    @pytest.mark.parametrize("path", FAMILY_MODULES, ids=lambda p: p.name)
+    def test_families_answer_no_per_cell_rate(self, path):
+        assert class_members(path.read_text(encoding="utf-8"), PER_CELL) == []
+
+    @pytest.mark.parametrize("function", PER_CELL)
+    def test_the_helpers_read_one_rate_rows_call(self, function):
+        source = (ROOT / "src" / "expcrm" / "size_biased.py").read_text(encoding="utf-8")
+        assert attribute_calls(source, function, "rate_rows") == 1
 
 
 class TestExportTable:

@@ -94,6 +94,18 @@ class TestTruncationMeta:
         with pytest.raises(DomainError):
             TruncationMeta("truncated", rounds=0, count_cap=50)
 
+    @pytest.mark.parametrize(
+        "rounds, count_cap", [(2.7, 50), (100, 50.0), (True, 50), ("3", 50), (100, None)]
+    )
+    def test_truncated_caps_are_integers(self, rounds, count_cap):
+        # a float cap is refused, not truncated to an integer
+        with pytest.raises(DomainError, match="integer"):
+            TruncationMeta("truncated", rounds=rounds, count_cap=count_cap)
+
+    def test_numpy_integer_caps_become_ints(self):
+        t = TruncationMeta("truncated", rounds=np.int64(100), count_cap=np.int32(50))
+        assert (type(t.rounds), type(t.count_cap)) == (int, int)
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             TruncationMeta("lossy")
@@ -397,6 +409,13 @@ def test_trait_from_jsonable_accepts_plain_numbers():
         {"fixed": [{"w": "1.0"}], "ordinary": [], "trunc": {"kind": "exact-finite"}},
         {"fixed": None, "ordinary": [], "trunc": {"kind": "exact-finite"}},
         "not a dict",
+        {"fixed": [], "ordinary": [], "trunc": ["truncated", 3, 5]},
+        {"fixed": [], "ordinary": [], "trunc": "truncated"},
+        {"fixed": [], "ordinary": [], "trunc": {"kind": "truncated", "rounds": "x", "count_cap": 5}},
+        {"fixed": [], "ordinary": [], "trunc": {"kind": "truncated", "rounds": 2.7, "count_cap": 5}},
+        {"fixed": [], "ordinary": [], "trunc": {"kind": "truncated", "rounds": 2.0, "count_cap": 5}},
+        {"fixed": [], "ordinary": [], "trunc": {"kind": "truncated", "rounds": 3, "count_cap": True}},
+        {"fixed": [], "ordinary": [], "trunc": {"kind": "truncated", "rounds": 3, "count_cap": [5]}},
     ],
 )
 def test_trait_from_jsonable_rejects_malformed(data):

@@ -21,7 +21,7 @@ from expcrm.marginal import predictive_logpmf
 from expcrm.measures import Location
 from expcrm.quadrature import IntegrandSpec, PanelLaw, integrate, log_integrate
 from expcrm.rng import RngState
-from expcrm.size_biased import RateTable, SizeBiasedConfig, SizeBiasedSampler, round_total
+from expcrm.size_biased import RateTable, SizeBiasedConfig, SizeBiasedSampler, rate_M, round_total
 
 NB = get_entry("negative_binomial", r=2.5)
 
@@ -75,6 +75,37 @@ def test_round_total_is_the_rows_total(name):
     totals = RateTable(unregistered, 16, 1e-6).totals(5)
     for m in range(1, 6):
         assert round_total(unregistered, m) == pytest.approx(totals[m - 1], rel=1e-10, abs=0.0)
+
+
+CATALOG = ("gamma", "negative-binomial", "beta-prime", "beta")
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_helpers_are_the_tables_cells(name):
+    # rate_M and round_total read a one-round rate_rows call, the table one call over all
+    # its rounds: a catalog row is elementwise, so each cell and total is the same double
+    catalog, _ = priors(name)
+    table = RateTable(catalog, 16, 1e-6)
+    rates, totals = table.rates(60), table.totals(60)
+    for m in range(1, 61):
+        assert [rate_M(catalog, m, x) for x in range(1, table.count_cap + 1)] == rates[m - 1].tolist()
+        assert round_total(catalog, m) == totals[m - 1]
+
+
+# the bench's unregistered gamma clone (mass 2, xi -1.2, lam 1.1): each value is its
+# round's one-round law, rates in a law of one count, totals in a law of none
+CLONE_RATES = {
+    (1, 1): "0x1.494170b3d64b2p+0",
+    (2, 3): "0x1.8160cfed6743ap-6",
+    (5, 1): "0x1.1897776e7ea7bp-1",
+}
+CLONE_TOTALS = {1: "0x1.a365e5a4ba6a6p+0", 2: "0x1.180e4e5a08e9fp+0", 5: "0x1.2d09d3aac51cap-1"}
+
+
+def test_clone_helpers_keep_their_bytes():
+    _, clone_prior = priors("gamma")
+    assert {mx: float.hex(rate_M(clone_prior, *mx)) for mx in CLONE_RATES} == CLONE_RATES
+    assert {m: float.hex(round_total(clone_prior, m)) for m in CLONE_TOTALS} == CLONE_TOTALS
 
 
 @pytest.mark.parametrize("xi, lam", STEEP_TOP_POINTS)

@@ -22,7 +22,7 @@ from expcrm import (
 
 
 def obs(*pairs):
-    return ObservationMeasure.from_arrays([c for _, c in pairs], [v for v, _ in pairs])
+    return ObservationMeasure([c for _, c in pairs], [v for v, _ in pairs])
 
 
 def show_predictive(like, xi, lam, label):

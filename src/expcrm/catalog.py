@@ -68,7 +68,7 @@ from .exp_family import (
     family_of,  # noqa: F401  (re-exported)
     hyperparam_valid,  # noqa: F401  (re-exported)
 )
-from .measures import Location
+from .measures import Location, _check_float
 
 _OK = ValidityResult(True)
 
@@ -585,6 +585,7 @@ class OddsBernoulliBetaPrime(CatalogEntry):
 
 
 _NB_ID = re.compile(r"^negative_binomial\(([^)]+)\)$")
+_NB_SHAPE = "negative binomial shape r"  # a real, not a bool, finite and > 0
 
 
 def _nb_family(r: float) -> str:
@@ -620,9 +621,7 @@ class NegativeBinomialBeta(_NativeBeta):
     }
 
     def __init__(self, r: float):
-        if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0.0):
-            raise DomainError(f"negative binomial needs a finite shape r > 0, got {r!r}")
-        self.r = float(r)
+        self.r = _check_float(_NB_SHAPE, r, positive=True)
         super().__init__()
 
     @property
@@ -743,7 +742,8 @@ def get_entry(likelihood_id: str, r: float | None = None) -> CatalogEntry:
     if likelihood_id == "negative_binomial":
         if r is None:
             raise DomainError("negative_binomial needs the shape parameter r")
-        return _ENTRIES.get(_nb_family(float(r))) or NegativeBinomialBeta(r)
+        r = _check_float(_NB_SHAPE, r, positive=True)
+        return _ENTRIES.get(_nb_family(r)) or NegativeBinomialBeta(r)
     if r is not None:
         raise DomainError(f"family {likelihood_id!r} takes no shape parameter")
     entry = _ENTRIES.get(likelihood_id)

@@ -675,7 +675,7 @@ def equivalence_run(
         for n in range(1, n_steps + 1):
             mask = labeled.rounds == n
             sb_stats[n - 1].append((int(mask.sum()), int(labeled.counts[mask].sum())))
-        steps = islice(mg._steps(RngState(seed, stream=2 * r + 1)), n_steps)
+        steps = islice(mg.stream(RngState(seed, stream=2 * r + 1)), n_steps)
         for stats, (_, _, born) in zip(mg_stats, steps):
             stats.append((born.size, int(born.sum())))
     return [

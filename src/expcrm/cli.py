@@ -174,7 +174,7 @@ def _marginal_lines(sampler, n_steps, seed, rep):
     """
     lines = []
     summary = []
-    steps = islice(sampler._steps(RngState(seed, stream=rep)), n_steps)
+    steps = islice(sampler.stream(RngState(seed, stream=rep)), n_steps)
     for n, (counts, values, born) in enumerate(steps, start=1):
         lines.append(observation_jsonl_line(rep, n, counts, values))
         summary.append((rep, n, counts.size, born.size, int(counts.sum())))

@@ -104,11 +104,13 @@ class MarginalConfig:
 class MarginalSampler(_TruncatedSampler):
     """Generates observation sequences with the trait measure integrated out.
 
-    One stream = one realization; :meth:`stream` yields one
-    :class:`~expcrm.measures.ObservationMeasure` per step (positive counts
-    only, atoms sorted by location).  Every stream takes its rng, and its
-    output is a deterministic function of the rng state, with the first n
-    steps independent of how many more are consumed.
+    One stream = one realization; :meth:`stream` yields each step's
+    columns (positive counts only, sorted by location, and the newborn
+    atoms' counts), and :meth:`sample` builds one
+    :class:`~expcrm.measures.ObservationMeasure` per step from them.  Every
+    stream takes its rng, and its output is a deterministic function of the
+    rng state, with the first n steps independent of how many more are
+    consumed.
     """
 
     def __init__(self, prior: ExpCrmPrior, config: MarginalConfig | None = None):
@@ -134,15 +136,22 @@ class MarginalSampler(_TruncatedSampler):
 
         return walk_counts(gen, log_pmf, family.chunk, self.prior.likelihood.support_bound, xi, lam)
 
-    def _steps(self, rng):
-        """The stream's steps as columns, forever.
+    def stream(self, rng):
+        """The stream's steps as columns, forever, drawn from ``rng`` alone.
 
         Yields ``(counts, values, born)`` per step: the step's nonzero
         counts (int64) and their location values (float64), both sorted
         by location, and the counts of the atoms born at the step (int64,
         ascending).  Every newborn atom emits a count of at least 1, so
         ``born`` holds the counts at exactly the locations no earlier step
-        touched.  The rng order and the tail check are :meth:`stream`'s.
+        touched.
+
+        Per step, the rng is consumed in a fixed order: one uniform per
+        atom already on the books (fixed atoms in prior order, then
+        earlier-born atoms in birth order), then the new-atom count
+        (Poisson), counts, and locations.  The stream raises
+        :class:`~expcrm.errors.TailBoundError`, from the rate table, at the
+        first step whose running sum of neglected gaps passes ``eps_tail``.
         """
         gen = as_generator(rng)
         like = self.prior.likelihood
@@ -172,20 +181,8 @@ class MarginalSampler(_TruncatedSampler):
             order = hit[np.argsort(values[hit])]
             yield counts[order], values[order], born
 
-    def stream(self, rng):
-        """Yield one ObservationMeasure per step, forever, drawn from ``rng`` alone.
-
-        Per step, the rng is consumed in a fixed order: one uniform per
-        atom already on the books (fixed atoms in prior order, then
-        earlier-born atoms in birth order), then the new-atom count
-        (Poisson), counts, and locations.  The stream raises
-        :class:`~expcrm.errors.TailBoundError`, from the rate table, at the
-        first step whose running sum of neglected gaps passes ``eps_tail``.
-        """
-        for counts, values, _ in self._steps(rng):
-            yield ObservationMeasure.from_arrays(counts, values)
-
     def sample(self, n_steps: int, rng) -> list[ObservationMeasure]:
-        """The first ``n_steps`` observations of one stream."""
-        return list(islice(self.stream(rng), _positive_int("n_steps", n_steps)))
+        """The first ``n_steps`` observations of one stream, as measures."""
+        steps = islice(self.stream(rng), _positive_int("n_steps", n_steps))
+        return [ObservationMeasure(counts, values) for counts, values, _ in steps]
 

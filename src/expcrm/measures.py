@@ -3,8 +3,9 @@
 Two kinds of measures appear throughout: trait measures (positive real
 weights at distinct locations, the latent object) and observation measures
 (positive integer counts at distinct locations, the data), each held as
-read-only columns checked once when built; :class:`Atom` and
-:class:`ObservationAtom` are views built when a measure's atoms are read.
+read-only columns.  Each type has one constructor, which takes its columns
+and checks them once; :class:`Atom` and :class:`ObservationAtom` are views
+built when a measure's atoms are read.
 Locations live on the unit interval ``[0, 1)``; only their identity matters,
 the geometry never enters any formula.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -145,16 +146,10 @@ def _atom_columns(what: str, values, locations, *, counts=False) -> tuple[np.nda
 
 class _ColumnMeasure:
     """A measure held in columns: immutable, equal field by field (arrays by
-    value), and built and pickled by ``from_arrays``, which takes the fields
-    in ``__slots__`` order and checks them in the subclass's ``_init``."""
+    value), and pickled as its class called with its fields, which the
+    constructor takes in ``__slots__`` order."""
 
     __slots__ = ()
-
-    @classmethod
-    def from_arrays(cls, *fields, **named):
-        measure = cls.__new__(cls)
-        measure._init(*fields, **named)
-        return measure
 
     def _fill(self, *fields) -> None:
         for name, value in zip(self.__slots__, fields):
@@ -177,7 +172,7 @@ class _ColumnMeasure:
     __hash__ = None
 
     def __reduce__(self):
-        return type(self).from_arrays, self._fields()
+        return type(self), self._fields()
 
 
 class TraitMeasure(_ColumnMeasure):
@@ -192,7 +187,7 @@ class TraitMeasure(_ColumnMeasure):
     ``fixed_locations``, ``ordinary_weights``, ``ordinary_locations``),
     validated once at construction; :class:`Atom` views are built only
     when ``fixed_atoms``, ``ordinary_atoms`` or ``atoms`` is read.
-    Samplers build measures with ``from_arrays`` (the four, then ``truncation``).
+    The constructor takes the four arrays, then ``truncation``.
     """
 
     __slots__ = (
@@ -205,21 +200,12 @@ class TraitMeasure(_ColumnMeasure):
 
     def __init__(
         self,
-        fixed_atoms: Sequence[Atom] = (),
-        ordinary_atoms: Sequence[Atom] = (),
-        truncation: TruncationMeta = EXACT_FINITE,
-    ):
-        fixed = _unzip_atoms(Atom, "weight", fixed_atoms)
-        self._init(*fixed, *_unzip_atoms(Atom, "weight", ordinary_atoms), truncation)
-
-    def _init(
-        self,
         fixed_weights,
         fixed_locations,
         ordinary_weights,
         ordinary_locations,
         truncation: TruncationMeta = EXACT_FINITE,
-    ) -> None:
+    ):
         fw, fl = _atom_columns("fixed atoms", fixed_weights, fixed_locations)
         ow, ol = _atom_columns("ordinary atoms", ordinary_weights, ordinary_locations)
         locations = fl.tolist() + ol.tolist()
@@ -255,27 +241,15 @@ def _atoms(kind: type, values: np.ndarray, locations: np.ndarray) -> tuple:
     return tuple(kind(w, Location(v)) for w, v in zip(values.tolist(), locations.tolist()))
 
 
-def _unzip_atoms(kind: type, field: str, atoms: Iterable) -> tuple[list, list]:
-    """The ``field`` values and the location values of ``atoms``, each a ``kind``."""
-    atoms = tuple(atoms)
-    for a in atoms:
-        if not isinstance(a, kind):
-            raise DomainError(f"atoms must be {kind.__name__} instances, got {type(a).__name__}")
-    return [getattr(a, field) for a in atoms], [a.location.value for a in atoms]
-
-
 class ObservationMeasure(_ColumnMeasure):
     """Integer-count data: read-only ``counts`` (int64, >= 1) at pairwise
-    distinct ``locations`` (float64, in [0, 1)), checked once when built,
-    from the two arrays by ``from_arrays(counts, locations)``;
-    :class:`ObservationAtom` views are built only when ``atoms`` is read."""
+    distinct ``locations`` (float64, in [0, 1)), built from those two
+    columns and checked once; :class:`ObservationAtom` views are built
+    only when ``atoms`` is read."""
 
     __slots__ = ("counts", "locations")
 
-    def __init__(self, atoms: Sequence[ObservationAtom] = ()):
-        self._init(*_unzip_atoms(ObservationAtom, "count", atoms))
-
-    def _init(self, counts, locations) -> None:
+    def __init__(self, counts, locations):
         counts, locations = _atom_columns("observation atoms", counts, locations, counts=True)
         if len(set(locations.tolist())) != locations.size:
             raise DomainError("observation atoms must sit at pairwise distinct locations")
@@ -306,7 +280,7 @@ class ObservationMeasure(_ColumnMeasure):
 # ``observation_to_jsonable``, then ``jsonl_line``) and a ``%.17g`` template
 # writer for the CLI (``trait_jsonl_line``, ``observation_jsonl_line``);
 # tests/test_measures.py pins each pair to the same bytes.  The readers
-# gather each field into one list and build the measure with ``from_arrays``.
+# gather each field into one list and build the measure from those columns.
 
 
 def float_repr(x: float) -> str:
@@ -416,9 +390,7 @@ def trait_from_jsonable(data: dict) -> TraitMeasure:
         weights, locations = _record_columns(rows, ("w", "loc"), name)
         return _parse_floats(weights, name, "w"), _parse_floats(locations, name, "loc")
 
-    return TraitMeasure.from_arrays(
-        *columns(fixed, "fixed"), *columns(ordinary, "ordinary"), trunc
-    )
+    return TraitMeasure(*columns(fixed, "fixed"), *columns(ordinary, "ordinary"), trunc)
 
 
 def observation_to_jsonable(observation: ObservationMeasure) -> dict:
@@ -452,7 +424,7 @@ def observation_from_jsonable(data: dict) -> ObservationMeasure:
     if not set(map(type, counts)) <= {int}:
         i, x = next((i, x) for i, x in enumerate(counts) if type(x) is not int)
         raise ConfigError(f"atoms[{i}].x: count must be an integer, got {x!r}")
-    return ObservationMeasure.from_arrays(counts, _parse_floats(locations, "atoms", "loc"))
+    return ObservationMeasure(counts, _parse_floats(locations, "atoms", "loc"))
 
 
 def jsonl_line(record: dict) -> str:

@@ -141,7 +141,7 @@ class RateTable:
         self._rates: list[np.ndarray] = []  # the rows of each rate_rows call, in round order
         self._totals: list[float] = []  # one per round tabulated
         self._unstepped: list[np.ndarray] = []  # blocks of rows no step has read yet
-        self._steps: list[tuple[np.ndarray, float]] = []  # (cumulative row, gap)
+        self._step_rows: list[tuple[np.ndarray, float]] = []  # (cumulative row, gap)
         self._neglected = [0.0]  # _neglected[n] sums the gaps of steps 1..n
 
     def _extend(self, rounds: int) -> None:
@@ -191,13 +191,13 @@ class RateTable:
         """The (cumulative row, gap) of every step tabulated, steps 1..n at least."""
         self._extend(n)
         for rows in self._unstepped:  # one cumsum per block, the same doubles as one per row
-            first = len(self._steps)
+            first = len(self._step_rows)
             cdfs = np.cumsum(rows, axis=1)
             gaps = np.maximum(np.array(self._totals[first : first + len(rows)]) - cdfs[:, -1], 0.0).tolist()
-            self._steps += zip(cdfs, gaps)
+            self._step_rows += zip(cdfs, gaps)
             self._neglected += list(accumulate(gaps, initial=self._neglected[-1]))[1:]
         self._unstepped.clear()
-        return self._steps
+        return self._step_rows
 
     def _certificate(self, unit: str, n: int, gaps, neglected) -> dict:
         """What the count cap neglects across ``n`` rounds or steps.  The one check of the
@@ -425,11 +425,7 @@ class SizeBiasedSampler(_TruncatedSampler):
         gen = as_generator(rng)
         fixed_weights = self.table.family.draw_weights(gen, self._fixed_xi, self._fixed_lam)
         labeled = self.draw_labeled(gen)
-        return TraitMeasure.from_arrays(
-            fixed_weights,
-            self._fixed_values,
-            labeled.weights,
-            labeled.locations,
-            self._truncation,
+        return TraitMeasure(
+            fixed_weights, self._fixed_values, labeled.weights, labeled.locations, self._truncation
         )
 

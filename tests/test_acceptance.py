@@ -19,7 +19,6 @@ from expcrm import (
     Location,
     MarginalConfig,
     MarginalSampler,
-    ObservationAtom,
     ObservationMeasure,
     ODDS_BERNOULLI_BETA_PRIME,
     POISSON_GAMMA,
@@ -132,10 +131,11 @@ def test_criterion_1_negative_binomial_conjugacy(capsys):
         prior = entry.from_native(mass, alpha, theta, fixed=((0.5, rho, sigma),))
         x_fixed = int(rng.integers(0, 7))  # 0: the observation skips the atom
         x_new = int(rng.integers(1, 7))
-        touched = [ObservationAtom(x_new, Location(0.8))]
+        counts, locations = [x_new], [0.8]
         if x_fixed:
-            touched.append(ObservationAtom(x_fixed, Location(0.5)))
-        post = posterior_update(prior, [ObservationMeasure(tuple(touched))])
+            counts.append(x_fixed)
+            locations.append(0.5)
+        post = posterior_update(prior, [ObservationMeasure(counts, locations)])
 
         # back to native coordinates: alpha = -xi - 1, b = lam * r + 1
         alpha_post = -post.xi[0] - 1.0
@@ -183,14 +183,9 @@ def test_criterion_2_automatic_conjugacy_closure(capsys):
         prior = auto_conjugate(like, mass, (xi0,), lam)
         cap = like.support_bound or 4
         obs = [
-            ObservationMeasure(
-                (
-                    ObservationAtom(min(2, cap), Location(0.3)),
-                    ObservationAtom(1, Location(0.7)),
-                )
-            ),
-            ObservationMeasure((ObservationAtom(min(3, cap), Location(0.7)),)),
-            ObservationMeasure(()),
+            ObservationMeasure([min(2, cap), 1], [0.3, 0.7]),
+            ObservationMeasure([min(3, cap)], [0.7]),
+            ObservationMeasure([], []),
         ]
         post = posterior_update(prior, obs)
         res = hyperparam_valid(post.as_prior())
@@ -432,15 +427,12 @@ def test_criterion_7_batch_equals_iterated(capsys):
         pool = [0.15, 0.45, 0.6, 0.85]
         obs = []
         for _ in range(int(rng.integers(1, 11))):
-            touched = tuple(
-                ObservationAtom(
-                    1 if like.support_bound == 1 else int(rng.integers(1, 5)),
-                    Location(loc),
-                )
+            touched = [
+                (1 if like.support_bound == 1 else int(rng.integers(1, 5)), loc)
                 for loc in pool
                 if rng.uniform() < 0.5
-            )
-            obs.append(ObservationMeasure(touched))
+            ]
+            obs.append(ObservationMeasure([c for c, _ in touched], [v for _, v in touched]))
         if not iterated_equals_batch(prior, obs):
             failures.append(
                 f"model {k} ({entry.family}, {len(obs)} observations) split the paths"

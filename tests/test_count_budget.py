@@ -8,8 +8,11 @@ one block of rows at a time, with the doubles of one cumsum per row.
 """
 
 import dataclasses
-
+import os
+import subprocess
+import sys
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,26 @@ def test_a_nan_total_raises_in_both_samplers(monkeypatch):
     assert exc.value.certificate["steps"] == 1
 
 
+def test_a_patched_table_does_not_outlive_its_test():
+    # the NaN test's traceback keeps its sampler, and so its table, alive;
+    # the next sampler of an equal prior must still build its own table
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "tests/test_count_budget.py::test_a_nan_total_raises_in_both_samplers",
+            "tests/test_marginal.py::TestSamplerConstruction::test_certificate_is_jsonable",
+        ],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def per_row_steps(table, n):
     """(cumulative row, gap, running sum of gaps) of steps 1..n, one ``np.cumsum`` per row."""
     steps, neglected = [], 0.0
@@ -148,4 +171,4 @@ def test_steps_are_the_doubles_of_one_cumsum_per_row(name):
 def test_a_draw_tabulates_no_steps():
     table = RateTable(gamma_prior(), 30, 1.0)
     table.draw_certificate(50)
-    assert table._steps == [] and len(table._unstepped) == 1
+    assert table._step_rows == [] and len(table._unstepped) == 1

@@ -1,10 +1,12 @@
-"""The scripts under ``demos/`` run to completion.
+"""The scripts under ``demos/`` and the README's quick start run to completion.
 
-Each demo runs as its own process, with the package under test first on
-the import path, and must exit 0.
+Each demo, and the README's first ``python`` block, runs as its own
+process, with the package under test first on the import path, and must
+exit 0 and print something.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,12 +25,11 @@ def test_every_demo_is_collected():
     ]
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_cleanly(script, tmp_path):
+def run_cleanly(args, cwd):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)],
-        cwd=tmp_path,
+        [sys.executable, *args],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -36,3 +37,15 @@ def test_demo_exits_cleanly(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_cleanly(script, tmp_path):
+    run_cleanly([str(script)], tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert block, "README.md has no ```python block"
+    run_cleanly(["-c", block.group(1)], tmp_path)

@@ -25,7 +25,10 @@ samplers, no ``rng`` parameter with a default and no generator a sampler
 holds: every draw takes its rng.  An eleventh finds no ``rate_M`` or
 ``round_total`` on a family class in ``catalog.py`` or ``exp_family.py``:
 the helpers of those names in ``size_biased.py`` each read one
-``rate_rows`` call.  Last, in fresh interpreters again, no
+``rate_rows`` call.  A twelfth finds no ``from_arrays``, ``_unzip_atoms``
+or ``_steps`` name in the package: each measure type has one constructor,
+which takes its columns, and the marginal sampler one stream, ``stream``,
+which yields columns.  Last, in fresh interpreters again, no
 command leaves a BLAS worker thread running unless the caller asks for one.
 """
 
@@ -691,6 +694,26 @@ class TestOneFamilyProtocol:
         assert attribute_calls(source, function, "rate_rows") == 1
 
 
+RETIRED = ("from_arrays", "_unzip_atoms", "_steps")
+
+
+class TestOneConstructor:
+    def test_scan_sees_methods_calls_and_attributes(self):
+        source = (
+            "class Measure:\n"
+            "    @classmethod\n"
+            "    def from_arrays(cls, *fields):\n"
+            "        return _unzip_atoms(fields)\n"
+            "steps = sampler._steps(rng)\n"
+        )
+        assert [names_read(source, name) for name in RETIRED] == [[3], [4], [5]]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_measures_take_columns_and_the_stream_is_public(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert {name: names_read(source, name) for name in RETIRED} == dict.fromkeys(RETIRED, [])
+
+
 class TestExportTable:
     def test_all_is_pinned(self):
         assert expcrm.__all__ == PUBLIC
@@ -748,11 +771,21 @@ class TestLazyLoading:
             "from expcrm import catalog\n"
             "unbuilt = 'negative_binomial(3)' not in catalog._ENTRIES\n"
             "nb = family_of(dataclasses.replace(like, family='negative_binomial(3)'))\n"
+            "def shape(r):\n"
+            "    try:\n"
+            "        return catalog.get_entry('negative_binomial', r).family\n"
+            "    except catalog.DomainError:\n"
+            "        return 'DomainError'\n"
+            "# a numpy shape and a bool, each before and after the entry it names is built\n"
+            "shapes = [shape(np.int64(7)), shape(7), shape(np.int64(7)),\n"
+            "          shape(True), shape(1), shape(True)]\n"
             "print(loaded, entry is catalog.POISSON_GAMMA, unbuilt,\n"
-            "      nb is catalog.get_entry('negative_binomial', 3))\n",
+            "      nb is catalog.get_entry('negative_binomial', 3), *shapes)\n",
             tmp_path,
         )
-        assert line.split() == ["False", "True", "True", "True"]
+        assert line.split() == ["False", "True", "True", "True"] + ["negative_binomial(7)"] * 3 + [
+            "DomainError", "negative_binomial(1)", "DomainError"
+        ]
 
     def test_submodule_attribute_loads_on_first_read(self, tmp_path):
         (line,) = run_python(

@@ -386,7 +386,7 @@ class TestColumnarOutput:
     def test_columns_are_sorted_positive_and_count_births(self):
         s = MarginalSampler(COLUMNAR_PRIORS["gamma-fixed"], MarginalConfig(x_max=30))
         taken = {fa.location.value for fa in s.prior.fixed_atoms}
-        for counts, values, born in islice(s._steps(RngState(1, 0)), 30):
+        for counts, values, born in islice(s.stream(RngState(1, 0)), 30):
             assert counts.dtype == np.int64 and values.dtype == np.float64
             assert (counts > 0).all() and (np.diff(values) > 0).all()
             new = [v not in taken for v in values.tolist()]

@@ -113,43 +113,57 @@ class TestTruncationMeta:
 
 class TestTraitMeasure:
     def test_atoms_keeps_group_order(self):
-        f = (Atom(1.0, 0.1), Atom(2.0, 0.2))
-        o = (Atom(3.0, 0.3),)
-        m = TraitMeasure(f, o)
-        assert m.atoms == f + o
+        m = TraitMeasure([1.0, 2.0], [0.1, 0.2], [3.0], [0.3])
+        assert m.atoms == (Atom(1.0, 0.1), Atom(2.0, 0.2), Atom(3.0, 0.3))
         assert m.total_mass() == pytest.approx(6.0)
         assert m.truncation is EXACT_FINITE
 
     def test_distinct_locations_across_groups(self):
         with pytest.raises(DomainError):
-            TraitMeasure((Atom(1.0, 0.1),), (Atom(2.0, 0.1),))
+            TraitMeasure([1.0], [0.1], [2.0], [0.1])
         with pytest.raises(DomainError):
-            TraitMeasure((Atom(1.0, 0.1), Atom(2.0, 0.1)), ())
+            TraitMeasure([1.0, 2.0], [0.1, 0.1], [], [])
 
     def test_rejects_foreign_atoms(self):
         with pytest.raises(DomainError):
-            TraitMeasure(((1.0, 0.1),), ())
+            TraitMeasure([Atom(1.0, 0.1)], [0.1], [], [])
         with pytest.raises(DomainError):
-            TraitMeasure((), (), truncation="truncated")
+            TraitMeasure([(1.0, 0.1)], [0.1], [], [])
+        with pytest.raises(DomainError):
+            TraitMeasure([], [], [], [], truncation="truncated")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TraitMeasure((Atom(1.0, 0.5),), ()),
+            lambda: ObservationMeasure((ObservationAtom(1, 0.5),)),
+            lambda: TraitMeasure(),
+        ],
+        ids=["trait-atom-lists", "observation-atom-list", "trait-no-columns"],
+    )
+    def test_the_constructor_takes_only_columns(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_empty_measure_is_fine(self):
-        m = TraitMeasure((), ())
+        m = TraitMeasure([], [], [], [])
         assert m.atoms == ()
         assert m.total_mass() == 0.0
 
 
 class TestColumnarTraitMeasure:
     def test_arrays_and_atom_views_agree(self):
-        m = TraitMeasure.from_arrays([1.5], [0.5], np.array([0.25, 2.0]), np.array([0.75, 0.0]))
-        assert m == TraitMeasure((Atom(1.5, 0.5),), (Atom(0.25, 0.75), Atom(2.0, 0.0)))
+        m = TraitMeasure([1.5], [0.5], np.array([0.25, 2.0]), np.array([0.75, 0.0]))
+        assert m == TraitMeasure(np.array([1.5]), np.array([0.5]), [0.25, 2.0], [0.75, 0.0])
         assert m.fixed_atoms == (Atom(1.5, 0.5),)
+        assert m.ordinary_atoms == (Atom(0.25, 0.75), Atom(2.0, 0.0))
         assert m.ordinary_weights.tolist() == [0.25, 2.0]
         assert m.total_mass() == 3.75
         assert pickle.loads(pickle.dumps(m)) == m
 
     def test_arrays_are_copied_and_read_only(self):
         weights = np.array([1.0, 2.0])
-        m = TraitMeasure.from_arrays([], [], weights, [0.1, 0.2])
+        m = TraitMeasure([], [], weights, [0.1, 0.2])
         weights[0] = 9.0
         assert m.ordinary_weights[0] == 1.0
         with pytest.raises(ValueError):
@@ -177,15 +191,15 @@ class TestColumnarTraitMeasure:
     )
     def test_invalid_columns_raise_domain_error(self, fw, fl, ow, ol):
         with pytest.raises(DomainError):
-            TraitMeasure.from_arrays(fw, fl, ow, ol)
+            TraitMeasure(fw, fl, ow, ol)
 
     def test_truncation_must_be_meta(self):
         with pytest.raises(DomainError):
-            TraitMeasure.from_arrays([], [], [1.0], [0.5], truncation="truncated")
+            TraitMeasure([], [], [1.0], [0.5], truncation="truncated")
 
     def test_json_round_trip_from_arrays(self):
         rng = np.random.default_rng(7)
-        m = TraitMeasure.from_arrays(
+        m = TraitMeasure(
             rng.gamma(0.3, size=2),
             [0.125, 0.875],
             rng.gamma(0.3, size=50),
@@ -198,7 +212,7 @@ class TestColumnarTraitMeasure:
 
 class TestObservationMeasure:
     def test_count_lookup(self):
-        obs = ObservationMeasure((ObservationAtom(2, 0.3), ObservationAtom(5, 0.7)))
+        obs = ObservationMeasure([2, 5], [0.3, 0.7])
         assert obs.count_at(Location(0.3)) == 2
         assert obs.count_at(Location(0.5)) == 0
         assert obs.count_at(0.7) == 5
@@ -206,27 +220,27 @@ class TestObservationMeasure:
 
     def test_duplicate_locations_rejected(self):
         with pytest.raises(DomainError):
-            ObservationMeasure((ObservationAtom(1, 0.3), ObservationAtom(2, 0.3)))
+            ObservationMeasure([1, 2], [0.3, 0.3])
 
     def test_empty_observation(self):
-        obs = ObservationMeasure()
+        obs = ObservationMeasure([], [])
         assert obs.total_count() == 0
         assert obs.count_at(Location(0.1)) == 0
-        assert obs == ObservationMeasure.from_arrays([], [])
+        assert obs == ObservationMeasure(np.array([], dtype=np.int64), np.array([]))
 
 
 class TestColumnarObservationMeasure:
     def test_arrays_and_atom_views_agree(self):
-        obs = ObservationMeasure.from_arrays(np.array([3, 1]), [0.25, 0.0])
-        assert obs == ObservationMeasure((ObservationAtom(3, 0.25), ObservationAtom(1, 0.0)))
+        obs = ObservationMeasure(np.array([3, 1]), [0.25, 0.0])
+        assert obs == ObservationMeasure([3, 1], np.array([0.25, 0.0]))
         assert obs.atoms == (ObservationAtom(3, Location(0.25)), ObservationAtom(1, Location(0.0)))
         assert obs.counts.dtype == np.int64 and obs.locations.dtype == np.float64
-        assert obs != ObservationMeasure.from_arrays([3, 2], [0.25, 0.0])
-        assert obs != TraitMeasure.from_arrays([], [], [3.0, 1.0], [0.25, 0.0])
+        assert obs != ObservationMeasure([3, 2], [0.25, 0.0])
+        assert obs != TraitMeasure([], [], [3.0, 1.0], [0.25, 0.0])
 
     def test_arrays_are_copied_and_read_only(self):
         counts, locations = np.array([1, 2]), np.array([0.1, 0.2])
-        obs = ObservationMeasure.from_arrays(counts, locations)
+        obs = ObservationMeasure(counts, locations)
         counts[0], locations[0] = 9, 0.9
         assert obs.counts.tolist() == [1, 2] and obs.locations.tolist() == [0.1, 0.2]
         with pytest.raises(ValueError):
@@ -237,14 +251,14 @@ class TestColumnarObservationMeasure:
             obs.counts = np.array([1, 1])
 
     def test_pickle_round_trip(self):
-        obs = ObservationMeasure.from_arrays([4, 1, 10**12], [0.5, 5e-324, 0.9999999999999999])
+        obs = ObservationMeasure([4, 1, 10**12], [0.5, 5e-324, 0.9999999999999999])
         again = pickle.loads(pickle.dumps(obs))
         assert again == obs
         assert again.counts.dtype == np.int64 and not again.counts.flags.writeable
 
     def test_unhashable_like_trait_measures(self):
         with pytest.raises(TypeError):
-            hash(ObservationMeasure.from_arrays([1], [0.5]))
+            hash(ObservationMeasure([1], [0.5]))
 
     @pytest.mark.parametrize(
         "counts, locations",
@@ -268,7 +282,7 @@ class TestColumnarObservationMeasure:
     )
     def test_invalid_columns_raise_domain_error(self, counts, locations):
         with pytest.raises(DomainError):
-            ObservationMeasure.from_arrays(counts, locations)
+            ObservationMeasure(counts, locations)
 
 
 @given(finite_floats)
@@ -282,9 +296,9 @@ def trait_measures():
         unique_by=lambda t: t[1],
     )
     def build(pairs, split, trunc):
-        allatoms = tuple(Atom(w, Location(l)) for w, l in pairs)
-        k = split % (len(allatoms) + 1)
-        return TraitMeasure(allatoms[:k], allatoms[k:], trunc)
+        w, loc = [w for w, _ in pairs], [v for _, v in pairs]
+        k = split % (len(pairs) + 1)
+        return TraitMeasure(w[:k], loc[:k], w[k:], loc[k:], trunc)
     truncs = st.one_of(
         st.just(EXACT_FINITE),
         st.builds(
@@ -313,7 +327,7 @@ def test_trait_json_round_trip_exact(measure):
     )
 )
 def test_observation_json_round_trip_exact(pairs):
-    obs = ObservationMeasure(tuple(ObservationAtom(c, Location(l)) for c, l in pairs))
+    obs = ObservationMeasure([c for c, _ in pairs], [v for _, v in pairs])
     wire = json.loads(json.dumps(observation_to_jsonable(obs)))
     assert observation_from_jsonable(wire) == obs
 
@@ -347,21 +361,21 @@ def columnar_measures(draw):
     k = draw(st.integers(min_value=0, max_value=len(pairs)))
     w = np.array([p[0] for p in pairs], dtype=float)
     loc = np.array([p[1] for p in pairs], dtype=float)
-    return TraitMeasure.from_arrays(w[:k], loc[:k], w[k:], loc[k:], draw(truncations))
+    return TraitMeasure(w[:k], loc[:k], w[k:], loc[k:], draw(truncations))
 
 
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=10**12), columnar_measures())
-@example(0, TraitMeasure.from_arrays([], [], [], [], EXACT_FINITE))
+@example(0, TraitMeasure([], [], [], [], EXACT_FINITE))
 @example(
     7,
-    TraitMeasure.from_arrays(
+    TraitMeasure(
         [5e-324, 1e300], [-0.0, 5e-324], [1e-300, 2.0, 1.7976931348623157e308],
         [0.25, 0.5, 0.9999999999999999], TruncationMeta("truncated", 1000, 50),
     ),
 )
-@example(3, TraitMeasure.from_arrays([1.0], [0.0], [], [], EXACT_FINITE))
-@example(4, TraitMeasure.from_arrays([], [], [3.0, 1e22], [0.1, 0.2], TruncationMeta("truncated", 1, 1)))
+@example(3, TraitMeasure([1.0], [0.0], [], [], EXACT_FINITE))
+@example(4, TraitMeasure([], [], [3.0, 1e22], [0.1, 0.2], TruncationMeta("truncated", 1, 1)))
 def test_trait_line_matches_dict_path(rep, measure):
     line = trait_jsonl_line(rep, measure)
     assert line == jsonl_line({"rep": rep, **trait_to_jsonable(measure)})
@@ -383,13 +397,13 @@ def test_trait_line_matches_dict_path(rep, measure):
 def test_observation_line_matches_dict_path(rep, n, pairs):
     counts = np.array([c for c, _ in pairs], dtype=np.int64)
     values = np.array([v for _, v in pairs], dtype=float)
-    obs = ObservationMeasure(tuple(ObservationAtom(c, Location(v)) for c, v in pairs))
+    obs = ObservationMeasure(counts, values)
     line = observation_jsonl_line(rep, n, counts, values)
     assert line == jsonl_line({"rep": rep, "n": n, **observation_to_jsonable(obs)})
 
 
 def test_trait_jsonable_floats_are_strings():
-    m = TraitMeasure((Atom(1.0 / 3.0, 0.1),), ())
+    m = TraitMeasure([1.0 / 3.0], [0.1], [], [])
     data = trait_to_jsonable(m)
     assert data["fixed"][0]["w"] == float_repr(1.0 / 3.0)
     assert data["trunc"] == {"kind": "exact-finite"}
@@ -453,7 +467,7 @@ def test_observation_count_at_the_int64_top_is_kept_and_an_unsigned_one_above_it
     obs = observation_from_jsonable({"atoms": [{"x": 2**63 - 1, "loc": "0.5"}]})
     assert obs.counts.tolist() == [2**63 - 1]
     with pytest.raises(DomainError, match=f"got {2**63}$"):
-        ObservationMeasure.from_arrays(np.array([3, 2**63], dtype=np.uint64), np.array([0.1, 0.5]))
+        ObservationMeasure(np.array([3, 2**63], dtype=np.uint64), np.array([0.1, 0.5]))
 
 
 class TestJsonl:

@@ -33,7 +33,7 @@ NB = get_entry("negative_binomial", r=2.5)
 
 
 def obs(pairs):
-    return ObservationMeasure(tuple(ObservationAtom(c, Location(v)) for v, c in pairs))
+    return ObservationMeasure([c for _, c in pairs], [v for v, _ in pairs])
 
 
 def gamma_prior(mass=2.0, xi=-1.5, lam=1.0, atoms=()):

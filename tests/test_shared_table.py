@@ -28,7 +28,7 @@ CLONES = {
 
 
 def step_bytes(steps, n):
-    """The bytes of the first ``n`` steps of a ``_steps`` iterator."""
+    """The bytes of the first ``n`` steps of a ``stream`` iterator."""
     return [tuple(a.tobytes() for a in next(steps)) for _ in range(n)]
 
 
@@ -37,14 +37,14 @@ def test_interleaved_streams_draw_what_they_draw_alone(name):
     sampler = MarginalSampler(CLONES[name], MarginalConfig(x_max=16))
     assert isinstance(sampler.table.family, QuadratureFamily)
     n = 15
-    alone = [step_bytes(sampler._steps(RngState(4, r)), n) for r in (0, 1)]
-    a, b = sampler._steps(RngState(4, 0)), sampler._steps(RngState(4, 1))
+    alone = [step_bytes(sampler.stream(RngState(4, r)), n) for r in (0, 1)]
+    a, b = sampler.stream(RngState(4, 0)), sampler.stream(RngState(4, 1))
     together = [[], []]
     for _ in range(n):
         together[0] += step_bytes(a, 1)
         together[1] += step_bytes(b, 1)
     assert together == alone
-    assert step_bytes(sampler._steps(RngState(4, 0)), n) == alone[0]
+    assert step_bytes(sampler.stream(RngState(4, 0)), n) == alone[0]
     assert alone[0] != alone[1]
 
 
@@ -62,14 +62,14 @@ def count_rate_rows(monkeypatch):
 
 def test_a_marginal_sampler_reads_a_live_size_biased_table(monkeypatch):
     prior = CLONES["gamma"]
-    alone = step_bytes(MarginalSampler(prior, MarginalConfig(x_max=16))._steps(RngState(3)), 12)
+    alone = step_bytes(MarginalSampler(prior, MarginalConfig(x_max=16)).stream(RngState(3)), 12)
     gc.collect()
     rounds = count_rate_rows(monkeypatch)
     size_biased = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=20, x_max=16))
     assert rounds == list(range(1, 21))
     marginal = MarginalSampler(prior, MarginalConfig(x_max=16))
     assert marginal.table is size_biased.table
-    shared = step_bytes(marginal._steps(RngState(3)), 12)
+    shared = step_bytes(marginal.stream(RngState(3)), 12)
     assert rounds == list(range(1, 21))  # twelve steps, no new row
     assert shared == alone
     marginal.sample(25, RngState(3))

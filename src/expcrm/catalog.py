@@ -206,6 +206,10 @@ class CatalogEntry:
     chunk = 64  # counts per predictive-walk chunk
     round_block = 1  # rounds per rate_rows block: closed forms tabulate any rounds alike
 
+    def phi_rows(self, xs) -> np.ndarray:
+        """phi of the counts ``xs``, one row each: the counts as one float column, phi(x) = x."""
+        return np.asarray(xs, dtype=float).reshape(-1, 1)
+
     def rate_rows(self, prior: ExpCrmPrior, ms, xs) -> tuple[np.ndarray, np.ndarray]:
         """A prior's rates at rounds ``ms`` (rows) and counts ``xs`` (columns), and the round totals."""
         return (

@@ -37,10 +37,10 @@ from .errors import DivergenceSuspected, DomainError, QuadratureError
 from .exp_family import (
     ExpCrmPrior,
     QuadratureFamily,
-    _shifted_params,
     as_xi,
     log_conjugate_kernel,
     log_partition_B,
+    shifted_params,
 )
 from .marginal import MarginalConfig, MarginalSampler, predictive_logpmf
 from .quadrature import IntegrandSpec, integrate
@@ -174,16 +174,13 @@ def _check_a2(prior: ExpCrmPrior) -> CheckReport:
         )
     except QuadratureError as err:
         return CheckReport(name, False, math.nan, math.inf, "<", f"quadrature failed: {err}")
-    head = []
-    total_head = 0.0
-    for x in range(1, 11):
-        r = rate_M(prior, 1, x)
-        total_head += r
-        head.append(f"M(1,{x})={r:.4g}")
-    remainder = max(value - total_head, 0.0)
-    detail = (
-        f"round-1 rate {value:.6g}; " + ", ".join(head) + f"; counts above 10 keep {remainder:.3g}"
-    )
+    bound = prior.likelihood.support_bound
+    xs = np.arange(1, 11 if bound is None else min(10, bound) + 1)
+    rates = np.zeros(10)  # M(1, x) = 0 above the support bound
+    rates[: xs.size] = family_of(prior.likelihood).rate_rows(prior, [1], xs)[0][0]
+    head = ", ".join(f"M(1,{x})={r:.4g}" for x, r in enumerate(rates.tolist(), start=1))
+    remainder = max(value - float(np.cumsum(rates)[-1]), 0.0)  # summed in order, from the left
+    detail = f"round-1 rate {value:.6g}; {head}; counts above 10 keep {remainder:.3g}"
     return CheckReport(name, math.isfinite(value), float(value), math.inf, "<", detail)
 
 
@@ -469,10 +466,10 @@ def _integrand_orders(like, xi, lam: float, m: int, x) -> tuple:
     entry = entry_for(like)
     if entry is None:
         return None, None
-    if x is None:
-        low, up = entry.kernel_orders(*_shifted_params(like, xi, lam, m - 1, 0))
-        return low + 1.0, up
-    return entry.kernel_orders(*_shifted_params(like, xi, lam, m, x))
+    rounds, counts = ([m - 1], [0]) if x is None else ([m], [x])
+    xi_rows, lams = shifted_params(entry, xi, lam, rounds, counts)
+    low, up = entry.kernel_orders(xi_rows[0], lams[0])
+    return (low + 1.0, up) if x is None else (low, up)
 
 
 def _literal_integral(

@@ -82,19 +82,24 @@ def _number(data: dict, key: str, where: str, *, integer: bool = False):
         if not isinstance(v, int):
             raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
         return v
-    v = float(v)
+    return _float(v, f"{where}.{key}")
+
+
+def _float(v, what: str) -> float:
+    """A JSON number as a finite float; ConfigError for NaN, inf or an int beyond the doubles."""
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer too large for a float") from None
     if not math.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be finite, got {v}")
+        raise ConfigError(f"{what} must be finite, got {v}")
     return v
 
 
 def _parse_xi(raw, where: str) -> tuple[float, ...]:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return (float(raw),)
-    if isinstance(raw, list) and raw and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
-        return tuple(float(v) for v in raw)
+    values = raw if isinstance(raw, list) and raw else [raw]
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        return tuple(_float(v, f"{where}.xi") for v in values)
     raise ConfigError(f"{where}.xi must be a number or a nonempty list of numbers, got {raw!r}")
 
 
@@ -121,7 +126,7 @@ def _parse_family(data: dict) -> tuple[str, float | None]:
             raise ConfigError("negative_binomial needs 'r' (or an id like 'negative_binomial(2.5)')")
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise ConfigError(f"'r' must be a number, got {r!r}")
-        return fam, float(r)
+        return fam, _float(r, "'r'")
     if fam not in _PLAIN_IDS:
         raise ConfigError(
             f"unknown likelihood id {fam!r}; catalog ids are "

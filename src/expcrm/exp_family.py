@@ -57,14 +57,6 @@ def as_xi(xi) -> tuple[float, ...]:
     return out
 
 
-def xi_plus(xi: tuple[float, ...], delta) -> tuple[float, ...]:
-    """Componentwise xi + delta, where delta is a phi value or another xi."""
-    d = as_xi(delta)
-    if len(d) != len(xi):
-        raise DomainError(f"dimension mismatch: {len(xi)} vs {len(d)}")
-    return tuple(a + b for a, b in zip(xi, d))
-
-
 @dataclass(frozen=True, slots=True)
 class WeightDomain:
     """Interval of admissible weights: (0, upper), or (0, upper] when closed."""
@@ -251,11 +243,6 @@ def walk_counts(gen, log_pmf, chunk: int, bound, *columns) -> np.ndarray:
             raise QuadratureError("count walk failed to accumulate to 1")
 
 
-def pmf(likelihood: ExpCrmLikelihood, x: int, theta) -> "float | np.ndarray":
-    """Probability of count ``x`` given weight ``theta``."""
-    return np.exp(likelihood.log_pmf(x, theta))
-
-
 def _log_kernel(likelihood: ExpCrmLikelihood, xi, lam, t, from_top: bool = False) -> np.ndarray:
     """log kappa(theta; xi, lam) at the points ``t``, which are not checked.
 
@@ -329,10 +316,16 @@ def _kernel_spec(
     return IntegrandSpec(log_f, likelihood.weight_domain.upper, None, log_f_upper=top, name=name)
 
 
-def _shifted_params(likelihood: ExpCrmLikelihood, xi, lam: float, m: int, x: int):
-    """(xi + phi(x) + (m - 1) phi(0), lam + m): the kernel of l(x|.) l(0|.)^(m-1) kappa(.; xi, lam)."""
-    phis = zip(xi, likelihood.phi(x), likelihood.phi(0))
-    return tuple(xj + float(px) + (m - 1) * float(p0) for xj, px, p0 in phis), lam + float(m)
+def shifted_params(family, xi, lam: float, rounds, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(xi + phi(x) + (m - 1) phi(0), lam + m) of each pair (m, x) of ``rounds`` and ``counts``.
+
+    The package's one conjugate shift, to the kernel of l(x|.) l(0|.)^(m-1)
+    kappa(.; xi, lam): one xi row and one lam per pair, the terms added in
+    that order, with phi from ``family.phi_rows``.
+    """
+    rounds = np.asarray(rounds, dtype=np.int64)
+    xi_rows = np.asarray(xi, dtype=float) + family.phi_rows(counts)
+    return xi_rows + (rounds - 1)[:, None] * family.phi_rows([0]), lam + rounds
 
 
 class QuadratureFamily:
@@ -385,6 +378,12 @@ class QuadratureFamily:
         logs = [like.log_h(v) if like.in_support(v) else -math.inf for v in xs.reshape(-1).tolist()]
         return np.array(logs, dtype=float).reshape(xs.shape)
 
+    def phi_rows(self, xs) -> np.ndarray:
+        """phi of the counts ``xs``, one row each: one ``phi`` call per distinct count."""
+        values, where = np.unique(np.asarray(xs, dtype=np.int64).reshape(-1), return_inverse=True)
+        rows = [self.likelihood.phi(v) for v in values.tolist()]
+        return np.array(rows, dtype=float).reshape(values.size, self.likelihood.dim)[where]
+
     def _round_rows(self, mass: float, xi, lam: float, ms: list, xs) -> tuple[np.ndarray, np.ndarray]:
         """Rates M(m, x) at the rounds ``ms`` (rows) and counts ``xs``, all in the support, and the
         round totals, in one law.
@@ -397,17 +396,16 @@ class QuadratureFamily:
         Each round's columns are its rates, then its total.
         """
         like = self.likelihood
-        xs = np.asarray(xs, dtype=np.int64).tolist()
-        params = []
-        for m in ms:
-            params += [_shifted_params(like, xi, lam, m, x) for x in xs]
-            params.append(_shifted_params(like, xi, lam, m - 1, 0))
-        rounds = f"round {ms[0]}" if len(ms) == 1 else f"rounds {ms[0]}-{ms[-1]}"
+        xs = np.asarray(xs, dtype=np.int64)
+        # each round's rates at (m, x), then its total at (m - 1, 0)
+        rounds, counts = np.repeat(ms, xs.size + 1), np.tile(np.append(xs, 0), len(ms))
+        rounds[xs.size :: xs.size + 1] -= 1
+        name = f"round {ms[0]}" if len(ms) == 1 else f"rounds {ms[0]}-{ms[-1]}"
         spec = _kernel_spec(
-            like, [p for p, _ in params], [q for _, q in params],
-            name=f"{rounds} of {like.family}", positive=len(xs) + 1,
+            like, *shifted_params(self, xi, lam, rounds, counts),
+            name=f"{name} of {like.family}", positive=xs.size + 1,
         )
-        logs = log_integrate(spec, _COLUMN_TOL).reshape(len(ms), len(xs) + 1)
+        logs = log_integrate(spec, _COLUMN_TOL).reshape(len(ms), xs.size + 1)
         logs += math.log(mass) + (np.array(ms) - 1)[:, None] * like.log_h(0)
         return np.exp(logs[:, :-1] + self.log_h_vec(xs)), np.exp(logs[:, -1])
 
@@ -439,11 +437,10 @@ class QuadratureFamily:
         like = self.likelihood
         inside = np.array([like.in_support(v) for v in xs.tolist()], dtype=bool)
         out = np.full((lam.size, xs.size), -math.inf)
-        phis = [like.phi(v) for v in xs[inside].tolist()]
-        if phis:
-            for row, x, l in zip(out, xi.tolist(), lam.tolist()):
-                x = as_xi(x)
-                xis, lams = [x] + [xi_plus(x, p) for p in phis], [l] + [l + 1.0] * len(phis)
+        phis = self.phi_rows(xs[inside])
+        if len(phis):
+            for row, x, l in zip(out, xi, lam.tolist()):
+                xis, lams = np.vstack([x, x + phis]), [l] + [l + 1.0] * len(phis)
                 log_B = log_integrate(_kernel_spec(like, xis, lams, f"B[{like.family}]"), _COLUMN_TOL)
                 row[inside] = log_h[inside] + log_B[1:] - log_B[0]
         return out

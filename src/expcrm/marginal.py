@@ -12,8 +12,9 @@ over the observations alone.  Step n sees two kinds of emission:
   truncated, with the same certified tail accounting as the size-biased
   sampler; counts at existing atoms are never truncated.
 
-Emitted counts feed straight back into each atom's parameters, so a run of
-this sampler is its own conjugate filter: after n steps an atom's
+Emitted counts feed straight back into each atom's parameters (through the
+family's ``phi_rows``: at most one ``phi`` call per distinct count), so a
+run of this sampler is its own conjugate filter: after n steps an atom's
 parameters match what :func:`expcrm.posterior.posterior_update` would
 compute from the emitted observations.
 
@@ -154,7 +155,6 @@ class MarginalSampler(_TruncatedSampler):
         first step whose running sum of neglected gaps passes ``eps_tail``.
         """
         gen = as_generator(rng)
-        like = self.prior.likelihood
         # the atoms on the books as columns, fixed atoms first, then the
         # new atoms of each step in birth order
         values, xi, lam = self._fixed_values, self._fixed_xi.copy(), self._fixed_lam.copy()
@@ -166,7 +166,7 @@ class MarginalSampler(_TruncatedSampler):
             counts = self._predictive_walk(gen, xi, lam)
             if counts.size:
                 # every count, zero included, updates its atom's parameters
-                xi += np.array([like.phi(x) for x in counts.tolist()])
+                xi += self.table.family.phi_rows(counts)
                 lam += 1.0
             born = self.table.xs[_superpose(gen, cdf)]
             if born.size:

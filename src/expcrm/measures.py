@@ -29,7 +29,10 @@ from .errors import ConfigError, DomainError
 def _check_float(name: str, value, *, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got an integer too large for a float") from None
     if not np.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     if positive and x <= 0.0:
@@ -295,7 +298,7 @@ def _parse_floats(items: list, what: str, key: str) -> list[float]:
             raise ConfigError(f"{what}[{i}].{key}: expected a number or numeric string, got {s!r}")
         try:
             out.append(float(s))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the doubles
             raise ConfigError(f"{what}[{i}].{key}: cannot parse float from {s!r}") from exc
     return out
 

@@ -7,9 +7,10 @@ the ordinary component keeps its own kernel with shifted parameters.
 So a ``PosteriorCrm`` is an ``ExpCrmPrior``: every sampler, rate table
 and check that takes a prior takes a posterior, and conditioning it on
 more data continues the update.
-The update is exchangeable, so feeding observations one at a time or
-all at once lands on the same posterior; ``iterated_equals_batch``
-checks that identity on concrete data.
+The update is exchangeable: each component of a shifted xi is an fsum of
+the family's ``phi_rows``, so feeding observations one at a time or all
+at once lands on the same posterior; ``iterated_equals_batch`` checks
+that identity on concrete data.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidObservationError
-from .exp_family import (
-    ExpCrmLikelihood,
-    ExpCrmPrior,
-    FixedAtomParams,
-    fixed_atom_density,
-)
+from .exp_family import ExpCrmPrior, FixedAtomParams, family_of, fixed_atom_density
 from .measures import Location, ObservationMeasure
 
 __all__ = [
@@ -65,25 +61,17 @@ class PosteriorCrm(ExpCrmPrior):
 
 
 def _shifted(
-    likelihood: ExpCrmLikelihood,
-    xi: tuple[float, ...],
-    lam: float,
-    counts: list[int],
-    n: int,
+    family, xi: tuple[float, ...], lam: float, counts: list[int], n: int
 ) -> tuple[tuple[float, ...], float]:
     """(xi + sum of phi(x) over n counts, lam + n), each component summed with fsum.
 
     ``counts`` lists the nonzero counts; the other n - len(counts) are
-    zeros.  fsum rounds the exact sum once, so the order of the terms
-    does not change the result.
+    zeros.  The terms come from the family's ``phi_rows``; fsum rounds the
+    exact sum once, so the order of the terms does not change the result.
     """
     zeros = n - len(counts)
-    phi0 = likelihood.phi(0)
-    phis = [likelihood.phi(c) for c in counts]
-    xi_new = tuple(
-        math.fsum([xi[j]] + [float(phi0[j])] * zeros + [float(p[j]) for p in phis])
-        for j in range(likelihood.dim)
-    )
+    phi0, phis = family.phi_rows([0])[0].tolist(), family.phi_rows(counts).T.tolist()
+    xi_new = tuple(math.fsum([x, *[p0] * zeros, *col]) for x, p0, col in zip(xi, phi0, phis))
     return xi_new, lam + float(n)
 
 
@@ -101,6 +89,7 @@ def posterior_update(model: ExpCrmPrior, observations) -> PosteriorCrm:
     n_seen = model.n_obs if isinstance(model, PosteriorCrm) else 0
     observations = tuple(observations)
     like = model.likelihood
+    family = family_of(like)
     n = len(observations)
 
     for i, obs in enumerate(observations):
@@ -131,13 +120,13 @@ def posterior_update(model: ExpCrmPrior, observations) -> PosteriorCrm:
     sites = [(atom.location, atom.xi, atom.lam) for atom in model.fixed_atoms]
     sites += [(Location(v), model.xi, model.lam) for v in counts_at if v not in known]
     atoms = tuple(
-        FixedAtomParams(loc, *_shifted(like, xi, lam, counts_at.get(loc.value, []), n))
+        FixedAtomParams(loc, *_shifted(family, xi, lam, counts_at.get(loc.value, []), n))
         for loc, xi, lam in sites
     )
 
     # ordinary component: N zero-count observations everywhere else
     mass_new = model.mass * math.exp(n * like.log_h(0))
-    xi_ord, lam_ord = _shifted(like, model.xi, model.lam, [], n)
+    xi_ord, lam_ord = _shifted(family, model.xi, model.lam, [], n)
     return PosteriorCrm(like, mass_new, xi_ord, lam_ord, atoms, n_seen + n)
 
 

@@ -7,7 +7,8 @@ Such traits arrive as a Poisson process with
     rate(m, x) = mass * h(0)^(m-1) * h(x) * exp B(xi + phi(x) + (m-1) phi(0), lam + m)
 
 atoms of first-observation count x, and the weight of each atom follows the
-proper conjugate density with the shifted parameters above.  Truncating at
+proper conjugate density at the shifted parameters above (the package's one
+conjugate shift, :func:`~expcrm.exp_family.shifted_params`).  Truncating at
 ``m_max`` rounds and a count cap leaves a finite Poisson intensity that can
 be drawn exactly by superposition.
 
@@ -38,14 +39,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .catalog import family_of, hyperparam_valid
 from .errors import DomainError, InvalidModelError, RngFaultError, TailBoundError
-from .exp_family import ExpCrmPrior, _shifted_params
+from .exp_family import ExpCrmPrior, shifted_params
 from .measures import TraitMeasure, TruncationMeta
 from .rng import as_generator
 
@@ -63,8 +63,8 @@ __all__ = [
 def _positive_int(name: str, v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {v!r}")
-    if v < 1:
-        raise DomainError(f"{name} must be >= 1, got {v}")
+    if not 1 <= v < 2**63:  # the int64 range of the samplers' round and count arrays
+        raise DomainError(f"{name} must be in 1..{2**63 - 1}, got {v}")
     return int(v)
 
 
@@ -80,7 +80,8 @@ def weight_dist_params(prior: ExpCrmPrior, m, x) -> tuple[tuple[float, ...], flo
     ``(xi + phi(x) + (m - 1) phi(0), lam + m)``.
     """
     m, x = _check_round_count(m, x)
-    return _shifted_params(prior.likelihood, prior.xi, prior.lam, m, x)
+    xi, lam = shifted_params(family_of(prior.likelihood), prior.xi, prior.lam, [m], [x])
+    return tuple(xi[0].tolist()), float(lam[0])
 
 
 def rate_M(prior: ExpCrmPrior, m, x) -> float:
@@ -153,21 +154,10 @@ class RateTable:
             self._unstepped.append(rows)
             self._totals += totals.tolist()
 
-    @cached_property
-    def _phi(self) -> np.ndarray:
-        """phi of the counts 0..count_cap, one row each, built by the first draw."""
-        like = self.prior.likelihood
-        return np.array([like.phi(x) for x in range(self.count_cap + 1)], dtype=float).reshape(-1, like.dim)
-
     def weight_params(self, rounds: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`weight_dist_params` of the atoms of rounds ``rounds`` and counts ``counts``.
-
-        One row of xi and one lam per atom, summed in the scalar order; the
-        counts lie in 1..count_cap.
-        """
-        p, phi = self.prior, self._phi
-        xi = np.asarray(p.xi) + phi[counts] + (rounds - 1)[:, None] * phi[0]
-        return xi, p.lam + rounds
+        """:func:`weight_dist_params` of the atoms of rounds ``rounds`` and counts ``counts``:
+        one row of xi and one lam per atom, from :func:`~expcrm.exp_family.shifted_params`."""
+        return shifted_params(self.family, self.prior.xi, self.prior.lam, rounds, counts)
 
     def rates(self, rounds: int) -> np.ndarray:
         """M(m, x) for rounds m = 1..rounds (rows) and counts 1..count_cap."""

@@ -811,6 +811,24 @@ class TestPlumbing:
         assert older.read_text() == "an older run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "model.json", "older.json"]
 
+    @pytest.mark.parametrize("field", ["params.mass", "fixed_atoms[0].xi", "atoms[0].loc"])
+    def test_an_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, field):
+        big = 10**400
+        model = {"likelihood": "poisson", "params": {"mass": 1.0, "xi": -1.0, "lam": 1.0}}
+        if field == "params.mass":
+            model["params"]["mass"] = big
+        elif field == "fixed_atoms[0].xi":
+            model["fixed_atoms"] = [{"loc": 0.5, "xi": [big], "lam": 1.0}]
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        atom = {"x": 1, "loc": big if field == "atoms[0].loc" else "0.25"}
+        (tmp_path / "data.jsonl").write_text(json.dumps({"atoms": [atom]}) + "\n")
+        argv = ["posterior", "--model", str(tmp_path / "model.json"),
+                "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "model.json"]
+
     @pytest.mark.parametrize("command", ["posterior", "sample-prior"])
     def test_non_utf8_input_exits_2(self, gamma_model, tmp_path, capsys, command):
         bad = tmp_path / "bad.bin"

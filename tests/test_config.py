@@ -55,6 +55,14 @@ class TestSchema:
         )
         assert a.params == b.params
 
+    @pytest.mark.parametrize("xi", [float("inf"), float("nan"), [-1.0, float("-inf")]])
+    def test_xi_must_be_finite(self, xi):
+        with pytest.raises(ConfigError, match=r"params\.xi must be finite"):
+            model_config_from_dict(gamma_dict(params={"mass": 1.0, "xi": xi, "lam": 1.0}))
+        atoms = [{"loc": 0.5, "xi": xi, "lam": 1.0}]
+        with pytest.raises(ConfigError, match=r"fixed_atoms\[0\]\.xi must be finite"):
+            model_config_from_dict(gamma_dict(fixed_atoms=atoms))
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             model_config_from_dict(gamma_dict(color="blue"))

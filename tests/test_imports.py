@@ -28,8 +28,14 @@ the helpers of those names in ``size_biased.py`` each read one
 ``rate_rows`` call.  A twelfth finds no ``from_arrays``, ``_unzip_atoms``
 or ``_steps`` name in the package: each measure type has one constructor,
 which takes its columns, and the marginal sampler one stream, ``stream``,
-which yields columns.  Last, in fresh interpreters again, no
-command leaves a BLAS worker thread running unless the caller asks for one.
+which yields columns.  A thirteenth finds ``.phi(`` called only in
+``ExpCrmLikelihood``'s own methods, ``QuadratureFamily.phi_rows`` and
+``_kernel_spec`` (the phi(0) of l(0|theta)), and no ``_shifted_params``,
+``xi_plus`` or ``pmf`` name in the package: every shifted (xi, lam) comes
+from ``exp_family.shifted_params`` over the family's ``phi_rows``, and no
+sampler calls the likelihood's ``phi`` once per atom.  Last, in fresh
+interpreters again, no command leaves a BLAS worker thread running unless
+the caller asks for one.
 """
 
 import ast
@@ -712,6 +718,53 @@ class TestOneConstructor:
     def test_measures_take_columns_and_the_stream_is_public(self, path):
         source = path.read_text(encoding="utf-8")
         assert {name: names_read(source, name) for name in RETIRED} == dict.fromkeys(RETIRED, [])
+
+
+def phi_calls(source: str) -> list[str | None]:
+    """Where ``source`` calls ``.phi(...)``: ``Class.function`` (or the function, or None at
+    module level), once per call."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name if owner is None else f"{owner}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "phi":
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# the one likelihood's own methods, the family's column of phi, and the phi(0) of l(0|theta)
+PHI_CALLERS = ("ExpCrmLikelihood.", "QuadratureFamily.phi_rows", "_kernel_spec")
+SHIFTS_RETIRED = ("_shifted_params", "xi_plus", "pmf")
+
+
+class TestOneConjugateShift:
+    def test_scan_sees_calls_and_names_their_functions(self):
+        source = (
+            "class Likelihood:\n"
+            "    def dim(self):\n"
+            "        return len(self.phi(0))\n"
+            "def stream(like, counts):\n"
+            "    return [like.phi(x) for x in counts]\n"
+            "phi = like.phi\n"
+            "top = phi(0), like.phi(1)\n"
+        )
+        assert phi_calls(source) == ["Likelihood.dim", "stream", None]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_only_the_family_calls_phi(self, path):
+        found = phi_calls(path.read_text(encoding="utf-8"))
+        callers = PHI_CALLERS if path.name == "exp_family.py" else ()
+        assert [f for f in found if not (f or "").startswith(callers)] == []
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_no_second_shift(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert {name: names_read(source, name) for name in SHIFTS_RETIRED} == dict.fromkeys(SHIFTS_RETIRED, [])
 
 
 class TestExportTable:

@@ -9,7 +9,7 @@ from scipy import stats
 
 from expcrm.catalog import BERNOULLI_BETA, ODDS_BERNOULLI_BETA_PRIME, POISSON_GAMMA, get_entry
 from expcrm.errors import DomainError, InvalidModelError, TailBoundError
-from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, QuadratureFamily, xi_plus
+from expcrm.exp_family import ExpCrmPrior, FixedAtomParams, QuadratureFamily
 from expcrm.marginal import (
     MarginalConfig,
     MarginalSampler,
@@ -280,7 +280,7 @@ def reference_stream(sampler, gen, n_steps):
             x = reference_walk(sampler, float(gen.uniform()), xi, lam)
             if x > 0:
                 emissions.append((v, x))
-            next_atoms.append((v, xi_plus(xi, like.phi(x)), lam + 1.0))
+            next_atoms.append((v, tuple(a + float(p) for a, p in zip(xi, like.phi(x))), lam + 1.0))
         total = float(cdf[-1])
         k = int(gen.poisson(total))
         if k > 0:

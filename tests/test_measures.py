@@ -50,6 +50,14 @@ class TestLocation:
         with pytest.raises(DomainError):
             Location(True)
 
+    def test_an_integer_too_large_for_a_float_raises_domain_error(self):
+        from expcrm.catalog import get_entry
+
+        with pytest.raises(DomainError, match="location must be finite"):
+            Location(10**400)
+        with pytest.raises(DomainError, match="shape r must be finite"):
+            get_entry("negative_binomial", 10**400)
+
     def test_equality_is_by_value(self):
         assert Location(0.5) == Location(0.5)
         assert Location(0.5) != Location(0.25)

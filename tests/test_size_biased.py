@@ -94,6 +94,14 @@ class TestModuleRates:
         with pytest.raises(DomainError):
             round_total(p, 0)
 
+    def test_an_index_beyond_int64_raises_domain_error(self):
+        p = gamma_prior()
+        for call in (lambda: rate_M(p, 1, 2**63), lambda: weight_dist_params(p, 2**63, 1),
+                     lambda: round_total(p, 2**63)):
+            with pytest.raises(DomainError, match=f"must be in 1..{2**63 - 1}, got {2**63}$"):
+                call()
+        assert weight_dist_params(p, 2**63 - 1, 1)[1] == 2.0**63
+
     def test_generic_rate_agrees_with_closed_form(self):
         p = gamma_prior(mass=1.3, xi=-1.4, lam=0.9)
         q = unregistered(p)

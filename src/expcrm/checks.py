@@ -48,9 +48,9 @@ from .rng import RngState
 from .size_biased import (
     DEFAULT_EPS_TAIL,
     DEFAULT_X_MAX,
-    RateTable,
     SizeBiasedConfig,
     SizeBiasedSampler,
+    _rate_table,
     rate_M,
     round_total,
     weight_dist_params,
@@ -58,6 +58,7 @@ from .size_biased import (
 
 __all__ = [
     "CheckReport",
+    "SuiteRun",
     "check_assumptions",
     "chi_square_gof",
     "chi_square_two_sample",
@@ -69,7 +70,6 @@ __all__ = [
     "oracle_round_total",
     "oracle_weight_law",
     "run_suite",
-    "suite_truncation",
 ]
 
 
@@ -691,12 +691,15 @@ def equivalence_run(
 _SUITES = ("assumptions", "oracle", "equivalence")
 
 
-def suite_reps(suite: str, reps: int) -> int:
-    """The replicates :func:`run_suite` runs ``suite`` with when asked for ``reps``.
+@dataclass(frozen=True, slots=True)
+class SuiteRun:
+    """What :func:`run_suite` ran: its reports, the replicates it drew, and the truncation
+    ``policy`` with the ``certificate`` of what it neglected, ``None`` where it truncated nothing."""
 
-    The oracle suite's KS test draws at least 1,000 weights; every other suite runs ``reps``.
-    """
-    return max(reps, 1000) if suite == "oracle" else reps
+    reports: list[CheckReport]
+    reps: int
+    policy: dict | None = None
+    certificate: dict | None = None
 
 
 def run_suite(
@@ -706,36 +709,28 @@ def run_suite(
     reps: int = 2000,
     x_max: int = DEFAULT_X_MAX,
     eps_tail: float = DEFAULT_EPS_TAIL,
-) -> list[CheckReport]:
-    """Run one named verification suite and return its reports.
+) -> SuiteRun:
+    """Run one named verification suite and return what it ran.
 
-    ``x_max`` and ``eps_tail`` truncate the equivalence suite's rounds 1-3.
+    The oracle suite's KS test draws at least 1,000 weights; every other
+    suite runs ``reps``.  ``x_max`` and ``eps_tail`` truncate the
+    equivalence suite's rounds 1-3, and its certificate holds what each of
+    its two samplers neglects over them, read from the one rate table both
+    samplers read (held here while they run).
     """
     if suite == "assumptions":
-        return check_assumptions(prior)
+        return SuiteRun(check_assumptions(prior), reps)
     if suite == "oracle":
-        return oracle_suite(prior, seed=seed, reps=suite_reps(suite, reps))
+        reps = max(reps, 1000)
+        return SuiteRun(oracle_suite(prior, seed=seed, reps=reps), reps)
     if suite == "equivalence":
-        return equivalence_run(prior, reps=reps, seed=seed, x_max=x_max, eps_tail=eps_tail)
+        rounds = EQUIVALENCE_ROUNDS
+        table = _rate_table(prior, x_max, eps_tail)  # the samplers find it while it is held
+        reports = equivalence_run(prior, rounds, reps, seed, x_max, eps_tail)
+        policy = {"rounds": rounds, "x_max": x_max, "eps_tail": eps_tail}
+        certificate = {
+            "size_biased": table.draw_certificate(rounds),
+            "marginal": table.stream_certificate(rounds),
+        }
+        return SuiteRun(reports, reps, policy, certificate)
     raise DomainError(f"unknown suite {suite!r}; choose one of {', '.join(_SUITES)}")
-
-
-def suite_truncation(
-    prior: ExpCrmPrior, suite: str, x_max: int = DEFAULT_X_MAX, eps_tail: float = DEFAULT_EPS_TAIL
-) -> tuple[dict | None, dict | None]:
-    """(policy, certificate) of the truncation ``run_suite`` applies to ``suite``.
-
-    The equivalence suite compares rounds 1-3 at ``x_max`` and ``eps_tail``;
-    the certificate holds what each of its two samplers neglects over them,
-    read from a rate table like the one each sampler builds for itself.
-    The assumption and oracle suites truncate nothing.
-    """
-    if suite != "equivalence":
-        return None, None
-    table = RateTable(prior, x_max, eps_tail)
-    policy = {"rounds": EQUIVALENCE_ROUNDS, "x_max": x_max, "eps_tail": eps_tail}
-    certificate = {
-        "size_biased": table.draw_certificate(EQUIVALENCE_ROUNDS),
-        "marginal": table.stream_certificate(EQUIVALENCE_ROUNDS),
-    }
-    return policy, certificate

@@ -61,7 +61,7 @@ from .measures import (
 )
 from .posterior import posterior_update
 from .rng import RngState
-from .size_biased import SizeBiasedConfig, SizeBiasedSampler
+from .size_biased import _INT64_MAX, SizeBiasedConfig, SizeBiasedSampler
 
 __all__ = ["main"]
 
@@ -290,25 +290,24 @@ def _cmd_sample_marginal(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the verification layer, which no other command needs
-    from .checks import run_suite, suite_reps, suite_truncation
+    from .checks import run_suite
 
     cfg = parse_model_config(args.model)
     prior = _build_prior(cfg)
     seed = _effective_seed(cfg, args)
-    reports = run_suite(
+    run = run_suite(
         prior, args.suite, seed=seed, reps=args.reps, x_max=cfg.x_max, eps_tail=cfg.eps_tail
     )
-    for report in reports:
+    for report in run.reports:
         print(report)
-    passed = all(r.passed for r in reports)
+    passed = all(r.passed for r in run.reports)
     if args.report is not None:
-        policy, certificate = suite_truncation(prior, args.suite, cfg.x_max, cfg.eps_tail)
         out = {
-            "header": _header("verify", cfg, seed, policy, certificate),
+            "header": _header("verify", cfg, seed, run.policy, run.certificate),
             "suite": args.suite,
-            "reps": suite_reps(args.suite, args.reps),
+            "reps": run.reps,
             "passed": passed,
-            "reports": [r.to_jsonable() for r in reports],
+            "reports": [r.to_jsonable() for r in run.reports],
         }
         _write_json(args.report, out)
     return 0 if passed else 1
@@ -318,9 +317,10 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
+    """A count, round or cap in the range the samplers accept."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= _INT64_MAX:
+        raise argparse.ArgumentTypeError(f"must be in 1..{_INT64_MAX}, got {value}")
     return value
 
 

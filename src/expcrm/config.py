@@ -49,7 +49,7 @@ from .catalog import _NB_ID, CatalogEntry, get_entry
 from .errors import ConfigError, DomainError, InvalidModelError
 from .exp_family import ExpCrmPrior, FixedAtomParams, auto_conjugate
 from .posterior import PosteriorCrm
-from .size_biased import DEFAULT_EPS_TAIL, DEFAULT_M_MAX, DEFAULT_X_MAX
+from .size_biased import _INT64_MAX, DEFAULT_EPS_TAIL, DEFAULT_M_MAX, DEFAULT_X_MAX
 
 __all__ = ["ModelConfig", "parse_model_config"]
 
@@ -262,8 +262,8 @@ def _parse_truncation(data) -> tuple[int, int, float]:
         for key in ("rounds", "x_max"):
             if key in block:
                 v = _number(block, key, "truncation", integer=True)
-                if v < 1:
-                    raise ConfigError(f"truncation.{key} must be >= 1, got {v}")
+                if not 1 <= v <= _INT64_MAX:
+                    raise ConfigError(f"truncation.{key} must be in 1..{_INT64_MAX}, got {v}")
                 trunc[key] = v
         if "eps_tail" in block:
             v = _number(block, "eps_tail", "truncation")

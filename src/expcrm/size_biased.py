@@ -60,11 +60,15 @@ __all__ = [
 ]
 
 
+# the largest round, count, step or cap: the int64 range of the samplers' round and count arrays
+_INT64_MAX = 2**63 - 1
+
+
 def _positive_int(name: str, v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {v!r}")
-    if not 1 <= v < 2**63:  # the int64 range of the samplers' round and count arrays
-        raise DomainError(f"{name} must be in 1..{2**63 - 1}, got {v}")
+    if not 1 <= v <= _INT64_MAX:
+        raise DomainError(f"{name} must be in 1..{_INT64_MAX}, got {v}")
     return int(v)
 
 

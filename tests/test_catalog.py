@@ -455,6 +455,41 @@ class TestRoundTotals:
             closed_total(NB, 1.0, (-1.5,), -0.5, 1)
 
 
+def nb_total_reference(r, xi0, lam, m):
+    """mass-1 negative-binomial round total, Beta(s, c1) - Beta(s, c2), by mpmath at 50 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        s = mp.mpf(xi0) + 1
+        c1 = (mp.mpf(lam) + m - 1) * mp.mpf(r) + 1
+        c2 = c1 + mp.mpf(r)
+        exact = mp.digamma(c2) - mp.digamma(c1) if s == 0 else mp.beta(s, c1) - mp.beta(s, c2)
+        return float(exact)
+
+
+NB_BAND_ROUNDS = [1, 2, 3, 10, 100, 1000, 10**4]
+
+
+class TestNegativeBinomialBand:
+    """``NegativeBinomialBeta.round_totals`` against mpmath (r 2.5, lam 1) on the polygamma
+    band |xi + 1| < 1e-4, where a series replaces the expm1 form of the Beta difference."""
+
+    @pytest.mark.parametrize("xi0", [-1.0, -1 + 1e-8, -1 + 5e-5, -1 - 5e-5, -1 + 9.99e-5, -1 - 9.99e-5])
+    def test_the_series_keeps_ten_digits(self, xi0):
+        got = NB.round_totals(1.0, (xi0,), 1.0, np.array(NB_BAND_ROUNDS, dtype=float))
+        exact = [nb_total_reference(2.5, xi0, 1.0, m) for m in NB_BAND_ROUNDS]
+        np.testing.assert_allclose(got, exact, rtol=5e-11, atol=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 7: just outside the band the expm1 form loses digits as the "
+        "round grows (9.0e-6 relative at round 1,000)",
+    )
+    @pytest.mark.parametrize("xi0", [-1 + 1.01e-4, -1 - 1.01e-4])
+    def test_just_outside_the_band(self, xi0):
+        got = float(NB.round_totals(1.0, (xi0,), 1.0, np.array([1000.0]))[0])
+        assert got == pytest.approx(nb_total_reference(2.5, xi0, 1.0, 1000), rel=5e-11)
+
+
 class TestPredictive:
     def test_gamma_is_negative_binomial(self):
         xi_eff, lam_eff = 0.6, 4.9

@@ -15,9 +15,11 @@ from expcrm.catalog import (
     POISSON_GAMMA,
     get_entry,
 )
+from expcrm import size_biased
 from expcrm.checks import (
     CheckReport,
     _homogeneity,
+    _integrand_orders,
     _pearson,
     check_assumptions,
     chi_square_gof,
@@ -323,6 +325,34 @@ class TestOracleChecks:
         assert all(r.passed for r in reports)
 
 
+# a gamma clone, and a Bernoulli clone that keeps its log_kernel_upper_fn, with the
+# number of oracle reports each gets (the Bernoulli support drops the count-2 cells)
+CLONES = [
+    pytest.param(lambda: unregistered(gamma_prior(2.0, -1.5, 1.0)), 13, id="gamma"),
+    pytest.param(lambda: unregistered(beta_prior(3.0, -1.0, 1.0)), 9, id="bernoulli"),
+]
+
+
+class TestOutsideTheCatalog:
+    """The assumption and oracle suites on families without closed forms, whose integrands'
+    endpoint powers are left for the quadrature to probe."""
+
+    @pytest.mark.parametrize("make, n_oracle", CLONES)
+    def test_both_suites_pass(self, make, n_oracle):
+        prior = make()
+        assert _integrand_orders(prior.likelihood, prior.xi, prior.lam, 1, 1) == (None, None)
+        assert _integrand_orders(prior.likelihood, prior.xi, prior.lam, 2, None) == (None, None)
+        assumptions = check_assumptions(prior)
+        oracle = oracle_suite(prior, seed=4, reps=1500)
+        assert (len(assumptions), len(oracle)) == (3, n_oracle)
+        assert [str(r) for r in assumptions + oracle if not r.passed] == []
+        partitions = [r for r in oracle if r.name.startswith("log partition")]
+        assert partitions and all("no closed form" in r.detail for r in partitions)
+
+    def test_the_bernoulli_clone_keeps_its_upper_kernel(self):
+        assert unregistered(beta_prior()).likelihood.log_kernel_upper_fn is not None
+
+
 class TestEquivalence:
     def test_gamma_processes_agree(self):
         reports = equivalence_run(gamma_prior(), n_steps=2, reps=700, seed=5)
@@ -372,19 +402,48 @@ def _mismatched_equivalence(checks_mod, prior_sb, prior_mg, reps=900, seed=3):
 
 class TestRunSuite:
     def test_assumptions_suite(self):
-        reports = run_suite(gamma_prior(), "assumptions")
+        reports = run_suite(gamma_prior(), "assumptions").reports
         assert len(reports) == 3
         assert all(r.passed for r in reports)
 
     def test_oracle_suite_dispatch(self):
-        reports = run_suite(beta_prior(), "oracle", seed=2, reps=1200)
+        reports = run_suite(beta_prior(), "oracle", seed=2, reps=1200).reports
         assert all(r.passed for r in reports)
 
     def test_equivalence_suite_dispatch(self):
-        reports = run_suite(gamma_prior(), "equivalence", seed=8, reps=400)
+        reports = run_suite(gamma_prior(), "equivalence", seed=8, reps=400).reports
         assert len(reports) == 3
         assert all(r.passed for r in reports)
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError, match="unknown suite"):
             run_suite(gamma_prior(), "everything")
+
+    def test_a_suite_that_truncates_nothing_records_none(self):
+        run = run_suite(gamma_prior(), "assumptions", reps=5)
+        assert (len(run.reports), run.reps, run.policy, run.certificate) == (3, 5, None, None)
+
+    def test_oracle_record_states_the_weights_drawn(self):
+        run = run_suite(gamma_prior(), "oracle", reps=5)
+        assert run.reps == 1000
+        assert run.reports[-1].detail.startswith("n = 1000, ")
+        assert (run.policy, run.certificate) == (None, None)
+
+    def test_equivalence_record_reads_the_one_table_its_samplers_read(self, monkeypatch):
+        built = []
+        init = size_biased.RateTable.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(size_biased.RateTable, "__init__", counted)  # whatever name builds it
+        run = run_suite(gamma_prior(), "equivalence", seed=8, reps=100, x_max=20, eps_tail=1e-4)
+        (table,) = built
+        assert run.reps == 100
+        assert run.policy == {"rounds": len(run.reports), "x_max": 20, "eps_tail": 1e-4}
+        assert run.certificate == {
+            "size_biased": table.draw_certificate(3),
+            "marginal": table.stream_certificate(3),
+        }
+        assert run.certificate["size_biased"]["rounds"] == run.certificate["marginal"]["steps"] == 3

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import expcrm.cli as cli
+from expcrm import size_biased
 from expcrm.cli import main
 from expcrm.config import parse_model_config
 from expcrm.errors import RngFaultError
@@ -717,6 +718,22 @@ class TestVerify:
         assert (mg["steps"], mg["count_cap"], mg["eps_tail"]) == (3, 30, 1e-4)
         assert sb["neglected_rate"] == pytest.approx(mg["neglected_rate"], rel=1e-12)
 
+    def test_equivalence_report_builds_one_rate_table(self, gamma_model, tmp_path, monkeypatch):
+        built = []
+        init = size_biased.RateTable.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(size_biased.RateTable, "__init__", counted)  # whatever name builds it
+        report = tmp_path / "report.json"
+        argv = ["verify", "--model", str(gamma_model), "--suite", "equivalence", "--reps", "100"]
+        assert main([*argv, "--report", str(report)]) == 0
+        assert len(built) == 1
+        doc = json.loads(report.read_text())
+        assert doc["header"]["truncation"]["policy"]["rounds"] == len(doc["reports"]) == 3
+
     def test_report_is_optional(self, gamma_model, capsys):
         assert main(["verify", "--model", str(gamma_model)]) == 0
         assert "[PASS]" in capsys.readouterr().out
@@ -781,6 +798,35 @@ class TestPlumbing:
              "--out", str(tmp_path / "x.jsonl")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag", [("sample-prior", "--rounds"), ("sample-prior", "--xmax"),
+                          ("sample-marginal", "--n"), ("sample-marginal", "--xmax")],
+    )
+    @pytest.mark.parametrize("value", [0, 2**63])
+    def test_a_flag_outside_the_samplers_range_exits_2(
+        self, gamma_model, tmp_path, capsys, command, flag, value
+    ):
+        # argparse reads a repeated flag's last value
+        assert main(command_argv(command, gamma_model, tmp_path) + [flag, str(value)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be in 1..{2**63 - 1}, got {value}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["rounds", "x_max"])
+    def test_a_truncation_outside_the_samplers_range_exits_2(self, tmp_path, capsys, key):
+        model = tmp_path / "model.json"
+        model.write_text(
+            json.dumps({"likelihood": "poisson", "params": {"mass": 1.0, "xi": -1.0, "lam": 1.0},
+                        "truncation": {key: 2**63}})
+        )
+        assert main(command_argv("sample-prior", model, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: truncation.{key} must be in 1..{2**63 - 1}, got {2**63}\n"
+        )
+
+    def test_the_flags_share_the_samplers_bound(self):
+        assert cli._positive_int(str(2**63 - 1)) == 2**63 - 1
 
     def test_unknown_suite_exits_2(self, gamma_model, capsys):
         assert main(["verify", "--model", str(gamma_model), "--suite", "everything"]) == 2

@@ -28,7 +28,7 @@ def test_every_truncation_default_is_the_same():
         size_biased.m_max, size_biased.x_max, size_biased.eps_tail
     )
     assert (marginal.x_max, marginal.eps_tail) == (cfg.x_max, cfg.eps_tail)
-    for function in (checks.equivalence_run, checks.run_suite, checks.suite_truncation):
+    for function in (checks.equivalence_run, checks.run_suite):
         params = inspect.signature(function).parameters
         assert (params["x_max"].default, params["eps_tail"].default) == (cfg.x_max, cfg.eps_tail)
 
@@ -108,6 +108,12 @@ class TestSchema:
             model_config_from_dict(gamma_dict(truncation={"rounds": 0}))
         with pytest.raises(ConfigError, match="must be an integer"):
             model_config_from_dict(gamma_dict(truncation={"x_max": 2.5}))
+        # the samplers' int64 bound, checked where the schema is
+        for key in ("rounds", "x_max"):
+            top = model_config_from_dict(gamma_dict(truncation={key: 2**63 - 1}))
+            assert getattr(top, key) == 2**63 - 1
+            with pytest.raises(ConfigError, match=rf"^truncation\.{key} must be in 1\.\.{2**63 - 1}, got {2**63}$"):
+                model_config_from_dict(gamma_dict(truncation={key: 2**63}))
         with pytest.raises(ConfigError, match="unknown key"):
             model_config_from_dict(gamma_dict(truncation={"m_max": 3}))
 

@@ -33,7 +33,10 @@ which yields columns.  A thirteenth finds ``.phi(`` called only in
 ``_kernel_spec`` (the phi(0) of l(0|theta)), and no ``_shifted_params``,
 ``xi_plus`` or ``pmf`` name in the package: every shifted (xi, lam) comes
 from ``exp_family.shifted_params`` over the family's ``phi_rows``, and no
-sampler calls the likelihood's ``phi`` once per atom.  Last, in fresh
+sampler calls the likelihood's ``phi`` once per atom.  A fourteenth finds
+no ``suite_reps`` or ``suite_truncation`` anywhere in the package text:
+``run_suite`` returns the one record of what a suite ran, its replicates
+and truncation included.  Last, in fresh
 interpreters again, no command leaves a BLAS worker thread running unless
 the caller asks for one.
 """
@@ -42,6 +45,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -765,6 +769,30 @@ class TestOneConjugateShift:
     def test_no_second_shift(self, path):
         source = path.read_text(encoding="utf-8")
         assert {name: names_read(source, name) for name in SHIFTS_RETIRED} == dict.fromkeys(SHIFTS_RETIRED, [])
+
+
+def mentions(source: str, name: str) -> list[int]:
+    """Lines where ``name`` appears in ``source`` as a whole word, strings and comments included."""
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    return [i for i, line in enumerate(source.splitlines(), start=1) if word.search(line)]
+
+
+SUITE_RETIRED = ("suite_reps", "suite_truncation")
+
+
+class TestOneSuiteRun:
+    def test_scan_sees_code_strings_and_comments(self):
+        source = (
+            "__all__ = ['suite_truncation']\n"
+            "from .checks import suite_reps  # suite_truncation too\n"
+            "my_suite_reps = 1\n"
+        )
+        assert [mentions(source, name) for name in SUITE_RETIRED] == [[2], [1, 2]]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_run_suite_is_the_one_record_of_a_run(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert {name: mentions(source, name) for name in SUITE_RETIRED} == dict.fromkeys(SUITE_RETIRED, [])
 
 
 class TestExportTable:

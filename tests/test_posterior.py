@@ -321,7 +321,7 @@ def outputs(model, seed):
     """One size-biased draw, a five-step marginal stream and the assumption reports, as text."""
     draw = SizeBiasedSampler(model, SizeBiasedConfig(m_max=20)).draw(RngState(seed, 1))
     stream = MarginalSampler(model).sample(5, RngState(seed, 2))
-    reports = [r.to_jsonable() for r in run_suite(model, "assumptions")]
+    reports = [r.to_jsonable() for r in run_suite(model, "assumptions").reports]
     return (
         trait_jsonl_line(0, draw),
         "".join(observation_jsonl_line(0, n, o.counts, o.locations) for n, o in enumerate(stream)),

@@ -18,3 +18,19 @@ def fresh_rate_tables(monkeypatch):
     from expcrm import size_biased
 
     monkeypatch.setattr(size_biased, "_TABLES", weakref.WeakValueDictionary())
+
+
+@pytest.fixture
+def rate_tables_built(monkeypatch):
+    """The ``RateTable`` objects built during the test, in order, whatever name builds them."""
+    from expcrm import size_biased
+
+    built = []
+    init = size_biased.RateTable.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(size_biased.RateTable, "__init__", counted)
+    return built

@@ -15,7 +15,6 @@ from expcrm.catalog import (
     POISSON_GAMMA,
     get_entry,
 )
-from expcrm import size_biased
 from expcrm.checks import (
     CheckReport,
     _homogeneity,
@@ -429,17 +428,9 @@ class TestRunSuite:
         assert run.reports[-1].detail.startswith("n = 1000, ")
         assert (run.policy, run.certificate) == (None, None)
 
-    def test_equivalence_record_reads_the_one_table_its_samplers_read(self, monkeypatch):
-        built = []
-        init = size_biased.RateTable.__init__
-
-        def counted(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(size_biased.RateTable, "__init__", counted)  # whatever name builds it
+    def test_equivalence_record_reads_the_one_table_its_samplers_read(self, rate_tables_built):
         run = run_suite(gamma_prior(), "equivalence", seed=8, reps=100, x_max=20, eps_tail=1e-4)
-        (table,) = built
+        (table,) = rate_tables_built
         assert run.reps == 100
         assert run.policy == {"rounds": len(run.reports), "x_max": 20, "eps_tail": 1e-4}
         assert run.certificate == {

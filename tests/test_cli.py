@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import expcrm.cli as cli
-from expcrm import size_biased
 from expcrm.cli import main
 from expcrm.config import parse_model_config
 from expcrm.errors import RngFaultError
@@ -718,19 +717,11 @@ class TestVerify:
         assert (mg["steps"], mg["count_cap"], mg["eps_tail"]) == (3, 30, 1e-4)
         assert sb["neglected_rate"] == pytest.approx(mg["neglected_rate"], rel=1e-12)
 
-    def test_equivalence_report_builds_one_rate_table(self, gamma_model, tmp_path, monkeypatch):
-        built = []
-        init = size_biased.RateTable.__init__
-
-        def counted(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(size_biased.RateTable, "__init__", counted)  # whatever name builds it
+    def test_equivalence_report_builds_one_rate_table(self, gamma_model, tmp_path, rate_tables_built):
         report = tmp_path / "report.json"
         argv = ["verify", "--model", str(gamma_model), "--suite", "equivalence", "--reps", "100"]
         assert main([*argv, "--report", str(report)]) == 0
-        assert len(built) == 1
+        assert len(rate_tables_built) == 1
         doc = json.loads(report.read_text())
         assert doc["header"]["truncation"]["policy"]["rounds"] == len(doc["reports"]) == 3
 

@@ -116,6 +116,10 @@ class CatalogEntry:
     def family(self) -> str:
         return self.likelihood_id
 
+    def __reduce__(self):
+        # pickles as its id: a loader gets that id's one entry, or DomainError
+        return get_entry, (self.likelihood_id,)
+
     def make_likelihood(self) -> ExpCrmLikelihood:
         if self._likelihood is None:
             self._likelihood = ExpCrmLikelihood(
@@ -631,6 +635,9 @@ class NegativeBinomialBeta(_NativeBeta):
     @property
     def family(self) -> str:
         return _nb_family(self.r)
+
+    def __reduce__(self):
+        return get_entry, (self.likelihood_id, self.r)
 
     def _likelihood_fields(self) -> dict:
         r = self.r

@@ -641,8 +641,9 @@ def oracle_suite(prior: ExpCrmPrior, seed: int = 0, reps: int = 4000) -> list[Ch
 
 
 # rounds of the size-biased sampler, and steps of the marginal one, that the
-# equivalence suite compares
+# equivalence suite compares, and the fewest replicates per sampler it takes
 EQUIVALENCE_ROUNDS = 3
+EQUIVALENCE_MIN_REPS = 100
 
 
 def equivalence_run(
@@ -661,8 +662,8 @@ def equivalence_run(
     chi-square report.  Both samplers run under the same truncation so
     the comparison is exact, not asymptotic.
     """
-    if reps < 100:
-        raise DomainError("equivalence needs at least 100 replicates per sampler")
+    if reps < EQUIVALENCE_MIN_REPS:
+        raise DomainError(f"equivalence needs at least {EQUIVALENCE_MIN_REPS} replicates per sampler")
     sb = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=n_steps, x_max=x_max, eps_tail=eps_tail))
     mg = MarginalSampler(prior, MarginalConfig(x_max=x_max, eps_tail=eps_tail))
     sb_stats: list[list] = [[] for _ in range(n_steps)]

@@ -46,10 +46,11 @@ import csv
 import json
 import multiprocessing
 import sys
-from itertools import islice, starmap
+from functools import partial
+from itertools import islice
 
 from .catalog import hyperparam_valid, list_entries
-from .config import ModelConfig, model_config_from_dict, parse_model_config
+from .config import ModelConfig, parse_model_config
 from .errors import ConfigError, ExpCrmError
 from .marginal import MarginalConfig, MarginalSampler
 from .measures import (
@@ -93,8 +94,7 @@ def _effective_seed(cfg: ModelConfig, args) -> int:
 
 
 def _build_prior(cfg: ModelConfig):
-    """The config's prior, each warning of its validity check printed once to stderr
-    (pool workers build theirs with ``cfg.build_prior`` and print nothing)."""
+    """The config's prior, each warning of its validity check printed once to stderr."""
     prior = cfg.build_prior()
     for warning in hyperparam_valid(prior).warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -140,30 +140,12 @@ def _cmd_posterior(args) -> int:
 
 # --- sample-prior ---------------------------------------------------------------
 
-# worker-pool state: each process builds its sampler once, then maps
-# replicate indices to finished JSONL text, which pickles cheaply
+# the job of a pool worker: the command's own, adopted once per worker
 _WORKER: dict = {}
-
-
-def _init_prior_worker(cfg_dict: dict, m_max: int, x_max: int) -> None:
-    cfg = model_config_from_dict(cfg_dict)
-    sampler = SizeBiasedSampler(
-        cfg.build_prior(),
-        SizeBiasedConfig(m_max=m_max, x_max=x_max, eps_tail=cfg.eps_tail),
-    )
-    _WORKER["run"] = lambda seed, rep: _prior_line(sampler, seed, rep)
 
 
 def _prior_line(sampler: SizeBiasedSampler, seed: int, rep: int) -> str:
     return trait_jsonl_line(rep, sampler.draw(RngState(seed, stream=rep)))
-
-
-def _init_marginal_worker(cfg_dict: dict, x_max: int, n_steps: int) -> None:
-    cfg = model_config_from_dict(cfg_dict)
-    sampler = MarginalSampler(
-        cfg.build_prior(), MarginalConfig(x_max=x_max, eps_tail=cfg.eps_tail)
-    )
-    _WORKER["run"] = lambda seed, rep: _marginal_lines(sampler, n_steps, seed, rep)
 
 
 def _marginal_lines(sampler, n_steps, seed, rep):
@@ -181,22 +163,25 @@ def _marginal_lines(sampler, n_steps, seed, rep):
     return "".join(lines), summary
 
 
-def _pool_worker(task):
-    seed, rep = task
-    return _WORKER["run"](seed, rep)
+def _adopt(job) -> None:
+    _WORKER["job"] = job
 
 
-def _fan_out(run, initializer, initargs, seed: int, reps: int):
-    """Replicate results ``run(seed, rep)`` in index order, yielded as they come; fanned
-    across processes, each set up by ``initializer(*initargs)``, when worth it."""
-    tasks = [(seed, rep) for rep in range(reps)]
+def _pool_worker(rep: int):
+    return _WORKER["job"](rep)
+
+
+def _fan_out(job, reps: int):
+    """Replicate outputs ``job(rep)`` in index order, yielded as they come; fanned across
+    processes that each adopt ``job`` once, when worth it.  Forked workers inherit it;
+    under spawn or forkserver it is pickled once per worker."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, reps)
     if reps < _POOL_THRESHOLD or workers < 2:
-        yield from starmap(run, tasks)
+        yield from map(job, range(reps))
         return
-    with multiprocessing.Pool(workers, initializer=initializer, initargs=initargs) as pool:
-        yield from pool.imap(_pool_worker, tasks, chunksize=max(1, reps // (4 * workers)))
+    with multiprocessing.Pool(workers, initializer=_adopt, initargs=(job,)) as pool:
+        yield from pool.imap(_pool_worker, range(reps), chunksize=max(1, reps // (4 * workers)))
 
 
 @contextlib.contextmanager
@@ -239,12 +224,7 @@ def _cmd_sample_prior(args) -> int:
     header["reps"] = args.reps
     with _replacing(args.out) as out:
         out.write(jsonl_line(header))
-        out.writelines(
-            _fan_out(
-                lambda seed, rep: _prior_line(sampler, seed, rep),
-                _init_prior_worker, (cfg.to_jsonable(), rounds, x_max), seed, args.reps,
-            )
-        )
+        out.writelines(_fan_out(partial(_prior_line, sampler, seed), args.reps))
     return 0
 
 
@@ -274,11 +254,7 @@ def _cmd_sample_marginal(args) -> int:
             summary_fh.write("# " + jsonl_line(header))
             summary = csv.writer(summary_fh, lineterminator="\n")
             summary.writerow(["rep", "n", "atoms_total", "atoms_new", "sum_counts"])
-        results = _fan_out(
-            lambda seed, rep: _marginal_lines(sampler, args.n, seed, rep),
-            _init_marginal_worker, (cfg.to_jsonable(), x_max, args.n), seed, args.reps,
-        )
-        for lines, rows in results:
+        for lines, rows in _fan_out(partial(_marginal_lines, sampler, args.n, seed), args.reps):
             out.write(lines)
             if summary is not None:
                 summary.writerows(rows)
@@ -290,8 +266,10 @@ def _cmd_sample_marginal(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the verification layer, which no other command needs
-    from .checks import run_suite
+    from .checks import EQUIVALENCE_MIN_REPS, run_suite
 
+    if args.suite == "equivalence" and args.reps < EQUIVALENCE_MIN_REPS:
+        raise ConfigError(f"--reps must be at least {EQUIVALENCE_MIN_REPS} for --suite equivalence")
     cfg = parse_model_config(args.model)
     prior = _build_prior(cfg)
     seed = _effective_seed(cfg, args)

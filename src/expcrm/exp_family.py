@@ -160,6 +160,14 @@ class ExpCrmLikelihood:
         if not isinstance(phi0, tuple):
             raise DomainError("phi must return a tuple of sufficient statistics")
 
+    def __reduce_ex__(self, protocol):
+        # a catalog entry's own likelihood pickles as that entry's make_likelihood(), any
+        # other (a replace() clone too) by value, which needs picklable callables
+        entry = entry_for(self)
+        if entry is not None and entry.make_likelihood() is self:
+            return entry.make_likelihood, ()
+        return super().__reduce_ex__(protocol)
+
     @property
     def dim(self) -> int:
         return len(self.phi(0))

@@ -230,16 +230,18 @@ class TestBaseDerivedFacts:
         assert stats.kstest(draws, stats.betaprime(0.5, 0.05).cdf).pvalue > 0.01
 
     @pytest.mark.parametrize(
-        "entry, bad_lam, lam_reason",
+        "entry, a1_xi, bad_lam, lam_reason",
         [
-            (POISSON_GAMMA, 0.0, "A2 fails: lam must be positive"),
-            (ODDS_BERNOULLI_BETA_PRIME, -0.7, "A2 fails: lam must exceed xi + 1"),
-            (NB, -0.4, "A2 fails: lam * r must exceed -1"),
+            (POISSON_GAMMA, -0.5, 0.0, "A2 fails: lam must be positive"),
+            # xi in [-1, 0) is the native alias's range, valid with a warning
+            (BERNOULLI_BETA, 0.5, -2.6, "A2 fails: lam must exceed xi - 1"),
+            (ODDS_BERNOULLI_BETA_PRIME, -0.5, -0.7, "A2 fails: lam must exceed xi + 1"),
+            (NB, -0.5, -0.4, "A2 fails: lam * r must exceed -1"),
         ],
-        ids=["poisson", "odds_bernoulli", "negative_binomial(2.5)"],
+        ids=["poisson", "bernoulli", "odds_bernoulli", "negative_binomial(2.5)"],
     )
-    def test_region_messages(self, entry, bad_lam, lam_reason):
-        assert entry.hyperparam_valid(1.0, (-0.5,), 1.0).reason.startswith("A1 fails")
+    def test_region_messages(self, entry, a1_xi, bad_lam, lam_reason):
+        assert entry.hyperparam_valid(1.0, (a1_xi,), 1.0).reason.startswith("A1 fails")
         assert entry.hyperparam_valid(1.0, (-2.0,), 1.0).reason.startswith(
             "A2 fails: xi must exceed -2"
         )

@@ -16,6 +16,7 @@ from expcrm.catalog import (
     get_entry,
 )
 from expcrm.checks import (
+    EQUIVALENCE_MIN_REPS,
     CheckReport,
     _homogeneity,
     _integrand_orders,
@@ -413,6 +414,13 @@ class TestRunSuite:
         reports = run_suite(gamma_prior(), "equivalence", seed=8, reps=400).reports
         assert len(reports) == 3
         assert all(r.passed for r in reports)
+
+    def test_equivalence_below_its_minimum_reps_raises(self):
+        message = f"equivalence needs at least {EQUIVALENCE_MIN_REPS} replicates per sampler"
+        with pytest.raises(DomainError, match=message):
+            equivalence_run(gamma_prior(), reps=EQUIVALENCE_MIN_REPS - 1)
+        with pytest.raises(DomainError, match=message):
+            run_suite(gamma_prior(), "equivalence", reps=EQUIVALENCE_MIN_REPS - 1)
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError, match="unknown suite"):

@@ -6,6 +6,7 @@ output files, and the stdout/stderr streams.
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,10 +15,13 @@ from pathlib import Path
 import pytest
 
 import expcrm.cli as cli
+from expcrm.checks import EQUIVALENCE_MIN_REPS
 from expcrm.cli import main
 from expcrm.config import parse_model_config
 from expcrm.errors import RngFaultError
+from expcrm.marginal import MarginalSampler
 from expcrm.measures import read_jsonl
+from expcrm.size_biased import RateTable, SizeBiasedSampler
 
 
 def use_cpus(monkeypatch, n: int) -> None:
@@ -404,6 +408,88 @@ class TestOneSamplerInProcess:
         assert len(read_jsonl(out)) > 1
 
 
+@pytest.fixture
+def posterior_model(gamma_model, tmp_path):
+    """A ``posterior --out`` file: the gamma model conditioned on one handwritten observation."""
+    out = tmp_path / "posterior.json"
+    argv = ["posterior", "--model", str(gamma_model), "--data", str(data_file(tmp_path))]
+    assert main(argv + ["--out", str(out)]) == 0
+    return out
+
+
+POOLED_COMMANDS = {
+    "sample-prior": ["sample-prior", "--reps", "8"],
+    "sample-marginal": ["sample-marginal", "--n", "2", "--reps", "8"],
+}
+
+
+class TestPoolWorkers:
+    """A pooled run draws from the sampler the command built, in every worker."""
+
+    @pytest.mark.parametrize("model", ["gamma_model", "posterior_model"])
+    @pytest.mark.parametrize("command", POOLED_COMMANDS)
+    def test_no_worker_builds_a_sampler_or_rate_table(
+        self, tmp_path, monkeypatch, request, command, model
+    ):
+        model = request.getfixturevalue(model)
+        log = tmp_path / "pids"  # pool workers are other processes
+
+        def record(what):
+            with open(log, "a") as fh:
+                fh.write(f"{what} {os.getpid()}\n")
+
+        for owner in (RateTable, SizeBiasedSampler, MarginalSampler):
+            def built(self, *args, _init=owner.__init__, **kwargs):
+                record("built")
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "__init__", built)
+        name = {"sample-prior": "_prior_line", "sample-marginal": "_marginal_lines"}[command]
+        real = getattr(cli, name)
+
+        def job(*args):
+            record("ran")
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, job)
+        use_cpus(monkeypatch, 2)
+        argv = [*POOLED_COMMANDS[command], "--model", str(model), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        pids = {"built": set(), "ran": set()}
+        for line in log.read_text().splitlines():
+            what, pid = line.split()
+            pids[what].add(int(pid))
+        assert pids["built"] == {os.getpid()}
+        assert pids["ran"] and os.getpid() not in pids["ran"]  # the replicates ran in the pool
+
+    @pytest.mark.parametrize("command", POOLED_COMMANDS)
+    def test_a_spawned_pool_writes_the_serial_bytes(
+        self, posterior_model, tmp_path, monkeypatch, command
+    ):
+        # spawn (and forkserver) workers get the job pickled, catalog likelihood included
+        argv = [*POOLED_COMMANDS[command], "--model", str(posterior_model)]
+        if command == "sample-marginal":
+            argv += ["--summary", str(tmp_path / "summary.csv")]
+        spawn = multiprocessing.get_context("spawn")
+        pools = []
+
+        def spawned_pool(*args, **kwargs):
+            pools.append(args)
+            return spawn.Pool(*args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            use_cpus(patched, 2)
+            patched.setattr(cli.multiprocessing, "Pool", spawned_pool)
+            assert main(argv + ["--out", str(tmp_path / "pooled.jsonl")]) == 0
+        assert pools == [(2,)]
+        pooled = [(tmp_path / name).read_bytes() for name in ("pooled.jsonl", "summary.csv")
+                  if (tmp_path / name).exists()]
+        assert main(argv + ["--out", str(tmp_path / "serial.jsonl")]) == 0
+        serial = [(tmp_path / name).read_bytes() for name in ("serial.jsonl", "summary.csv")
+                  if (tmp_path / name).exists()]
+        assert pooled == serial
+
+
 class TestPosterior:
     def test_update_from_handwritten_data(self, gamma_model, tmp_path):
         data = tmp_path / "data.jsonl"
@@ -725,6 +811,17 @@ class TestVerify:
         doc = json.loads(report.read_text())
         assert doc["header"]["truncation"]["policy"]["rounds"] == len(doc["reports"]) == 3
 
+    @pytest.mark.parametrize("reps", [EQUIVALENCE_MIN_REPS - 1, 0])
+    def test_equivalence_reps_below_the_minimum_exit_2(self, gamma_model, tmp_path, capsys, reps):
+        report = tmp_path / "report.json"
+        argv = ["verify", "--model", str(gamma_model), "--suite", "equivalence", "--reps", str(reps)]
+        assert main([*argv, "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "--reps" in err
+        if reps:
+            assert f"--reps must be at least {EQUIVALENCE_MIN_REPS} for --suite equivalence" in err
+        assert not report.exists()
+
     def test_report_is_optional(self, gamma_model, capsys):
         assert main(["verify", "--model", str(gamma_model)]) == 0
         assert "[PASS]" in capsys.readouterr().out
@@ -774,6 +871,13 @@ class TestPlumbing:
     def test_seed_outside_the_config_range_exits_2(self, gamma_model, tmp_path, capsys, command, seed):
         assert main(command_argv(command, gamma_model, tmp_path) + ["--seed", str(seed)]) == 2
         assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_schema_error_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"likelihood": "poisson", "params": {"mass": 1.0, "xi": -1.0}}))
+        assert main(command_argv("sample-prior", model, tmp_path)) == 2
+        assert "params is missing required key 'lam'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_largest_seed_is_accepted(self, gamma_model, tmp_path):

@@ -95,6 +95,30 @@ class TestSchema:
         with pytest.raises(ConfigError, match="must be a JSON object"):
             model_config_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"params": {"mass": 1.0, "xi": -1.0, "lam": 1.0}}, "missing required key 'likelihood'"),
+            (gamma_dict(likelihood=3), r"'likelihood' must be a string id, got 3"),
+            (gamma_dict(likelihood="negative_binomial(abc)"), r"shape from likelihood id 'negative_binomial\(abc\)'"),
+            (gamma_dict(likelihood="negative_binomial", r="2"), r"'r' must be a number, got '2'"),
+            (gamma_dict(fixed_atoms=[{"xi": 0.0, "lam": 2.0}]), r"fixed_atoms\[0\] is missing required key 'loc'"),
+            (gamma_dict(truncation={"eps_tail": 0}), r"truncation\.eps_tail must be positive, got 0"),
+            (gamma_dict(fixed_atoms={"loc": 0.5}), "fixed_atoms must be a list, got dict"),
+            (gamma_dict(seed=2**64), rf"seed must lie in \[0, 2\*\*64\), got {2**64}"),
+            (gamma_dict(params={"mass": 1.0, "xi": -1.0}), "params is missing required key 'lam'"),
+            (gamma_dict(params={"mass": 1.0, "xi": "a", "lam": 1.0}), r"params\.xi must be a number or a nonempty list"),
+        ],
+        ids=[
+            "no likelihood", "likelihood not a string", "unparseable shape", "r not a number",
+            "atom without loc", "eps_tail 0", "fixed_atoms an object", "seed 2**64",
+            "params without lam", "xi a string",
+        ],
+    )
+    def test_schema_errors_name_their_key(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            model_config_from_dict(data)
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="unknown likelihood id"):
             model_config_from_dict({"likelihood": "zeta", "params": {}})

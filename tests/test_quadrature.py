@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import betaln, gammaln, roots_legendre
 
 from expcrm.errors import DivergenceSuspected, QuadratureError, SingularityMismatch
-from expcrm.quadrature import IntegrandSpec, PanelLaw, _gl_rule, integrate
+from expcrm.quadrature import IntegrandSpec, PanelLaw, _certified, _gl_rule, checked_law, integrate
 
 REL_TOL = 1e-10
 # Validation accuracy demanded of every convergent corpus integral.
@@ -285,3 +286,36 @@ def test_power_tail_marches_sixty_panels_at_a_time():
     assert sizes == [PANEL_NODES * (GRID_PANELS + 60), 2, 61] + [PANEL_NODES * 60, 60] * 2 + [2]
     assert law._sides[0].knots[-1] == 2.0 ** (135 / 4)
     assert math.log(law.total) + law.shift == pytest.approx(betaln(a, b), rel=0.0, abs=1e-10)
+
+
+class TestCertified:
+    """The rule every integral's total passes: each column's error bound within 50 rel_tol of it.
+
+    Stand-in laws carry only the ``total``, ``err`` and ``shift`` the rule reads.
+    """
+
+    @pytest.mark.parametrize("total", [2.0, [1.0, 2.0, 3.0]], ids=["one column", "three columns"])
+    def test_an_error_at_the_bound_passes(self, total):
+        bound = 50.0 * REL_TOL * np.asarray(total)
+        _certified(SimpleNamespace(total=total, err=bound, shift=0.0), REL_TOL, "law")
+
+    def test_an_error_just_above_the_bound_raises(self):
+        err = np.nextafter(50.0 * REL_TOL * 2.0, math.inf)
+        law = SimpleNamespace(total=2.0, err=err, shift=-3.5)
+        with pytest.raises(QuadratureError, match=r"^law: error estimate 1\.000e-08 is far above the "
+                           r"requested tolerance for total 2\.000000e\+00 \(in units of exp\(-3\.5\)\)$"):
+            _certified(law, REL_TOL, "law")
+
+    def test_the_message_names_the_first_column_over(self):
+        total = np.array([1.0, 2.0, 3.0, 4.0])
+        bound = 50.0 * REL_TOL * total
+        err = np.array([bound[0], 2.0 * bound[1], bound[2], 3.0 * bound[3]])
+        law = SimpleNamespace(total=total, err=err, shift=np.array([0.0, 7.0, 0.0, 9.0]))
+        with pytest.raises(QuadratureError, match=r"total 2\.000000e\+00 \(in units of exp\(7\)\)$"):
+            _certified(law, REL_TOL, "law")
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, 1.0, -1e-10, 2.0, math.nan])
+def test_checked_law_takes_rel_tol_in_the_open_unit_interval(rel_tol):
+    with pytest.raises(QuadratureError, match=r"rel_tol must lie in \(0, 1\)"):
+        checked_law(beta_spec(0.5, 0.5), rel_tol)

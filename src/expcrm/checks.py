@@ -316,6 +316,8 @@ def kolmogorov_sf(n: int, d: float) -> float:
     scipy runs Pomeranz's exact recursion instead; the two agree to within
     3e-11 relative.
     """
+    if n < 1:
+        raise DomainError(f"the Kolmogorov distribution needs at least one draw, got n = {n}")
     if d <= 0.5 / n:
         return 1.0
     if d >= 1.0:
@@ -597,18 +599,19 @@ def oracle_weight_law(
     the band 0.754693 < n D^2 <= 4 is computed by the MTW matrix method
     instead of Pomeranz's recursion.
     """
+    if reps < 1:
+        raise DomainError(f"the weight-law oracle needs at least one draw, got {reps}")
     like = prior.likelihood
     xi = as_xi(xi)
     gen = RngState(seed, stream=17).generator()
     draws = family_of(like).draw_weights(gen, np.tile(xi, (reps, 1)), np.full(reps, float(lam)))
     cdf = QuadratureFamily(like).weight_law(xi, lam).cdf(np.sort(draws))
-    n = cdf.size
-    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
-    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    d_plus = np.max(np.arange(1.0, reps + 1) / reps - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, reps) / reps)
     d = max(d_plus, d_minus)
     return _report_geq(
         f"weight law at (xi={xi[0]:g}, lam={lam:g})",
-        kolmogorov_sf(n, d),
+        kolmogorov_sf(reps, d),
         alpha,
         f"n = {reps}, D = {d:.4g}",
     )
@@ -646,6 +649,11 @@ EQUIVALENCE_ROUNDS = 3
 EQUIVALENCE_MIN_REPS = 100
 
 
+def _equivalence_reps(reps: int) -> None:
+    if reps < EQUIVALENCE_MIN_REPS:
+        raise DomainError(f"equivalence needs at least {EQUIVALENCE_MIN_REPS} replicates per sampler")
+
+
 def equivalence_run(
     prior: ExpCrmPrior,
     n_steps: int = EQUIVALENCE_ROUNDS,
@@ -662,8 +670,7 @@ def equivalence_run(
     chi-square report.  Both samplers run under the same truncation so
     the comparison is exact, not asymptotic.
     """
-    if reps < EQUIVALENCE_MIN_REPS:
-        raise DomainError(f"equivalence needs at least {EQUIVALENCE_MIN_REPS} replicates per sampler")
+    _equivalence_reps(reps)
     sb = SizeBiasedSampler(prior, SizeBiasedConfig(m_max=n_steps, x_max=x_max, eps_tail=eps_tail))
     mg = MarginalSampler(prior, MarginalConfig(x_max=x_max, eps_tail=eps_tail))
     sb_stats: list[list] = [[] for _ in range(n_steps)]
@@ -726,6 +733,7 @@ def run_suite(
         return SuiteRun(oracle_suite(prior, seed=seed, reps=reps), reps)
     if suite == "equivalence":
         rounds = EQUIVALENCE_ROUNDS
+        _equivalence_reps(reps)  # before the table: a refused call builds none
         table = _rate_table(prior, x_max, eps_tail)  # the samplers find it while it is held
         reports = equivalence_run(prior, rounds, reps, seed, x_max, eps_tail)
         policy = {"rounds": rounds, "x_max": x_max, "eps_tail": eps_tail}

@@ -12,10 +12,9 @@ Callers declare those powers in an :class:`IntegrandSpec`.  One engine,
 draws invert its cumulative sums.  It tiles (0, U) with 12-node Gauss-Legendre panels,
 graded geometrically from 1e-12 of the scale at each end (in the distance
 from a finite top) and marched in quarter-octaves toward infinity until the
-tail closes: a law that decays faster than a power marches first to 2^2,
-and each later batch doubles the panels marched so far, while a declared
-power tail marches 60 panels at a time (to 2^15, 2^30, ...).  Each panel
-is bisected until its distance from a 6-node companion rule is within
+tail closes: every law marches first to 2^2, and each later batch doubles
+the panels marched so far (to 2^4, 2^8, 2^16, ...).  Each panel is
+bisected until its distance from a 6-node companion rule is within
 ``rel_tol`` of its mass.  Beyond the outermost knots f is a pure power to
 leading order, so those pieces are analytic.  A finite top without an exact
 evaluator stops at 1e-6 of the scale, since U - v rounds v to steps of
@@ -377,19 +376,12 @@ _CAP_NODES = 24
 _KNOTS_PER_SIDE = 96
 _SIDE_GRID = np.geomspace(_EDGE, 0.5, _KNOTS_PER_SIDE)
 _CAP_GRID = np.geomspace(_CAP_EDGE, 0.5, _KNOTS_PER_SIDE)
-# quarter-octave knots above 1 toward an infinite top.  A law that decays
-# faster than a power starts with the first _MARCH (up to 2^2), and each later
-# batch doubles the knots marched so far.  A declared power tail closes only
-# once its log-slope has settled, often past 2^30, where doubling from 2^2
-# would cost it more passes than it saves, so it marches _POWER_MARCH at a
-# time (to 2^15, 2^30, ...)
+# quarter-octave knots above 1 toward an infinite top.  Every law starts
+# with the first _MARCH (up to 2^2), and each later batch doubles the knots
+# marched so far (to 2^4, 2^8, 2^16, ...), a power tail as any other
 _MARCH_KNOTS = 2.0 ** (0.25 * np.arange(1, 1201))
 _MARCH = 8
-_POWER_MARCH = 60
-_INFINITE_START = {
-    m: np.concatenate([np.geomspace(_EDGE, 1.0, _KNOTS_PER_SIDE), _MARCH_KNOTS[:m]])
-    for m in (_MARCH, _POWER_MARCH)
-}
+_INFINITE_START = np.concatenate([np.geomspace(_EDGE, 1.0, _KNOTS_PER_SIDE), _MARCH_KNOTS[:_MARCH]])
 # the largest log whose exp is a finite double
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -401,8 +393,7 @@ def _start_knots(spec: IntegrandSpec) -> list:
     in the distance from the top.
     """
     if not math.isfinite(spec.upper):
-        power = spec.upper_order is not None and not np.isnan(spec.upper_order).all()
-        return [(spec.log_f, _INFINITE_START[_POWER_MARCH if power else _MARCH])]
+        return [(spec.log_f, _INFINITE_START)]
     grid = spec.upper * _SIDE_GRID
     top = grid if spec.log_f_upper is not None else spec.upper * _CAP_GRID
     return [(spec.log_f, grid), (spec.log_f_from_top, top)]
@@ -597,11 +588,11 @@ class PanelLaw:
     in every column, and a march toward an infinite top closes once every
     column has: at a shell within 1e-3 * rel_tol of the mass below it, or,
     for a power tail, once the analytic piece above is within rel_tol / 2
-    of it.  Without a power tail, that march starts with the quarter-octave
-    panels up to 2^2 and goes on in batches that double the panels marched
-    so far (to 2^4, 2^8, 2^16, ...), so a law whose mass lies low evaluates
-    no panel far above it; a power tail, which closes only once its
-    log-slope has settled, marches 60 panels at a time (to 2^15, 2^30, ...).
+    of it.  That march starts with the quarter-octave panels up to 2^2 and
+    goes on in batches that double the panels marched so far (to 2^4, 2^8,
+    2^16, ...), so a law whose mass lies low evaluates no panel far above
+    it.  The march ends at the first shell by which every column has
+    closed, so the batches set how far it evaluates, not where it ends.
 
     After construction ``total`` is the integral and ``err`` bounds its
     error, both in units of ``exp(shift)``, the largest integrand value at
@@ -670,7 +661,7 @@ class PanelLaw:
                     raise QuadratureError(
                         f"{name}: tail failed to close after {_MARCH_KNOTS.size} quarter-octaves"
                     )
-                b = _MARCH_KNOTS[marched : marched + (_POWER_MARCH if any_power else marched)]
+                b = _MARCH_KNOTS[marched : 2 * marched]
                 a = np.concatenate([lower.knots[-1:], b[:-1]])
                 new_logs = lower.node_logs(a, b)
                 peak = new_logs.max(axis=(1, 2))

@@ -164,6 +164,11 @@ class TestKolmogorovSf:
         want = stats.kstwo.sf(ds, n)
         assert [(d, g, w) for d, g, w in zip(ds, got, want) if g != w] == []
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_draws_raises(self, n):
+        with pytest.raises(DomainError, match="needs at least one draw"):
+            kolmogorov_sf(n, 0.1)
+
     def test_near_scipy_up_to_140(self):
         # scipy runs Pomeranz's recursion where n D^2 is in (0.754693, 4]; MTW here
         for n in (1, 2, 3, 5, 10, 37, 99, 121, 140):
@@ -298,6 +303,12 @@ class TestOracleChecks:
     def test_weight_law_gamma(self):
         assert oracle_weight_law(gamma_prior(), (0.0,), 2.0, reps=2500, seed=1).passed
 
+    def test_weight_law_without_draws_raises(self):
+        with pytest.raises(DomainError, match="weight-law oracle needs at least one draw, got 0"):
+            oracle_weight_law(gamma_prior(), (0.0,), 2.0, reps=0)
+        with pytest.raises(DomainError, match="weight-law oracle needs at least one draw, got 0"):
+            oracle_suite(gamma_prior(), reps=0)
+
     def test_weight_law_heavy_tail(self):
         assert oracle_weight_law(odds_prior(), (-0.3,), 1.4, reps=2500, seed=2).passed
 
@@ -421,6 +432,11 @@ class TestRunSuite:
             equivalence_run(gamma_prior(), reps=EQUIVALENCE_MIN_REPS - 1)
         with pytest.raises(DomainError, match=message):
             run_suite(gamma_prior(), "equivalence", reps=EQUIVALENCE_MIN_REPS - 1)
+
+    def test_a_refused_equivalence_call_builds_no_table(self, rate_tables_built):
+        with pytest.raises(DomainError, match="equivalence needs at least"):
+            run_suite(gamma_prior(), "equivalence", reps=EQUIVALENCE_MIN_REPS - 1)
+        assert rate_tables_built == []
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError, match="unknown suite"):

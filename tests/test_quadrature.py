@@ -268,12 +268,13 @@ def test_march_stops_at_its_last_knot():
     assert sizes[2:] == [PANEL_NODES * b for b in batches]
 
 
-def test_power_tail_marches_sixty_panels_at_a_time():
-    """A declared power tail closes only where its log-slope has settled, here past 2^33, in batches of 60.
+def test_power_tail_marches_in_the_same_doubling_batches():
+    """A declared power tail closes only where its log-slope has settled, here past 2^33.
 
-    The evaluator sees the start grid with the first 60 march panels, the
-    lower power piece's two knots, the 61 knots the tail test reads, each
-    later batch's nodes and its 60 knots, and the upper power piece's two.
+    It marches as every law does: the start grid with the first march, the
+    lower power piece's two knots, the 9 knots the tail test reads, each
+    later batch's nodes and its knots (doubling to 2^64, the batch that
+    holds the closing knot), and the upper power piece's two.
     """
     a, b = 0.5, 0.1
     sizes = []
@@ -283,7 +284,9 @@ def test_power_tail_marches_sixty_panels_at_a_time():
         return (a - 1.0) * np.log(t) - (a + b) * np.log1p(t)
 
     law = PanelLaw(IntegrandSpec(log_f, math.inf, a - 1.0, -1.0 - b, name="beta prime kernel"), REL_TOL)
-    assert sizes == [PANEL_NODES * (GRID_PANELS + 60), 2, 61] + [PANEL_NODES * 60, 60] * 2 + [2]
+    batches = [8, 16, 32, 64, 128]
+    assert sizes[:3] == [PANEL_NODES * (GRID_PANELS + FIRST_MARCH), 2, FIRST_MARCH + 1]
+    assert sizes[3:] == [n for m in batches for n in (PANEL_NODES * m, m)] + [2]
     assert law._sides[0].knots[-1] == 2.0 ** (135 / 4)
     assert math.log(law.total) + law.shift == pytest.approx(betaln(a, b), rel=0.0, abs=1e-10)
 

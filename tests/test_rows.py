@@ -108,6 +108,30 @@ def test_clone_helpers_keep_their_bytes():
     assert {m: float.hex(round_total(clone_prior, m)) for m in CLONE_TOTALS} == CLONE_TOTALS
 
 
+# the beta-prime clone's heavy power tails t^-0.3 (1 + t)^-lam: each weight law's
+# (total, shift, knot count) and two log B values, as float.hex, which the march
+# toward infinity must keep whatever batches it takes
+POWER_TAIL_LAWS = {
+    0.9: ("0x1.6f8a08e59d730p-10", "0x1.093a5c546f5c2p+3", 217),
+    0.85: ("0x1.de5bd97bb766ap-10", "0x1.093a5c546f5dep+3", 223),
+    0.8: ("0x1.5d8cf0d01afa6p-9", "0x1.093a5c546f5fap+3", 228),
+    0.75: ("0x1.53d48c707c7b3p-8", "0x1.093a5c546f616p+3", 231),
+}
+POWER_TAIL_LOG_B = {0.9: "0x1.b7f33593e691cp+0", 0.75: "0x1.836338ace48f2p+1"}
+
+
+def test_power_tail_laws_keep_their_bytes():
+    like = clone(ODDS_BERNOULLI_BETA_PRIME)
+    family = QuadratureFamily(like)
+    got = {}
+    for lam in POWER_TAIL_LAWS:
+        law = family.weight_law((-0.3,), lam)
+        got[lam] = (float.hex(law.total), float.hex(law.shift), law._sides[0].knots.size)
+    assert got == POWER_TAIL_LAWS
+    log_B = {lam: float.hex(log_partition_B(like, (-0.3,), lam)) for lam in POWER_TAIL_LOG_B}
+    assert log_B == POWER_TAIL_LOG_B
+
+
 @pytest.mark.parametrize("xi, lam", STEEP_TOP_POINTS)
 def test_steep_top_is_reached_through_the_top_evaluator(xi, lam):
     # the probe, the declaration check and the panels all reach the top
